@@ -239,7 +239,7 @@ def run_warm_cold_ab(repeats: int = 5, quick: bool = False) -> dict:
 
         def run_warm() -> None:
             # A fresh cache over the *populated shared* tier: the
-            # import_memo warm-start a new worker process gets.
+            # import_memos warm-start a new worker process gets.
             for request in requests:
                 cache = PlannerCache(tier)
                 _r, _k, _v, _e, path = cache.run(request)

@@ -244,6 +244,9 @@ def explain(
     """Diagnose why each view is or is not usable for ``query``.
 
     ``view`` restricts the diagnosis to one registered view by name.
+    The catalog's keys are used, so views usable only through the
+    Section 5.2 many-to-1 relaxation diagnose as usable, as they are for
+    :func:`rewrite`.
     """
     if isinstance(query, str):
         query = parse_query(query, catalog)
@@ -253,7 +256,7 @@ def explain(
         views = list(catalog.views.values())
     return ExplainResponse(
         query=query,
-        diagnoses=tuple(explain_usability(query, v) for v in views),
+        diagnoses=tuple(explain_usability(query, v, catalog) for v in views),
     )
 
 

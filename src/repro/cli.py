@@ -148,7 +148,7 @@ def cmd_rewrite(args) -> int:
         if args.explain:
             print()
             for view in engine.views:
-                print(explain_usability(result.query, view).summary())
+                print(explain_usability(result.query, view, catalog).summary())
         _print_search_report(result)
         return 1
     shown = result.ranked if args.all else result.ranked[:1]
@@ -174,7 +174,7 @@ def cmd_explain(args) -> int:
     if args.view:
         views = [catalog.view(args.view)]
     for view in views:
-        print(explain_usability(query, view).summary())
+        print(explain_usability(query, view, catalog).summary())
         print()
     if args.trace:
         # Where the time goes: run the full instrumented search once.

@@ -30,26 +30,26 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..blocks.exprs import (
-    AggFunc,
-    Aggregate,
-    Arith,
-    Expr,
-    div,
-    mul,
-)
-from ..blocks.query_block import QueryBlock, SelectItem, ViewDef
+from ..blocks.exprs import AggFunc, Aggregate, Expr, div, mul
+from ..blocks.query_block import QueryBlock, ViewDef
 from ..blocks.terms import Column, Comparison
 from ..constraints.closure import Closure, closure_of
 from ..constraints.having import normalize_having
 from ..constraints.residual import find_residual
 from ..mappings.column_mapping import ColumnMapping
 from .common import (
+    NOT_ONE_TO_ONE,
+    UNSATISFIABLE,
+    Reports,
     ViewOccurrence,
+    describe_columns,
+    equal_output,
+    in_scope,
     make_view_occurrence,
     query_namer,
-    select_is_plain,
-    view_is_rewritable,
+    record,
+    refuse,
+    substitute_view,
 )
 from .result import Rewriting
 
@@ -58,8 +58,6 @@ class _ViewShape:
     """Indexed access to an aggregation view's SELECT structure."""
 
     def __init__(self, view: ViewDef, mapping: ColumnMapping, occ: ViewOccurrence):
-        self.view = view
-        self.occ = occ
         #: non-aggregation items: view column -> Q' output column
         self.column_outputs: dict[Column, Column] = {}
         #: aggregation items: (func, view column) -> Q' output column
@@ -89,11 +87,37 @@ class _ViewShape:
         return None
 
 
+_C3_SELECTIVE = (
+    "the view is more selective than the query (Conds(Q) does not imply "
+    "φ(Conds(V)))"
+)
+_C3_RESIDUAL = (
+    "a query condition constrains an aggregated or projected-out view "
+    "column (Example 4.4's obstruction)"
+)
+# Why C4' fails for one aggregate; each is appended to ``str(aggregate)``.
+_COMPOUND = " has a compound argument"
+_NEEDS_COUNT = (
+    " needs the view to expose a COUNT output to recover multiplicities "
+    "(C4' part 1(b)/2)"
+)
+_NO_OUTPUT = ": no matching aggregate or grouping output in the view"
+_SCALAR_COUNT = (
+    ": COUNT over a GROUP-BY-less query cannot be rewritten (NULL-vs-0 on "
+    "empty input)"
+)
+_STRICT_COUNT = (
+    ": the literal reading of C4' part 1(b) (conditions=\"strict\") wants "
+    "a COUNT output in the view"
+)
+
+
 def try_rewrite_aggregation(
     query: QueryBlock,
     view: ViewDef,
     mapping: ColumnMapping,
     conditions: str = "paper",
+    reports: Reports = None,
 ) -> Optional[Rewriting]:
     """Check C1, C2'-C4' for one mapping; apply S1'-S5' when they hold.
 
@@ -103,20 +127,27 @@ def try_rewrite_aggregation(
     enforces the literal transcription (a COUNT output whenever the query
     computes SUM/COUNT/AVG), which rejects Example 1.1; see DESIGN.md
     fidelity note 2.
+
+    ``reports`` is the optional sink of
+    :func:`repro.core.conjunctive.try_rewrite_conjunctive`: absent, the
+    first failed condition returns ``None`` at once; present, every
+    condition leaves its line and evaluation goes on.
     """
     if conditions not in ("paper", "strict"):
         raise ValueError(f"unknown conditions mode {conditions!r}")
     if not view.block.is_aggregation:
         return None
-    if not view_is_rewritable(view) or not select_is_plain(query):
+    if not in_scope(query, view, reports):
         return None
     if not mapping.is_one_to_one:
-        return None  # condition C1
-
-    # Section 4.5: an aggregation view cannot answer a conjunctive query
-    # under multiset semantics (group-by loses tuple multiplicities).
+        return refuse(reports, "C1", NOT_ONE_TO_ONE)
     if query.is_conjunctive:
-        return None
+        return refuse(
+            reports,
+            "4.5",
+            "an aggregation view cannot answer a conjunctive query under "
+            "multiset semantics (grouping loses multiplicities)",
+        )
 
     query_n = normalize_having(query)
     view_n = view.block
@@ -130,15 +161,27 @@ def try_rewrite_aggregation(
     # query and the query is itself GROUP-BY-less: then both sides emit
     # exactly one row whose aggregates agree (COUNT is separately
     # refused below). Found by the SQLite cross-oracle, fuzz seed 4916.
-    if not view_n.group_by:
-        if query_n.group_by:
-            return None
-        if len(mapping.image_table_indexes) != len(query_n.from_):
-            return None
+    scalar_ok = bool(view_n.group_by) or (
+        not query_n.group_by
+        and len(mapping.image_table_indexes) == len(query_n.from_)
+    )
+    if not scalar_ok and reports is None:
+        return None
+    if reports is not None and not view_n.group_by:
+        record(
+            reports,
+            "scalar view",
+            scalar_ok,
+            "the GROUP-BY-less view covers the whole GROUP-BY-less query, so "
+            "both emit exactly one row",
+            "a GROUP-BY-less view emits one row even on empty input, where "
+            "the tables it replaces give none; it is usable only when it "
+            "covers every table of a GROUP-BY-less query",
+        )
 
     closure_q = closure_of(query_n.where)
     if not closure_q.satisfiable:
-        return None
+        return refuse(reports, "Conds(Q)", UNSATISFIABLE)
     closure_v = closure_of(view_n.where)
 
     image = mapping.image_columns
@@ -151,13 +194,28 @@ def try_rewrite_aggregation(
     # ColSel(V) (up to Conds(Q)-entailed equality).
     # ------------------------------------------------------------------
     sigma: dict[Column, Column] = {}
+    missing: list[Column] = []
     for column in list(query_n.group_by) + list(query_n.col_sel()):
         if column not in image or column in sigma:
             continue
         out_col = _equal_column_output(column, shape, mapping, closure_q)
-        if out_col is None:
+        if out_col is not None:
+            sigma[column] = out_col
+        elif reports is None:
             return None
-        sigma[column] = out_col
+        else:
+            missing.append(column)
+    if reports is not None:
+        record(
+            reports,
+            "C2'",
+            not missing,
+            "every grouping column appears among the view's non-aggregated "
+            "outputs",
+            lambda: "grouping column(s) "
+            + describe_columns(query_n, missing)
+            + " are not in ColSel(V) — the view's groups are too coarse",
+        )
 
     # ------------------------------------------------------------------
     # Condition C3': Conds(Q) must factor as φ(Conds(V)) AND Conds', with
@@ -166,11 +224,20 @@ def try_rewrite_aggregation(
     # ------------------------------------------------------------------
     colsel_outputs = frozenset(shape.column_outputs.values())
     allowed = (query_n.cols() - image) | colsel_outputs
-    residual = find_residual(
-        query_n.where, mapping.apply_atoms(view_n.where), allowed
-    )
-    if residual is None:
+    mapped = mapping.apply_atoms(view_n.where)
+    residual = find_residual(query_n.where, mapped, allowed)
+    if residual is None and reports is None:
         return None
+    if reports is not None:
+        record(
+            reports,
+            "C3'",
+            residual is not None,
+            "residual conditions fit on grouping outputs",
+            lambda: _C3_RESIDUAL
+            if closure_q.entails_all(mapped)
+            else _C3_SELECTIVE,
+        )
 
     # ------------------------------------------------------------------
     # Condition C4' (+ HAVING extension): compute a Q'-level expression
@@ -178,93 +245,75 @@ def try_rewrite_aggregation(
     # ------------------------------------------------------------------
     needs_count = False
     agg_replacements: dict[Aggregate, Expr] = {}
+    bad: list[str] = []
     for agg in query_n.all_aggregates():
         if agg in agg_replacements:
             continue
+        why = None
         if not isinstance(agg.arg, Column):
+            why = _COMPOUND
+        else:
+            replacement, uses_count = _rewrite_aggregate(
+                agg, shape, mapping, closure_q, closure_v, image
+            )
+            if replacement is None:
+                counted = uses_count and shape.count_output is None
+                why = _NEEDS_COUNT if counted else _NO_OUTPUT
+            elif agg.func is AggFunc.COUNT and not query_n.group_by:
+                # COUNT becomes SUM(N), which is NULL (not 0) over the
+                # single empty group a GROUP-BY-less query still emits on
+                # an empty database. Refusing keeps the rewriting sound.
+                why = _SCALAR_COUNT
+            elif (
+                conditions == "strict"
+                and agg.func in (AggFunc.SUM, AggFunc.COUNT, AggFunc.AVG)
+                and shape.count_output is None
+            ):
+                # C4' part 1(b) read literally: a COUNT output for *any*
+                # duplicate-sensitive aggregate. The paper's own Example
+                # 1.1 violates this reading (DESIGN.md fidelity note 2),
+                # so the default ("paper") requires the COUNT output
+                # exactly where steps S4'/S5' consume it.
+                why = _STRICT_COUNT
+        if why is None:
+            needs_count = needs_count or uses_count
+            agg_replacements[agg] = replacement
+        elif reports is None:
             return None
-        replacement, uses_count = _rewrite_aggregate(
-            agg, shape, mapping, closure_q, closure_v, image, sigma
+        else:
+            bad.append(f"{agg}{why}")
+    if reports is not None:
+        record(
+            reports,
+            "C4'",
+            not bad,
+            "every query aggregate is computable from the view's outputs",
+            lambda: "; ".join(dict.fromkeys(bad)),
         )
-        if replacement is None:
-            return None
-        if agg.func is AggFunc.COUNT and not query_n.group_by:
-            # COUNT becomes SUM(N), which is NULL (not 0) over the single
-            # empty group a GROUP-BY-less query still emits on an empty
-            # database. Refusing keeps the rewriting sound on that edge.
-            return None
-        if uses_count and shape.count_output is None:
-            return None
-        needs_count = needs_count or uses_count
-        if conditions == "strict" and agg.func in (
-            AggFunc.SUM,
-            AggFunc.COUNT,
-            AggFunc.AVG,
-        ):
-            # C4' part 1(b) read literally: a COUNT output for *any*
-            # duplicate-sensitive aggregate. The paper's own Example 1.1
-            # violates this reading (see DESIGN.md fidelity note 2), so
-            # the default ("paper") requires the COUNT output exactly
-            # where steps S4'/S5' consume it.
-            if shape.count_output is None:
-                return None
-        agg_replacements[agg] = replacement
 
     # ------------------------------------------------------------------
     # Section 4.3: a HAVING clause in the view may eliminate groups that Q
     # needs. Sound regime: exact group alignment, the view covering the
     # whole query, and GConds(Q) entailing φ(GConds(V)).
     # ------------------------------------------------------------------
-    if view_n.having:
-        ok = _check_view_having(
-            query_n, view_n, mapping, closure_q, image
+    having_ok = not view_n.having or _check_view_having(
+        query_n, view_n, mapping, closure_q, image
+    )
+    if reports is not None and view_n.having:
+        record(
+            reports,
+            "4.3",
+            having_ok,
+            "the view's HAVING clause is entailed with exactly aligned groups",
+            "the view's HAVING clause may eliminate groups the query still "
+            "needs (Section 4.3)",
         )
-        if not ok:
-            return None
+    if not (scalar_ok and having_ok) or missing or residual is None or bad:
+        return None
 
-    # ------------------------------------------------------------------
-    # Steps S1'-S5': assemble Q'.
-    # ------------------------------------------------------------------
-    new_from = []
-    placed = False
-    for idx, rel in enumerate(query_n.from_):
-        if idx in mapping.image_table_indexes:
-            if not placed:
-                new_from.append(occurrence.relation)
-                placed = True
-            continue
-        new_from.append(rel)
-
-    def rewrite_expr(expr: Expr) -> Expr:
-        if isinstance(expr, Aggregate):
-            return agg_replacements[expr]
-        if isinstance(expr, Column):
-            return sigma.get(expr, expr)
-        if isinstance(expr, Arith):
-            return Arith(
-                expr.op, rewrite_expr(expr.left), rewrite_expr(expr.right)
-            )
-        return expr
-
-    rewritten = QueryBlock(
-        select=tuple(
-            SelectItem(rewrite_expr(item.expr), item.alias)
-            for item in query_n.select
-        ),
-        from_=tuple(new_from),
-        where=tuple(residual),
-        group_by=tuple(
-            # Closure-equal grouping columns can collapse onto one view
-            # output; grouping by it once is equivalent.
-            dict.fromkeys(sigma.get(c, c) for c in query_n.group_by)
-        ),
-        having=tuple(
-            Comparison(rewrite_expr(a.left), a.op, rewrite_expr(a.right))
-            for a in query_n.having
-        ),
-        distinct=query_n.distinct,
+    rewritten = substitute_view(
+        query_n, mapping, occurrence, sigma, agg_replacements, residual
     ).validate()
-
     notes = [
         f"replaced tables {[r.name for r in mapping.image_relations()]} "
         f"by aggregation view {view.name}",
@@ -294,15 +343,11 @@ def _equal_column_output(
     closure_q: Closure,
 ) -> Optional[Column]:
     """C2' search: a ColSel(V) output with ``Conds(Q) ⊨ column = φ(B)``."""
-    best = None
-    for view_col, out_col in shape.column_outputs.items():
-        imagecol = mapping.apply(view_col)
-        if closure_q.equal(column, imagecol):
-            if imagecol == column:
-                return out_col
-            if best is None:
-                best = out_col
-    return best
+    outputs = (
+        (mapping.apply(view_col), out_col)
+        for view_col, out_col in shape.column_outputs.items()
+    )
+    return equal_output(column, outputs, closure_q)
 
 
 def _rewrite_aggregate(
@@ -312,7 +357,6 @@ def _rewrite_aggregate(
     closure_q: Closure,
     closure_v: Closure,
     image: frozenset[Column],
-    sigma: dict[Column, Column],
 ) -> tuple[Optional[Expr], bool]:
     """The C4' case analysis; returns ``(replacement, uses_count)``.
 
@@ -375,10 +419,7 @@ def _rewrite_aggregate(
         return Aggregate(AggFunc.SUM, n_col), True
 
     if func is AggFunc.SUM:
-        sum_expr, uses = _sum_expression(
-            shape, preimages, closure_v, column_out, n_col
-        )
-        return sum_expr, uses
+        return _sum_expression(shape, preimages, closure_v, column_out, n_col)
 
     # AVG (Section 4.4): SUM-form / COUNT-form, both exact.
     if n_col is None:

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from ..blocks.exprs import Aggregate, Expr, has_aggregate
+from ..blocks.exprs import Aggregate, Arith, Expr
 from ..blocks.naming import FreshNames
-from ..blocks.query_block import QueryBlock, Relation, ViewDef
-from ..blocks.terms import Column
+from ..blocks.query_block import QueryBlock, Relation, SelectItem, ViewDef
+from ..blocks.terms import Column, Comparison
 from ..constraints.closure import Closure
-from ..errors import RewriteError
 from ..mappings.column_mapping import ColumnMapping
 
 
@@ -44,16 +43,6 @@ class ViewOccurrence:
 
     relation: Relation
     select_columns: tuple[Column, ...]
-
-    def column_for_item(self, position: int) -> Column:
-        return self.select_columns[position]
-
-    def column_for_view_column(self, view: ViewDef, column: Column) -> Column:
-        """Q' column for a view SELECT item that is the plain ``column``."""
-        for i, item in enumerate(view.block.select):
-            if item.expr == column:
-                return self.select_columns[i]
-        raise RewriteError(f"{column} is not a SELECT column of {view.name}")
 
 
 def make_view_occurrence(
@@ -93,33 +82,26 @@ def query_namer(query: QueryBlock, *more_blocks: QueryBlock) -> FreshNames:
     return FreshNames(taken)
 
 
-def pick_equal_select_column(
-    target: Column,
-    view: ViewDef,
-    mapping: ColumnMapping,
+def equal_output(
+    column: Column,
+    outputs: Iterable[tuple[Column, Column]],
     closure_q: Closure,
-    column_only: bool = False,
 ) -> Optional[Column]:
-    """Find ``B_A``: a view SELECT column with ``Conds(Q) ⊨ A = φ(B_A)``.
+    """The search behind C2/C2' and C4 part 1: a surviving view output
+    ``B`` with ``Conds(Q) ⊨ column = φ(B)``.
 
-    This is the search behind conditions C2/C2' and C4 part 1. When
-    ``column_only`` is set, only non-aggregation SELECT items qualify
-    (``ColSel(V)``, as required by C2').
+    ``outputs`` pairs each ``φ(B)`` with the Q' column that carries it.
+    The output whose image *is* ``column`` is the canonical choice; failing
+    that, the first Conds(Q)-equal one.
     """
     best: Optional[Column] = None
-    for item in view.block.select:
-        expr = item.expr
-        if not isinstance(expr, Column):
-            continue
-        image = mapping.apply(expr)
-        if closure_q.equal(target, image):
-            if image == target:
-                return expr  # φ(B_A) = A: the canonical choice
+    for image, out_col in outputs:
+        if closure_q.equal(column, image):
+            if image == column:
+                return out_col
             if best is None:
-                best = expr
-    if column_only or best is not None:
-        return best
-    return None
+                best = out_col
+    return best
 
 
 def select_is_plain(query: QueryBlock) -> bool:
@@ -128,13 +110,195 @@ def select_is_plain(query: QueryBlock) -> bool:
     The usability conditions are stated for this shape; arithmetic select
     expressions (which rewritings *produce*) are not accepted as input.
     """
-    for item in query.select:
-        expr = item.expr
-        if isinstance(expr, Column):
-            continue
+    return all(
+        isinstance(item.expr, (Column, Aggregate)) for item in query.select
+    )
+
+
+class ConditionReport:
+    """One usability condition's outcome under one mapping.
+
+    The rewriting functions append these to their optional ``reports``
+    sink. ``detail`` may be handed over as a zero-argument callable: it
+    is rendered on first read, so a consumer that only looks at ``ok``
+    never builds the text.
+    """
+
+    __slots__ = ("condition", "ok", "_detail")
+
+    def __init__(
+        self, condition: str, ok: bool, detail: Union[str, Callable[[], str]]
+    ):
+        self.condition = condition
+        self.ok = ok
+        self._detail = detail
+
+    @property
+    def detail(self) -> str:
+        if callable(self._detail):
+            self._detail = self._detail()
+        return self._detail
+
+    def __str__(self) -> str:
+        mark = "PASS" if self.ok else "FAIL"
+        return f"[{mark}] {self.condition}: {self.detail}"
+
+    __repr__ = __str__
+
+
+Reports = Optional[list[ConditionReport]]
+
+NOT_ONE_TO_ONE = (
+    "the mapping sends two view tables onto one query table; multiset "
+    "semantics needs a 1-1 mapping (Definition 2.1)"
+)
+UNSATISFIABLE = (
+    "Conds(Q) is unsatisfiable: the query is empty on every database, "
+    "and no rewriting is attempted"
+)
+
+
+def refuse(reports: Reports, condition: str, detail) -> None:
+    """A guard that ends the evaluation: leave its FAIL line in the sink
+    (when there is one) and hand back the ``None`` the caller returns."""
+    if reports is not None:
+        reports.append(ConditionReport(condition, False, detail))
+    return None
+
+
+def in_scope(
+    query: QueryBlock,
+    view: ViewDef,
+    reports: Reports,
+    allow_distinct: bool = False,
+) -> bool:
+    """Is (query, view) in the input class the conditions are stated for?"""
+    if not view_is_rewritable(view, allow_distinct):
+        reason = (
+            "the view is outside the rewriting class (DISTINCT, or a "
+            "SELECT item that is neither a column nor AGG(column))"
+        )
+    elif not select_is_plain(query):
+        reason = "the query's SELECT items must be columns or single aggregates"
+    else:
+        return True
+    refuse(reports, "scope", reason)
+    return False
+
+
+def record(
+    reports: list[ConditionReport], condition: str, ok: bool, passed, failed
+) -> None:
+    """Append one condition's line: ``passed`` when it holds, else
+    ``failed`` (either may be a callable, rendered on first read)."""
+    reports.append(ConditionReport(condition, ok, passed if ok else failed))
+
+
+def describe_columns(block: QueryBlock, columns: Sequence[Column]) -> str:
+    """``Table.column, ...`` for report details (duplicates dropped)."""
+    names = []
+    for column in columns:
+        rel = block.relation_of(column)
+        names.append(f"{rel.name}.{rel.base_name_of(column)}")
+    return ", ".join(dict.fromkeys(names))
+
+
+def record_c2(
+    reports: list[ConditionReport], query: QueryBlock, missing: Sequence[Column]
+) -> None:
+    """C2's line, as worded for both the 1-1 and the many-to-1 check."""
+    record(
+        reports,
+        "C2",
+        not missing,
+        "every needed SELECT/GROUP BY column survives the view's projection",
+        lambda: "the view projects out "
+        + describe_columns(query, missing)
+        + " (no Conds(Q)-equal copy in Sel(V))",
+    )
+
+
+def record_c3(
+    reports: list[ConditionReport],
+    closure_q: Closure,
+    mapped: Sequence[Comparison],
+    residual: Optional[Sequence[Comparison]],
+) -> None:
+    """C3's line; a failure says which half failed: Conds(Q) entailing
+    ``mapped`` = φ(Conds(V)), or the residual fitting on what survives."""
+
+    def failed() -> str:
+        unimplied = [str(a) for a in mapped if not closure_q.entails(a)]
+        if not unimplied:
+            return (
+                "some query condition constrains a column the view "
+                "projects out, and no equal surviving column exists"
+            )
+        return (
+            "the view is more selective than the query: Conds(Q) does "
+            "not imply " + ", ".join(unimplied)
+            + " — the view discards tuples the query needs"
+        )
+
+    record(
+        reports,
+        "C3",
+        residual is not None,
+        "Conds(Q) factors as φ(Conds(V)) AND Conds' over surviving columns",
+        failed,
+    )
+
+
+def substitute_view(
+    query: QueryBlock,
+    mapping: ColumnMapping,
+    occurrence: ViewOccurrence,
+    sigma: Mapping[Column, Column],
+    agg_replacements: Mapping[Aggregate, Expr],
+    where: Sequence[Comparison],
+) -> QueryBlock:
+    """Steps S1-S4 / S1'-S5': assemble Q' once the conditions hold.
+
+    ``φ(V)`` takes the place of the first image table and the other image
+    tables are dropped; ``where`` is the residual ``Conds'``; ``sigma``
+    renames covered columns to view outputs and ``agg_replacements``
+    gives the Q'-level form of each aggregate, throughout SELECT, GROUP
+    BY and HAVING. The caller validates the block.
+    """
+    replaced = mapping.image_table_indexes
+    first = min(replaced)
+    new_from = tuple(
+        occurrence.relation if idx == first else rel
+        for idx, rel in enumerate(query.from_)
+        if idx == first or idx not in replaced
+    )
+
+    def rewrite_expr(expr: Expr) -> Expr:
         if isinstance(expr, Aggregate):
-            continue
-        if has_aggregate(expr):
-            return False
-        return False
-    return True
+            if expr in agg_replacements:
+                return agg_replacements[expr]
+            return Aggregate(expr.func, rewrite_expr(expr.arg))
+        if isinstance(expr, Column):
+            return sigma.get(expr, expr)
+        if isinstance(expr, Arith):
+            return Arith(
+                expr.op, rewrite_expr(expr.left), rewrite_expr(expr.right)
+            )
+        return expr
+
+    return QueryBlock(
+        select=tuple(
+            SelectItem(rewrite_expr(item.expr), item.alias)
+            for item in query.select
+        ),
+        from_=new_from,
+        where=tuple(where),
+        # Closure-equal grouping columns can collapse onto one view
+        # output; grouping by it once is equivalent.
+        group_by=tuple(dict.fromkeys(sigma.get(c, c) for c in query.group_by)),
+        having=tuple(
+            Comparison(rewrite_expr(a.left), a.op, rewrite_expr(a.right))
+            for a in query.having
+        ),
+        distinct=query.distinct,
+    )

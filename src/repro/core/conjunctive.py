@@ -10,24 +10,26 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..blocks.exprs import (
-    AggFunc,
-    Aggregate,
-    Arith,
-    Expr,
-)
-from ..blocks.query_block import QueryBlock, SelectItem, ViewDef
-from ..blocks.terms import Column, Comparison, Constant
+from ..blocks.exprs import AggFunc, Aggregate
+from ..blocks.query_block import QueryBlock, ViewDef
+from ..blocks.terms import Column
 from ..constraints.closure import closure_of
 from ..constraints.having import normalize_having
 from ..constraints.residual import find_residual
 from ..mappings.column_mapping import ColumnMapping
 from .common import (
+    NOT_ONE_TO_ONE,
+    UNSATISFIABLE,
+    Reports,
+    equal_output,
+    in_scope,
     make_view_occurrence,
-    pick_equal_select_column,
     query_namer,
-    select_is_plain,
-    view_is_rewritable,
+    record,
+    record_c2,
+    record_c3,
+    refuse,
+    substitute_view,
 )
 from .result import Rewriting
 
@@ -36,26 +38,33 @@ def try_rewrite_conjunctive(
     query: QueryBlock,
     view: ViewDef,
     mapping: ColumnMapping,
+    reports: Reports = None,
 ) -> Optional[Rewriting]:
     """Check conditions C1–C4 for one mapping; apply S1–S4 when they hold.
 
     Returns the rewriting Q', or ``None`` when the view is not usable under
     this mapping. ``query`` may have grouping/aggregation and a HAVING
     clause; ``view`` must be conjunctive.
+
+    Without ``reports`` the first failed condition returns ``None`` at
+    once. With a ``reports`` list, every condition appends its
+    :class:`~repro.core.common.ConditionReport` and evaluation continues
+    past failures, so the list names each obstruction; the result is the
+    same.
     """
     if not view.block.is_conjunctive:
         return None
-    if not view_is_rewritable(view) or not select_is_plain(query):
+    if not in_scope(query, view, reports):
         return None
     if not mapping.is_one_to_one:
-        return None  # condition C1
+        return refuse(reports, "C1", NOT_ONE_TO_ONE)
 
     # Section 3.3 pre-processing: strengthen Conds(Q) from the HAVING
     # clause before checking C2-C4.
     query_n = normalize_having(query)
     closure_q = closure_of(query_n.where)
     if not closure_q.satisfiable:
-        return None
+        return refuse(reports, "Conds(Q)", UNSATISFIABLE)
 
     image = mapping.image_columns
     namer = query_namer(query_n, view.block)
@@ -66,20 +75,29 @@ def try_rewrite_conjunctive(
     # survive its projection (up to Conds(Q)-entailed equality).
     # ------------------------------------------------------------------
     sigma: dict[Column, Column] = {}
+    outputs = [
+        (mapping.apply(item.expr), out_col)
+        for item, out_col in zip(view.block.select, occurrence.select_columns)
+        if isinstance(item.expr, Column)
+    ]
 
     def require_output(column: Column) -> bool:
         if column not in image or column in sigma:
-            return column in sigma or column not in image
-        b_col = pick_equal_select_column(column, view, mapping, closure_q)
-        if b_col is None:
+            return True
+        out_col = equal_output(column, outputs, closure_q)
+        if out_col is None:
             return False
-        sigma[column] = occurrence.column_for_view_column(view, b_col)
+        sigma[column] = out_col
         return True
 
-    needed = list(query_n.col_sel()) + list(query_n.group_by)
-    for column in needed:
+    missing: list[Column] = []
+    for column in list(query_n.col_sel()) + list(query_n.group_by):
         if not require_output(column):
-            return None
+            if reports is None:
+                return None
+            missing.append(column)
+    if reports is not None:
+        record_c2(reports, query_n, missing)
 
     # ------------------------------------------------------------------
     # Condition C4 (extended to HAVING aggregates, Section 3.3): every
@@ -87,80 +105,54 @@ def try_rewrite_conjunctive(
     # COUNT falls back to counting any view output column (step S4).
     # ------------------------------------------------------------------
     agg_replacements: dict[Aggregate, Aggregate] = {}
+    bad_aggs: list[Aggregate] = []
     for agg in query_n.all_aggregates():
         arg = agg.arg
         if not isinstance(arg, Column):
-            return None  # the conditions are stated for AGG(column)
-        if arg not in image:
+            return refuse(
+                reports,
+                "C4",
+                lambda: f"{agg} has a compound argument; the conditions "
+                "are stated for AGG(column)",
+            )
+        if arg not in image or require_output(arg):
             continue
-        if require_output(arg):
-            continue
-        if agg.func is AggFunc.COUNT:
-            if not occurrence.select_columns:
-                return None  # C4 part 2: Sel(V) must not be empty
+        if agg.func is AggFunc.COUNT and occurrence.select_columns:
             agg_replacements[agg] = Aggregate(
                 AggFunc.COUNT, occurrence.select_columns[0]
             )
+        elif reports is None:
+            # C4 part 1 fails for MIN/MAX/SUM/AVG; part 2 needs a
+            # non-empty Sel(V).
+            return None
         else:
-            return None  # C4 part 1 fails for MIN/MAX/SUM/AVG
+            bad_aggs.append(agg)
+    if reports is not None:
+        record(
+            reports,
+            "C4",
+            not bad_aggs,
+            "all aggregated columns are recoverable",
+            lambda: "cannot compute "
+            + ", ".join(dict.fromkeys(str(a) for a in bad_aggs))
+            + ": the aggregated column is projected out of the view",
+        )
 
     # ------------------------------------------------------------------
     # Condition C3: Conds(Q) must factor as φ(Conds(V)) AND Conds', with
     # Conds' over non-image columns plus the view's surviving outputs.
     # ------------------------------------------------------------------
-    available = frozenset(occurrence.select_columns)
-    allowed = (query_n.cols() - image) | available
-    residual = find_residual(
-        query_n.where, mapping.apply_atoms(view.block.where), allowed
-    )
-    if residual is None:
+    allowed = (query_n.cols() - image) | frozenset(occurrence.select_columns)
+    mapped = mapping.apply_atoms(view.block.where)
+    residual = find_residual(query_n.where, mapped, allowed)
+    if reports is not None:
+        record_c3(reports, closure_q, mapped, residual)
+    if residual is None or missing or bad_aggs:
         return None
 
-    # ------------------------------------------------------------------
-    # Steps S1-S4: assemble Q'.
-    # ------------------------------------------------------------------
-    new_from = []
-    placed = False
-    for idx, rel in enumerate(query_n.from_):
-        if idx in mapping.image_table_indexes:
-            if not placed:
-                new_from.append(occurrence.relation)
-                placed = True
-            continue
-        new_from.append(rel)
-
-    def rewrite_expr(expr: Expr) -> Expr:
-        if isinstance(expr, Aggregate):
-            if expr in agg_replacements:
-                return agg_replacements[expr]
-            return Aggregate(expr.func, rewrite_expr(expr.arg))
-        if isinstance(expr, Column):
-            return sigma.get(expr, expr)
-        if isinstance(expr, Arith):
-            return Arith(expr.op, rewrite_expr(expr.left), rewrite_expr(expr.right))
-        return expr
-
-    new_select = tuple(
-        SelectItem(rewrite_expr(item.expr), item.alias)
-        for item in query_n.select
-    )
-    new_group_by = tuple(
-        dict.fromkeys(sigma.get(c, c) for c in query_n.group_by)
-    )
-    new_having = tuple(
-        Comparison(rewrite_expr(a.left), a.op, rewrite_expr(a.right))
-        for a in query_n.having
-    )
-
-    rewritten = QueryBlock(
-        select=new_select,
-        from_=tuple(new_from),
-        where=tuple(residual),
-        group_by=new_group_by,
-        having=new_having,
-        distinct=query_n.distinct,
+    rewritten = substitute_view(
+        query_n, mapping, occurrence, sigma, agg_replacements, residual
     ).validate()
-
     return Rewriting(
         query=rewritten,
         view_names=(view.name,),

@@ -2,9 +2,9 @@
 
 The rewriting functions answer yes/no; warehouse operators need the
 reason ("the view projects out Month, which the query groups by"). This
-module re-runs the usability conditions per candidate mapping and
-reports each one's outcome with the offending column, predicate or
-aggregate named.
+module holds no condition logic of its own: it enumerates the candidate
+mappings and runs the rewriter's own checks with a report sink, so every
+verdict shown is the one the planner acts on.
 """
 
 from __future__ import annotations
@@ -12,45 +12,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..blocks.exprs import AggFunc, Aggregate
 from ..blocks.query_block import QueryBlock, ViewDef
-from ..blocks.terms import Column
-from ..constraints.closure import Closure
-from ..constraints.having import normalize_having
-from ..constraints.residual import find_residual
+from ..catalog.schema import Catalog
 from ..mappings.column_mapping import ColumnMapping
 from ..mappings.enumerate_mappings import enumerate_mappings
-from .aggregate import _ViewShape, _equal_column_output, _rewrite_aggregate
-from .common import (
-    make_view_occurrence,
-    pick_equal_select_column,
-    query_namer,
-    select_is_plain,
-    view_is_rewritable,
-)
+from .aggregate import try_rewrite_aggregation
+from .common import ConditionReport
+from .conjunctive import try_rewrite_conjunctive
+from .setsem import try_rewrite_set_semantics
 
-
-@dataclass
-class ConditionReport:
-    """One usability condition's outcome under one mapping."""
-
-    condition: str
-    ok: bool
-    detail: str
-
-    def __str__(self) -> str:
-        mark = "PASS" if self.ok else "FAIL"
-        return f"[{mark}] {self.condition}: {self.detail}"
+#: Refusals that do not depend on the mapping; when every mapping stops
+#: at one, the diagnosis states it once as its ``scope_failure``.
+_MAPPING_INDEPENDENT = ("scope", "4.5")
 
 
 @dataclass
 class MappingDiagnosis:
     mapping: ColumnMapping
     reports: list[ConditionReport] = field(default_factory=list)
-
-    @property
-    def usable(self) -> bool:
-        return all(r.ok for r in self.reports)
+    #: Did the rewriter return a rewriting under this mapping?
+    usable: bool = False
 
     def first_failure(self) -> Optional[ConditionReport]:
         for report in self.reports:
@@ -66,14 +47,12 @@ class UsabilityDiagnosis:
     scope_failure: Optional[str] = None
     mappings: list[MappingDiagnosis] = field(default_factory=list)
     #: True when no 1-1 mapping exists but a many-to-1 one does — the
-    #: Section 5.2 hint.
+    #: Section 5.2 hint shown when no catalog was given.
     many_to_one_possible: bool = False
 
     @property
     def usable(self) -> bool:
-        return self.scope_failure is None and any(
-            m.usable for m in self.mappings
-        )
+        return any(m.usable for m in self.mappings)
 
     def summary(self) -> str:
         lines = [f"view {self.view.name}: "
@@ -90,7 +69,7 @@ class UsabilityDiagnosis:
                 lines.append(
                     "  note: many-to-1 mappings do exist; with keys or "
                     "SELECT DISTINCT the Section 5.2 set-semantics "
-                    "relaxation may apply (try_rewrite_set_semantics)"
+                    "relaxation may apply (pass a catalog to diagnose it)"
                 )
         for i, diagnosis in enumerate(self.mappings, 1):
             lines.append(f"  mapping {i}: {diagnosis.mapping.describe()}")
@@ -99,253 +78,46 @@ class UsabilityDiagnosis:
         return "\n".join(lines)
 
 
-def explain_usability(query: QueryBlock, view: ViewDef) -> UsabilityDiagnosis:
-    """Diagnose usability of ``view`` for ``query`` across all mappings."""
+def explain_usability(
+    query: QueryBlock, view: ViewDef, catalog: Optional[Catalog] = None
+) -> UsabilityDiagnosis:
+    """Diagnose usability of ``view`` for ``query`` across all mappings.
+
+    Mirrors :func:`repro.core.multiview.single_view_rewritings`: the 1-1
+    mappings go through the Section 3 or Section 4 check, and — when a
+    ``catalog`` with key information is given, as ``RewriteEngine`` does
+    by default — the remaining many-to-1 mappings go through the Section
+    5.2 check.
+    """
     diagnosis = UsabilityDiagnosis(query=query, view=view)
 
-    if not view_is_rewritable(view):
-        diagnosis.scope_failure = (
-            "the view is outside the rewriting class (DISTINCT, or a "
-            "SELECT item that is neither a column nor AGG(column))"
+    def diagnose(rewrite, mapping: ColumnMapping, *extra) -> None:
+        reports: list[ConditionReport] = []
+        found = rewrite(query, view, mapping, *extra, reports=reports)
+        diagnosis.mappings.append(
+            MappingDiagnosis(mapping, reports, usable=found is not None)
         )
-        return diagnosis
-    if not select_is_plain(query):
-        diagnosis.scope_failure = (
-            "the query's SELECT items must be columns or single aggregates"
-        )
-        return diagnosis
-    if view.block.is_aggregation and query.is_conjunctive:
-        diagnosis.scope_failure = (
-            "Section 4.5: an aggregation view cannot answer a conjunctive "
-            "query under multiset semantics (grouping loses multiplicities)"
-        )
-        return diagnosis
 
-    for mapping in enumerate_mappings(view.block, query):
-        if view.block.is_conjunctive:
-            diagnosis.mappings.append(_diagnose_conjunctive(query, view, mapping))
-        else:
-            diagnosis.mappings.append(_diagnose_aggregation(query, view, mapping))
-    if not diagnosis.mappings:
-        diagnosis.many_to_one_possible = (
-            next(
-                enumerate_mappings(view.block, query, many_to_one=True),
-                None,
-            )
-            is not None
-        )
-    return diagnosis
-
-
-def _describe_column(block: QueryBlock, column: Column) -> str:
-    try:
-        rel = block.relation_of(column)
-        return f"{rel.name}.{rel.base_name_of(column)}"
-    except Exception:
-        return column.name
-
-
-def _diagnose_conjunctive(
-    query: QueryBlock, view: ViewDef, mapping: ColumnMapping
-) -> MappingDiagnosis:
-    out = MappingDiagnosis(mapping)
-    query_n = normalize_having(query)
-    closure_q = Closure(query_n.where)
-    image = mapping.image_columns
-    namer = query_namer(query_n, view.block)
-    occurrence = make_view_occurrence(view, mapping, namer)
-
-    # C2
-    missing = [
-        column
-        for column in list(query_n.col_sel()) + list(query_n.group_by)
-        if column in image
-        and pick_equal_select_column(column, view, mapping, closure_q) is None
-    ]
-    out.reports.append(
-        ConditionReport(
-            "C2",
-            not missing,
-            "every needed SELECT/GROUP BY column survives the view's "
-            "projection"
-            if not missing
-            else "the view projects out "
-            + ", ".join(_describe_column(query_n, c) for c in missing)
-            + " (no Conds(Q)-equal copy in Sel(V))",
-        )
-    )
-
-    # C4
-    bad_aggs = []
-    for agg in query_n.all_aggregates():
-        arg = agg.arg
-        if not isinstance(arg, Column) or arg not in image:
-            continue
-        if pick_equal_select_column(arg, view, mapping, closure_q):
-            continue
-        if agg.func is AggFunc.COUNT and occurrence.select_columns:
-            continue  # step S4 counts any surviving column
-        bad_aggs.append(agg)
-    out.reports.append(
-        ConditionReport(
-            "C4",
-            not bad_aggs,
-            "all aggregated columns are recoverable"
-            if not bad_aggs
-            else "cannot compute "
-            + ", ".join(str(a) for a in bad_aggs)
-            + ": the aggregated column is projected out of the view",
-        )
-    )
-
-    # C3
-    mapped = mapping.apply_atoms(view.block.where)
-    if not closure_q.entails_all(mapped):
-        out.reports.append(
-            ConditionReport(
-                "C3",
-                False,
-                "the view is more selective than the query: Conds(Q) does "
-                "not imply "
-                + ", ".join(
-                    str(a) for a in mapped if not closure_q.entails(a)
-                )
-                + " — the view discards tuples the query needs",
-            )
-        )
-        return out
-    allowed = (query_n.cols() - image) | frozenset(occurrence.select_columns)
-    residual = find_residual(query_n.where, mapped, allowed)
-    out.reports.append(
-        ConditionReport(
-            "C3",
-            residual is not None,
-            "Conds(Q) factors as φ(Conds(V)) AND Conds' over surviving "
-            "columns"
-            if residual is not None
-            else "some query condition constrains a column the view "
-            "projects out, and no equal surviving column exists",
-        )
-    )
-    return out
-
-
-def _diagnose_aggregation(
-    query: QueryBlock, view: ViewDef, mapping: ColumnMapping
-) -> MappingDiagnosis:
-    out = MappingDiagnosis(mapping)
-    query_n = normalize_having(query)
-    view_n = view.block
-    if view_n.having:
-        view_n = normalize_having(view_n)
-    closure_q = Closure(query_n.where)
-    closure_v = Closure(view_n.where)
-    image = mapping.image_columns
-    namer = query_namer(query_n, view_n)
-    occurrence = make_view_occurrence(view, mapping, namer)
-    shape = _ViewShape(view, mapping, occurrence)
-
-    # C2'
-    missing = [
-        column
-        for column in list(query_n.group_by) + list(query_n.col_sel())
-        if column in image
-        and _equal_column_output(column, shape, mapping, closure_q) is None
-    ]
-    out.reports.append(
-        ConditionReport(
-            "C2'",
-            not missing,
-            "every grouping column appears among the view's non-aggregated "
-            "outputs"
-            if not missing
-            else "grouping column(s) "
-            + ", ".join(_describe_column(query_n, c) for c in missing)
-            + " are not in ColSel(V) — the view's groups are too coarse",
-        )
-    )
-
-    # C3'
-    mapped = mapping.apply_atoms(view_n.where)
-    if not closure_q.entails_all(mapped):
-        out.reports.append(
-            ConditionReport(
-                "C3'",
-                False,
-                "the view is more selective than the query (Conds(Q) does "
-                "not imply φ(Conds(V)))",
-            )
-        )
+    if view.block.is_conjunctive:
+        one_to_one = try_rewrite_conjunctive
     else:
-        colsel_outputs = frozenset(shape.column_outputs.values())
-        allowed = (query_n.cols() - image) | colsel_outputs
-        residual = find_residual(query_n.where, mapped, allowed)
-        out.reports.append(
-            ConditionReport(
-                "C3'",
-                residual is not None,
-                "residual conditions fit on grouping outputs"
-                if residual is not None
-                else "a query condition constrains an aggregated or "
-                "projected-out view column (Example 4.4's obstruction)",
-            )
-        )
-
-    # C4'
-    sigma: dict[Column, Column] = {}
-    for column in list(query_n.group_by) + list(query_n.col_sel()):
-        if column in image:
-            found = _equal_column_output(column, shape, mapping, closure_q)
-            if found is not None:
-                sigma[column] = found
-    bad: list[str] = []
-    for agg in query_n.all_aggregates():
-        if not isinstance(agg.arg, Column):
-            bad.append(f"{agg} has a compound argument")
-            continue
-        replacement, uses_count = _rewrite_aggregate(
-            agg, shape, mapping, closure_q, closure_v, image, sigma
-        )
-        if replacement is None:
-            if uses_count and shape.count_output is None:
-                bad.append(
-                    f"{agg} needs the view to expose a COUNT output to "
-                    f"recover multiplicities (C4' part 1(b)/2)"
-                )
-            else:
-                bad.append(
-                    f"{agg}: no matching aggregate or grouping output in "
-                    f"the view"
-                )
-        elif agg.func is AggFunc.COUNT and not query_n.group_by:
-            bad.append(
-                f"{agg}: COUNT over a GROUP-BY-less query cannot be "
-                f"rewritten (NULL-vs-0 on empty input)"
-            )
-    out.reports.append(
-        ConditionReport(
-            "C4'",
-            not bad,
-            "every query aggregate is computable from the view's outputs"
-            if not bad
-            else "; ".join(bad),
-        )
+        one_to_one = try_rewrite_aggregation
+    for mapping in enumerate_mappings(view.block, query):
+        diagnose(one_to_one, mapping)
+    many = (
+        m
+        for m in enumerate_mappings(view.block, query, many_to_one=True)
+        if not m.is_one_to_one
     )
+    if catalog is not None:
+        for mapping in many:
+            diagnose(try_rewrite_set_semantics, mapping, catalog)
+    elif not diagnosis.mappings:
+        diagnosis.many_to_one_possible = next(many, None) is not None
 
-    # Section 4.3: HAVING in the view.
-    if view_n.having:
-        from .aggregate import _check_view_having
-
-        ok = _check_view_having(query_n, view_n, mapping, closure_q, image)
-        out.reports.append(
-            ConditionReport(
-                "4.3",
-                ok,
-                "the view's HAVING clause is entailed with exactly aligned "
-                "groups"
-                if ok
-                else "the view's HAVING clause may eliminate groups the "
-                "query still needs (Section 4.3)",
-            )
-        )
-    return out
+    stops = [m.first_failure() for m in diagnosis.mappings]
+    if stops and all(
+        s is not None and s.condition in _MAPPING_INDEPENDENT for s in stops
+    ):
+        diagnosis.scope_failure = f"{stops[0].condition}: {stops[0].detail}"
+    return diagnosis

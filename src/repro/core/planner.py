@@ -194,6 +194,8 @@ class RewritePlanner:
         self._substitutions: "OrderedDict[tuple[QueryBlock, int], list[Rewriting]]" = (
             OrderedDict()
         )
+        # Named auxiliary memos, see strategy_memo().
+        self._strategy_memos: dict[str, OrderedDict] = {}
 
     SUBSTITUTION_CACHE_MAX = 8192
 
@@ -238,56 +240,13 @@ class RewritePlanner:
         return options
 
     # ------------------------------------------------------------------
-    # Memo export/import: worker warm-start for the batch service
-    # ------------------------------------------------------------------
-
-    def export_memo(
-        self, max_entries: Optional[int] = None
-    ) -> list[tuple[tuple[QueryBlock, int], list[Rewriting]]]:
-        """A picklable snapshot of the substitution memo, LRU-newest last.
-
-        The entries are only meaningful for a planner prepared with an
-        equal (views, catalog, use_set_semantics) triple — the batch
-        service keys its memo store by exactly that fingerprint. With
-        ``max_entries`` only the most recently used entries are kept.
-        """
-        items = list(self._substitutions.items())
-        if max_entries is not None and len(items) > max_entries:
-            items = items[-max_entries:]
-        return items
-
-    def import_memo(
-        self,
-        entries: Iterable[tuple[tuple[QueryBlock, int], list[Rewriting]]],
-    ) -> int:
-        """Warm-start the substitution memo from an exported snapshot.
-
-        Existing entries win (they are at least as fresh); the cache cap
-        still applies. Returns the number of entries adopted. Importing a
-        memo exported under a *different* (views, catalog, semantics)
-        triple is undefined — callers must match fingerprints.
-        """
-        adopted = 0
-        for key, options in entries:
-            if key in self._substitutions:
-                continue
-            view_index = key[1]
-            if not 0 <= view_index < len(self.views):
-                continue
-            self._substitutions[key] = options
-            self._substitutions.move_to_end(key, last=False)
-            adopted += 1
-        while len(self._substitutions) > self.SUBSTITUTION_CACHE_MAX:
-            self._substitutions.popitem(last=False)
-        return adopted
-
-    # ------------------------------------------------------------------
-    # Strategy memo families: the same export/import channel, shared by
-    # every planner strategy (the substitution memo is the original
-    # family; repro.strategies.cohen_nutt keeps its per-query answers in
-    # its own family). The wire shape stays a flat list — the serving
-    # memo tier truncates snapshots with ``list(memo)[-MAX:]`` — so
-    # family entries travel as 3-tuples mixed with the legacy 2-tuples.
+    # Memo export/import: worker warm-start for the batch service and the
+    # serving memo tier. The substitution memo is the original family;
+    # strategies (repro.strategies.cohen_nutt keeps its per-query answers
+    # here) own further named families. The wire shape is one flat list —
+    # the serving memo tier truncates snapshots with ``list(memo)[-MAX:]``
+    # — with substitution entries as ``(key, options)`` 2-tuples and
+    # family entries as ``(family, key, value)`` 3-tuples.
     # ------------------------------------------------------------------
 
     STRATEGY_MEMO_MAX = 2048
@@ -301,53 +260,61 @@ class RewritePlanner:
         their own LRU discipline (``move_to_end`` on hit, pop-oldest
         past their cap).
         """
-        memos = getattr(self, "_strategy_memos", None)
-        if memos is None:
-            memos = {}
-            self._strategy_memos = memos
-        memo = memos.get(family)
+        memo = self._strategy_memos.get(family)
         if memo is None:
-            memo = OrderedDict()
-            memos[family] = memo
+            memo = self._strategy_memos[family] = OrderedDict()
         return memo
 
     def export_memos(self, max_entries: Optional[int] = None) -> list:
         """Every memo family as one flat picklable list.
 
-        Substitution entries ride as legacy ``(key, options)`` 2-tuples
-        (so pre-strategy snapshots replay unchanged), family entries as
-        ``(family, key, value)`` 3-tuples, each family LRU-newest last
-        and individually capped at ``max_entries``.
+        The entries are only meaningful for a planner prepared with an
+        equal (views, catalog, use_set_semantics) triple — the batch
+        service keys its memo store by exactly that fingerprint. Each
+        family is LRU-newest last and, with ``max_entries``, individually
+        capped at its most recently used entries.
         """
-        out: list = list(self.export_memo(max_entries))
-        for family, memo in getattr(self, "_strategy_memos", {}).items():
+
+        def newest(memo: OrderedDict) -> list:
             items = list(memo.items())
             if max_entries is not None and len(items) > max_entries:
                 items = items[-max_entries:]
-            out.extend((family, key, value) for key, value in items)
+            return items
+
+        out: list = newest(self._substitutions)
+        for family, memo in self._strategy_memos.items():
+            out.extend((family, key, value) for key, value in newest(memo))
         return out
 
     def import_memos(self, entries: Iterable) -> int:
-        """Warm-start from :meth:`export_memos` output (or the legacy
-        :meth:`export_memo` shape). Existing entries win; returns the
-        number adopted across all families."""
-        legacy: list = []
+        """Warm-start from :meth:`export_memos` output.
+
+        Existing entries win (they are at least as fresh); the caps still
+        apply. Returns the number of entries adopted across all families.
+        Importing a snapshot exported under a *different* (views, catalog,
+        semantics) triple is undefined — callers must match fingerprints.
+        """
         adopted = 0
         for entry in entries:
             if len(entry) == 2:
-                legacy.append(entry)
-                continue
-            family, key, value = entry
-            memo = self.strategy_memo(family)
+                memo = self._substitutions
+                key, value = entry
+                if not 0 <= key[1] < len(self.views):
+                    continue
+            else:
+                family, key, value = entry
+                memo = self.strategy_memo(family)
             if key in memo:
                 continue
             memo[key] = value
             memo.move_to_end(key, last=False)
             adopted += 1
-        for memo in getattr(self, "_strategy_memos", {}).values():
+        while len(self._substitutions) > self.SUBSTITUTION_CACHE_MAX:
+            self._substitutions.popitem(last=False)
+        for memo in self._strategy_memos.values():
             while len(memo) > self.STRATEGY_MEMO_MAX:
                 memo.popitem(last=False)
-        return adopted + self.import_memo(legacy)
+        return adopted
 
     # ------------------------------------------------------------------
 

@@ -67,8 +67,7 @@ class RewriteResult:
         self.budget = budget
         self.trace = trace
         # The candidates in search-discovery order, before ranking; the
-        # repro.api facade exposes this so the deprecated all_rewritings
-        # shim can return the exact legacy list.
+        # batch service returns these as ``RewriteResponse.rewritings``.
         self.found = found
 
     def __iter__(self):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from ..blocks.query_block import QueryBlock, SelectItem, ViewDef
+from ..blocks.query_block import QueryBlock, ViewDef
 from ..blocks.terms import Column, Comparison, Op
 from ..catalog.keys import result_is_set
 from ..catalog.schema import Catalog
@@ -33,10 +33,17 @@ from ..constraints.closure import Closure, closure_of
 from ..constraints.residual import find_residual
 from ..mappings.column_mapping import ColumnMapping
 from .common import (
+    UNSATISFIABLE,
+    Reports,
+    equal_output,
+    in_scope,
     make_view_occurrence,
     query_namer,
-    select_is_plain,
-    view_is_rewritable,
+    record,
+    record_c2,
+    record_c3,
+    refuse,
+    substitute_view,
 )
 from .result import Rewriting
 
@@ -46,24 +53,38 @@ def try_rewrite_set_semantics(
     view: ViewDef,
     mapping: ColumnMapping,
     catalog: Catalog,
+    reports: Reports = None,
 ) -> Optional[Rewriting]:
     """Rewrite a conjunctive query with a conjunctive view under set
     semantics, allowing many-to-1 mappings. Returns None when the set
-    guarantees or the usability conditions fail."""
+    guarantees or the usability conditions fail. ``reports`` is the
+    optional sink of :func:`repro.core.conjunctive.try_rewrite_conjunctive`.
+    """
     if not (query.is_conjunctive and view.block.is_conjunctive):
+        return refuse(
+            reports,
+            "5.2",
+            "the many-to-1 relaxation of Section 5.2 is stated for a "
+            "conjunctive query and a conjunctive view",
+        )
+    if not in_scope(query, view, reports, allow_distinct=True):
         return None
-    if not view_is_rewritable(view, allow_distinct=True):
-        return None
-    if not select_is_plain(query):
-        return None
-    if not (
-        result_is_set(query, catalog) and result_is_set(view.block, catalog)
-    ):
+    sets = result_is_set(query, catalog) and result_is_set(view.block, catalog)
+    if reports is not None:
+        record(
+            reports,
+            "5.2 sets",
+            sets,
+            "the query's and the view's results are guaranteed to be sets",
+            "the query's and the view's results are not both guaranteed to "
+            "be sets (a key surviving the projection, or SELECT DISTINCT)",
+        )
+    if not sets:
         return None
 
     closure_q = closure_of(query.where)
     if not closure_q.satisfiable:
-        return None
+        return refuse(reports, "Conds(Q)", UNSATISFIABLE)
     closure_v = closure_of(view.block.where)
     image = mapping.image_columns
     namer = query_namer(query, view.block)
@@ -86,53 +107,56 @@ def try_rewrite_set_semantics(
     by_target: dict[int, list[int]] = {}
     for v_idx, q_idx in mapping.table_pairs:
         by_target.setdefault(q_idx, []).append(v_idx)
-    for _q_idx, v_group in by_target.items():
+    loose: list[str] = []
+    for q_idx, v_group in by_target.items():
         for i, j in combinations(v_group, 2):
-            if not _key_forced_equal(view, i, j, closure_v, catalog):
+            if _key_forced_equal(view, i, j, closure_v, catalog):
+                continue
+            if reports is None:
                 return None
+            loose.append(query.from_[q_idx].name)
+    if reports is not None:
+        record(
+            reports,
+            "5.2 keys",
+            not loose,
+            "every pair of collapsed view occurrences is forced onto one "
+            "tuple by a key",
+            lambda: "two view occurrences collapse onto "
+            + ", ".join(dict.fromkeys(loose))
+            + " but no key of that table is forced equal across them (by "
+            "Conds(V) or by paired outputs)",
+        )
 
     # Condition C2 over the collapsed images.
     sigma: dict[Column, Column] = {}
+    missing: list[Column] = []
     for column in query.col_sel():
         if column not in image:
             continue
-        rep = _equal_representative(column, rep_for_image, closure_q)
-        if rep is None:
+        rep = equal_output(column, rep_for_image.items(), closure_q)
+        if rep is not None:
+            sigma[column] = rep
+        elif reports is None:
             return None
-        sigma[column] = rep
+        else:
+            missing.append(column)
+    if reports is not None:
+        record_c2(reports, query, missing)
 
     # Condition C3 with the many-to-1 φ.
     allowed = (query.cols() - image) | frozenset(rep_for_image.values())
-    residual = find_residual(
-        query.where, mapping.apply_atoms(view.block.where), allowed
-    )
-    if residual is None:
+    mapped = mapping.apply_atoms(view.block.where)
+    residual = find_residual(query.where, mapped, allowed)
+    if reports is not None:
+        record_c3(reports, closure_q, mapped, residual)
+    if residual is None or loose or missing:
         return None
 
-    new_from = []
-    placed = False
-    for idx, rel in enumerate(query.from_):
-        if idx in mapping.image_table_indexes:
-            if not placed:
-                new_from.append(occurrence.relation)
-                placed = True
-            continue
-        new_from.append(rel)
-
-    rewritten = QueryBlock(
-        select=tuple(
-            SelectItem(
-                sigma.get(item.expr, item.expr)
-                if isinstance(item.expr, Column)
-                else item.expr,
-                item.alias,
-            )
-            for item in query.select
-        ),
-        from_=tuple(new_from),
-        where=tuple(residual) + tuple(collision_eqs),
-        distinct=False,
-    )
+    # The collision equalities join Conds'; DISTINCT is decided below.
+    rewritten = substitute_view(
+        query, mapping, occurrence, sigma, {}, residual + collision_eqs
+    ).with_(distinct=False)
     check_catalog = catalog
     if not catalog.is_view(view.name):
         check_catalog = catalog.copy()
@@ -152,20 +176,6 @@ def try_rewrite_set_semantics(
             " view occurrence(s)",
         ),
     )
-
-
-def _equal_representative(
-    column: Column,
-    rep_for_image: dict[Column, Column],
-    closure_q: Closure,
-) -> Optional[Column]:
-    """C2 under set semantics: a surviving output equal to ``column``."""
-    if column in rep_for_image:
-        return rep_for_image[column]
-    for img, rep in rep_for_image.items():
-        if closure_q.equal(column, img):
-            return rep
-    return None
 
 
 def _key_forced_equal(

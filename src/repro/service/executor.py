@@ -211,7 +211,7 @@ def _run_bare(
     planner: Optional[RewritePlanner],
     meter: Optional[BudgetMeter],
 ) -> RewriteResponse:
-    """The catalog-less path (deprecated-shim compatibility).
+    """The catalog-less path, for requests that carry parsed blocks only.
 
     No parsing, no unfolding, no cost ranking — candidates come back in
     discovery order only. Tracing is not supported here.

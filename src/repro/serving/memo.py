@@ -2,7 +2,7 @@
 
 The planner's substitution memo is a pure function of the (views,
 catalog schemas, semantics) fingerprint, and exporting/importing it
-(:meth:`repro.core.planner.RewritePlanner.export_memo`) is how the batch
+(:meth:`repro.core.planner.RewritePlanner.export_memos`) is how the batch
 service warm-starts workers. The serving daemon keeps those exports
 *persistent across requests* and *shared across process workers* in one
 ``multiprocessing.shared_memory`` segment:

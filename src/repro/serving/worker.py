@@ -9,7 +9,7 @@ reader side of the epoch protocol:
    tier's epoch (one cheap shared-memory header read) is unchanged since
    it was validated, reuse it — the hot path costs no payload read;
 3. otherwise look the fingerprint up in the shared tier: present means
-   build a planner and warm it with :meth:`import_memo` (the entry
+   build a planner and warm it with :meth:`import_memos` (the entry
    cannot be stale — invalidation removes entries, it never leaves old
    bytes findable); absent means plan cold;
 4. run the request through the registered strategy (the shared

@@ -99,13 +99,13 @@ class TestPlannerMemoTransport:
             scenario.query, list(scenario.views), catalog=scenario.catalog,
             use_set_semantics=True, planner=planner,
         )
-        export = planner.export_memo()
+        export = planner.export_memos()
         assert export, "search should have populated the memo"
         shipped = roundtrip(export)
         fresh = RewritePlanner(
             list(scenario.views), scenario.catalog, use_set_semantics=True
         )
-        adopted = fresh.import_memo(shipped)
+        adopted = fresh.import_memos(shipped)
         assert adopted == len(export)
         hits_before = fresh.stats.substitution_hits
         all_rewritings(

@@ -144,12 +144,20 @@ class TestMemoFamilies:
         assert memo[("k1",)] == ("v1",)
         assert memo[("k2",)] == ("v2",)
 
-    def test_import_tolerates_legacy_two_tuples(self):
-        """Old wire payloads (substitution memo only) must keep
-        importing unchanged next to the new family entries."""
-        planner = self._planner(CASES[0])
-        legacy = planner.export_memo()
-        assert planner.import_memos(list(legacy)) == len(list(legacy))
+    def test_substitution_entries_travel_as_two_tuples(self):
+        """The substitution memo keeps its pre-family wire shape, so
+        snapshots taken before strategies existed import unchanged next
+        to the family entries."""
+        case = CASES[0]
+        planner = self._planner(case)
+        planner.all_rewritings(case.query)
+        planner.strategy_memo("cohen_nutt")[("k",)] = ("v",)
+        exported = planner.export_memos()
+        substitutions = [e for e in exported if len(e) == 2]
+        assert substitutions and len(exported) == len(substitutions) + 1
+        other = self._planner(case)
+        assert other.import_memos(exported) == len(exported)
+        assert all(entry in exported for entry in other.export_memos())
 
     def test_search_warms_from_imported_memo(self):
         case = CASES[0]

@@ -121,6 +121,24 @@ class TestExplain:
         assert "Monthly" in capsys.readouterr().out
 
 
+    def test_example_5_1_is_usable_through_its_key(self, tmp_path, capsys):
+        """The explainer gets the catalog, so the Section 5.2 many-to-1
+        rewriting `repro rewrite` finds is diagnosed, not just hinted."""
+        path = tmp_path / "ex51.sql"
+        path.write_text(
+            "CREATE TABLE R1 (A INT PRIMARY KEY, B INT, C INT);\n"
+            "CREATE VIEW V1 (A2, A3) AS "
+            "SELECT x.A, y.A FROM R1 x, R1 y WHERE x.B = y.C;\n"
+        )
+        argv = ["--schema", str(path), "--query", "SELECT A FROM R1 WHERE B = C"]
+        assert main(["explain"] + argv) == 0
+        out = capsys.readouterr().out
+        assert "view V1: USABLE" in out
+        assert "[PASS] 5.2 keys" in out
+        assert main(["rewrite"] + argv) == 0
+        assert "V1" in capsys.readouterr().out
+
+
 class TestCheck:
     def test_equivalent(self, schema_file, capsys):
         code = main(

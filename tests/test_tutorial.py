@@ -101,7 +101,7 @@ def test_section_4_explain(engine, catalog):
         "SELECT Cust_Id, SUM(Amount) FROM Orders GROUP BY Cust_Id", catalog
     )
     summary = explain_usability(
-        query, catalog.view("Region_Month")
+        query, catalog.view("Region_Month"), catalog
     ).summary()
     assert "not usable" in summary and "C2'" in summary
 
