@@ -7,13 +7,17 @@ warm-up once per fingerprint instead of once per request — while view
 updates arriving mid-stream evict exactly the affected fingerprints and
 force honest cold re-planning.
 
-Three measurements, three gates:
+Three measurements, four gates:
 
 1. **Mixed hot/cold workload** through a real socket: interleaved hot
    requests (repeated fingerprints), cold requests (one-off view-subset
    fingerprints) and periodic base-table updates that re-chill the hot
    set. Records sustained requests/sec and p99 latency — the numbers a
-   deployment would see, including JSONL framing and syscall overhead.
+   deployment would see, including JSONL framing and syscall overhead —
+   and how many of the requests published a memo. A *count* gates:
+   once every hot text has been sent, re-sending them ``HOT_RESENDS``
+   more times with no update in between must add zero publishes (a
+   planner that learned nothing has nothing to publish).
 2. **Warm-vs-cold A/B** in process (no socket noise): importing a hot
    fingerprint's memo from the *shared* tier must be at least
    ``MIN_WARM_SPEEDUP``x faster than planning it cold. This is the
@@ -38,6 +42,7 @@ import pytest
 from repro.bench import time_best
 from repro.blocks.to_sql import block_to_sql
 from repro.engine.database import Database
+from repro.obs.metrics import MetricsRegistry
 from repro.serving import PlannerCache, RewriteDaemon, ServingClient
 from repro.serving.memo import LocalMemoTier, create_memo_tier
 from repro.serving.worker import COLD, WARM_SHARED
@@ -54,6 +59,8 @@ N_HOT_FINGERPRINTS = 6
 N_ROUNDS = 4
 #: Hot requests per round (all hit the same fingerprint).
 HOT_PER_ROUND = 24
+#: Times the hot texts are re-sent for the publish-count gate.
+HOT_RESENDS = 3
 #: The acceptance gate: warm-starting a hot fingerprint from the shared
 #: memo tier must beat cold planning by at least this factor.
 MIN_WARM_SPEEDUP = 2.0
@@ -146,7 +153,17 @@ def run_mixed_workload(quick: bool = False) -> dict:
 
     latencies: list[float] = []
     updates = 0
-    with daemon_on_thread(sc.catalog, database=db) as daemon:
+    registry = MetricsRegistry()
+
+    def published() -> int:
+        return registry.snapshot().counter_value(
+            "repro_serving_shared_memo_publishes_total",
+            outcome="published",
+        )
+
+    with daemon_on_thread(
+        sc.catalog, database=db, metrics=registry
+    ) as daemon:
         with ServingClient.connect(
             ("127.0.0.1", daemon.tcp_port)
         ) as client:
@@ -172,14 +189,33 @@ def run_mixed_workload(quick: bool = False) -> dict:
                 assert update["ok"], update.get("error")
                 updates += 1
             elapsed = time.perf_counter() - started
+            publishes = published()
 
             # Parity after the final update, against a cold planner on
-            # the *post-update* catalog — then the daemon goes down.
+            # the *post-update* catalog.
             final = client.rewrite(hot_sql)
             assert_cold_parity(
                 final,
                 RewriteRequest(query=sc.query, catalog=sc.catalog),
                 "mixed workload (post-update)",
+            )
+
+            # The publish-count gate: with every hot text sent once
+            # since the last update, re-sending them publishes nothing.
+            def send_hot_texts() -> None:
+                assert client.rewrite(hot_sql, tenant="dash")["ok"]
+                for name in subset_names:
+                    assert client.rewrite(hot_sql, views=[name])["ok"]
+
+            send_hot_texts()
+            settled = published()
+            for _ in range(HOT_RESENDS):
+                send_hot_texts()
+            resend_publishes = published() - settled
+            assert resend_publishes == 0, (
+                f"serving regression: {resend_publishes} memo publishes "
+                f"while re-sending {1 + len(subset_names)} hot texts "
+                f"{HOT_RESENDS}x with no update in between (expected 0)"
             )
 
     n = len(latencies)
@@ -188,6 +224,8 @@ def run_mixed_workload(quick: bool = False) -> dict:
     return {
         "rounds": rounds,
         "requests": n,
+        "publishes": publishes,
+        "hot_resend_publishes": resend_publishes,
         "updates": updates,
         "hot_per_round": hot_per_round,
         "cold_subsets_per_round": len(subset_names),
@@ -336,6 +374,7 @@ def collect_serving_metrics(repeats: int = 5, quick: bool = False) -> dict:
     return {
         "workload": "mixed-hot-cold-daemon",
         "requests": mixed["requests"],
+        "publishes": mixed["publishes"],
         "sustained_rps": mixed["sustained_rps"],
         "p99_seconds": mixed["p99_seconds"],
         "mixed": mixed,

@@ -164,6 +164,21 @@ class _Node:
         self.expandable = False  # did any view offer an expansion?
 
 
+class _CountingMemo(OrderedDict):
+    """An LRU memo that counts the inserts it has ever received.
+
+    ``inserts`` only grows — eviction and ``move_to_end`` leave it alone
+    — so the sum over a planner's memos is a version that moves exactly
+    when some memo gained (or overwrote) an entry.
+    """
+
+    inserts = 0
+
+    def __setitem__(self, key, value):
+        self.inserts += 1
+        super().__setitem__(key, value)
+
+
 class RewritePlanner:
     """A prepared multi-view search over a fixed set of views.
 
@@ -192,10 +207,10 @@ class RewritePlanner:
         # BFS nodes and repeated rewrite traffic. Honors the cache switch
         # so baseline_mode() reproduces the uncached search.
         self._substitutions: "OrderedDict[tuple[QueryBlock, int], list[Rewriting]]" = (
-            OrderedDict()
+            _CountingMemo()
         )
         # Named auxiliary memos, see strategy_memo().
-        self._strategy_memos: dict[str, OrderedDict] = {}
+        self._strategy_memos: dict[str, _CountingMemo] = {}
 
     SUBSTITUTION_CACHE_MAX = 8192
 
@@ -243,10 +258,9 @@ class RewritePlanner:
     # Memo export/import: worker warm-start for the batch service and the
     # serving memo tier. The substitution memo is the original family;
     # strategies (repro.strategies.cohen_nutt keeps its per-query answers
-    # here) own further named families. The wire shape is one flat list —
-    # the serving memo tier truncates snapshots with ``list(memo)[-MAX:]``
-    # — with substitution entries as ``(key, options)`` 2-tuples and
-    # family entries as ``(family, key, value)`` 3-tuples.
+    # here) own further named families. The wire shape is one flat list
+    # with substitution entries as ``(key, options)`` 2-tuples and family
+    # entries as ``(family, key, value)`` 3-tuples.
     # ------------------------------------------------------------------
 
     STRATEGY_MEMO_MAX = 2048
@@ -262,8 +276,20 @@ class RewritePlanner:
         """
         memo = self._strategy_memos.get(family)
         if memo is None:
-            memo = self._strategy_memos[family] = OrderedDict()
+            memo = self._strategy_memos[family] = _CountingMemo()
         return memo
+
+    @property
+    def memo_version(self) -> int:
+        """Monotone count of inserts into any memo family.
+
+        Unchanged between two reads means :meth:`export_memos` would
+        return the same entries (up to LRU order), which is how the
+        serving layer skips re-exporting a planner that learned nothing.
+        """
+        return self._substitutions.inserts + sum(
+            memo.inserts for memo in self._strategy_memos.values()
+        )
 
     def export_memos(self, max_entries: Optional[int] = None) -> list:
         """Every memo family as one flat picklable list.

@@ -5,7 +5,7 @@ speaking the versioned ``repro-api/1`` envelope. One daemon serves one
 catalog; the request path is::
 
     line -> parse -> admission -> executor queue -> PlannerCache.run
-         -> publish memo export -> envelope line back
+         -> publish memo export (if any) -> envelope line back
 
 Admission happens synchronously on the event loop when a line arrives,
 so overload never buffers unboundedly: past the queue limit (or a
@@ -17,13 +17,14 @@ never dropped on overload.
 Execution backends:
 
 ``workers=0`` (serial)
-    one worker thread; planners and the memo tier live in-process. The
+    one worker thread; planners and the memo tier live in-process (no
+    shared-memory segment: nothing could attach to it). The
     determinism/debugging baseline.
 ``workers=N``
     a ``ProcessPoolExecutor``; workers attach the shared-memory memo
     tier read-only and warm-start planners from it. The master is the
-    tier's single writer: memo exports ride back with each response and
-    are published here.
+    tier's single writer: a memo export rides back with a response only
+    when the worker's planner gained an entry, and is published here.
 
 The ``update`` op mutates base tables through :mod:`repro.maintenance`.
 A registered delta listener — not the op handler — performs the cache
@@ -43,6 +44,7 @@ import functools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import replace
 from typing import Optional
 
 from ..catalog.schema import Catalog
@@ -96,10 +98,15 @@ class RewriteDaemon:
         )
         self.metrics = metrics
         self.metrics_interval = metrics_interval
-        # Process workers need a real shared segment; serial mode is
-        # happy with whatever the platform offers.
-        self.memo = memo_tier or create_memo_tier(
-            capacity=memo_capacity, shared=True
+        # Process workers attach to a real shared segment; in serial
+        # mode nothing can attach, so none is allocated or written. An
+        # explicit tier wins (tested against None: an empty tier is falsy).
+        self.memo = (
+            memo_tier
+            if memo_tier is not None
+            else create_memo_tier(
+                capacity=memo_capacity, shared=self.workers > 0
+            )
         )
         self._planner_cache = PlannerCache(self.memo)
         if self.workers > 0:
@@ -358,10 +365,8 @@ class RewriteDaemon:
                     if request.budget is None
                     else request.budget.merged_with(cap)
                 )
-                from dataclasses import replace as _replace
-
-                request = _replace(request, budget=tightened)
-            loop = asyncio.get_event_loop()
+                request = replace(request, budget=tightened)
+            loop = asyncio.get_running_loop()
             if self.workers > 0:
                 result = await loop.run_in_executor(
                     self._pool,
@@ -378,8 +383,10 @@ class RewriteDaemon:
             response, key, view_names, export, _path = result
             if export:
                 # Single-writer discipline: only this (master) process
-                # publishes into the shared tier.
+                # publishes into the shared tier. An empty export means
+                # the planner learned nothing: nothing to publish.
                 self.memo.publish(key, view_names, export)
+            self._count_publish("published" if export else "skipped")
             outcome = (
                 "error"
                 if response.error is not None
@@ -415,6 +422,17 @@ class RewriteDaemon:
                 ("tenant",),
             ).labels(tenant).observe(seconds)
 
+    def _count_publish(self, outcome: str) -> None:
+        metrics = self.metrics or current_metrics()
+        if metrics is not None:
+            metrics.counter(
+                "repro_serving_shared_memo_publishes_total",
+                "Served responses by whether their memo export was "
+                "published into the shared memo tier or skipped "
+                "(planner unchanged since its last export).",
+                ("outcome",),
+            ).labels(outcome).inc()
+
     async def _op_update(self, obj: dict, line_no: int) -> dict:
         table = obj.get("table")
         if not isinstance(table, str) or not self.catalog.is_table(table):
@@ -424,7 +442,7 @@ class RewriteDaemon:
         inserts = [tuple(r) for r in obj.get("insert", ())]
         deletes = [tuple(r) for r in obj.get("delete", ())]
         async with self._update_lock:
-            loop = asyncio.get_event_loop()
+            loop = asyncio.get_running_loop()
             summary = await loop.run_in_executor(
                 None,
                 functools.partial(

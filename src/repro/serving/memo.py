@@ -28,24 +28,39 @@ epoch stamping
     stops being found — the reader falls back to cold planning, never to
     a stale memo.
 
-The payload is one pickled dict ``{fingerprint: MemoEntry}``. The writer
-keeps the authoritative dict in process memory and rewrites the whole
-payload on publish; capacity overflow evicts oldest-published entries
-first. When ``multiprocessing.shared_memory`` is unavailable (or
-creation fails, e.g. no ``/dev/shm``), :class:`LocalMemoTier` provides
-the same interface over a process-local dict so serial serving and the
-test-suite keep working everywhere.
+record framing
+    the payload is a sequence of length-prefixed records, one per
+    fingerprint: ``(key_len, entry_len)`` then the pickled key and the
+    pickled :class:`MemoEntry`. An entry is pickled once, when it is
+    published; the writer keeps the records and a running byte total, so
+    capacity accounting, eviction and invalidation never re-pickle, and
+    framing the segment is a join of stored bytes. A reader's lookup
+    unpickles the keys and only the one entry it asked for.
+
+Capacity overflow evicts oldest-published entries first. The daemon
+publishes a fingerprint only when a planner for it gained a memo entry
+(:class:`repro.serving.worker.PlannerCache` returns an empty export
+otherwise), so an entry evicted by capacity stays out until some planner
+for that fingerprint is rebuilt or learns something new; until then
+readers of it plan cold. When ``multiprocessing.shared_memory`` is
+unavailable (or creation fails, e.g. no ``/dev/shm``) or nothing could
+attach, :class:`LocalMemoTier` provides the same interface over a
+process-local dict so serial serving and the test-suite keep working
+everywhere.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from ..obs.metrics import current_metrics
+
+_T = TypeVar("_T")
 
 #: Header: magic, generation (odd = publish in progress), epoch,
 #: payload byte length.
@@ -56,8 +71,12 @@ _MAGIC = 0x5250_4D31  # "RPM1"
 #: the random workloads); 4 MiB holds thousands.
 DEFAULT_CAPACITY = 4 * 1024 * 1024
 
-#: Cap on memo entries exported per fingerprint on publish, mirroring
-#: the batch service's MEMO_EXPORT_MAX discipline.
+#: Record prefix: pickled-key byte length, pickled-entry byte length.
+_RECORD = struct.Struct("<II")
+
+#: Cap on memo entries exported per memo family and fingerprint,
+#: mirroring the batch service's MEMO_EXPORT_MAX discipline. Applied by
+#: the exporter (``RewritePlanner.export_memos``), not by the tier.
 MEMO_EXPORT_MAX = 2048
 
 
@@ -110,6 +129,22 @@ def _observe_size(entries: int, epoch: int) -> None:
         ).set(epoch)
 
 
+def _iter_records(raw: bytes) -> Iterator[tuple[tuple, memoryview]]:
+    """The ``(key, pickled entry)`` pairs of a framed payload.
+
+    Keys are unpickled; entries stay raw for the caller that wants one.
+    """
+    view = memoryview(raw)
+    offset = 0
+    while offset < len(raw):
+        key_len, entry_len = _RECORD.unpack_from(raw, offset)
+        offset += _RECORD.size
+        key = pickle.loads(view[offset:offset + key_len])
+        offset += key_len
+        yield key, view[offset:offset + entry_len]
+        offset += entry_len
+
+
 class LocalMemoTier:
     """The memo tier without shared memory: one process, same protocol.
 
@@ -123,10 +158,24 @@ class LocalMemoTier:
     #: don't, and the daemon skips shipping one to workers.
     name: Optional[str] = None
 
+    #: Capacity eviction stops here: a process-local dict has no hard
+    #: byte limit, so the newest entry stays even when oversized.
+    _min_entries = 1
+
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, MemoEntry] = OrderedDict()
+        #: fingerprint -> (entry, its framed record), oldest-published
+        #: first. The record is pickled once, at publish.
+        self._entries: OrderedDict[tuple, tuple[MemoEntry, bytes]] = (
+            OrderedDict()
+        )
+        #: Running byte total of the records (the framed payload size).
+        self._bytes = 0
         self._epoch = 0
+        #: The single writer may be several threads of one process (the
+        #: daemon publishes on its event loop, updates invalidate on an
+        #: executor thread); mutations and their frame are serialized.
+        self._write_lock = threading.Lock()
 
     def epoch(self) -> int:
         return self._epoch
@@ -138,23 +187,32 @@ class LocalMemoTier:
         return list(self._entries.keys())
 
     def lookup(self, key: tuple) -> Optional[MemoEntry]:
-        entry = self._entries.get(key)
-        _observe_lookup("hit" if entry is not None else "miss")
-        return entry
+        found = self._entries.get(key)
+        _observe_lookup("hit" if found is not None else "miss")
+        return None if found is None else found[0]
 
     def publish(
         self, key: tuple, view_names: Sequence[str], memo: Iterable
     ) -> MemoEntry:
+        """Publish ``memo`` (an already-capped ``export_memos`` list)."""
         entry = MemoEntry(
             epoch=self._epoch,
             view_names=tuple(view_names),
-            memo=list(memo)[-MEMO_EXPORT_MAX:],
+            memo=list(memo),
         )
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        self._enforce_capacity()
-        self._flush()
-        _observe_size(len(self._entries), self._epoch)
+        key_bytes = pickle.dumps(key, pickle.HIGHEST_PROTOCOL)
+        entry_bytes = pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
+        record = b"".join(
+            (_RECORD.pack(len(key_bytes), len(entry_bytes)),
+             key_bytes, entry_bytes)
+        )
+        with self._write_lock:
+            self._remove(key)
+            self._entries[key] = (entry, record)
+            self._bytes += len(record)
+            self._enforce_capacity()
+            self._flush()
+            _observe_size(len(self._entries), self._epoch)
         return entry
 
     def invalidate_views(self, names: Iterable[str]) -> int:
@@ -166,23 +224,26 @@ class LocalMemoTier:
         an earlier invalidation they never observed).
         """
         targets = set(names)
-        victims = [
-            key
-            for key, entry in self._entries.items()
-            if targets.intersection(entry.view_names)
-        ]
-        for key in victims:
-            del self._entries[key]
-        self._epoch += 1
-        self._flush()
-        _observe_eviction("invalidation", len(victims))
-        _observe_size(len(self._entries), self._epoch)
+        with self._write_lock:
+            victims = [
+                key
+                for key, (entry, _record) in self._entries.items()
+                if targets.intersection(entry.view_names)
+            ]
+            for key in victims:
+                self._remove(key)
+            self._epoch += 1
+            self._flush()
+            _observe_eviction("invalidation", len(victims))
+            _observe_size(len(self._entries), self._epoch)
         return len(victims)
 
     def clear(self) -> None:
-        self._entries.clear()
-        self._epoch += 1
-        self._flush()
+        with self._write_lock:
+            self._entries.clear()
+            self._bytes = 0
+            self._epoch += 1
+            self._flush()
 
     def close(self) -> None:  # interface parity with SharedMemoTier
         pass
@@ -192,18 +253,21 @@ class LocalMemoTier:
 
     # ------------------------------------------------------------------
 
+    def _remove(self, key: tuple) -> None:
+        found = self._entries.pop(key, None)
+        if found is not None:
+            self._bytes -= len(found[1])
+
     def _enforce_capacity(self) -> None:
+        """Evict oldest-published entries until the records fit."""
         evicted = 0
         while (
-            len(self._entries) > 1
-            and self._payload_size() > self.capacity
+            len(self._entries) > self._min_entries
+            and self._bytes > self.capacity
         ):
-            self._entries.popitem(last=False)
+            self._remove(next(iter(self._entries)))
             evicted += 1
         _observe_eviction("capacity", evicted)
-
-    def _payload_size(self) -> int:
-        return len(pickle.dumps(self._entries, pickle.HIGHEST_PROTOCOL))
 
     def _flush(self) -> None:  # shared-memory subclass hook
         pass
@@ -214,10 +278,13 @@ class SharedMemoTier(LocalMemoTier):
 
     Construct with ``create=True`` in the daemon master (the single
     writer); workers attach read-only via :meth:`attach`. The writer
-    keeps the authoritative entry dict in process memory, so publishes
-    are a serialize-and-frame of known state, never a read-modify-write
-    of the segment.
+    keeps the authoritative records in process memory, so publishes are
+    a frame of known bytes, never a read-modify-write of the segment.
     """
+
+    #: The segment's size is a hard limit: an entry that is oversized on
+    #: its own is dropped too, an empty tier being valid.
+    _min_entries = 0
 
     def __init__(
         self,
@@ -285,10 +352,10 @@ class SharedMemoTier(LocalMemoTier):
         magic, _gen, epoch, _length = self._read_header()
         return epoch if magic == _MAGIC else 0
 
-    def _read_entries(self) -> tuple[dict, int]:
-        """A consistent (entries, epoch) snapshot via the seqlock."""
+    def _read(self, parse: Callable[[bytes], _T]) -> _T:
+        """``parse`` of a consistent payload snapshot, via the seqlock."""
         for _attempt in range(1000):
-            magic, gen1, epoch, length = self._read_header()
+            magic, gen1, _epoch, length = self._read_header()
             if magic != _MAGIC or gen1 % 2 == 1:
                 continue
             raw = bytes(
@@ -297,43 +364,43 @@ class SharedMemoTier(LocalMemoTier):
             _magic, gen2, _epoch, _length = self._read_header()
             if gen1 == gen2:
                 try:
-                    return pickle.loads(raw) if length else {}, epoch
+                    return parse(raw)
                 except Exception:
                     continue  # torn write slipped through; retry
-        return {}, self.epoch()  # writer wedged mid-publish: act cold
+        return parse(b"")  # writer wedged mid-publish: act cold
 
     def lookup(self, key: tuple) -> Optional[MemoEntry]:
         if self._writer:
             return super().lookup(key)
-        entries, _epoch = self._read_entries()
-        entry = entries.get(key)
+
+        def find(raw: bytes) -> Optional[MemoEntry]:
+            for candidate, pickled in _iter_records(raw):
+                if candidate == key:
+                    return pickle.loads(pickled)
+            return None
+
+        entry = self._read(find)
         _observe_lookup("hit" if entry is not None else "miss")
         return entry
 
     def __len__(self) -> int:
-        if self._writer:
-            return len(self._entries)
-        entries, _epoch = self._read_entries()
-        return len(entries)
+        return len(self.keys())
 
     def keys(self):
         if self._writer:
-            return list(self._entries.keys())
-        entries, _epoch = self._read_entries()
-        return list(entries.keys())
+            return super().keys()
+        return self._read(
+            lambda raw: [key for key, _pickled in _iter_records(raw)]
+        )
 
     # Writer protocol ---------------------------------------------------
 
     def _flush(self) -> None:
         if not getattr(self, "_writer", False):
             raise RuntimeError("read-only attachment cannot publish")
-        payload = pickle.dumps(self._entries, pickle.HIGHEST_PROTOCOL)
-        while len(payload) > self.capacity and len(self._entries) > 0:
-            # Oversized even after _enforce_capacity (single huge entry):
-            # drop oldest until it frames, an empty tier being valid.
-            self._entries.popitem(last=False)
-            _observe_eviction("capacity", 1)
-            payload = pickle.dumps(self._entries, pickle.HIGHEST_PROTOCOL)
+        payload = b"".join(
+            record for _entry, record in self._entries.values()
+        )
         # Seqlock: odd generation while the payload is inconsistent.
         self._generation += 1
         _HEADER.pack_into(
@@ -346,9 +413,6 @@ class SharedMemoTier(LocalMemoTier):
             self._shm.buf, 0,
             _MAGIC, self._generation, self._epoch, len(payload),
         )
-
-    def _payload_size(self) -> int:
-        return len(pickle.dumps(self._entries, pickle.HIGHEST_PROTOCOL))
 
     # Lifecycle ---------------------------------------------------------
 

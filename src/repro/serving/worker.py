@@ -16,9 +16,11 @@ reader side of the epoch protocol:
    :func:`repro.service.executor.execute_request` by default, so the
    batch service's determinism rules — count-budgeted requests always
    plan cold — hold verbatim in the daemon);
-5. hand the planner's memo export back to the caller. Workers never
-   write the tier: the daemon master is the single writer and publishes
-   exports after each response.
+5. hand the planner's memo export back to the caller, but only when
+   the planner's memo version moved since this cache last exported it
+   (a new planner always exports once); otherwise the export is empty
+   and nothing is published. Workers never write the tier: the daemon
+   master is the single writer and publishes the non-empty exports.
 
 Requests that pin an explicit view subset run against a restricted
 catalog clone so the engine's shared-planner fast path (and therefore
@@ -29,7 +31,7 @@ invalidation independently of full-catalog traffic.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..catalog.schema import Catalog
@@ -65,6 +67,18 @@ def _restricted_catalog(catalog: Catalog, views) -> Catalog:
     return clone
 
 
+@dataclass
+class _CachedPlanner:
+    """One fingerprint's planner and what this cache knows about it."""
+
+    #: Tier epoch the planner was validated against.
+    epoch: int
+    planner: RewritePlanner
+    #: ``planner.memo_version`` at the last export; -1 = never exported,
+    #: so a new planner always exports after its first request.
+    exported_version: int = -1
+
+
 class PlannerCache:
     """Per-process planners, validated against the memo tier's epoch."""
 
@@ -73,10 +87,7 @@ class PlannerCache:
 
     def __init__(self, tier):
         self.tier = tier
-        #: fingerprint -> (validated_epoch, planner)
-        self._planners: OrderedDict[tuple, tuple[int, RewritePlanner]] = (
-            OrderedDict()
-        )
+        self._planners: OrderedDict[tuple, _CachedPlanner] = OrderedDict()
 
     def run(
         self,
@@ -86,9 +97,11 @@ class PlannerCache:
         """Execute one request; returns
         ``(response, fingerprint, view_names, memo_export, path)``.
 
-        ``memo_export`` is the planner's post-request substitution memo
-        for the daemon master to publish (single-writer discipline);
-        ``path`` reports how the planner was obtained.
+        ``memo_export`` is the planner's post-request memo for the
+        daemon master to publish (single-writer discipline) — empty when
+        the planner gained no entry since its last export, so the master
+        has nothing to publish; ``path`` reports how the planner was
+        obtained.
         """
         key = serving_group_key(request)
         views = request.effective_views()
@@ -104,7 +117,8 @@ class PlannerCache:
             else:
                 request = replace(request, views=None)
 
-        planner, path = self._planner_for(key, views, request)
+        cached, path = self._planner_for(key, views, request)
+        planner = cached.planner
         engine = (
             build_engine(
                 request.catalog, request.use_set_semantics, planner
@@ -114,18 +128,23 @@ class PlannerCache:
         )
         runner = resolve_strategy(strategy)
         response = runner(request, engine=engine, planner=planner)
-        export = planner.export_memos(MEMO_EXPORT_MAX)
+        version = planner.memo_version
+        if version != cached.exported_version:
+            export = planner.export_memos(MEMO_EXPORT_MAX)
+            cached.exported_version = version
+        else:
+            export = []
         _observe_path(path)
         return response, key, view_names, export, path
 
     def _planner_for(
         self, key: tuple, views, request: RewriteRequest
-    ) -> tuple[RewritePlanner, str]:
+    ) -> tuple[_CachedPlanner, str]:
         epoch = self.tier.epoch()
         cached = self._planners.get(key)
-        if cached is not None and cached[0] == epoch:
+        if cached is not None and cached.epoch == epoch:
             self._planners.move_to_end(key)
-            return cached[1], WARM_LOCAL
+            return cached, WARM_LOCAL
         # Epoch moved (or first sight): revalidate against the tier.
         self._planners.pop(key, None)
         planner = RewritePlanner(
@@ -137,10 +156,10 @@ class PlannerCache:
             path = WARM_SHARED
         else:
             path = COLD
-        self._planners[key] = (epoch, planner)
+        cached = self._planners[key] = _CachedPlanner(epoch, planner)
         while len(self._planners) > self.MAX_PLANNERS:
             self._planners.popitem(last=False)
-        return planner, path
+        return cached, path
 
 
 # ----------------------------------------------------------------------

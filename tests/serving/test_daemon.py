@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from repro.blocks.to_sql import block_to_sql
+from repro.core.planner import RewritePlanner
 from repro.obs.metrics import MetricsRegistry
 from repro.serving import ServingClient, TenantQuota
-from repro.serving.memo import LocalMemoTier
+from repro.serving.memo import LocalMemoTier, SharedMemoTier
+from repro.serving.worker import WARM_SHARED, run_in_worker
 from repro.service.executor import execute_request
 from repro.service.requests import RewriteRequest
 
@@ -214,6 +217,88 @@ def test_process_workers_share_the_memo_tier(scenario):
             )
             # The master published the workers' memo exports.
             assert len(daemon.memo) >= 1
+
+
+def test_second_worker_warm_starts_from_the_first_workers_publish(
+    scenario,
+):
+    sc, db = scenario
+    sql = block_to_sql(sc.query)
+    request = RewriteRequest(query=sc.query, catalog=sc.catalog)
+    with running_daemon(sc.catalog, database=db, workers=2) as daemon:
+        with connect(daemon) as client:
+            # Some worker plans cold; the master publishes its export.
+            assert client.rewrite(sql)["ok"]
+            assert len(daemon.memo) == 1
+        # Straight into the pool to see each run's planner path. While
+        # one worker sleeps the other must take the request, so within a
+        # few rounds the worker that has not seen the fingerprint serves
+        # it — from the tier, not cold.
+        paths = []
+        for _round in range(60):
+            nap = daemon._pool.submit(time.sleep, 0.02)
+            run = daemon._pool.submit(run_in_worker, (request, None))
+            paths.append(run.result(timeout=30)[4])
+            nap.result(timeout=30)
+            if paths[-1] == WARM_SHARED:
+                break
+        assert WARM_SHARED in paths, paths
+
+
+class CountingTier(LocalMemoTier):
+    """A tier that counts the publishes the daemon asks of it."""
+
+    def __init__(self):
+        super().__init__()
+        self.publishes = 0
+
+    def publish(self, key, view_names, memo):
+        self.publishes += 1
+        return super().publish(key, view_names, memo)
+
+
+def test_hot_requests_publish_exactly_once(scenario, monkeypatch):
+    sc, db = scenario
+    sql = block_to_sql(sc.query)
+    exports = []
+    export_memos = RewritePlanner.export_memos
+
+    def counting_export(self, max_entries=None):
+        exports.append(self)
+        return export_memos(self, max_entries)
+
+    monkeypatch.setattr(RewritePlanner, "export_memos", counting_export)
+    tier = CountingTier()
+    registry = MetricsRegistry()
+    hot = 12
+    with running_daemon(
+        sc.catalog, database=db, memo_tier=tier, metrics=registry
+    ) as daemon:
+        assert daemon.memo is tier  # an explicit (empty) tier wins
+        with connect(daemon) as client:
+            docs = [client.rewrite(sql) for _ in range(hot)]
+    assert all(doc["ok"] for doc in docs)
+    assert all(
+        doc["result"]["rewritings"] == docs[0]["result"]["rewritings"]
+        for doc in docs
+    )
+    # One publish and one export for the new planner; the other hot
+    # requests learned nothing, so nothing was exported or pickled.
+    assert tier.publishes == 1
+    assert len(exports) == 1
+    snapshot = registry.snapshot()
+    family = "repro_serving_shared_memo_publishes_total"
+    assert snapshot.counter_value(family, outcome="published") == 1
+    assert snapshot.counter_value(family, outcome="skipped") == hot - 1
+
+
+def test_serial_daemon_allocates_no_shared_segment(scenario):
+    sc, db = scenario
+    with running_daemon(sc.catalog, database=db) as daemon:
+        assert daemon.memo.name is None
+        assert not isinstance(daemon.memo, SharedMemoTier)
+    with running_daemon(sc.catalog, database=db, workers=1) as daemon:
+        assert daemon.memo.name is not None
 
 
 def test_serving_metrics_recorded(scenario):

@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import pickle
+import random
+import sys
+import threading
 
 import pytest
 
+from repro.core.planner import RewritePlanner
 from repro.serving.memo import (
     _HEADER,
     _MAGIC,
+    MEMO_EXPORT_MAX,
     LocalMemoTier,
     MemoEntry,
     SharedMemoTier,
     create_memo_tier,
 )
+from repro.workloads.random_queries import random_scenario
 
 
 def entry_of(tier, key):
@@ -62,6 +68,32 @@ class TestLocalMemoTier:
 
     def test_name_is_none(self):
         assert LocalMemoTier().name is None
+
+    def test_every_family_at_the_cap_survives_the_round_trip(self):
+        # export_memos caps each family on its own; the tier must not
+        # truncate the flat list again (that kept only the last family).
+        sc = random_scenario(7)
+
+        def full_planner():
+            return RewritePlanner(sc.views, sc.catalog)
+
+        planner = full_planner()
+        planner.import_memos(
+            [((("block", i), 0), []) for i in range(MEMO_EXPORT_MAX)]
+            + [
+                ("cohen_nutt", ("query", i), ())
+                for i in range(MEMO_EXPORT_MAX)
+            ]
+        )
+        export = planner.export_memos(MEMO_EXPORT_MAX)
+        assert len(export) == 2 * MEMO_EXPORT_MAX
+
+        tier = LocalMemoTier()
+        tier.publish(("k",), ("V0",), export)
+        warm = full_planner()
+        warm.import_memos(entry_of(tier, ("k",)).memo)
+        assert len(warm._substitutions) == MEMO_EXPORT_MAX
+        assert len(warm.strategy_memo("cohen_nutt")) == MEMO_EXPORT_MAX
 
 
 class TestSharedMemoTier:
@@ -123,6 +155,99 @@ class TestSharedMemoTier:
         finally:
             writer.close()
             writer.unlink()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_running_byte_total_matches_the_framed_payload(seed):
+    """Publish / overwrite / invalidate / clear in random order: the
+    writer's running total is the framed payload length, stays within
+    capacity, and a reader sees exactly the writer's entries."""
+    rng = random.Random(seed)
+    views = [f"V{i}" for i in range(4)]
+    writer = SharedMemoTier(capacity=8 * 1024)
+    try:
+        reader = SharedMemoTier.attach(writer.name)
+        for _step in range(120):
+            op = rng.random()
+            if op < 0.70:
+                # A small key space makes most publishes overwrites; the
+                # sizes make capacity eviction and oversized drops occur.
+                writer.publish(
+                    ("k", rng.randrange(12)),
+                    rng.sample(views, rng.randint(1, 2)),
+                    list(range(rng.choice((10, 200, 900, 3000)))),
+                )
+            elif op < 0.95:
+                writer.invalidate_views([rng.choice(views)])
+            else:
+                writer.clear()
+
+            framed = _HEADER.unpack_from(writer._shm.buf, 0)[3]
+            assert writer._bytes == framed
+            assert writer._bytes == sum(
+                len(record) for _entry, record in writer._entries.values()
+            )
+            assert writer._bytes <= writer.capacity
+            assert reader.keys() == writer.keys()
+            assert len(reader) == len(writer)
+            assert reader.epoch() == writer.epoch()
+            for key in writer.keys():
+                assert reader.lookup(key) == writer.lookup(key)
+        reader.close()
+    finally:
+        writer.close()
+        writer.unlink()
+
+
+def test_writer_threads_keep_the_byte_total_and_the_frame_consistent():
+    """The daemon master publishes on its event-loop thread while an
+    update invalidates on an executor thread: both are the one writer,
+    and neither may lose an update to the running total or interleave
+    a seqlock frame."""
+    writer = SharedMemoTier(capacity=64 * 1024)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reader = SharedMemoTier.attach(writer.name)
+        failures = []
+
+        def publisher(worker: int) -> None:
+            try:
+                for i in range(3000):
+                    writer.publish(
+                        ("k", worker, i % 7),
+                        (f"V{i % 3}",),
+                        list(range(50 + 10 * (i % 5))),
+                    )
+            except Exception as error:  # noqa: BLE001 — reported below
+                failures.append(error)
+
+        def invalidator() -> None:
+            try:
+                for i in range(3000):
+                    writer.invalidate_views([f"V{i % 3}"])
+            except Exception as error:  # noqa: BLE001
+                failures.append(error)
+
+        threads = [
+            threading.Thread(target=publisher, args=(n,)) for n in range(3)
+        ] + [threading.Thread(target=invalidator)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert writer._bytes == sum(
+            len(record) for _entry, record in writer._entries.values()
+        )
+        assert writer._bytes == _HEADER.unpack_from(writer._shm.buf, 0)[3]
+        assert reader.keys() == writer.keys()
+        reader.close()
+    finally:
+        sys.setswitchinterval(interval)
+        writer.close()
+        writer.unlink()
 
 
 def test_create_memo_tier_prefers_shared():

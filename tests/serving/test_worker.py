@@ -99,3 +99,84 @@ def test_count_budgeted_requests_stay_deterministic():
     warm, _k, _v, _e, _p = cache.run(request_for(sc, budget=budget))
     cold = execute_request(request_for(sc, budget=budget))
     assert rewriting_sqls(warm) == rewriting_sqls(cold)
+
+
+# ----------------------------------------------------------------------
+# Export on change: an unchanged planner hands back an empty export.
+
+
+def test_unchanged_planner_exports_nothing():
+    sc = random_scenario(7)
+    cache = PlannerCache(LocalMemoTier())
+    _r, _k, _v, first, _p = cache.run(request_for(sc))
+    assert first  # a new planner always exports
+    for _ in range(3):
+        _r, _k, _v, export, path = cache.run(request_for(sc))
+        assert path == WARM_LOCAL
+        assert export == []
+
+
+def test_rebuilt_planner_exports_again_after_invalidation():
+    sc = random_scenario(7)
+    tier = LocalMemoTier()
+    cache = PlannerCache(tier)
+    _r, key, view_names, export, _p = cache.run(request_for(sc))
+    tier.publish(key, view_names, export)
+    assert cache.run(request_for(sc))[3] == []
+
+    tier.invalidate_views(list(view_names))
+    _r, _k, _v, export, path = cache.run(request_for(sc))
+    assert path == COLD
+    assert export
+    assert cache.run(request_for(sc))[3] == []
+
+
+def test_rebuilt_planner_exports_again_after_lru_eviction(monkeypatch):
+    for seed in range(0, 50):
+        sc = random_scenario(seed)
+        if len(sc.views) >= 2:
+            break
+    else:
+        pytest.skip("no multi-view scenario found")
+    monkeypatch.setattr(PlannerCache, "MAX_PLANNERS", 1)
+    cache = PlannerCache(LocalMemoTier())
+    assert cache.run(request_for(sc))[3]
+    assert cache.run(request_for(sc))[3] == []
+    # A second fingerprint pushes the first planner out of the LRU.
+    cache.run(request_for(sc, views=(sc.views[0],)))
+    _r, _k, _v, export, path = cache.run(request_for(sc))
+    assert path == COLD
+    assert export
+
+
+def test_warm_shared_rebuild_exports_again():
+    sc = random_scenario(7)
+    tier = LocalMemoTier()
+    cache = PlannerCache(tier)
+    _r, key, view_names, export, _p = cache.run(request_for(sc))
+    tier.publish(key, view_names, export)
+    assert cache.run(request_for(sc))[3] == []
+
+    # The epoch moves but the entry survives: the planner is rebuilt
+    # from the tier and, being new, exports after its first request.
+    tier.invalidate_views(["NotAView"])
+    _r, _k, _v, export, path = cache.run(request_for(sc))
+    assert path == WARM_SHARED
+    assert export
+    assert cache.run(request_for(sc))[3] == []
+
+
+def test_strategy_family_insert_alone_makes_the_next_export_non_empty():
+    sc = random_scenario(7)
+    cache = PlannerCache(LocalMemoTier())
+    _r, key, _v, _e, _p = cache.run(request_for(sc))
+    assert cache.run(request_for(sc))[3] == []
+
+    planner = cache._planners[key].planner
+    version = planner.memo_version
+    planner.strategy_memo("cohen_nutt")[("k",)] = ("v",)
+    assert planner.memo_version > version
+    _r, _k, _v, export, path = cache.run(request_for(sc))
+    assert path == WARM_LOCAL
+    assert ("cohen_nutt", ("k",), ("v",)) in export
+    assert cache.run(request_for(sc))[3] == []

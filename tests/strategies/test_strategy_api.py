@@ -131,6 +131,20 @@ class TestMemoFamilies:
         assert ("k",) not in b
         assert planner.strategy_memo("cohen_nutt") is a
 
+    def test_family_inserts_move_the_memo_version(self):
+        case = CASES[0]
+        planner = self._planner(case)
+        before = planner.memo_version
+        first = cohen_nutt_rewritings(
+            case.query, [case.view], planner=planner
+        )
+        assert first
+        learned = planner.memo_version
+        assert learned > before
+        # A memo hit teaches the planner nothing.
+        cohen_nutt_rewritings(case.query, [case.view], planner=planner)
+        assert planner.memo_version == learned
+
     def test_export_import_round_trip(self):
         planner = self._planner(CASES[0])
         planner.strategy_memo("cohen_nutt")[("k1",)] = ("v1",)
