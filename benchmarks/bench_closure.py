@@ -104,11 +104,8 @@ def test_residual_computation(benchmark):
 
 def collect_closure_metrics(repeats: int = 5) -> dict:
     """Closure construction cost and the closure-memo payoff."""
-    from repro.constraints.closure import (
-        clear_closure_cache,
-        closure_cache_stats,
-        closure_of,
-    )
+    from repro.constraints.closure import closure_of
+    from repro.memo import shared_memos
 
     scaling = []
     for n in (8, 16, 32):
@@ -126,15 +123,15 @@ def collect_closure_metrics(repeats: int = 5) -> dict:
     # Memo payoff: the same conjunction re-closed, as repeated C2/C3
     # checks do during a multi-view search.
     atoms = chain(16)
-    clear_closure_cache()
+    memo = shared_memos()["closure"]
+    memo.clear()
     t_cold = time_best(lambda: Closure(atoms), repeats=repeats)
     closure_of(atoms)  # prime
     t_memo = time_best(lambda: closure_of(atoms), repeats=repeats)
-    stats = closure_cache_stats()
     return {
         "chain_scaling": scaling,
         "construct_seconds": t_cold,
         "memoized_seconds": t_memo,
         "speedup": t_cold / t_memo if t_memo > 0 else None,
-        "cache_stats": stats.as_dict(),
+        "cache_stats": memo.stats(),
     }

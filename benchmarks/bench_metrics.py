@@ -63,22 +63,23 @@ def _recording_seconds_per_search(registry: MetricsRegistry) -> float:
     counter flush. Values are representative of a real star-workload
     search (a handful of nodes, views, and candidates per query).
     """
-    stats = _planner.PlannerStats()
+    planner = _planner.RewritePlanner([])
+    stats = planner.stats
     stats.nodes_expanded = 5
     stats.views_considered = 10
     stats.views_pruned = 3
     stats.candidates_generated = 2
-    stats.substitution_misses = 2
+    planner.memo("substitution").misses = 2
 
     def record_once() -> None:
         current_metrics()
         current_metrics()
         current_metrics()
         before = _planner._stats_tuple(stats)
-        memo_before = _planner._memo_tuple()
+        memo_before = planner._memo_counts()
         _mapping_counters(registry)[0].inc(3)
         _mapping_counters(registry)[1].inc(1)
-        _planner._record_search(registry, before, memo_before, stats, 1)
+        _planner._record_search(registry, before, memo_before, planner, 1)
 
     best = None
     with collecting(registry):

@@ -98,11 +98,9 @@ def collect_multiview_metrics(repeats: int = 7) -> dict:
     rewrite traffic against a fixed view set — the paper's semantic-cache
     scenario. Asserts result-set parity before timing anything.
     """
-    from repro.constraints.closure import clear_closure_cache
-    from repro.constraints.residual import clear_residual_cache
-    from repro.core.canonical import clear_canonical_cache
     from repro.core.multiview import all_rewritings_naive
     from repro.core.planner import RewritePlanner, baseline_mode, cache_stats
+    from repro.memo import clear_shared
 
     wl = star.generate(n_sales=1_000)
     views = list(wl.views.values())
@@ -132,9 +130,7 @@ def collect_multiview_metrics(repeats: int = 7) -> dict:
             )
         return out
 
-    clear_closure_cache()
-    clear_canonical_cache()
-    clear_residual_cache()
+    clear_shared()
 
     naive_keys = sorted(canonical_key(r.query) for r in run_naive())
     planner_keys = sorted(canonical_key(r.query) for r in run_planner())

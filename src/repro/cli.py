@@ -193,6 +193,7 @@ def _parse_batch_line(
     obj: dict, line_no: int, catalog, default_strategy: str = "c1c4"
 ) -> RewriteRequest:
     """One JSONL object -> RewriteRequest (see docs/api.md for fields)."""
+    from .serving.protocol import budget_from_wire
     from .strategies import normalize_strategy
 
     if "query" not in obj:
@@ -203,24 +204,10 @@ def _parse_batch_line(
         )
     except ReproError as error:
         raise ReproError(f"line {line_no}: {error}") from error
-    deadline_ms = obj.get("deadline_ms")
-    max_mappings = obj.get("max_mappings")
-    max_candidates = obj.get("max_candidates")
-    budget = None
-    if (
-        deadline_ms is not None
-        or max_mappings is not None
-        or max_candidates is not None
-    ):
-        budget = SearchBudget(
-            deadline=deadline_ms / 1000.0 if deadline_ms is not None else None,
-            max_mappings=max_mappings,
-            max_candidates=max_candidates,
-        )
     return RewriteRequest(
         query=obj["query"],
         catalog=catalog,
-        budget=budget,
+        budget=budget_from_wire(obj),
         max_steps=obj.get("max_steps", 3),
         unfold=obj.get("unfold", False),
         request_id=str(obj.get("id", f"line-{line_no}")),

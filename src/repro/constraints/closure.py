@@ -25,12 +25,10 @@ treatment of "aggregation columns" in GConds.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
 from ..blocks.terms import Column, Comparison, Constant, Op
+from ..memo import MISSING, shared
 
 #: Anything usable as a closure node. Columns, constants and (for HAVING
 #: reasoning) aggregate expressions are all frozen/hashable.
@@ -541,36 +539,7 @@ def _bound_gt(bound, value) -> bool:
 # are immutable after construction (union-find path compression aside),
 # which makes the sharing safe.
 
-
-@dataclass
-class ClosureCacheStats:
-    """Hit/miss accounting for :func:`closure_of` (benchmark surface)."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    bypasses: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "bypasses": self.bypasses,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-
-CLOSURE_CACHE_MAX = 4096
-
-_closure_cache: "OrderedDict[frozenset, Closure]" = OrderedDict()
-_closure_cache_enabled = True
-_closure_stats = ClosureCacheStats()
+_closures = shared("closure", cap=4096)
 
 
 def closure_of(atoms: Iterable[Comparison]) -> Closure:
@@ -581,53 +550,9 @@ def closure_of(atoms: Iterable[Comparison]) -> Closure:
     atom set share one cached instance.
     """
     atom_tuple = tuple(atoms)
-    if not _closure_cache_enabled:
-        _closure_stats.bypasses += 1
-        return Closure(atom_tuple)
     key = frozenset(atom_tuple)
-    cached = _closure_cache.get(key)
-    if cached is not None:
-        _closure_stats.hits += 1
-        _closure_cache.move_to_end(key)
-        return cached
-    _closure_stats.misses += 1
-    closure = Closure(atom_tuple)
-    _closure_cache[key] = closure
-    if len(_closure_cache) > CLOSURE_CACHE_MAX:
-        _closure_cache.popitem(last=False)
-        _closure_stats.evictions += 1
+    closure = _closures.get(key)
+    if closure is MISSING:
+        closure = Closure(atom_tuple)
+        _closures.put(key, closure)
     return closure
-
-
-def closure_cache_enabled() -> bool:
-    """Whether :func:`closure_of` currently caches (see
-    :func:`closure_cache_disabled`). Derived caches — e.g. the residual
-    memo in :mod:`repro.constraints.residual` — key off the same switch
-    so baselines disable all entailment memoization at once."""
-    return _closure_cache_enabled
-
-
-def closure_cache_stats() -> ClosureCacheStats:
-    """The live hit/miss counters (reset by :func:`clear_closure_cache`)."""
-    return _closure_stats
-
-
-def clear_closure_cache() -> None:
-    """Empty the cache and zero its counters."""
-    _closure_cache.clear()
-    _closure_stats.hits = 0
-    _closure_stats.misses = 0
-    _closure_stats.evictions = 0
-    _closure_stats.bypasses = 0
-
-
-@contextmanager
-def closure_cache_disabled() -> Iterator[None]:
-    """Run with :func:`closure_of` bypassing the cache (A/B baselines)."""
-    global _closure_cache_enabled
-    previous = _closure_cache_enabled
-    _closure_cache_enabled = False
-    try:
-        yield
-    finally:
-        _closure_cache_enabled = previous

@@ -15,12 +15,12 @@ complete (Theorem 3.1), and it is sound in general.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterable, Optional, Sequence
 
 from ..blocks.exprs import columns_in
 from ..blocks.terms import Column, Comparison, Constant
-from .closure import Closure, closure_cache_enabled, closure_of
+from ..memo import MISSING, shared
+from .closure import Closure, closure_of
 from .implication import minimize
 
 
@@ -38,34 +38,8 @@ def atoms_constants(atoms: Iterable[Comparison]) -> list[Constant]:
 #: query conditions, the mapped view conditions and the *ordered* allowed
 #: vocabulary (the construction's output order follows it), so repeated
 #: rewrite traffic — the same query probed against the same views — reuses
-#: the entailed-atom enumeration and minimization outright. Honors the
-#: closure-cache switch so baseline benchmarks disable it too.
-RESIDUAL_CACHE_MAX = 4096
-_residual_cache: "OrderedDict[tuple, Optional[tuple[Comparison, ...]]]" = (
-    OrderedDict()
-)
-_residual_hits = 0
-_residual_misses = 0
-
-
-def residual_cache_counts() -> tuple[int, int]:
-    """``(hits, misses)`` without dict building (metrics hot path)."""
-    return _residual_hits, _residual_misses
-
-
-def residual_cache_stats() -> dict:
-    total = _residual_hits + _residual_misses
-    return {
-        "hits": _residual_hits,
-        "misses": _residual_misses,
-        "hit_rate": round(_residual_hits / total, 4) if total else 0.0,
-    }
-
-
-def clear_residual_cache() -> None:
-    global _residual_hits, _residual_misses
-    _residual_cache.clear()
-    _residual_hits = _residual_misses = 0
+#: the entailed-atom enumeration and minimization outright.
+_residuals = shared("residual", cap=4096)
 
 
 def find_residual(
@@ -83,31 +57,20 @@ def find_residual(
     allowed_terms += atoms_constants(conds_q)
     allowed_terms += atoms_constants(mapped_view_conds)
 
-    global _residual_hits, _residual_misses
-    caching = closure_cache_enabled()
-    if caching:
-        key = (
-            frozenset(conds_q),
-            frozenset(mapped_view_conds),
-            tuple(allowed_terms),
-        )
-        try:
-            cached = _residual_cache[key]
-        except KeyError:
-            _residual_misses += 1
-        else:
-            _residual_hits += 1
-            _residual_cache.move_to_end(key)
-            return None if cached is None else list(cached)
-
-    result = _find_residual_uncached(
-        conds_q, mapped_view_conds, allowed_terms
+    key = (
+        frozenset(conds_q),
+        frozenset(mapped_view_conds),
+        tuple(allowed_terms),
     )
-    if caching:
-        _residual_cache[key] = None if result is None else tuple(result)
-        if len(_residual_cache) > RESIDUAL_CACHE_MAX:
-            _residual_cache.popitem(last=False)
-    return result
+    cached = _residuals.get(key)
+    if cached is MISSING:
+        result = _find_residual_uncached(
+            conds_q, mapped_view_conds, allowed_terms
+        )
+        _residuals.put(key, None if result is None else tuple(result))
+        return result
+    # The stored tuple is shared; callers get a private list.
+    return None if cached is None else list(cached)
 
 
 def _find_residual_uncached(

@@ -14,15 +14,13 @@ tiny for realistic queries.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
 from ..blocks.exprs import Aggregate, Arith, Expr
 from ..blocks.query_block import QueryBlock
 from ..blocks.terms import Column, Comparison, Constant
+from ..memo import MISSING, shared
 
 
 def _render_expr(expr: Expr, names: dict[Column, str]) -> str:
@@ -68,84 +66,20 @@ def _orderings(block: QueryBlock) -> Iterator[tuple[int, ...]]:
     yield from expand(0)
 
 
-@dataclass
-class CanonicalCacheStats:
-    """Hit/miss accounting for the canonical-key cache."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    bypasses: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "bypasses": self.bypasses,
-            "hit_rate": round(self.hit_rate, 4),
-        }
-
-
-CANONICAL_CACHE_MAX = 8192
-
 # QueryBlock is deeply frozen, so equality-keyed interning is safe: equal
 # blocks (the same block object re-keyed during the search, or the same
 # query re-parsed by repeated rewrite traffic) share one key string
 # instead of re-running the permutation minimization.
-_key_cache: "OrderedDict[QueryBlock, str]" = OrderedDict()
-_key_cache_enabled = True
-_key_stats = CanonicalCacheStats()
+_keys = shared("canonical_key", cap=8192)
 
 
 def canonical_key(block: QueryBlock) -> str:
     """A string equal for blocks identical up to renaming / FROM order."""
-    if not _key_cache_enabled:
-        _key_stats.bypasses += 1
-        return _canonical_key_uncached(block)
-    cached = _key_cache.get(block)
-    if cached is not None:
-        _key_stats.hits += 1
-        _key_cache.move_to_end(block)
-        return cached
-    _key_stats.misses += 1
-    key = _canonical_key_uncached(block)
-    _key_cache[block] = key
-    if len(_key_cache) > CANONICAL_CACHE_MAX:
-        _key_cache.popitem(last=False)
-        _key_stats.evictions += 1
+    key = _keys.get(block)
+    if key is MISSING:
+        key = _canonical_key_uncached(block)
+        _keys.put(block, key)
     return key
-
-
-def canonical_cache_stats() -> CanonicalCacheStats:
-    """The live hit/miss counters (reset by :func:`clear_canonical_cache`)."""
-    return _key_stats
-
-
-def clear_canonical_cache() -> None:
-    """Empty the cache and zero its counters."""
-    _key_cache.clear()
-    _key_stats.hits = 0
-    _key_stats.misses = 0
-    _key_stats.evictions = 0
-    _key_stats.bypasses = 0
-
-
-@contextmanager
-def canonical_cache_disabled() -> Iterator[None]:
-    """Run with :func:`canonical_key` bypassing the cache (A/B baselines)."""
-    global _key_cache_enabled
-    previous = _key_cache_enabled
-    _key_cache_enabled = False
-    try:
-        yield
-    finally:
-        _key_cache_enabled = previous
 
 
 def _canonical_key_uncached(block: QueryBlock) -> str:

@@ -18,7 +18,9 @@ memoization
     Canonical keys are interned (:mod:`repro.core.canonical`) and
     predicate closures are shared (:func:`repro.constraints.closure
     .closure_of`), so repeated C2/C3 entailment work across mappings,
-    nodes and queries is paid once.
+    nodes and queries is paid once. Those, the C3 residuals and this
+    module's per-planner families are all :class:`repro.memo.Memo`
+    instances behind one switch.
 
 incremental maximality bookkeeping
     The naive search decides ``include_partial=False`` by re-running
@@ -37,30 +39,18 @@ Result-set parity between the two paths is asserted by
 from __future__ import annotations
 
 import weakref
-from collections import Counter, OrderedDict
-from contextlib import contextmanager
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Union
 
 from ..blocks.query_block import QueryBlock, ViewDef
 from ..catalog.schema import Catalog
-from ..constraints.closure import (
-    closure_cache_disabled,
-    closure_cache_enabled,
-    closure_cache_stats,
-)
-from ..constraints.residual import (
-    residual_cache_counts,
-    residual_cache_stats,
-)
+from ..memo import MISSING, Memo, disabled, shared_memos
 from ..obs.budget import BudgetMeter, SearchBudget, ensure_meter
 from ..obs.metrics import current_metrics
 from ..obs.trace import current_tracer
-from .canonical import (
-    canonical_cache_disabled,
-    canonical_cache_stats,
-    canonical_key,
-)
+from .canonical import canonical_key
 from .result import Rewriting
 
 
@@ -121,6 +111,9 @@ class ViewSignature:
 class PlannerStats:
     """Counters from one or more planned searches (benchmark surface)."""
 
+    #: The planner's substitution memo: ``substitution_hits`` / ``_misses``
+    #: are its counters, read here rather than counted a second time.
+    substitution: Memo
     searches: int = 0
     nodes_expanded: int = 0
     views_considered: int = 0
@@ -128,8 +121,14 @@ class PlannerStats:
     candidates_generated: int = 0
     duplicates_skipped: int = 0
     maximality_probes: int = 0
-    substitution_hits: int = 0
-    substitution_misses: int = 0
+
+    @property
+    def substitution_hits(self) -> int:
+        return self.substitution.hits
+
+    @property
+    def substitution_misses(self) -> int:
+        return self.substitution.misses
 
     @property
     def prune_rate(self) -> float:
@@ -164,21 +163,6 @@ class _Node:
         self.expandable = False  # did any view offer an expansion?
 
 
-class _CountingMemo(OrderedDict):
-    """An LRU memo that counts the inserts it has ever received.
-
-    ``inserts`` only grows — eviction and ``move_to_end`` leave it alone
-    — so the sum over a planner's memos is a version that moves exactly
-    when some memo gained (or overwrote) an entry.
-    """
-
-    inserts = 0
-
-    def __setitem__(self, key, value):
-        self.inserts += 1
-        super().__setitem__(key, value)
-
-
 class RewritePlanner:
     """A prepared multi-view search over a fixed set of views.
 
@@ -200,19 +184,19 @@ class RewritePlanner:
         self.signatures: list[ViewSignature] = [
             ViewSignature.of(v) for v in self.views
         ]
-        self.stats = PlannerStats()
-        # Substitution memo: single_view_rewritings is a pure function of
-        # (block, view, catalog, semantics); the planner fixes the last
-        # three, and blocks are deeply frozen, so results are shared across
-        # BFS nodes and repeated rewrite traffic. Honors the cache switch
-        # so baseline_mode() reproduces the uncached search.
-        self._substitutions: "OrderedDict[tuple[QueryBlock, int], list[Rewriting]]" = (
-            _CountingMemo()
-        )
-        # Named auxiliary memos, see strategy_memo().
-        self._strategy_memos: dict[str, _CountingMemo] = {}
+        # The memo families, by name. "substitution" is the planner's
+        # own: single_view_rewritings is a pure function of (block,
+        # view, catalog, semantics); the planner fixes the last three,
+        # and blocks are deeply frozen, so results are shared across BFS
+        # nodes and repeated rewrite traffic. Strategies add theirs
+        # through memo().
+        self.memos: dict[str, Memo] = {
+            "substitution": Memo(self.SUBSTITUTION_CACHE_MAX)
+        }
+        self.stats = PlannerStats(self.memos["substitution"])
 
     SUBSTITUTION_CACHE_MAX = 8192
+    STRATEGY_MEMO_MAX = 2048
 
     def _single_view(
         self,
@@ -222,62 +206,63 @@ class RewritePlanner:
     ) -> list[Rewriting]:
         from .multiview import single_view_rewritings
 
-        if not closure_cache_enabled():
-            return single_view_rewritings(
+        memo = self.memos["substitution"]
+        key = (block, view_index)
+        options = memo.get(key)
+        if options is MISSING:
+            options = single_view_rewritings(
                 block,
                 self.views[view_index],
                 self.catalog,
                 self.use_set_semantics,
                 meter=meter,
             )
-        key = (block, view_index)
-        cached = self._substitutions.get(key)
-        if cached is not None:
-            self.stats.substitution_hits += 1
-            self._substitutions.move_to_end(key)
-            return cached
-        self.stats.substitution_misses += 1
-        options = single_view_rewritings(
-            block,
-            self.views[view_index],
-            self.catalog,
-            self.use_set_semantics,
-            meter=meter,
-        )
-        if meter is not None and meter.exhausted:
-            # The budget tripped somewhere during (or before) this call,
-            # so ``options`` may be a truncated enumeration. Caching it
-            # would poison later unbudgeted searches with a partial list.
-            return options
-        self._substitutions[key] = options
-        if len(self._substitutions) > self.SUBSTITUTION_CACHE_MAX:
-            self._substitutions.popitem(last=False)
+            # A tripped budget may have truncated the enumeration;
+            # caching it would poison later unbudgeted searches with a
+            # partial list.
+            if meter is None or not meter.exhausted:
+                memo.put(key, options)
         return options
 
     # ------------------------------------------------------------------
-    # Memo export/import: worker warm-start for the batch service and the
-    # serving memo tier. The substitution memo is the original family;
-    # strategies (repro.strategies.cohen_nutt keeps its per-query answers
-    # here) own further named families. The wire shape is one flat list
-    # with substitution entries as ``(key, options)`` 2-tuples and family
-    # entries as ``(family, key, value)`` 3-tuples.
+    # Memo families, and their export/import: worker warm-start for the
+    # batch service and the serving memo tier.
     # ------------------------------------------------------------------
 
-    STRATEGY_MEMO_MAX = 2048
+    def memo(self, family: str) -> Memo:
+        """The named memo family (created on first use).
 
-    def strategy_memo(self, family: str) -> "OrderedDict":
-        """The named auxiliary memo (created on first use).
-
-        Strategies own their key/value types; entries must be picklable
-        and only meaningful for an equal (views, catalog, semantics)
-        fingerprint, exactly like the substitution memo. Callers enforce
-        their own LRU discipline (``move_to_end`` on hit, pop-oldest
-        past their cap).
+        Strategies own their key/value types (repro.strategies.cohen_nutt
+        keeps its per-query answers under ``"cohen_nutt"``); entries must
+        be picklable and are only meaningful for an equal (views,
+        catalog, semantics) fingerprint, exactly like the substitution
+        family.
         """
-        memo = self._strategy_memos.get(family)
+        memo = self.memos.get(family)
         if memo is None:
-            memo = self._strategy_memos[family] = _CountingMemo()
+            memo = self.memos[family] = Memo(self.STRATEGY_MEMO_MAX)
         return memo
+
+    def lookup(self, family: str, key):
+        """``memo(family).get(key)``, counted in
+        ``repro_planner_memo_total`` as it happens.
+
+        For lookups made outside :meth:`all_rewritings` (a strategy
+        consulting its family around the search); lookups inside it are
+        recorded as per-search deltas so the BFS loops never touch the
+        registry.
+        """
+        memo = self.memo(family)
+        misses = memo.misses
+        value = memo.get(key)
+        metrics = current_metrics()
+        if metrics is not None:
+            hit, miss = _recorder_for(metrics).memo_pair(family)
+            if value is not MISSING:
+                hit.inc()
+            elif memo.misses != misses:  # a bypassed lookup is neither
+                miss.inc()
+        return value
 
     @property
     def memo_version(self) -> int:
@@ -287,12 +272,11 @@ class RewritePlanner:
         return the same entries (up to LRU order), which is how the
         serving layer skips re-exporting a planner that learned nothing.
         """
-        return self._substitutions.inserts + sum(
-            memo.inserts for memo in self._strategy_memos.values()
-        )
+        return sum(memo.inserts for memo in self.memos.values())
 
     def export_memos(self, max_entries: Optional[int] = None) -> list:
-        """Every memo family as one flat picklable list.
+        """Every memo family as one flat picklable list of ``(family,
+        key, value)`` entries.
 
         The entries are only meaningful for a planner prepared with an
         equal (views, catalog, use_set_semantics) triple — the batch
@@ -300,16 +284,12 @@ class RewritePlanner:
         family is LRU-newest last and, with ``max_entries``, individually
         capped at its most recently used entries.
         """
-
-        def newest(memo: OrderedDict) -> list:
-            items = list(memo.items())
-            if max_entries is not None and len(items) > max_entries:
+        out: list = []
+        for family, memo in self.memos.items():
+            items = memo.items()
+            if max_entries is not None:
                 items = items[-max_entries:]
-            return items
-
-        out: list = newest(self._substitutions)
-        for family, memo in self._strategy_memos.items():
-            out.extend((family, key, value) for key, value in newest(memo))
+            out.extend((family, key, value) for key, value in items)
         return out
 
     def import_memos(self, entries: Iterable) -> int:
@@ -321,25 +301,13 @@ class RewritePlanner:
         semantics) triple is undefined — callers must match fingerprints.
         """
         adopted = 0
-        for entry in entries:
-            if len(entry) == 2:
-                memo = self._substitutions
-                key, value = entry
-                if not 0 <= key[1] < len(self.views):
-                    continue
-            else:
-                family, key, value = entry
-                memo = self.strategy_memo(family)
-            if key in memo:
+        for family, key, value in entries:
+            if family == "substitution" and not 0 <= key[1] < len(self.views):
                 continue
-            memo[key] = value
-            memo.move_to_end(key, last=False)
-            adopted += 1
-        while len(self._substitutions) > self.SUBSTITUTION_CACHE_MAX:
-            self._substitutions.popitem(last=False)
-        for memo in self._strategy_memos.values():
-            while len(memo) > self.STRATEGY_MEMO_MAX:
-                memo.popitem(last=False)
+            memo = self.memo(family)
+            if key not in memo:
+                memo.put(key, value)
+                adopted += 1
         return adopted
 
     # ------------------------------------------------------------------
@@ -414,7 +382,7 @@ class RewritePlanner:
         metrics = current_metrics()
         if metrics is not None:
             stats_before = _stats_tuple(self.stats)
-            memo_before = _memo_tuple()
+            memo_before = self._memo_counts()
         self.stats.searches += 1
         seen: set[str] = {canonical_key(query)}
         frontier: list[_Node] = [_Node(None, query)]
@@ -466,8 +434,20 @@ class RewritePlanner:
                 results = self._maximal_results(result_nodes, meter)
         if metrics is not None:
             _record_search(metrics, stats_before, memo_before,
-                           self.stats, len(results))
+                           self, len(results))
         return results
+
+    def _search_memos(self) -> Iterator[tuple[str, Memo]]:
+        """``(family, memo)`` for every memo a search reads: the
+        process-wide registry, then this planner's families."""
+        return chain(shared_memos().items(), self.memos.items())
+
+    def _memo_counts(self) -> dict[str, tuple[int, int]]:
+        """``family -> (hits, misses)`` over :meth:`_search_memos`."""
+        return {
+            family: (memo.hits, memo.misses)
+            for family, memo in self._search_memos()
+        }
 
     def _maximal_results(
         self,
@@ -497,29 +477,9 @@ class RewritePlanner:
 
 
 def cache_stats() -> dict:
-    """A snapshot of both memoization caches, for the benchmark report."""
-    return {
-        "closure": closure_cache_stats().as_dict(),
-        "canonical_key": canonical_cache_stats().as_dict(),
-        "residual": residual_cache_stats(),
-    }
-
-
-def _memo_tuple() -> tuple:
-    """The memo-cache hit/miss counters as one flat tuple.
-
-    ``(closure_hits, closure_misses, canonical_hits, canonical_misses,
-    residual_hits, residual_misses)`` — the metrics hot path reads raw
-    counters; :func:`cache_stats` stays for benchmark reports.
-    """
-    closure = closure_cache_stats()
-    canonical = canonical_cache_stats()
-    residual_hits, residual_misses = residual_cache_counts()
-    return (
-        closure.hits, closure.misses,
-        canonical.hits, canonical.misses,
-        residual_hits, residual_misses,
-    )
+    """``{name: Memo.stats()}`` over the process-wide memos, for the
+    benchmark report."""
+    return {name: memo.stats() for name, memo in shared_memos().items()}
 
 
 def _stats_tuple(stats: PlannerStats) -> tuple:
@@ -531,8 +491,6 @@ def _stats_tuple(stats: PlannerStats) -> tuple:
         stats.candidates_generated,
         stats.duplicates_skipped,
         stats.maximality_probes,
-        stats.substitution_hits,
-        stats.substitution_misses,
     )
 
 
@@ -547,7 +505,8 @@ class _SearchRecorder:
 
     __slots__ = (
         "searches", "nodes", "views_admitted", "views_pruned",
-        "cands_kept", "cands_dup", "probes", "results", "memo",
+        "cands_kept", "cands_dup", "probes", "results", "_memo",
+        "_memo_pairs",
     )
 
     def __init__(self, metrics):
@@ -583,19 +542,22 @@ class _SearchRecorder:
             "repro_planner_results_total",
             "Rewritings returned by planner searches.",
         ).labels()
-        memo = counter(
+        self._memo = counter(
             "repro_planner_memo_total",
             "Planner memo lookups, by memo family and hit/miss outcome.",
             ("family", "outcome"),
         )
-        self.memo = {
-            family: (
-                memo.labels(family, "hit"), memo.labels(family, "miss")
+        self._memo_pairs: dict[str, tuple] = {}
+
+    def memo_pair(self, family: str) -> tuple:
+        """The ``(hit, miss)`` counter children of one memo family."""
+        pair = self._memo_pairs.get(family)
+        if pair is None:
+            pair = self._memo_pairs[family] = (
+                self._memo.labels(family, "hit"),
+                self._memo.labels(family, "miss"),
             )
-            for family in (
-                "substitution", "closure", "canonical_key", "residual"
-            )
-        }
+        return pair
 
 
 _RECORDERS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -614,19 +576,19 @@ def _recorder_for(metrics) -> _SearchRecorder:
 def _record_search(
     metrics,
     before: tuple,
-    memo_before: tuple,
-    stats: PlannerStats,
+    memo_before: dict,
+    planner: RewritePlanner,
     results_found: int,
 ) -> None:
-    """Fold one search's PlannerStats / memo-cache deltas into ``metrics``.
+    """Fold one search's PlannerStats / memo deltas into ``metrics``.
 
     Runs once per search (never inside the BFS), so enabled-mode overhead
     stays a fixed ~16 counter updates per planner call. Deltas are
-    clamped at zero: the process-wide closure/canonical/residual caches
-    may be cleared (or raced by sibling threads) mid-search.
+    clamped at zero: the process-wide memos may be cleared (or raced by
+    sibling threads) mid-search.
     """
-    (nodes, considered, pruned, candidates, duplicates, probes,
-     sub_hits, sub_misses) = before
+    nodes, considered, pruned, candidates, duplicates, probes = before
+    stats = planner.stats
 
     def delta(now: int, then: int) -> int:
         return now - then if now > then else 0
@@ -658,30 +620,21 @@ def _record_search(
     if results_found:
         rec.results.inc(results_found)
 
-    hit, miss = rec.memo["substitution"]
-    sub_hits_now = delta(stats.substitution_hits, sub_hits)
-    if sub_hits_now:
-        hit.inc(sub_hits_now)
-    sub_misses_now = delta(stats.substitution_misses, sub_misses)
-    if sub_misses_now:
-        miss.inc(sub_misses_now)
-    memo_after = _memo_tuple()
-    for i, family in enumerate(("closure", "canonical_key", "residual")):
-        hit, miss = rec.memo[family]
-        hits_now = delta(memo_after[2 * i], memo_before[2 * i])
+    for family, memo in planner._search_memos():
+        hits_then, misses_then = memo_before.get(family, (0, 0))
+        hit, miss = rec.memo_pair(family)
+        hits_now = delta(memo.hits, hits_then)
         if hits_now:
             hit.inc(hits_now)
-        misses_now = delta(memo_after[2 * i + 1], memo_before[2 * i + 1])
+        misses_now = delta(memo.misses, misses_then)
         if misses_now:
             miss.inc(misses_now)
 
 
-@contextmanager
-def baseline_mode() -> Iterator[None]:
-    """Disable the memoization caches — the seed behavior, for A/B runs.
+def baseline_mode():
+    """Disable every search-core memo — the seed behavior, for A/B runs.
 
     Combine with ``all_rewritings(..., use_planner=False)`` to time the
     exact pre-planner code path.
     """
-    with closure_cache_disabled(), canonical_cache_disabled():
-        yield
+    return disabled()

@@ -110,6 +110,37 @@ def merge_strategy_extras(
     return merged
 
 
+def strategy_rewritings(
+    strategy: str,
+    query: QueryBlock,
+    views: Sequence[ViewDef],
+    *,
+    planner: Optional["RewritePlanner"] = None,
+    budget: Union[SearchBudget, BudgetMeter, None] = None,
+    **search,
+) -> list[Rewriting]:
+    """Every candidate ``strategy`` finds for ``query``, in discovery
+    order — the one place a strategy name is interpreted.
+
+    The C1–C4 search always runs (``search`` goes to
+    :func:`all_rewritings`); ``"cohen_nutt"`` / ``"both"`` add the
+    Cohen–Nutt extras through :func:`merge_strategy_extras`, memoized
+    on the same ``planner`` and charged to the same ``budget``.
+    """
+    candidates = all_rewritings(
+        query, views, planner=planner, budget=budget, **search
+    )
+    if strategy == "c1c4":
+        return candidates
+    from ..strategies import cohen_nutt_rewritings, normalize_strategy
+
+    normalize_strategy(strategy)
+    return merge_strategy_extras(
+        candidates,
+        cohen_nutt_rewritings(query, views, planner=planner, budget=budget),
+    )
+
+
 def _rename_relation(block: QueryBlock, old: str, new: str) -> QueryBlock:
     """A copy of ``block`` with FROM occurrences of ``old`` renamed."""
     from ..blocks.query_block import Relation
@@ -291,7 +322,8 @@ class RewriteEngine:
                 planner.stats.as_dict() if planner is not None else None
             )
             with span("search"):
-                candidates = all_rewritings(
+                candidates = strategy_rewritings(
+                    strategy,
                     block,
                     views if views is not None else self.views,
                     catalog=catalog,
@@ -302,22 +334,6 @@ class RewriteEngine:
                     planner=planner,
                     budget=meter,
                 )
-                if strategy != "c1c4":
-                    from ..strategies import (
-                        cohen_nutt_rewritings,
-                        normalize_strategy,
-                    )
-
-                    normalize_strategy(strategy)
-                    candidates = merge_strategy_extras(
-                        candidates,
-                        cohen_nutt_rewritings(
-                            block,
-                            views if views is not None else self.views,
-                            planner=planner,
-                            budget=meter,
-                        ),
-                    )
             with span("rank"):
                 ranked = sorted(
                     (

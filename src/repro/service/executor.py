@@ -25,10 +25,13 @@ from ..blocks.query_block import QueryBlock
 from ..cache import CacheSnapshot
 from ..catalog.schema import Catalog
 from ..core.cost import estimate_cost
-from ..core.multiview import all_rewritings
 from ..core.planner import RewritePlanner
 from ..core.result import Rewriting
-from ..core.rewriter import RankedRewriting, RewriteEngine
+from ..core.rewriter import (
+    RankedRewriting,
+    RewriteEngine,
+    strategy_rewritings,
+)
 from ..errors import ReproError
 from ..obs.budget import BudgetMeter, SearchBudget, ensure_meter
 from ..obs.metrics import MetricsRegistry, collecting, current_metrics
@@ -226,27 +229,16 @@ def _run_bare(
     views = request.effective_views()
     if request.has_count_budget():
         planner = None  # cold search for deterministic trip points
-    candidates = all_rewritings(
+    candidates = strategy_rewritings(
+        request.strategy,
         query,
         views,
-        catalog=None,
         use_set_semantics=request.use_set_semantics,
         max_steps=request.max_steps,
         include_partial=request.include_partial,
         planner=planner,
         budget=meter,
     )
-    if request.strategy != "c1c4":
-        from ..core.rewriter import merge_strategy_extras
-        from ..strategies import cohen_nutt_rewritings, normalize_strategy
-
-        normalize_strategy(request.strategy)
-        candidates = merge_strategy_extras(
-            candidates,
-            cohen_nutt_rewritings(
-                query, views, planner=planner, budget=meter
-            ),
-        )
     return RewriteResponse(
         query=query,
         rewritings=tuple(candidates),

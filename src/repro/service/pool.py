@@ -45,6 +45,7 @@ from typing import Optional, Sequence, Union
 
 from ..cache import CacheSnapshot, QueryCache
 from ..core.planner import RewritePlanner
+from ..memo import Memo
 from ..obs.metrics import MetricsRegistry, collecting, current_metrics
 from ..obs.trace import RewriteTrace, merge_spans
 from .batcher import RequestGroup, chunk_groups, group_requests
@@ -140,24 +141,14 @@ def _process_chunk(payload: dict) -> dict:
     registry = (
         MetricsRegistry() if payload.get("collect_metrics") else None
     )
-    if registry is not None:
-        with collecting(registry):
-            results = _execute_chunk(
-                catalog, views, semantics, payload["members"],
-                planner, deadline, snapshot,
-            )
-    else:
-        results = _execute_chunk(
-            catalog, views, semantics, payload["members"],
-            planner, deadline, snapshot,
-        )
+    results = _run_chunk_collected(
+        registry,
+        catalog, views, semantics, payload["members"],
+        planner, deadline, snapshot,
+    )
     return {
         "results": results,
-        "memo": (
-            planner.export_memos(payload["memo_export_max"])
-            if payload["want_memo"]
-            else None
-        ),
+        "memo": planner.export_memos(payload["memo_export_max"]),
         "cache_stats": (
             snapshot.stats.as_dict() if snapshot is not None else None
         ),
@@ -180,9 +171,10 @@ class BatchRewriteService:
     counters merge back into the live cache's stats.
     """
 
-    #: fingerprints retained in the warm stores before LRU eviction.
+    #: fingerprints each warm store (live planners, exported memos)
+    #: retains; past it the least recently used fingerprint is evicted.
     MEMO_STORE_MAX = 32
-    #: substitution-memo entries shipped per chunk / kept per export.
+    #: entries per memo family shipped per chunk / kept per export.
     MEMO_EXPORT_MAX = 2048
 
     def __init__(
@@ -192,8 +184,6 @@ class BatchRewriteService:
         workers: Optional[int] = None,
         batch_deadline: Optional[float] = None,
         cache: Optional[QueryCache] = None,
-        memo_warm_start: bool = True,
-        min_chunk: int = 4,
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -201,10 +191,10 @@ class BatchRewriteService:
         self.workers = workers
         self.batch_deadline = batch_deadline
         self.cache = cache
-        self.memo_warm_start = memo_warm_start
-        self.min_chunk = min_chunk
-        self._planners: dict[tuple, RewritePlanner] = {}
-        self._memo_store: dict[tuple, list] = {}
+        # The warm stores, by group fingerprint: serial mode's live
+        # planners and the other modes' exported memos.
+        self._planners = Memo(self.MEMO_STORE_MAX)
+        self._memo_store = Memo(self.MEMO_STORE_MAX)
 
     # ------------------------------------------------------------------
 
@@ -219,13 +209,12 @@ class BatchRewriteService:
 
     def _live_planner(self, group: RequestGroup) -> RewritePlanner:
         """Serial mode: one long-lived planner per fingerprint."""
-        planner = self._planners.get(group.key)
+        planner = self._planners.get(group.key, None)
         if planner is None:
             planner = RewritePlanner(
                 list(group.views), group.catalog, group.use_set_semantics
             )
-            self._planners[group.key] = planner
-            self._trim(self._planners)
+            self._planners.put(group.key, planner)
         return planner
 
     def _fresh_planner(self, group: RequestGroup) -> RewritePlanner:
@@ -233,20 +222,14 @@ class BatchRewriteService:
         planner = RewritePlanner(
             list(group.views), group.catalog, group.use_set_semantics
         )
-        memo = self._memo_store.get(group.key)
-        if memo and self.memo_warm_start:
+        memo = self._memo_store.get(group.key, None)
+        if memo:
             planner.import_memos(memo)
         return planner
 
-    def _store_memo(self, key: tuple, export: Optional[list]) -> None:
-        if not self.memo_warm_start or not export:
-            return
-        self._memo_store[key] = export[-self.MEMO_EXPORT_MAX:]
-        self._trim(self._memo_store)
-
-    def _trim(self, store: dict) -> None:
-        while len(store) > self.MEMO_STORE_MAX:
-            store.pop(next(iter(store)))
+    def _store_memo(self, key: tuple, export: list) -> None:
+        if export:
+            self._memo_store.put(key, export)
 
     def _fresh_snapshot(self) -> Optional[CacheSnapshot]:
         if self.cache is None:
@@ -285,7 +268,7 @@ class BatchRewriteService:
             deadline if deadline is not None else self.batch_deadline
         )
         groups = group_requests(requests)
-        chunks = chunk_groups(groups, workers, self.min_chunk)
+        chunks = chunk_groups(groups, workers)
 
         responses: list[Optional[RewriteResponse]] = [None] * len(requests)
         planner_stats: dict[str, int] = {}
@@ -439,14 +422,9 @@ class BatchRewriteService:
                         "views": group.views,
                         "use_set_semantics": group.use_set_semantics,
                         "members": members,
-                        "memo": (
-                            self._memo_store.get(group.key)
-                            if self.memo_warm_start
-                            else None
-                        ),
+                        "memo": self._memo_store.get(group.key, None),
                         "remaining": deadline.remaining(),
                         "snapshot": snapshot,
-                        "want_memo": self.memo_warm_start,
                         "memo_export_max": self.MEMO_EXPORT_MAX,
                         "collect_metrics": batch_reg is not None,
                     }

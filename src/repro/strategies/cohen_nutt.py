@@ -56,10 +56,11 @@ from ..blocks.exprs import Aggregate, AggFunc, columns_in
 from ..blocks.naming import FreshNames
 from ..blocks.query_block import QueryBlock, Relation, SelectItem, ViewDef
 from ..blocks.terms import Column, Comparison, Constant, Op
-from ..constraints.closure import Closure, closure_cache_enabled, closure_of
+from ..constraints.closure import Closure, closure_of
 from ..constraints.residual import find_residual
 from ..errors import NormalizationError
 from ..mappings.enumerate_mappings import enumerate_mappings
+from ..memo import MISSING
 from ..obs.budget import BudgetMeter, ensure_meter
 from ..core.canonical import canonical_key
 from ..core.common import ViewOccurrence, make_view_occurrence, query_namer
@@ -69,9 +70,8 @@ from ..core.result import Rewriting
 DIRECT = "cohen-nutt-direct"
 MAXMIN = "cohen-nutt-maxmin"
 
-#: Entries kept in the planner's ``cohen_nutt`` memo family.
+#: The planner memo family holding this strategy's per-query answers.
 MEMO_FAMILY = "cohen_nutt"
-MEMO_MAX = 2048
 
 
 def cohen_nutt_rewritings(
@@ -92,12 +92,9 @@ def cohen_nutt_rewritings(
     budget yields a sound prefix, never a wrong rewriting).
     """
     meter = None if budget is None else ensure_meter(budget)
-    memo = None
-    if planner is not None and closure_cache_enabled():
-        memo = planner.strategy_memo(MEMO_FAMILY)
-        cached = memo.get(query)
-        if cached is not None:
-            memo.move_to_end(query)
+    if planner is not None:
+        cached = planner.lookup(MEMO_FAMILY, query)
+        if cached is not MISSING:
             return list(cached)
     closure_q = closure_of(query.where)
     out: list[Rewriting] = []
@@ -113,13 +110,11 @@ def cohen_nutt_rewritings(
                 continue
             seen.add(key)
             out.append(rewriting)
-    if memo is not None and (meter is None or not meter.exhausted):
+    if planner is not None and (meter is None or not meter.exhausted):
         # Budget-tripped enumerations are partial; caching one would
         # poison later unbudgeted searches (same rule as the planner's
         # substitution memo).
-        memo[query] = tuple(out)
-        while len(memo) > MEMO_MAX:
-            memo.popitem(last=False)
+        planner.memo(MEMO_FAMILY).put(query, tuple(out))
     return out
 
 

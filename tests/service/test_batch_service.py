@@ -185,12 +185,30 @@ class TestWarmth:
         service = BatchRewriteService(mode="serial")
         requests = [scenario_request(5)] * 3
         service.submit(requests)
-        assert len(service._planners) == 1
-        planner = next(iter(service._planners.values()))
+        ((_key, planner),) = service._planners.items()
         hits_before = planner.stats.substitution_hits
         service.submit(requests)
-        assert next(iter(service._planners.values())) is planner
+        assert service._planners.items() == [(_key, planner)]
         assert planner.stats.substitution_hits > hits_before
+
+    def test_warm_store_evicts_least_recently_used(self, monkeypatch):
+        # The store evicted first-in-first-out: a fingerprint used in
+        # every batch was the first to go once the store had filled.
+        monkeypatch.setattr(BatchRewriteService, "MEMO_STORE_MAX", 4)
+        service = BatchRewriteService(mode="serial")
+        hot = [scenario_request(5)]
+        others = [[scenario_request(seed)] for seed in (6, 7, 8, 9)]
+        keys = {request_group_key(batch[0]) for batch in [hot] + others}
+        assert len(keys) == 5
+        service.submit(hot)
+        hot_key = request_group_key(hot[0])
+        planner = service._planners.get(hot_key)
+        for batch in others[:3]:  # fill the store to its cap
+            service.submit(batch)
+        service.submit(hot)
+        service.submit(others[3])  # one fingerprint too many
+        assert len(service._planners) == 4
+        assert service._planners.get(hot_key, None) is planner
 
     def test_process_mode_stores_memo_for_warm_start(self):
         service = BatchRewriteService(mode="process", workers=2)

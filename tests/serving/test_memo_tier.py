@@ -79,7 +79,10 @@ class TestLocalMemoTier:
 
         planner = full_planner()
         planner.import_memos(
-            [((("block", i), 0), []) for i in range(MEMO_EXPORT_MAX)]
+            [
+                ("substitution", (("block", i), 0), [])
+                for i in range(MEMO_EXPORT_MAX)
+            ]
             + [
                 ("cohen_nutt", ("query", i), ())
                 for i in range(MEMO_EXPORT_MAX)
@@ -92,8 +95,8 @@ class TestLocalMemoTier:
         tier.publish(("k",), ("V0",), export)
         warm = full_planner()
         warm.import_memos(entry_of(tier, ("k",)).memo)
-        assert len(warm._substitutions) == MEMO_EXPORT_MAX
-        assert len(warm.strategy_memo("cohen_nutt")) == MEMO_EXPORT_MAX
+        assert len(warm.memo("substitution")) == MEMO_EXPORT_MAX
+        assert len(warm.memo("cohen_nutt")) == MEMO_EXPORT_MAX
 
 
 class TestSharedMemoTier:

@@ -174,7 +174,7 @@ def test_strategy_family_insert_alone_makes_the_next_export_non_empty():
 
     planner = cache._planners[key].planner
     version = planner.memo_version
-    planner.strategy_memo("cohen_nutt")[("k",)] = ("v",)
+    planner.memo("cohen_nutt").put(("k",), ("v",))
     assert planner.memo_version > version
     _r, _k, _v, export, path = cache.run(request_for(sc))
     assert path == WARM_LOCAL

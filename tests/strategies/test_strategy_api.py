@@ -123,55 +123,64 @@ class TestMemoFamilies:
     def _planner(self, case):
         return RewritePlanner([case.view], case.catalog())
 
-    def test_strategy_memo_is_per_family(self):
+    def test_memo_is_per_family(self):
         planner = self._planner(CASES[0])
-        a = planner.strategy_memo("cohen_nutt")
-        b = planner.strategy_memo("other")
-        a[("k",)] = ("v",)
+        a = planner.memo("cohen_nutt")
+        b = planner.memo("other")
+        a.put(("k",), ("v",))
         assert ("k",) not in b
-        assert planner.strategy_memo("cohen_nutt") is a
+        assert planner.memo("cohen_nutt") is a
+        assert planner.memo("substitution") is planner.memos["substitution"]
 
-    def test_family_inserts_move_the_memo_version(self):
+    def test_an_insert_into_either_family_moves_the_memo_version(self):
         case = CASES[0]
         planner = self._planner(case)
         before = planner.memo_version
+        planner.all_rewritings(case.query)
+        searched = planner.memo_version
+        assert searched > before  # the substitution family learned
         first = cohen_nutt_rewritings(
             case.query, [case.view], planner=planner
         )
         assert first
         learned = planner.memo_version
-        assert learned > before
+        assert learned > searched  # and so did the cohen_nutt family
         # A memo hit teaches the planner nothing.
         cohen_nutt_rewritings(case.query, [case.view], planner=planner)
+        planner.all_rewritings(case.query)
         assert planner.memo_version == learned
 
     def test_export_import_round_trip(self):
-        planner = self._planner(CASES[0])
-        planner.strategy_memo("cohen_nutt")[("k1",)] = ("v1",)
-        planner.strategy_memo("cohen_nutt")[("k2",)] = ("v2",)
-        exported = planner.export_memos()
-        assert (("cohen_nutt", ("k1",), ("v1",))) in exported
-        other = self._planner(CASES[0])
-        adopted = other.import_memos(exported)
-        assert adopted >= 2
-        memo = other.strategy_memo("cohen_nutt")
-        assert memo[("k1",)] == ("v1",)
-        assert memo[("k2",)] == ("v2",)
-
-    def test_substitution_entries_travel_as_two_tuples(self):
-        """The substitution memo keeps its pre-family wire shape, so
-        snapshots taken before strategies existed import unchanged next
-        to the family entries."""
+        """One entry shape: every family, substitution included, travels
+        as ``(family, key, value)`` and survives export -> import whole."""
         case = CASES[0]
         planner = self._planner(case)
         planner.all_rewritings(case.query)
-        planner.strategy_memo("cohen_nutt")[("k",)] = ("v",)
+        planner.memo("cohen_nutt").put(("k1",), ("v1",))
+        planner.memo("cohen_nutt").put(("k2",), ("v2",))
         exported = planner.export_memos()
-        substitutions = [e for e in exported if len(e) == 2]
-        assert substitutions and len(exported) == len(substitutions) + 1
+        assert all(len(entry) == 3 for entry in exported)
+        families = {family for family, _key, _value in exported}
+        assert families == {"substitution", "cohen_nutt"}
+        assert ("cohen_nutt", ("k1",), ("v1",)) in exported
+
         other = self._planner(case)
         assert other.import_memos(exported) == len(exported)
-        assert all(entry in exported for entry in other.export_memos())
+        assert other.export_memos() == exported
+        assert other.memo("cohen_nutt").get(("k2",)) == ("v2",)
+        # Existing entries win a re-import.
+        assert other.import_memos(exported) == 0
+
+    def test_import_drops_out_of_range_substitution_entries(self):
+        planner = self._planner(CASES[0])
+        adopted = planner.import_memos(
+            [
+                ("substitution", ("block", 0), []),
+                ("substitution", ("block", 7), []),
+            ]
+        )
+        assert adopted == 1
+        assert ("block", 7) not in planner.memo("substitution")
 
     def test_search_warms_from_imported_memo(self):
         case = CASES[0]
@@ -183,8 +192,7 @@ class TestMemoFamilies:
         exported = planner.export_memos()
         warm = self._planner(case)
         warm.import_memos(exported)
-        memo = warm.strategy_memo("cohen_nutt")
-        assert case.query in memo
+        assert case.query in warm.memo("cohen_nutt")
         again = cohen_nutt_rewritings(
             case.query, [case.view], planner=warm
         )

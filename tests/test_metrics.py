@@ -550,6 +550,59 @@ class TestPlannerInstrumentation:
             >= 1
         )
 
+    def test_memo_counts_per_family_for_a_fixed_sequence(self, telephony):
+        """``repro_planner_memo_total`` per family label on a cold
+        process: the counts every memo implementation must reproduce
+        (same keys, same caps, same hits)."""
+        from repro.core.planner import RewritePlanner
+        from repro.memo import clear_shared
+
+        other = QUERY.replace("Plan_Id", "Month")
+        clear_shared()
+        planner = RewritePlanner(
+            list(telephony.views.values()), telephony
+        )
+        registry = MetricsRegistry()
+        with collecting(registry):
+            for sql in (QUERY, other, QUERY):
+                planner.all_rewritings(parse_query(sql, telephony))
+        snapshot = registry.snapshot()
+        counts = {
+            family: tuple(
+                snapshot.counter_value(
+                    "repro_planner_memo_total",
+                    family=family,
+                    outcome=outcome,
+                )
+                for outcome in ("hit", "miss")
+            )
+            for family in (
+                "closure", "canonical_key", "residual", "substitution"
+            )
+        }
+        assert counts == {
+            "closure": (5, 2),
+            "canonical_key": (4, 4),
+            "residual": (1, 1),
+            "substitution": (1, 2),
+        }
+
+    def test_strategy_family_lookups_are_recorded(self, telephony):
+        from repro import RewriteEngine
+
+        engine = RewriteEngine(telephony)  # one planner for both calls
+        registry = MetricsRegistry()
+        with collecting(registry):
+            engine.rewrite(QUERY, strategy="cohen_nutt")
+            engine.rewrite(QUERY, strategy="cohen_nutt")
+        snapshot = registry.snapshot()
+        for outcome in ("miss", "hit"):
+            assert snapshot.counter_value(
+                "repro_planner_memo_total",
+                family="cohen_nutt",
+                outcome=outcome,
+            ) == 1
+
     def test_nothing_recorded_when_off(self, telephony):
         registry = MetricsRegistry()
         result = api.rewrite(QUERY, catalog=telephony)

@@ -1,10 +1,10 @@
-"""Accounting for the planner-layer memoization caches.
+"""Wiring of the search-core memos, plus QueryCache accounting.
 
-Covers the closure memo, the canonical-key intern table, the residual
-memo and the planner's substitution memo — hit/miss/eviction/bypass
-bookkeeping and the cache-disable switches — plus two QueryCache
-regressions: the LRU touch on ``try_answer`` hits and the incrementally
-maintained ``size_rows`` total.
+One test group per memo for what is specific to it — its key, what it
+shares and what it copies; the hit/miss/eviction/bypass accounting all
+of them inherit from `repro.memo.Memo` is in ``tests/test_memo.py``.
+Then two QueryCache regressions: the LRU touch on ``try_answer`` hits
+and the incrementally maintained ``size_rows`` total.
 """
 
 import random
@@ -14,26 +14,11 @@ import pytest
 from repro import Catalog, Database, parse_query, table
 from repro.blocks.terms import Column, Comparison, Constant, Op
 from repro.cache import QueryCache
-from repro.constraints import closure as closure_mod
-from repro.constraints import residual as residual_mod
-from repro.constraints.closure import (
-    clear_closure_cache,
-    closure_cache_disabled,
-    closure_cache_stats,
-    closure_of,
-)
-from repro.constraints.residual import (
-    clear_residual_cache,
-    find_residual,
-    residual_cache_stats,
-)
-from repro.core.canonical import (
-    canonical_cache_disabled,
-    canonical_cache_stats,
-    canonical_key,
-    clear_canonical_cache,
-)
-from repro.core.planner import RewritePlanner, baseline_mode
+from repro.constraints.closure import closure_of
+from repro.constraints.residual import find_residual
+from repro.core.canonical import canonical_key
+from repro.core.planner import RewritePlanner, baseline_mode, cache_stats
+from repro.memo import clear_shared
 from repro.workloads import star
 
 
@@ -42,111 +27,63 @@ def atoms(n, offset=0):
     return [Comparison(cols[i], Op.LT, cols[i + 1]) for i in range(n)]
 
 
-class TestClosureCache:
-    def setup_method(self):
-        clear_closure_cache()
+def counts(name):
+    stats = cache_stats()[name]
+    return stats["hits"], stats["misses"]
 
-    def test_hit_and_miss_accounting(self):
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    clear_shared()
+
+
+class TestClosureMemo:
+    def test_order_insensitive_key_and_shared_instance(self):
         conj = atoms(3)
-        first = closure_of(conj)
-        second = closure_of(conj)
-        assert first is second  # the memo shares the instance
-        stats = closure_cache_stats()
-        assert (stats.hits, stats.misses) == (1, 1)
-        assert stats.hit_rate == pytest.approx(0.5)
+        assert closure_of(conj) is closure_of(list(reversed(conj)))
+        assert counts("closure") == (1, 1)
 
-    def test_order_insensitive_key(self):
-        conj = atoms(3)
-        closure_of(conj)
-        closure_of(list(reversed(conj)))
-        stats = closure_cache_stats()
-        assert (stats.hits, stats.misses) == (1, 1)
-
-    def test_disabled_counts_bypasses(self):
+    def test_baseline_mode_returns_distinct_instances(self):
         conj = atoms(2)
-        with closure_cache_disabled():
-            a = closure_of(conj)
-            b = closure_of(conj)
-        assert a is not b
-        stats = closure_cache_stats()
-        assert stats.bypasses == 2
-        assert stats.hits == stats.misses == 0
-
-    def test_eviction_accounting(self, monkeypatch):
-        monkeypatch.setattr(closure_mod, "CLOSURE_CACHE_MAX", 2)
-        closure_of(atoms(1, offset=0))
-        closure_of(atoms(1, offset=10))
-        closure_of(atoms(1, offset=20))  # evicts the oldest
-        stats = closure_cache_stats()
-        assert stats.evictions == 1
-        closure_of(atoms(1, offset=0))  # the evicted key misses again
-        assert closure_cache_stats().misses == 4
+        with baseline_mode():
+            assert closure_of(conj) is not closure_of(conj)
+        assert cache_stats()["closure"]["bypasses"] == 2
+        assert counts("closure") == (0, 0)
 
 
-class TestCanonicalCache:
-    def setup_method(self):
-        clear_canonical_cache()
-
+class TestCanonicalMemo:
     @pytest.fixture
     def catalog(self):
         return Catalog([table("R", ["A", "B"])])
 
-    def test_hit_and_miss_accounting(self, catalog):
-        block = parse_query("SELECT A FROM R WHERE B > 1", catalog)
-        key1 = canonical_key(block)
-        key2 = canonical_key(block)
-        assert key1 == key2
-        stats = canonical_cache_stats()
-        assert (stats.hits, stats.misses) == (1, 1)
-
     def test_equal_blocks_share_entry(self, catalog):
         one = parse_query("SELECT A FROM R", catalog)
         two = parse_query("SELECT A FROM R", catalog)
+        assert one is not two
         canonical_key(one)
         canonical_key(two)
-        stats = canonical_cache_stats()
-        assert (stats.hits, stats.misses) == (1, 1)
-
-    def test_disabled_counts_bypasses(self, catalog):
-        block = parse_query("SELECT A FROM R", catalog)
-        with canonical_cache_disabled():
-            canonical_key(block)
-            canonical_key(block)
-        stats = canonical_cache_stats()
-        assert stats.bypasses == 2
+        assert counts("canonical_key") == (1, 1)
 
     def test_cached_key_matches_uncached(self, catalog):
         block = parse_query(
             "SELECT A, SUM(B) FROM R WHERE A > 0 GROUP BY A", catalog
         )
         warm = canonical_key(block)
-        with canonical_cache_disabled():
+        with baseline_mode():
             cold = canonical_key(block)
         assert warm == cold
 
 
-class TestResidualCache:
-    def setup_method(self):
-        clear_residual_cache()
-        clear_closure_cache()
-
-    def test_hit_accounting_and_copy_semantics(self):
+class TestResidualMemo:
+    def test_callers_get_private_list_copies(self):
         conds_q = atoms(4) + [Comparison(Column("c0"), Op.GE, Constant(0))]
         view_conds = conds_q[:2]
         allowed = [Column(f"c{i}") for i in range(5)]
         first = find_residual(conds_q, view_conds, allowed)
         second = find_residual(conds_q, view_conds, allowed)
         assert first == second
-        assert first is not second  # callers get private lists
-        stats = residual_cache_stats()
-        assert (stats["hits"], stats["misses"]) == (1, 1)
-
-    def test_disabled_with_closure_switch(self):
-        conds_q = atoms(3)
-        with closure_cache_disabled():
-            find_residual(conds_q, conds_q[:1], [Column("c0")])
-        stats = residual_cache_stats()
-        assert stats["hits"] == stats["misses"] == 0
+        assert first is not second
+        assert counts("residual") == (1, 1)
 
 
 class TestPlannerSubstitutionMemo:
@@ -159,6 +96,9 @@ class TestPlannerSubstitutionMemo:
         planner.all_rewritings(query, include_partial=False)
         assert planner.stats.substitution_misses == misses_after_first
         assert planner.stats.substitution_hits >= misses_after_first
+        assert planner.stats.as_dict()["substitution_hits"] == (
+            planner.memo("substitution").hits
+        )
 
     def test_baseline_mode_bypasses_memo(self):
         wl = star.generate(n_sales=100)
@@ -169,6 +109,7 @@ class TestPlannerSubstitutionMemo:
             planner.all_rewritings(query)
         assert planner.stats.substitution_hits == 0
         assert planner.stats.substitution_misses == 0
+        assert planner.memo_version == 0
 
 
 class TestQueryCacheAccounting:
