@@ -7,12 +7,17 @@ script exercises the deployment path end to end:
 1. start ``python -m repro serve`` as a subprocess, wait for its
    ``serve-ready`` line and read the bound port;
 2. drive a mixed hot/cold workload through ``repro.api.connect`` —
-   repeated hot fingerprints, one-off view-subset fingerprints, and a
-   base-table update mid-stream — asserting every envelope;
-3. restart with ``--queue-limit 0`` and assert overload is refused
+   repeated hot fingerprints, one-off view-subset fingerprints (one of
+   them reading a view it did not pin), and a base-table update
+   mid-stream — asserting every envelope;
+3. write the first round's rewrite lines to a JSONL file, run
+   ``python -m repro batch`` on it and require each line's rewritings
+   to equal what the daemon returned — the "a batch file replays
+   against a daemon verbatim" promise, on real processes;
+4. restart with ``--queue-limit 0`` and assert overload is refused
    *in-band* (degraded response, ``queue_full`` tripped, connection
    survives);
-4. leave ``serve-metrics.prom`` behind (written by ``--metrics-out``
+5. leave ``serve-metrics.prom`` behind (written by ``--metrics-out``
    even on failure) for CI to upload as an artifact.
 
 Exit code 0 means every assertion held.
@@ -44,6 +49,32 @@ HOT_QUERY = (
     "SELECT Plan_Id, SUM(Charge) FROM Calls "
     "WHERE Year = 1995 GROUP BY Plan_Id"
 )
+
+#: Reads one view while pinning the other: the daemon must parse it
+#: against the whole catalog, as `repro batch` does.
+OVER_YEARLY = "SELECT Plan_Id, SUM(Total) FROM Yearly GROUP BY Plan_Id"
+
+
+def replay_through_batch(schema: str, tmp: str, replay: list) -> None:
+    """`repro batch` over the recorded lines must answer as the daemon did."""
+    lines = Path(tmp) / "replay.jsonl"
+    lines.write_text("".join(json.dumps(wire) + "\n" for wire, _ in replay))
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "batch",
+            "--schema", schema, "--mode", "serial", str(lines),
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    docs = [json.loads(line) for line in done.stdout.splitlines()]
+    assert len(docs) == len(replay), (len(docs), len(replay))
+    for doc, (wire, served) in zip(docs, replay):
+        assert doc["ok"], doc
+        assert doc["result"]["rewritings"] == served, (wire, doc, served)
 
 
 def start_daemon(schema: str, metrics_out: str, *extra: str):
@@ -94,19 +125,31 @@ def main() -> int:
         pong = client.ping()
         assert pong["ok"] and pong["result"]["pong"] is True, pong
         baseline = None
+        replay = []  # round 0's (wire line, served rewritings) pairs
+
+        def rewrite(sql, **fields):
+            doc = client.rewrite(sql, **fields)
+            assert doc["ok"], doc
+            if round_no == 0:  # before any update moves the statistics
+                replay.append(
+                    ({"op": "rewrite", "sql": sql, **fields},
+                     doc["result"]["rewritings"])
+                )
+            return doc
+
         for round_no in range(3):
             for i in range(6):  # hot: one fingerprint, re-asked
-                doc = client.rewrite(
+                doc = rewrite(
                     HOT_QUERY, tenant="dash", id=f"h{round_no}-{i}"
                 )
-                assert doc["ok"] and doc["result"]["rewritings"], doc
+                assert doc["result"]["rewritings"], doc
                 sqls = [r["sql"] for r in doc["result"]["rewritings"]]
                 if baseline is None:
                     baseline = sqls
                 assert sqls == baseline, (round_no, i)
             for view in ("Yearly", "Totals"):  # cold-ish subsets
-                doc = client.rewrite(HOT_QUERY, views=[view])
-                assert doc["ok"], doc
+                rewrite(HOT_QUERY, views=[view])
+            rewrite(OVER_YEARLY, views=["Totals"])  # ok: true is the point
             # an update lands mid-stream: epoch bumps, serving continues
             update = client.update(
                 "Calls", insert=[[round_no, 1, 1995, 10]]
@@ -119,7 +162,9 @@ def main() -> int:
         families = metrics["result"]["metrics"]["families"]
         assert "repro_serving_requests_total" in families, sorted(families)
         stop_daemon(proc, client)
-        print("mixed workload: ok (3 rounds, 24 rewrites, 3 updates)")
+        print("mixed workload: ok (3 rounds, 27 rewrites, 3 updates)")
+        replay_through_batch(schema, tmp, replay)
+        print(f"batch replay: ok ({len(replay)} lines equal the daemon's)")
 
         # -- overload under a zero-size queue refuses in-band
         proc, port = start_daemon(

@@ -66,27 +66,19 @@ from . import api
 from .blocks.normalize import parse_query
 from .blocks.to_sql import block_to_sql, view_to_sql
 from .catalog.load import load_schema
-from .core.explain import explain_usability
 from .core.rewriter import RewriteEngine
 from .equivalence import check_equivalent
 from .errors import ReproError
 from .obs import SearchBudget
-from .service import MODES, RewriteRequest
+from .service import MODES
 from .service.requests import API_SCHEMA
 
 
 def _budget_from(args) -> Optional[SearchBudget]:
     """A SearchBudget from the --deadline-ms / --max-* flags, or None."""
-    deadline = getattr(args, "deadline_ms", None)
-    max_mappings = getattr(args, "max_mappings", None)
-    max_candidates = getattr(args, "max_candidates", None)
-    if deadline is None and max_mappings is None and max_candidates is None:
-        return None
-    return SearchBudget(
-        deadline=deadline / 1000.0 if deadline is not None else None,
-        max_mappings=max_mappings,
-        max_candidates=max_candidates,
-    )
+    from .serving.protocol import budget_from_wire
+
+    return budget_from_wire(vars(args))
 
 
 def _print_search_report(result) -> None:
@@ -122,65 +114,53 @@ def _query_from(args, catalog, queries):
 def cmd_rewrite(args) -> int:
     catalog, queries = _load(args)
     query = _query_from(args, catalog, queries)
-    if args.json:
-        response = api.rewrite(
-            query,
-            catalog=catalog,
-            budget=_budget_from(args),
-            unfold=args.unfold,
-            trace=args.trace,
-            strategy=args.strategy,
-        )
-        print(json.dumps(api.to_envelope(response), indent=2))
-        return 0 if response.rewritings else 1
-    engine = RewriteEngine(catalog)
-    result = engine.rewrite(
+    response = api.rewrite(
         query,
-        unfold=args.unfold,
+        catalog=catalog,
         budget=_budget_from(args),
+        unfold=args.unfold,
         trace=args.trace,
         strategy=args.strategy,
     )
-    print(f"-- query (estimated cost {result.original_cost:,.0f}):")
-    print(block_to_sql(result.query))
-    if not result.ranked:
+    if args.json:
+        print(json.dumps(api.to_envelope(response), indent=2))
+        return 0 if response.rewritings else 1
+    print(f"-- query (estimated cost {response.original_cost:,.0f}):")
+    print(block_to_sql(response.query))
+    if not response.ranked:
         print("\n-- no usable view found")
         if args.explain:
             print()
-            for view in engine.views:
-                print(explain_usability(result.query, view, catalog).summary())
-        _print_search_report(result)
+            for diagnosis in api.explain(response.query, catalog).diagnoses:
+                print(diagnosis.summary())
+        _print_search_report(response)
         return 1
-    shown = result.ranked if args.all else result.ranked[:1]
+    shown = response.ranked if args.all else response.ranked[:1]
     for i, ranked in enumerate(shown, 1):
         print(
-            f"\n-- rewriting {i} of {len(result.ranked)} "
+            f"\n-- rewriting {i} of {len(response.ranked)} "
             f"(estimated cost {ranked.cost:,.0f}, "
             f"uses {', '.join(ranked.rewriting.view_names)}):"
         )
         print(ranked.rewriting.sql())
-    _print_search_report(result)
+    _print_search_report(response)
     return 0
 
 
 def cmd_explain(args) -> int:
     catalog, queries = _load(args)
     query = _query_from(args, catalog, queries)
+    response = api.explain(query, catalog, view=args.view or None)
     if args.json:
-        response = api.explain(query, catalog, view=args.view or None)
         print(json.dumps(api.to_envelope(response), indent=2))
         return 0
-    views = list(catalog.views.values())
-    if args.view:
-        views = [catalog.view(args.view)]
-    for view in views:
-        print(explain_usability(query, view, catalog).summary())
+    for diagnosis in response.diagnoses:
+        print(diagnosis.summary())
         print()
     if args.trace:
         # Where the time goes: run the full instrumented search once.
-        engine = RewriteEngine(catalog)
-        result = engine.rewrite(
-            query, budget=_budget_from(args), trace=True
+        result = api.rewrite(
+            query, catalog=catalog, budget=_budget_from(args), trace=True
         )
         print(
             f"-- search: {len(result.ranked)} rewriting(s) found"
@@ -189,33 +169,9 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def _parse_batch_line(
-    obj: dict, line_no: int, catalog, default_strategy: str = "c1c4"
-) -> RewriteRequest:
-    """One JSONL object -> RewriteRequest (see docs/api.md for fields)."""
-    from .serving.protocol import budget_from_wire
-    from .strategies import normalize_strategy
-
-    if "query" not in obj:
-        raise ReproError(f"line {line_no}: missing required field 'query'")
-    try:
-        strategy = normalize_strategy(
-            obj.get("strategy", default_strategy)
-        )
-    except ReproError as error:
-        raise ReproError(f"line {line_no}: {error}") from error
-    return RewriteRequest(
-        query=obj["query"],
-        catalog=catalog,
-        budget=budget_from_wire(obj),
-        max_steps=obj.get("max_steps", 3),
-        unfold=obj.get("unfold", False),
-        request_id=str(obj.get("id", f"line-{line_no}")),
-        strategy=strategy,
-    )
-
-
 def cmd_batch(args) -> int:
+    from .serving.protocol import parse_line, request_from_wire
+
     catalog, _queries = _load(args)
     requests = []
     with open(args.requests) as handle:
@@ -223,21 +179,15 @@ def cmd_batch(args) -> int:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            # The daemon's own line parser: a batch file replays against
+            # `repro serve` verbatim, and both refuse the same lines.
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise ReproError(
-                    f"{args.requests}:{line_no}: not valid JSON ({error})"
-                ) from error
-            if not isinstance(obj, dict):
-                raise ReproError(
-                    f"{args.requests}:{line_no}: expected a JSON object"
-                )
-            requests.append(
-                _parse_batch_line(
-                    obj, line_no, catalog, default_strategy=args.strategy
-                )
-            )
+                obj = parse_line(line, line_no)
+                obj.setdefault("id", f"line-{line_no}")
+                obj.setdefault("strategy", args.strategy)
+                requests.append(request_from_wire(obj, catalog, line_no))
+            except ReproError as error:
+                raise ReproError(f"{args.requests}: {error}") from error
     if not requests:
         raise ReproError(f"{args.requests}: no requests found")
     result = api.rewrite_batch(

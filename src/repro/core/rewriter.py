@@ -14,18 +14,17 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .planner import RewritePlanner
+from typing import Optional, Sequence, Union
 
 from ..blocks.normalize import as_block, parse_view
 from ..blocks.query_block import QueryBlock, ViewDef
 from ..catalog.schema import Catalog
+from ..errors import ReproError
 from ..obs.budget import BudgetMeter, SearchBudget, ensure_meter
 from ..obs.trace import RewriteTrace, Tracer, span, tracing
 from .cost import estimate_cost
 from .multiview import all_rewritings, single_view_rewritings
+from .planner import RewritePlanner
 from .result import Rewriting
 
 
@@ -47,14 +46,15 @@ class RewriteResult:
     during the search: ``ranked`` then holds a partial (but individually
     sound) result set and ``budget`` records which limits tripped and the
     work consumed. ``trace`` carries the stage-span tree when the rewrite
-    was called with ``trace=True``.
+    was called with ``trace=True``. A catalog-less :func:`search` cannot
+    rank: ``ranked`` is then empty and ``original_cost`` is ``None``.
     """
 
     def __init__(
         self,
         query: QueryBlock,
         ranked: list[RankedRewriting],
-        original_cost: float,
+        original_cost: Optional[float],
         exhausted: bool = False,
         budget: Optional[dict] = None,
         trace: Optional[RewriteTrace] = None,
@@ -115,7 +115,7 @@ def strategy_rewritings(
     query: QueryBlock,
     views: Sequence[ViewDef],
     *,
-    planner: Optional["RewritePlanner"] = None,
+    planner: Optional[RewritePlanner] = None,
     budget: Union[SearchBudget, BudgetMeter, None] = None,
     **search,
 ) -> list[Rewriting]:
@@ -139,6 +139,109 @@ def strategy_rewritings(
         candidates,
         cohen_nutt_rewritings(query, views, planner=planner, budget=budget),
     )
+
+
+def search(
+    query: Union[str, QueryBlock],
+    views: Sequence[ViewDef],
+    catalog: Optional[Catalog] = None,
+    *,
+    planner: Optional[RewritePlanner] = None,
+    use_set_semantics: bool = True,
+    strategy: str = "c1c4",
+    max_steps: int = 3,
+    unfold: bool = False,
+    include_partial: bool = True,
+    budget: Union[SearchBudget, BudgetMeter, None] = None,
+    trace: bool = False,
+) -> RewriteResult:
+    """The one body behind every rewrite: parse, normalise/unfold,
+    search, rank, trace.
+
+    :meth:`RewriteEngine.rewrite` and
+    :func:`repro.service.executor.execute_request` are thin callers, so
+    which front end asked cannot change the answer. The only thing a
+    caller chooses is ``planner`` — how warm the search starts; it must
+    have been built for these ``views`` / ``catalog`` /
+    ``use_set_semantics``, and ``None`` means "build a cold one".
+
+    Without a ``catalog`` there is nothing to parse against or rank
+    with: ``query`` must be a pre-parsed block, ``unfold`` does not
+    apply, ``ranked`` stays empty and ``original_cost`` is ``None``;
+    ``found`` holds the candidates in discovery order either way.
+    """
+    if catalog is None and not isinstance(query, QueryBlock):
+        raise ReproError(
+            "a textual query needs a catalog to parse against; pass "
+            "catalog= or a pre-parsed QueryBlock"
+        )
+    meter = ensure_meter(budget)
+    tracer = Tracer() if trace else None
+    if planner is None:
+        planner = RewritePlanner(views, catalog, use_set_semantics)
+
+    def run() -> RewriteResult:
+        with span("parse"):
+            block = as_block(query, catalog)
+        with span("normalize"):
+            block.validate()
+            if unfold and catalog is not None:
+                from ..blocks.unfold import unfold_views
+
+                block = unfold_views(block, catalog)
+        stats_before = (
+            planner.stats.as_dict() if tracer is not None else None
+        )
+        with span("search"):
+            candidates = strategy_rewritings(
+                strategy,
+                block,
+                views,
+                max_steps=max_steps,
+                include_partial=include_partial,
+                planner=planner,
+                budget=meter,
+            )
+        with span("rank"):
+            ranked = (
+                sorted(
+                    (
+                        RankedRewriting(
+                            rw,
+                            estimate_cost(rw.query, catalog, rw.aux_views),
+                        )
+                        for rw in candidates
+                    ),
+                    key=lambda r: (r.cost, r.rewriting.mapping_desc),
+                )
+                if catalog is not None
+                else []
+            )
+        if tracer is not None:
+            for name, value in planner.stats.as_dict().items():
+                if isinstance(value, int):
+                    delta = value - stats_before.get(name, 0)
+                    if delta:
+                        tracer.add(name, delta)
+        return RewriteResult(
+            block,
+            ranked,
+            estimate_cost(block, catalog) if catalog is not None else None,
+            exhausted=meter.exhausted if meter is not None else False,
+            budget=meter.as_dict() if meter is not None else None,
+            found=tuple(candidates),
+        )
+
+    if tracer is None:
+        return run()
+    with tracing(tracer):
+        result = run()
+    result.trace = RewriteTrace(
+        tracer.finish(),
+        counters=tracer.counters,
+        budget=meter.as_dict() if meter is not None else None,
+    )
+    return result
 
 
 def _rename_relation(block: QueryBlock, old: str, new: str) -> QueryBlock:
@@ -198,30 +301,22 @@ class NestedRewriteResult:
 class RewriteEngine:
     """Rewrites SQL queries to use the catalog's materialized views.
 
-    ``use_planner`` selects the indexed/memoized search of
-    :mod:`repro.core.planner` (default); the planner instance — and its
-    view-signature index — is shared across :meth:`rewrite` calls until
-    the view set changes.
+    One :class:`repro.core.planner.RewritePlanner` — and its
+    view-signature index and memos — is shared across :meth:`rewrite`
+    calls until the view set changes.
     """
 
     def __init__(
         self,
         catalog: Catalog,
         use_set_semantics: bool = True,
-        use_planner: bool = True,
         budget: Optional[SearchBudget] = None,
-        planner: Optional["RewritePlanner"] = None,
     ):
         self.catalog = catalog
         self.use_set_semantics = use_set_semantics
-        self.use_planner = use_planner
         # Per-query default budget; rewrite(budget=...) overrides per call.
         self.budget = budget
-        # ``planner`` adopts a prepared planner (and its warm substitution
-        # memo) — the batch service constructs one engine per worker and
-        # injects the group's shared planner here. The engine still
-        # replaces it if the view set drifts.
-        self._planner: Optional["RewritePlanner"] = planner
+        self._planner: Optional[RewritePlanner] = None
 
     # ------------------------------------------------------------------
 
@@ -240,9 +335,7 @@ class RewriteEngine:
         self._planner = None
         return view
 
-    def _shared_planner(self) -> "RewritePlanner":
-        from .planner import RewritePlanner
-
+    def _shared_planner(self) -> RewritePlanner:
         if self._planner is None or self._planner.views != self.views:
             self._planner = RewritePlanner(
                 self.views, self.catalog, self.use_set_semantics
@@ -287,89 +380,26 @@ class RewriteEngine:
         rewriting extras to the candidate set, deduplicated by
         canonical key.
         """
-        shared = (
-            views is None
-            and (catalog is None or catalog is self.catalog)
-            and self.use_planner
-        )
         catalog = catalog if catalog is not None else self.catalog
-        meter = ensure_meter(budget if budget is not None else self.budget)
-        tracer = Tracer() if trace else None
-
-        def run() -> RewriteResult:
-            from .planner import RewritePlanner
-
-            with span("parse"):
-                block = as_block(query, catalog)
-            with span("normalize"):
-                block.validate()
-                if unfold:
-                    from ..blocks.unfold import unfold_views
-
-                    block = unfold_views(block, catalog)
-            planner: Optional["RewritePlanner"] = None
-            if self.use_planner:
-                planner = (
-                    self._shared_planner()
-                    if shared
-                    else RewritePlanner(
-                        views if views is not None else self.views,
-                        catalog,
-                        self.use_set_semantics,
-                    )
-                )
-            stats_before = (
-                planner.stats.as_dict() if planner is not None else None
-            )
-            with span("search"):
-                candidates = strategy_rewritings(
-                    strategy,
-                    block,
-                    views if views is not None else self.views,
-                    catalog=catalog,
-                    use_set_semantics=self.use_set_semantics,
-                    max_steps=max_steps,
-                    include_partial=include_partial,
-                    use_planner=self.use_planner,
-                    planner=planner,
-                    budget=meter,
-                )
-            with span("rank"):
-                ranked = sorted(
-                    (
-                        RankedRewriting(
-                            rw,
-                            estimate_cost(rw.query, catalog, rw.aux_views),
-                        )
-                        for rw in candidates
-                    ),
-                    key=lambda r: (r.cost, r.rewriting.mapping_desc),
-                )
-            if tracer is not None and stats_before is not None:
-                for name, value in planner.stats.as_dict().items():
-                    if isinstance(value, int):
-                        delta = value - stats_before.get(name, 0)
-                        if delta:
-                            tracer.add(name, delta)
-            return RewriteResult(
-                block,
-                ranked,
-                estimate_cost(block, catalog),
-                exhausted=meter.exhausted if meter is not None else False,
-                budget=meter.as_dict() if meter is not None else None,
-                found=tuple(candidates),
-            )
-
-        if tracer is None:
-            return run()
-        with tracing(tracer):
-            result = run()
-        result.trace = RewriteTrace(
-            tracer.finish(),
-            counters=tracer.counters,
-            budget=meter.as_dict() if meter is not None else None,
+        return search(
+            query,
+            views if views is not None else self.views,
+            catalog,
+            # Warm only when the search is over exactly what the shared
+            # planner was built for: this engine's views and catalog.
+            planner=(
+                self._shared_planner()
+                if views is None and catalog is self.catalog
+                else None
+            ),
+            use_set_semantics=self.use_set_semantics,
+            strategy=strategy,
+            max_steps=max_steps,
+            unfold=unfold,
+            include_partial=include_partial,
+            budget=budget if budget is not None else self.budget,
+            trace=trace,
         )
-        return result
 
     def rewrite_with(
         self, query: Union[str, QueryBlock], view: ViewDef
@@ -423,7 +453,6 @@ class RewriteEngine:
                 catalog=working,
                 use_set_semantics=self.use_set_semantics,
                 max_steps=max_steps,
-                use_planner=self.use_planner,
                 budget=meter,
             ):
                 cost = estimate_cost(

@@ -30,7 +30,7 @@ from .batcher import (
     view_fingerprint,
 )
 from .degradation import BATCH_DEADLINE, BatchDeadline, refused_response
-from .executor import build_engine, execute_request
+from .executor import execute_request
 from .pool import MODES, BatchRewriteService
 from .requests import (
     API_SCHEMA,
@@ -49,7 +49,6 @@ __all__ = [
     "RequestGroup",
     "RewriteRequest",
     "RewriteResponse",
-    "build_engine",
     "catalog_fingerprint",
     "chunk_groups",
     "execute_request",

@@ -2,8 +2,18 @@
 
 Every execution mode funnels through :func:`execute_request`: the
 ``repro.api`` facade calls it inline, the serial batch mode loops over
-it, and thread/process workers run it once per request in their chunk.
-One code path is what makes the batch-parity guarantee testable at all.
+it, thread/process workers run it once per request in their chunk and
+the serving daemon's :class:`~repro.serving.worker.PlannerCache` calls
+it with the fingerprint's planner. It probes the semantic cache and
+hands the request to :func:`repro.core.rewriter.search` — the one body
+that parses, searches, ranks and traces, with or without a catalog. One
+code path is what makes the batch-parity guarantee testable at all.
+
+Which planner
+    A caller passes the planner it keeps warm for the request's
+    ``(views, catalog keys, semantics)`` fingerprint, or nothing; the
+    search then builds a cold one. That is the only thing a front end
+    chooses, and it can never change the answer.
 
 Determinism rule
     Requests whose budget carries *count* limits (``max_mappings`` /
@@ -23,15 +33,10 @@ from typing import Optional, Union
 
 from ..blocks.query_block import QueryBlock
 from ..cache import CacheSnapshot
-from ..catalog.schema import Catalog
 from ..core.cost import estimate_cost
 from ..core.planner import RewritePlanner
 from ..core.result import Rewriting
-from ..core.rewriter import (
-    RankedRewriting,
-    RewriteEngine,
-    strategy_rewritings,
-)
+from ..core.rewriter import RankedRewriting, search
 from ..errors import ReproError
 from ..obs.budget import BudgetMeter, SearchBudget, ensure_meter
 from ..obs.metrics import MetricsRegistry, collecting, current_metrics
@@ -41,21 +46,9 @@ from .requests import RewriteRequest, RewriteResponse
 _UNSET = object()
 
 
-def build_engine(
-    catalog: Catalog,
-    use_set_semantics: bool = True,
-    planner: Optional[RewritePlanner] = None,
-) -> RewriteEngine:
-    """One worker's engine: re-entrant, with an optional warm planner."""
-    return RewriteEngine(
-        catalog, use_set_semantics=use_set_semantics, planner=planner
-    )
-
-
 def execute_request(
     request: RewriteRequest,
     *,
-    engine: Optional[RewriteEngine] = None,
     planner: Optional[RewritePlanner] = None,
     budget: Union[SearchBudget, BudgetMeter, None, object] = _UNSET,
     cache_snapshot: Optional[CacheSnapshot] = None,
@@ -63,9 +56,10 @@ def execute_request(
 ) -> RewriteResponse:
     """Run one request and shape the outcome into a `RewriteResponse`.
 
-    ``engine`` is the chunk's shared engine (built once per worker);
-    omitted, a fresh one is constructed — both are equivalent apart from
-    planner warmth. ``budget`` overrides the request's own budget (the
+    ``planner`` is the caller's warm planner for this request's
+    fingerprint (the chunk's, or the daemon's cached one); omitted, the
+    search builds a cold one — both are equivalent apart from warmth.
+    ``budget`` overrides the request's own budget (the
     batch deadline overlay); the default sentinel means "use the
     request's". With ``capture_errors`` a :class:`ReproError` becomes an
     error response instead of propagating — the batch contract.
@@ -78,12 +72,12 @@ def execute_request(
     """
     if not request.collect_metrics:
         return _attempt(
-            request, engine, planner, budget, cache_snapshot, capture_errors
+            request, planner, budget, cache_snapshot, capture_errors
         )
     local = MetricsRegistry()
     with collecting(local):
         response = _attempt(
-            request, engine, planner, budget, cache_snapshot, capture_errors
+            request, planner, budget, cache_snapshot, capture_errors
         )
     snapshot = local.snapshot()
     parent = current_metrics()
@@ -94,7 +88,6 @@ def execute_request(
 
 def _attempt(
     request: RewriteRequest,
-    engine: Optional[RewriteEngine],
     planner: Optional[RewritePlanner],
     budget,
     cache_snapshot: Optional[CacheSnapshot],
@@ -102,9 +95,7 @@ def _attempt(
 ) -> RewriteResponse:
     started = time.perf_counter()
     try:
-        response = _run(
-            request, engine, planner, budget, cache_snapshot, started
-        )
+        response = _run(request, planner, budget, cache_snapshot, started)
     except ReproError as error:
         if not capture_errors:
             raise
@@ -139,7 +130,6 @@ def _attempt(
 
 def _run(
     request: RewriteRequest,
-    engine: Optional[RewriteEngine],
     planner: Optional[RewritePlanner],
     budget,
     cache_snapshot: Optional[CacheSnapshot],
@@ -157,45 +147,20 @@ def _run(
             )
         cache_info = {"served_from_cache": False}
 
-    if request.catalog is None:
-        response = _run_bare(request, planner, meter)
-    else:
-        response = _run_engine(request, engine, meter)
-    return replace(
-        response,
-        cache=cache_info if cache_info is not None else response.cache,
-        elapsed=time.perf_counter() - started,
-    )
-
-
-def _run_engine(
-    request: RewriteRequest,
-    engine: Optional[RewriteEngine],
-    meter: Optional[BudgetMeter],
-) -> RewriteResponse:
-    if engine is None:
-        engine = build_engine(request.catalog, request.use_set_semantics)
-    views = request.views
-    if views is not None and list(views) == engine.views:
-        # Explicitly passing the catalog's own view set is the same
-        # search as views=None — normalize so it stays eligible for the
-        # engine's shared (group-warm) planner.
-        views = None
-    if views is None and request.has_count_budget():
-        # Force the explicit-views path: all_rewritings builds a cold
-        # planner, keeping count-budget trip points batch-independent.
-        views = request.effective_views()
-    # The engine's catalog is the request's — or the group's fingerprint-
-    # equal stand-in — so the shared-planner fast path stays eligible.
-    result = engine.rewrite(
+    if request.has_count_budget():
+        planner = None  # the determinism rule: plan cold
+    result = search(
         request.query,
-        views=views,
+        request.effective_views(),
+        request.catalog,
+        planner=planner,
+        use_set_semantics=request.use_set_semantics,
+        strategy=request.strategy,
         max_steps=request.max_steps,
         unfold=request.unfold,
+        include_partial=request.include_partial,
         budget=meter,
         trace=request.trace,
-        include_partial=request.include_partial,
-        strategy=request.strategy,
     )
     return RewriteResponse(
         query=result.query,
@@ -205,46 +170,9 @@ def _run_engine(
         exhausted=result.exhausted,
         budget=result.budget,
         trace=result.trace,
+        cache=cache_info,
         request_id=request.request_id,
-    )
-
-
-def _run_bare(
-    request: RewriteRequest,
-    planner: Optional[RewritePlanner],
-    meter: Optional[BudgetMeter],
-) -> RewriteResponse:
-    """The catalog-less path, for requests that carry parsed blocks only.
-
-    No parsing, no unfolding, no cost ranking — candidates come back in
-    discovery order only. Tracing is not supported here.
-    """
-    query = request.query
-    if isinstance(query, str):
-        raise ReproError(
-            "a textual query needs a catalog to parse against; pass "
-            "catalog= or a pre-parsed QueryBlock"
-        )
-    query.validate()
-    views = request.effective_views()
-    if request.has_count_budget():
-        planner = None  # cold search for deterministic trip points
-    candidates = strategy_rewritings(
-        request.strategy,
-        query,
-        views,
-        use_set_semantics=request.use_set_semantics,
-        max_steps=request.max_steps,
-        include_partial=request.include_partial,
-        planner=planner,
-        budget=meter,
-    )
-    return RewriteResponse(
-        query=query,
-        rewritings=tuple(candidates),
-        exhausted=meter.exhausted if meter is not None else False,
-        budget=meter.as_dict() if meter is not None else None,
-        request_id=request.request_id,
+        elapsed=time.perf_counter() - started,
     )
 
 

@@ -50,7 +50,7 @@ from ..obs.metrics import MetricsRegistry, collecting, current_metrics
 from ..obs.trace import RewriteTrace, merge_spans
 from .batcher import RequestGroup, chunk_groups, group_requests
 from .degradation import BatchDeadline, refused_response
-from .executor import build_engine, execute_request
+from .executor import execute_request
 from .requests import BatchResult, RewriteRequest, RewriteResponse
 
 MODES = ("auto", "serial", "thread", "process")
@@ -62,20 +62,17 @@ SERIAL_THRESHOLD = 8
 
 
 def _execute_chunk(
-    group_catalog,
-    group_views,
-    use_set_semantics: bool,
     members,
     planner: Optional[RewritePlanner],
     deadline: Optional[BatchDeadline],
     snapshot: Optional[CacheSnapshot],
 ) -> list[tuple[int, RewriteResponse]]:
-    """Run one chunk's requests in order on one engine/planner."""
-    engine = (
-        build_engine(group_catalog, use_set_semantics, planner)
-        if group_catalog is not None
-        else None
-    )
+    """Run one chunk's requests in order on the group's planner.
+
+    Each member is parsed and ranked against its own catalog; the group
+    key guarantees those are fingerprint-equal, so one planner serves
+    them all.
+    """
     out: list[tuple[int, RewriteResponse]] = []
     for position, request in members:
         if deadline is not None and deadline.expired:
@@ -95,7 +92,6 @@ def _execute_chunk(
         )
         response = execute_request(
             request,
-            engine=engine,
             planner=planner,
             budget=overlay,
             cache_snapshot=snapshot,
@@ -128,12 +124,13 @@ def _process_chunk(payload: dict) -> dict:
     shipped memo, runs the chunk, and returns results plus the memo
     export and cache-lookup counters for the master to merge.
     """
-    catalog = payload["catalog"]
-    views = payload["views"]
-    semantics = payload["use_set_semantics"]
     deadline = BatchDeadline(payload["remaining"])
     snapshot = payload["snapshot"]
-    planner = RewritePlanner(list(views), catalog, semantics)
+    planner = RewritePlanner(
+        list(payload["views"]),
+        payload["catalog"],
+        payload["use_set_semantics"],
+    )
     if payload["memo"]:
         planner.import_memos(payload["memo"])
     # Worker-local registry: the snapshot ships back for the master to
@@ -142,9 +139,7 @@ def _process_chunk(payload: dict) -> dict:
         MetricsRegistry() if payload.get("collect_metrics") else None
     )
     results = _run_chunk_collected(
-        registry,
-        catalog, views, semantics, payload["members"],
-        planner, deadline, snapshot,
+        registry, payload["members"], planner, deadline, snapshot
     )
     return {
         "results": results,
@@ -359,9 +354,7 @@ class BatchRewriteService:
             before = planner.stats.as_dict()
             snapshot = self._fresh_snapshot()
             for position, response in _run_chunk_collected(
-                batch_reg,
-                group.catalog, group.views, group.use_set_semantics,
-                members, planner, deadline, snapshot,
+                batch_reg, members, planner, deadline, snapshot
             ):
                 responses[position] = response
             after = planner.stats.as_dict()
@@ -386,9 +379,7 @@ class BatchRewriteService:
             # shared batch registry is thread-safe, so tasks record into
             # it directly — nothing to merge, nothing counted twice.
             results = _run_chunk_collected(
-                batch_reg,
-                group.catalog, group.views, group.use_set_semantics,
-                members, planner, deadline, snapshot,
+                batch_reg, members, planner, deadline, snapshot
             )
             return group, results, planner, snapshot
 
@@ -483,9 +474,7 @@ class BatchRewriteService:
         planner = self._fresh_planner(group)
         snapshot = self._fresh_snapshot()
         for position, response in _run_chunk_collected(
-            batch_reg,
-            group.catalog, group.views, group.use_set_semantics,
-            members, planner, deadline, snapshot,
+            batch_reg, members, planner, deadline, snapshot
         ):
             responses[position] = response
         self._store_memo(group.key, planner.export_memos(self.MEMO_EXPORT_MAX))

@@ -10,8 +10,8 @@ Layers, bottom up:
     bounded request queue and per-tenant quotas; overload refuses
     in-band, never drops a connection;
 :mod:`repro.serving.protocol`
-    the ``repro-api/1`` JSONL wire format and the strategy registry
-    (the planner extension point);
+    the ``repro-api/1`` JSONL wire format: the one line parser shared
+    with ``repro batch``, and the serving fingerprint;
 :mod:`repro.serving.worker`
     request execution with shared-memo warm start (the epoch protocol's
     reader side);
@@ -45,7 +45,6 @@ from .protocol import (
     OPS,
     ProtocolError,
     parse_line,
-    register_strategy,
     request_from_wire,
     resolve_strategy,
     serving_group_key,
@@ -76,7 +75,6 @@ __all__ = [
     "create_memo_tier",
     "parse_address",
     "parse_line",
-    "register_strategy",
     "request_from_wire",
     "resolve_strategy",
     "serving_group_key",

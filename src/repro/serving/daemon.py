@@ -59,7 +59,6 @@ from .protocol import (
     ProtocolError,
     parse_line,
     request_from_wire,
-    resolve_strategy,
     strategy_names,
 )
 from .worker import PlannerCache, init_worker, run_in_worker
@@ -344,8 +343,6 @@ class RewriteDaemon:
 
     async def _op_rewrite(self, obj: dict, line_no: int) -> dict:
         request = request_from_wire(obj, self.catalog, line_no)
-        strategy = obj.get("strategy")
-        resolve_strategy(strategy)  # refuse unknown names up front
         tenant = str(obj.get("tenant") or DEFAULT_TENANT)
 
         reason = self.admission.admit(tenant)
@@ -366,21 +363,15 @@ class RewriteDaemon:
                     else request.budget.merged_with(cap)
                 )
                 request = replace(request, budget=tightened)
-            loop = asyncio.get_running_loop()
-            if self.workers > 0:
-                result = await loop.run_in_executor(
+            response, key, view_names, export, _path = (
+                await asyncio.get_running_loop().run_in_executor(
                     self._pool,
-                    run_in_worker,
-                    (request, strategy),
+                    run_in_worker
+                    if self.workers > 0
+                    else self._planner_cache.run,
+                    request,
                 )
-            else:
-                result = await loop.run_in_executor(
-                    self._pool,
-                    functools.partial(
-                        self._run_serial, request, strategy
-                    ),
-                )
-            response, key, view_names, export, _path = result
+            )
             if export:
                 # Single-writer discipline: only this (master) process
                 # publishes into the shared tier. An empty export means
@@ -400,9 +391,6 @@ class RewriteDaemon:
             )
         finally:
             self.admission.release(tenant)
-
-    def _run_serial(self, request, strategy):
-        return self._planner_cache.run(request, strategy)
 
     def _count_request(
         self, tenant: str, outcome: str, seconds: Optional[float] = None

@@ -17,28 +17,31 @@ Request objects::
     {"op": "ping"} | {"op": "metrics"} | {"op": "shutdown"}
 
 ``op`` defaults to ``rewrite`` when the object carries ``sql``/
-``query``, so the line format is a superset of ``repro batch`` input.
+``query``. ``repro batch`` reads its input file with the same
+:func:`parse_line` and :func:`request_from_wire`, so a batch file
+replays against a daemon verbatim and both refuse a malformed line with
+the same message.
 
-The ``strategy`` field is the planner extension point: it names a
-registered request runner. ``"default"`` is the plain executor (which
-honors whatever ``strategy`` the request itself carries); ``"c1c4"``,
-``"cohen_nutt"`` and ``"both"`` pin the engine-level strategies of
-:mod:`repro.strategies` — ``cohen_nutt``/``both`` add the Cohen–Nutt
-complete-rewriting extras to the C1–C4 result set. Unknown strategies
-refuse in-band with the known names listed.
+The ``strategy`` field is a name, validated here and carried in
+``RewriteRequest.strategy``: ``"c1c4"``, ``"cohen_nutt"`` and
+``"both"`` are the strategies of :mod:`repro.strategies` —
+``cohen_nutt``/``both`` add the Cohen–Nutt complete-rewriting extras to
+the C1–C4 result set — and ``"default"`` (or absent) means ``c1c4``,
+the paper's search. Unknown names refuse in-band with the known names
+listed.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Optional
+from typing import Optional
 
 from ..catalog.schema import Catalog
 from ..errors import ReproError
 from ..obs.budget import SearchBudget
 from ..service.batcher import view_fingerprint
-from ..service.executor import execute_request
-from ..service.requests import RewriteRequest, RewriteResponse
+from ..service.requests import RewriteRequest
+from ..strategies import STRATEGY_NAMES, normalize_strategy
 
 #: Ops a daemon understands.
 OPS = ("rewrite", "update", "ping", "metrics", "shutdown")
@@ -51,57 +54,23 @@ class ProtocolError(ReproError):
     """A request line the daemon could not make sense of."""
 
 
-# ----------------------------------------------------------------------
-# Strategy registry (the per-request planner extension point)
-
-#: A strategy runs one request on a (possibly warm) planner/engine and
-#: returns a RewriteResponse. Signature matches execute_request's
-#: keyword surface so new strategies can reuse the shared executor.
-StrategyRunner = Callable[..., RewriteResponse]
-
-
-def _default_strategy(request, **kwargs) -> RewriteResponse:
-    return execute_request(request, capture_errors=True, **kwargs)
-
-
-def _pinned_strategy(name: str) -> StrategyRunner:
-    """A runner that forces the engine-level strategy ``name``."""
-
-    def run(request, **kwargs) -> RewriteResponse:
-        from dataclasses import replace
-
-        return execute_request(
-            replace(request, strategy=name), capture_errors=True, **kwargs
-        )
-
-    return run
-
-
-_STRATEGIES: dict[str, StrategyRunner] = {
-    DEFAULT_STRATEGY: _default_strategy,
-    "c1c4": _pinned_strategy("c1c4"),
-    "cohen_nutt": _pinned_strategy("cohen_nutt"),
-    "both": _pinned_strategy("both"),
-}
-
-
-def register_strategy(name: str, runner: StrategyRunner) -> None:
-    """Register a request-execution strategy under ``name``."""
-    _STRATEGIES[name] = runner
-
-
 def strategy_names() -> tuple[str, ...]:
-    return tuple(sorted(_STRATEGIES))
+    """Every name the wire ``strategy`` field accepts."""
+    return tuple(sorted((DEFAULT_STRATEGY, *STRATEGY_NAMES)))
 
 
-def resolve_strategy(name: Optional[str]) -> StrategyRunner:
-    runner = _STRATEGIES.get(name or DEFAULT_STRATEGY)
-    if runner is None:
+def resolve_strategy(name: Optional[str]) -> Optional[str]:
+    """Validate a wire strategy name: the engine-level strategy to pin
+    in ``RewriteRequest.strategy``, or ``None`` for ``"default"`` /
+    absent (leave the request's own)."""
+    if not name or name == DEFAULT_STRATEGY:
+        return None
+    if name not in STRATEGY_NAMES:
         raise ProtocolError(
             f"unknown strategy {name!r}; known: "
             + ", ".join(strategy_names())
         )
-    return runner
+    return name
 
 
 # ----------------------------------------------------------------------
@@ -131,10 +100,25 @@ def parse_line(line: str, line_no: int = 0) -> dict:
     return obj
 
 
-def budget_from_wire(obj: dict) -> Optional[SearchBudget]:
-    deadline_ms = obj.get("deadline_ms")
-    max_mappings = obj.get("max_mappings")
-    max_candidates = obj.get("max_candidates")
+def _number(obj: dict, name: str, line_no: int, integer: bool = True):
+    """``obj[name]`` when it is a JSON number of the wanted kind, ``None``
+    when absent; anything else is refused, never coerced."""
+    value = obj.get(name)
+    if value is None:
+        return None
+    wanted = int if integer else (int, float)
+    if not isinstance(value, wanted) or isinstance(value, bool):
+        expected = "an integer" if integer else "a number"
+        raise ProtocolError(f"line {line_no}: {name!r} must be {expected}")
+    return value
+
+
+def budget_from_wire(obj: dict, line_no: int = 0) -> Optional[SearchBudget]:
+    """The search budget a wire object (or a CLI namespace's ``vars``)
+    carries in ``deadline_ms`` / ``max_mappings`` / ``max_candidates``."""
+    deadline_ms = _number(obj, "deadline_ms", line_no, integer=False)
+    max_mappings = _number(obj, "max_mappings", line_no)
+    max_candidates = _number(obj, "max_candidates", line_no)
     if (
         deadline_ms is None
         and max_mappings is None
@@ -168,25 +152,22 @@ def request_from_wire(
             views = tuple(catalog.view(name) for name in names)
         except ReproError as error:
             raise ProtocolError(f"line {line_no}: {error}") from error
+    try:
+        strategy = normalize_strategy(resolve_strategy(obj.get("strategy")))
+    except ProtocolError as error:
+        raise ProtocolError(f"line {line_no}: {error}") from error
+    max_steps = _number(obj, "max_steps", line_no)
     request_id = obj.get("id")
-    from ..strategies import STRATEGY_NAMES
-
-    wire_strategy = obj.get("strategy")
     return RewriteRequest(
         query=sql,
         catalog=catalog,
         views=views,
-        budget=budget_from_wire(obj),
-        max_steps=int(obj.get("max_steps", 3)),
+        budget=budget_from_wire(obj, line_no),
+        max_steps=max_steps if max_steps is not None else 3,
         unfold=bool(obj.get("unfold", False)),
         collect_metrics=bool(obj.get("collect_metrics", False)),
         request_id=str(request_id) if request_id is not None else None,
-        # Engine-level names ride in the request itself; other values
-        # (e.g. "default", or a runner registered by an extension) are
-        # the runner's business — resolve_strategy already vetted them.
-        strategy=(
-            wire_strategy if wire_strategy in STRATEGY_NAMES else "c1c4"
-        ),
+        strategy=strategy,
     )
 
 

@@ -12,20 +12,20 @@ reader side of the epoch protocol:
    build a planner and warm it with :meth:`import_memos` (the entry
    cannot be stale — invalidation removes entries, it never leaves old
    bytes findable); absent means plan cold;
-4. run the request through the registered strategy (the shared
-   :func:`repro.service.executor.execute_request` by default, so the
-   batch service's determinism rules — count-budgeted requests always
-   plan cold — hold verbatim in the daemon);
+4. hand the request and that planner to the shared
+   :func:`repro.service.executor.execute_request` — the same call the
+   batch service makes, so its determinism rule (count-budgeted requests
+   always plan cold) holds verbatim in the daemon;
 5. hand the planner's memo export back to the caller, but only when
    the planner's memo version moved since this cache last exported it
    (a new planner always exports once); otherwise the export is empty
    and nothing is published. Workers never write the tier: the daemon
    master is the single writer and publishes the non-empty exports.
 
-Requests that pin an explicit view subset run against a restricted
-catalog clone so the engine's shared-planner fast path (and therefore
-the warm memo) applies to them too; their fingerprints then respond to
-invalidation independently of full-catalog traffic.
+Requests that pin an explicit view subset get a planner of their own
+(the fingerprint covers only the pinned views) and are parsed and ranked
+against the full catalog like any other request; their fingerprints
+respond to invalidation independently of full-catalog traffic.
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from ..catalog.schema import Catalog
 from ..core.planner import RewritePlanner
 from ..obs.metrics import current_metrics
-from ..service.executor import build_engine
+from ..service.executor import execute_request
 from ..service.requests import RewriteRequest, RewriteResponse
 from .memo import MEMO_EXPORT_MAX, SharedMemoTier
 from .protocol import resolve_strategy, serving_group_key
@@ -57,14 +56,6 @@ def _observe_path(path: str) -> None:
             "warm-started from the shared memo tier, or cold.",
             ("path",),
         ).labels(path).inc()
-
-
-def _restricted_catalog(catalog: Catalog, views) -> Catalog:
-    """A clone of ``catalog`` registering only ``views``."""
-    clone = Catalog(list(catalog.tables.values()))
-    for view in views:
-        clone.add_view(view, row_count=catalog.row_count(view.name))
-    return clone
 
 
 @dataclass
@@ -101,33 +92,22 @@ class PlannerCache:
         daemon master to publish (single-writer discipline) — empty when
         the planner gained no entry since its last export, so the master
         has nothing to publish; ``path`` reports how the planner was
-        obtained.
+        obtained. ``strategy`` is a wire strategy name for callers that
+        hold one beside the request; a pinning name overrides
+        ``request.strategy``.
         """
+        pinned = resolve_strategy(strategy)
+        if pinned is not None:
+            request = replace(request, strategy=pinned)
         key = serving_group_key(request)
         views = request.effective_views()
         view_names = tuple(v.name for v in views)
 
-        if request.views is not None and request.catalog is not None:
-            if set(view_names) != set(request.catalog.views):
-                request = replace(
-                    request,
-                    catalog=_restricted_catalog(request.catalog, views),
-                    views=None,
-                )
-            else:
-                request = replace(request, views=None)
-
         cached, path = self._planner_for(key, views, request)
         planner = cached.planner
-        engine = (
-            build_engine(
-                request.catalog, request.use_set_semantics, planner
-            )
-            if request.catalog is not None
-            else None
+        response = execute_request(
+            request, planner=planner, capture_errors=True
         )
-        runner = resolve_strategy(strategy)
-        response = runner(request, engine=engine, planner=planner)
         version = planner.memo_version
         if version != cached.exported_version:
             export = planner.export_memos(MEMO_EXPORT_MAX)
@@ -183,13 +163,12 @@ def init_worker(memo_name: Optional[str]) -> None:
     _WORKER_CACHE = PlannerCache(_WORKER_TIER)
 
 
-def run_in_worker(payload: tuple):
+def run_in_worker(request: RewriteRequest):
     """One request in a pool worker; returns the PlannerCache.run tuple.
 
-    ``payload`` is ``(request, strategy)``. The response, fingerprint,
-    view names, memo export and planner path travel back pickled; the
-    master publishes the export into the shared tier.
+    The response, fingerprint, view names, memo export and planner path
+    travel back pickled; the master publishes the export into the
+    shared tier.
     """
-    request, strategy = payload
     assert _WORKER_CACHE is not None, "init_worker did not run"
-    return _WORKER_CACHE.run(request, strategy)
+    return _WORKER_CACHE.run(request)

@@ -23,18 +23,17 @@ the alternatives:
 
 The strategy name travels end to end: ``repro.api.rewrite(strategy=...)``,
 ``--strategy`` on the ``rewrite`` / ``batch`` / ``fuzz`` CLI commands,
-the ``strategy`` field of a ``repro-api/1`` wire request (the serving
-daemon registers one runner per name), and the ``strategy`` field of
-``repro-fuzz/1`` repro files. See ``docs/strategies.md``.
+the ``strategy`` field of a ``repro-api/1`` wire request (validated
+and carried in ``RewriteRequest.strategy``), and the ``strategy`` field
+of ``repro-fuzz/1`` repro files. See ``docs/strategies.md``.
 """
 
 from __future__ import annotations
 
 from ..errors import ReproError
 
-#: Engine-level strategy names, in documentation order. The serving
-#: daemon's registry additionally keeps ``default`` as an alias of the
-#: plain executor (which honors the request's own ``strategy`` field).
+#: Engine-level strategy names, in documentation order. The wire
+#: protocol additionally accepts ``default``, meaning ``c1c4``.
 STRATEGY_NAMES = ("c1c4", "cohen_nutt", "both")
 
 #: What unannotated requests (and pre-strategy repro-fuzz/1 files) mean.

@@ -95,6 +95,16 @@ class TestRewrite:
         assert response.trace is not None
         assert response.trace.root.seconds >= 0
 
+    def test_trace_captured_without_a_catalog(self):
+        """One body: the catalog-less path traces like any other."""
+        scenario = random_scenario(3)
+        response = api.rewrite(
+            scenario.query, views=tuple(scenario.views), trace=True
+        )
+        assert response.trace is not None
+        assert "search" in response.trace.root.children
+        assert response.ranked == () and response.original_cost is None
+
     def test_json_projection_schema(self, telephony):
         catalog, query = telephony
         payload = api.rewrite(query, catalog).to_json_dict()

@@ -146,6 +146,21 @@ def test_protocol_errors_are_in_band(scenario):
             assert client.ping()["ok"] is True
 
 
+def test_non_numeric_limit_is_refused_in_band(scenario):
+    """Limits are validated, not coerced: the daemon gives the message
+    `repro batch` gives for the same line (tests/test_cli.py)."""
+    sc, db = scenario
+    with running_daemon(sc.catalog, database=db) as daemon:
+        with connect(daemon) as client:
+            client.ping()
+            doc = client.request({"sql": "SELECT 1", "max_steps": "3"})
+            assert doc["ok"] is False
+            assert doc["error"]["message"] == (
+                "line 2: 'max_steps' must be an integer"
+            )
+            assert client.ping()["ok"] is True
+
+
 def test_update_invalidates_and_keeps_serving(scenario):
     sc, db = scenario
     sql = block_to_sql(sc.query)
@@ -237,7 +252,7 @@ def test_second_worker_warm_starts_from_the_first_workers_publish(
         paths = []
         for _round in range(60):
             nap = daemon._pool.submit(time.sleep, 0.02)
-            run = daemon._pool.submit(run_in_worker, (request, None))
+            run = daemon._pool.submit(run_in_worker, request)
             paths.append(run.result(timeout=30)[4])
             nap.result(timeout=30)
             if paths[-1] == WARM_SHARED:

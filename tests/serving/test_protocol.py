@@ -9,13 +9,12 @@ import pytest
 from repro.serving import (
     ProtocolError,
     parse_line,
-    register_strategy,
     request_from_wire,
     resolve_strategy,
     serving_group_key,
     strategy_names,
 )
-from repro.serving.protocol import _STRATEGIES, budget_from_wire
+from repro.serving.protocol import budget_from_wire
 from repro.workloads.random_queries import random_scenario
 
 
@@ -102,12 +101,12 @@ class TestRequestFromWire:
 class TestStrategies:
     def test_default_registered(self):
         assert "default" in strategy_names()
-        assert resolve_strategy(None) is resolve_strategy("default")
+        assert resolve_strategy(None) is resolve_strategy("default") is None
 
     def test_engine_strategies_registered(self):
         for name in ("c1c4", "cohen_nutt", "both"):
             assert name in strategy_names()
-            assert callable(resolve_strategy(name))
+            assert resolve_strategy(name) == name
 
     def test_unknown_lists_known(self):
         with pytest.raises(ProtocolError, match="known: .*default"):
@@ -120,24 +119,81 @@ class TestStrategies:
             sc.catalog,
         )
         assert request.strategy == "both"
-        # Runner-level names (and anything else) leave the request's
-        # own engine strategy at the default.
+        # "default" leaves the request's own strategy at the default.
         request = request_from_wire(
             {"op": "rewrite", "sql": "SELECT 1", "strategy": "default"},
             sc.catalog,
         )
         assert request.strategy == "c1c4"
 
-    def test_register_and_resolve(self):
-        def runner(request, **kwargs):
-            raise AssertionError("never run")
+    def test_resolve_is_a_validator(self):
+        """No runner registry: a name resolves to the engine-level
+        strategy to pin, or to None for the default."""
+        from repro.strategies import STRATEGY_NAMES
 
-        register_strategy("experimental", runner)
-        try:
-            assert resolve_strategy("experimental") is runner
-            assert "experimental" in strategy_names()
-        finally:
-            _STRATEGIES.pop("experimental")
+        assert strategy_names() == ("both", "c1c4", "cohen_nutt", "default")
+        for name in strategy_names():
+            resolved = resolve_strategy(name)
+            assert resolved == (None if name == "default" else name)
+            assert resolved is None or resolved in STRATEGY_NAMES
+        assert resolve_strategy(None) is None
+        with pytest.raises(ProtocolError) as refusal:
+            resolve_strategy("experimental")
+        for name in strategy_names():
+            assert name in str(refusal.value)
+
+    def test_unknown_wire_strategy_refused_with_line(self):
+        sc = random_scenario(3)
+        with pytest.raises(ProtocolError, match="line 4: unknown strategy"):
+            request_from_wire(
+                {"op": "rewrite", "sql": "SELECT 1", "strategy": "nope"},
+                sc.catalog,
+                4,
+            )
+
+
+class TestNumericLimits:
+    """Limits are validated, never coerced — `repro batch` and the
+    daemon refuse the same line with the same message."""
+
+    @pytest.mark.parametrize(
+        "name, bad, expected",
+        [
+            ("max_steps", "3", "an integer"),
+            ("max_steps", 2.5, "an integer"),
+            ("max_steps", True, "an integer"),
+            ("max_mappings", "500", "an integer"),
+            ("max_candidates", [1], "an integer"),
+            ("deadline_ms", "50", "a number"),
+        ],
+    )
+    def test_bad_value_names_line_and_field(self, name, bad, expected):
+        sc = random_scenario(3)
+        with pytest.raises(ProtocolError) as refusal:
+            request_from_wire(
+                {"op": "rewrite", "sql": "SELECT 1", name: bad},
+                sc.catalog,
+                7,
+            )
+        assert str(refusal.value) == f"line 7: '{name}' must be {expected}"
+
+    def test_numbers_pass_through(self):
+        sc = random_scenario(3)
+        request = request_from_wire(
+            {
+                "op": "rewrite",
+                "sql": "SELECT 1",
+                "max_steps": 2,
+                "deadline_ms": 12.5,
+                "max_mappings": 9,
+                "max_candidates": None,
+            },
+            sc.catalog,
+        )
+        assert request.max_steps == 2
+        assert request.budget.deadline == 0.0125
+        assert request.budget.max_mappings == 9
+        assert request.budget.max_candidates is None
 
 
 class TestServingGroupKey:

@@ -64,7 +64,7 @@ def test_warm_responses_match_cold_planner(seed):
     assert warm.original_cost == cold.original_cost
 
 
-def test_view_subset_request_uses_restricted_shared_planner():
+def test_view_subset_request_gets_its_own_warm_planner():
     for seed in range(0, 50):
         sc = random_scenario(seed)
         if len(sc.views) >= 2:
@@ -82,10 +82,57 @@ def test_view_subset_request_uses_restricted_shared_planner():
     # Parity with the explicit-views cold path.
     cold = execute_request(request_for(sc, views=pinned))
     assert rewriting_sqls(response) == rewriting_sqls(cold)
-    # Second run is warm: the restricted catalog is cached by key.
+    # Second run is warm: the pinned subset's planner is cached by key.
     _r2, key2, _v2, _e2, path2 = cache.run(request_for(sc, views=pinned))
     assert key2 == key
     assert path2 == WARM_LOCAL
+
+
+def test_pinned_request_may_read_an_unpinned_view():
+    """A pinned request is parsed against the whole catalog, exactly as
+    the batch path parses it: FROM may name a view outside the pin."""
+    from repro import Catalog, RewriteEngine, table
+    from repro.serving import request_from_wire
+
+    catalog = Catalog(
+        [table("Calls", ["Call_Id", "Plan_Id", "Year", "Charge"],
+               key=["Call_Id"])]
+    )
+    engine = RewriteEngine(catalog)
+    engine.add_view(
+        "CREATE VIEW Yearly (Plan_Id, Year, Total) AS SELECT Plan_Id, "
+        "Year, SUM(Charge) FROM Calls GROUP BY Plan_Id, Year"
+    )
+    engine.add_view(
+        "CREATE VIEW ByPlan (Plan_Id, Total) AS SELECT Plan_Id, "
+        "SUM(Charge) FROM Calls GROUP BY Plan_Id"
+    )
+    request = request_from_wire(
+        {
+            "sql": "SELECT Plan_Id, SUM(Total) FROM Yearly GROUP BY Plan_Id",
+            "views": ["ByPlan"],
+        },
+        catalog,
+    )
+    batch = execute_request(request, capture_errors=True)
+    assert batch.error is None
+    cache = PlannerCache(LocalMemoTier())
+    for _ in range(2):  # cold, then warm
+        served = cache.run(request)[0]
+        assert served.error is None
+        assert rewriting_sqls(served) == rewriting_sqls(batch)
+        assert served.original_cost == batch.original_cost
+
+
+def test_wire_strategy_argument_pins_the_request():
+    sc = random_scenario(7)
+    cache = PlannerCache(LocalMemoTier())
+    pinned = cache.run(request_for(sc), "both")[0]
+    riding = cache.run(request_for(sc, strategy="both"))[0]
+    assert rewriting_sqls(pinned) == rewriting_sqls(riding)
+    # "default" / None leave the request's own strategy alone.
+    kept = cache.run(request_for(sc, strategy="both"), "default")[0]
+    assert rewriting_sqls(kept) == rewriting_sqls(riding)
 
 
 def test_count_budgeted_requests_stay_deterministic():

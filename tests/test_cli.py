@@ -278,3 +278,82 @@ class TestFuzz:
         assert doc["result"]["base_seed"] == 3
         assert doc["result"]["scenarios"] == 25
         assert doc["result"]["failures"] == 0
+
+
+class TestBatchLines:
+    """`repro batch` reads lines with the daemon's own parser."""
+
+    def run(self, schema_file, tmp_path, capsys, *lines):
+        import json
+
+        path = tmp_path / "requests.jsonl"
+        path.write_text(
+            "".join(
+                (l if isinstance(l, str) else json.dumps(l)) + "\n"
+                for l in lines
+            )
+        )
+        code = main(["batch", "--schema", schema_file, str(path)])
+        captured = capsys.readouterr()
+        return code, captured, str(path)
+
+    def test_non_numeric_limit_refuses_the_file_without_traceback(
+        self, schema_file, tmp_path, capsys
+    ):
+        code, captured, path = self.run(
+            schema_file,
+            tmp_path,
+            capsys,
+            {"query": QUERY},
+            {"query": QUERY, "max_steps": "3"},
+        )
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: line 2: 'max_steps' must be an integer\n"
+        )
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ({"query": QUERY, "deadline_ms": "50"}, "'deadline_ms' must be"),
+            ("{not json", "line 1: not valid JSON"),
+            ("[1, 2]", "line 1: expected a JSON object"),
+            ({"id": "x"}, "line 1: unknown op"),
+            ({"query": QUERY, "strategy": "nope"}, "line 1: unknown strat"),
+            ({"query": QUERY, "views": ["Nope"]}, "line 1: "),
+        ],
+    )
+    def test_bad_lines_refuse_with_file_and_line(
+        self, schema_file, tmp_path, capsys, line, message
+    ):
+        code, captured, path = self.run(schema_file, tmp_path, capsys, line)
+        assert code == 2
+        assert captured.err.startswith(f"error: {path}: ")
+        assert message in captured.err
+
+    def test_wire_fields_are_accepted(self, schema_file, tmp_path, capsys):
+        import json
+
+        code, captured, _ = self.run(
+            schema_file,
+            tmp_path,
+            capsys,
+            "# a comment, then a bare string, then the full wire shape",
+            json.dumps(QUERY),
+            {
+                "op": "rewrite",
+                "sql": QUERY,
+                "id": "wired",
+                "views": ["Monthly"],
+                "strategy": "both",
+                "collect_metrics": True,
+                "max_steps": 2,
+            },
+        )
+        assert code == 0
+        first, second = map(json.loads, captured.out.splitlines())
+        assert first["id"] == "line-2" and second["id"] == "wired"
+        assert first["result"]["rewritings"]
+        assert second["result"]["metrics"] is not None
