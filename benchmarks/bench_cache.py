@@ -90,58 +90,3 @@ def test_miss_detection_latency(server, benchmark):
     cache = QueryCache(catalog)
     cache.remember(SUMMARY, db.execute(SUMMARY))
     benchmark(lambda: cache.find_rewriting(ROLLUPS[-1]))
-
-
-# ----------------------------------------------------------------------
-# Machine-readable metrics (BENCH_rewriting.json)
-# ----------------------------------------------------------------------
-
-
-def _make_server(n_calls: int = 5_000):
-    catalog = telephony_catalog(n_calls=n_calls)
-    rng = random.Random(17)
-    calls = [
-        (
-            i,
-            rng.randrange(100),
-            rng.randrange(8),
-            rng.randint(1, 28),
-            rng.randint(1, 12),
-            rng.choice([1994, 1995]),
-            rng.randint(1, 500),
-        )
-        for i in range(n_calls)
-    ]
-    return catalog, Database(catalog, {"Calls": calls})
-
-
-def collect_cache_metrics(repeats: int = 5) -> dict:
-    """Semantic-cache lookup latency, baseline vs planner-backed."""
-    from repro.bench import time_best
-    from repro.core.planner import baseline_mode
-
-    catalog, db = _make_server()
-    cache = QueryCache(catalog)
-    cache.remember(SUMMARY, db.execute(SUMMARY))
-
-    def sweep():
-        return sum(
-            1 for sql in ROLLUPS if cache.find_rewriting(sql) is not None
-        )
-
-    hits = sweep()
-    assert hits == len(ROLLUPS) - 1, (
-        f"telephony rollup hit count changed: {hits}/{len(ROLLUPS)}"
-    )
-    with baseline_mode():
-        t_baseline = time_best(sweep, repeats=repeats)
-    sweep()  # warm
-    t_planner = time_best(sweep, repeats=repeats)
-    return {
-        "workload": "telephony-rollups",
-        "lookups": len(ROLLUPS),
-        "hits": hits,
-        "baseline_seconds": t_baseline,
-        "planner_seconds": t_planner,
-        "speedup": t_baseline / t_planner if t_planner > 0 else None,
-    }

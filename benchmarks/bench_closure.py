@@ -95,43 +95,3 @@ def test_residual_computation(benchmark):
     view_conds = conds_q[:6]
     allowed = [Column(f"x{i}") for i in range(0, 13, 2)]
     benchmark(lambda: find_residual(conds_q, view_conds, allowed))
-
-
-# ----------------------------------------------------------------------
-# Machine-readable metrics (BENCH_rewriting.json)
-# ----------------------------------------------------------------------
-
-
-def collect_closure_metrics(repeats: int = 5) -> dict:
-    """Closure construction cost and the closure-memo payoff."""
-    from repro.constraints.closure import closure_of
-    from repro.memo import shared_memos
-
-    scaling = []
-    for n in (8, 16, 32):
-        atoms = chain(n)
-        scaling.append(
-            {
-                "atoms": len(atoms),
-                "entailed_atoms": len(Closure(atoms)),
-                "seconds": time_best(
-                    lambda a=atoms: len(Closure(a)), repeats=repeats
-                ),
-            }
-        )
-
-    # Memo payoff: the same conjunction re-closed, as repeated C2/C3
-    # checks do during a multi-view search.
-    atoms = chain(16)
-    memo = shared_memos()["closure"]
-    memo.clear()
-    t_cold = time_best(lambda: Closure(atoms), repeats=repeats)
-    closure_of(atoms)  # prime
-    t_memo = time_best(lambda: closure_of(atoms), repeats=repeats)
-    return {
-        "chain_scaling": scaling,
-        "construct_seconds": t_cold,
-        "memoized_seconds": t_memo,
-        "speedup": t_cold / t_memo if t_memo > 0 else None,
-        "cache_stats": memo.stats(),
-    }

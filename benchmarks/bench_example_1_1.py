@@ -8,6 +8,10 @@ We regenerate the claim as a series: evaluation time of Q (scans Calls)
 versus Q' (scans materialized V1) as |Calls| grows, plus the |V1|/|Calls|
 compression ratio. The *shape* to reproduce: speedup grows with |Calls|
 and exceeds an order of magnitude once |Calls| >> |V1|.
+
+Each series times both sides under one explicit ``engine=``: under
+``auto`` the largest size crosses ``COLUMNAR_AUTO_THRESHOLD`` while the
+smaller ones do not, and the series would compare two engines.
 """
 
 import pytest
@@ -30,9 +34,11 @@ def mid_setup():
     return wl, db, rewriting
 
 
-def test_speedup_series(bench_scale, benchmark):
+@pytest.mark.parametrize("engine_mode", ["row", "columnar"])
+def test_speedup_series(bench_scale, engine_mode, benchmark):
     table = ResultTable(
-        "E1: Example 1.1 original vs rewritten (seconds)",
+        f"E1: Example 1.1 original vs rewritten, {engine_mode} engine "
+        "(seconds)",
         ["calls", "view_rows", "t_original", "t_rewritten", "speedup"],
     )
     observed = []
@@ -44,10 +50,14 @@ def test_speedup_series(bench_scale, benchmark):
         rewriting = engine.rewrite(wl.query).best()
         db = wl.database()
         view_rows = len(db.materialize("V1"))
-        t_original = time_best(lambda: db.execute(wl.query), repeats=2)
+        t_original = time_best(
+            lambda: db.execute(wl.query, engine=engine_mode), repeats=2
+        )
         t_rewritten = time_best(
             lambda: db.execute(
-                rewriting.query, extra_views=rewriting.extra_views()
+                rewriting.query,
+                extra_views=rewriting.extra_views(),
+                engine=engine_mode,
             ),
             repeats=2,
         )
@@ -70,7 +80,9 @@ def test_speedup_series(bench_scale, benchmark):
     db.materialize("V1")
     benchmark(
         lambda: db.execute(
-            rewriting.query, extra_views=rewriting.extra_views()
+            rewriting.query,
+            extra_views=rewriting.extra_views(),
+            engine=engine_mode,
         )
     )
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """CI smoke for the serving daemon — a real ``repro serve`` process.
 
-Unlike ``bench_serving.py`` (in-process daemon, timing gates), this
-script exercises the deployment path end to end:
+Unlike ``tests/serving`` (in-process daemon), this script exercises the
+deployment path end to end and times nothing — the serving numbers are
+the ``serve-hot`` / ``serve-mixed`` rows of ``benchmarks/e2e``:
 
 1. start ``python -m repro serve`` as a subprocess, wait for its
    ``serve-ready`` line and read the bound port;

@@ -1,5 +1,5 @@
 """Benchmark harness helpers."""
 
-from .harness import BenchReport, ResultTable, speedup, time_best, time_once
+from .harness import ResultTable, speedup, time_best, time_once
 
-__all__ = ["BenchReport", "ResultTable", "speedup", "time_best", "time_once"]
+__all__ = ["ResultTable", "speedup", "time_best", "time_once"]

@@ -7,8 +7,6 @@ EXPERIMENTS.md data source.
 
 from __future__ import annotations
 
-import json
-import platform
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -77,40 +75,3 @@ def speedup(baseline: float, improved: float) -> Optional[float]:
     if improved <= 0:
         return None
     return baseline / improved
-
-
-@dataclass
-class BenchReport:
-    """A machine-readable benchmark report (``BENCH_rewriting.json``).
-
-    Each workload entry carries per-workload wall times, candidate counts
-    and cache statistics; ``write`` serializes the whole report with a
-    schema marker so downstream tooling can detect format drift.
-    """
-
-    SCHEMA = "repro-bench/1"
-
-    workloads: dict[str, dict] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-
-    def add_workload(self, name: str, **metrics: object) -> dict:
-        entry = self.workloads.setdefault(name, {})
-        entry.update(metrics)
-        return entry
-
-    def as_dict(self) -> dict:
-        return {
-            "schema": self.SCHEMA,
-            "generated_at": time.strftime(
-                "%Y-%m-%dT%H:%M:%S", time.gmtime()
-            ),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            **self.meta,
-            "workloads": self.workloads,
-        }
-
-    def write(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.as_dict(), handle, indent=2, sort_keys=False)
-            handle.write("\n")

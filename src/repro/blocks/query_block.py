@@ -88,15 +88,6 @@ class SelectItem:
             return f"{self.expr} AS {self.alias}"
         return str(self.expr)
 
-    def output_name(self, position: int) -> str:
-        """The column name this item contributes to the result header."""
-        if self.alias:
-            return self.alias
-        if isinstance(self.expr, Column):
-            return self.expr.name
-        return f"_col{position}"
-
-
 @dataclass(frozen=True)
 class QueryBlock:
     """A single-block SQL query in the paper's normalized form."""

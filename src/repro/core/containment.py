@@ -20,7 +20,7 @@ multiset-equivalent.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..blocks.query_block import QueryBlock
 from ..blocks.terms import Column
@@ -109,18 +109,3 @@ def multiset_equivalent(left: QueryBlock, right: QueryBlock) -> bool:
         if heads:
             return True
     return False
-
-
-def usable_under_set_semantics(
-    query: QueryBlock, view_block: QueryBlock
-) -> Optional[ColumnMapping]:
-    """The [LMSS95]-style usability witness (containment of the view's
-    *expansion*), restricted to whole-query coverage: a containment
-    mapping in each direction between query and view body. Used by tests
-    to contrast with the multiset conditions."""
-    if not (
-        contained_in(query, view_block)
-        and contained_in(view_block, query)
-    ):
-        return None
-    return next(containment_mappings(view_block, query), None)

@@ -34,7 +34,8 @@ BudgetLike = Optional[Union[SearchBudget, BudgetMeter]]
 
 #: Per-registry cache of the two mapping-counter children; resolving
 #: the family and label per enumeration call would dominate the cost of
-#: recording on small views (see ``benchmarks/bench_metrics.py``).
+#: recording on small views (``obs.metrics_overhead_ratio`` in
+#: ``benchmarks/e2e`` measures what recording costs).
 _MAPPING_COUNTERS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 

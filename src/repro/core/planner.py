@@ -33,7 +33,7 @@ The naive path stays callable (``all_rewritings(use_planner=False)``)
 and :func:`baseline_mode` additionally switches the memoization caches
 off, so A/B benchmarks can reproduce the pre-planner behavior exactly.
 Result-set parity between the two paths is asserted by
-``tests/core/test_planner_parity.py`` and by ``benchmarks/run_benchmarks.py``.
+``tests/core/test_planner_parity.py``.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from ..blocks.query_block import QueryBlock, SelectItem
 from ..blocks.terms import Constant
 from ..blocks.to_sql import block_to_sql
 from ..catalog.schema import Catalog, table
-from ..dialects import DIALECT_NAMES, DialectLike, get_dialect
+from ..dialects import DialectLike, get_dialect
 
 #: Version tag embedded in every golden document; bump when the corpus
 #: itself (not a dialect's emission) changes shape.
@@ -167,13 +167,6 @@ CASES: tuple[ConformanceCase, ...] = (
 )
 
 
-def case_by_name(name: str) -> ConformanceCase:
-    for case in CASES:
-        if case.name == name:
-            return case
-    raise KeyError(name)
-
-
 def emit_corpus(dialect: DialectLike) -> str:
     """The full corpus as one deterministic golden document."""
     resolved = get_dialect(dialect)
@@ -189,8 +182,3 @@ def emit_corpus(dialect: DialectLike) -> str:
         lines.append(case.emit(resolved) + ";")
         lines.append("")
     return "\n".join(lines)
-
-
-def emit_all() -> dict[str, str]:
-    """Corpus documents for every registered dialect."""
-    return {name: emit_corpus(name) for name in DIALECT_NAMES}

@@ -74,12 +74,6 @@ class Batch:
                 return gathered
         raise EvaluationError(f"unbound column {col}")
 
-    def has_column(self, col: Column) -> bool:
-        for columns, _positions in self.sources:
-            if col in columns:
-                return True
-        return False
-
     def common_source(self, cols: Sequence[Column]):
         """The ``(columns, positions)`` source holding *all* of ``cols``.
 

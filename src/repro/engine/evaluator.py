@@ -35,7 +35,7 @@ ENGINES = ("row", "columnar", "auto")
 #: ``engine="auto"`` picks the columnar executor once any FROM-clause
 #: input reaches this many rows; below it, per-block kernel compilation
 #: and column gathering cost more than they save and the row engine
-#: wins. Chosen from the crossover region in ``bench_columnar.py``.
+#: wins. Chosen from the measured crossover region (``docs/engine.md``).
 COLUMNAR_AUTO_THRESHOLD = 4096
 
 

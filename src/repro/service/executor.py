@@ -61,8 +61,10 @@ def execute_request(
     search builds a cold one — both are equivalent apart from warmth.
     ``budget`` overrides the request's own budget (the
     batch deadline overlay); the default sentinel means "use the
-    request's". With ``capture_errors`` a :class:`ReproError` becomes an
-    error response instead of propagating — the batch contract.
+    request's". With ``capture_errors`` an exception becomes an error
+    response instead of propagating — the batch contract: a
+    :class:`ReproError` answers with its message, anything else with
+    ``internal: <Type>: <message>``, so one request cannot fail a batch.
 
     ``request.collect_metrics`` runs the request under its own scoped
     registry: the response carries a ``repro-metrics/1`` snapshot of
@@ -96,9 +98,14 @@ def _attempt(
     started = time.perf_counter()
     try:
         response = _run(request, planner, budget, cache_snapshot, started)
-    except ReproError as error:
+    except Exception as error:  # noqa: BLE001 — see capture_errors
         if not capture_errors:
             raise
+        message = (
+            str(error)
+            if isinstance(error, ReproError)
+            else f"internal: {type(error).__name__}: {error}"
+        )
         response = RewriteResponse(
             query=(
                 request.query
@@ -107,7 +114,7 @@ def _attempt(
             ),
             request_id=request.request_id,
             elapsed=time.perf_counter() - started,
-            error=str(error),
+            error=message,
         )
     metrics = current_metrics()
     if metrics is not None:

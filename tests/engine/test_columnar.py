@@ -282,7 +282,7 @@ class TestRandomizedThreeWayParity:
     def test_sweep_row_columnar_sqlite(self):
         # Every scenario runs on the row engine, the columnar engine and
         # SQLite; CrossChecker(engine="both") enforces pairwise multiset
-        # agreement. (CI and bench_columnar.py run wider sweeps.)
+        # agreement. (CI's `repro fuzz --engine both` step sweeps wider.)
         from repro.errors import OracleUnsupported
         from repro.fuzz.generate import fuzz_scenario
         from repro.oracle import CrossChecker

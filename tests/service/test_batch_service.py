@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro import Catalog, table
 from repro.cache import QueryCache
+from repro.cli import main
 from repro.obs.budget import SearchBudget
 from repro.service import (
     BATCH_DEADLINE,
@@ -13,6 +17,7 @@ from repro.service import (
     RewriteRequest,
     catalog_fingerprint,
     chunk_groups,
+    execute_request,
     group_requests,
     refused_response,
     request_group_key,
@@ -413,3 +418,53 @@ class TestRobustness:
         assert len(result) == 4
         for got, want in zip(result, baseline):
             assert got.rewritings == want.rewritings
+
+    #: Nested deep enough that the recursive-descent parser overflows
+    #: the interpreter stack — an exception that is not a ReproError.
+    DEEP = "SELECT " + "(" * 3000 + "A" + ")" * 3000 + " FROM R"
+    GOOD = "SELECT A, SUM(B) FROM R GROUP BY A"
+
+    @pytest.fixture
+    def catalog(self):
+        return Catalog([table("R", ["A", "B"])])
+
+    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    def test_unexpected_exception_fails_one_request_not_the_batch(
+        self, mode, catalog
+    ):
+        good = RewriteRequest(self.GOOD, catalog)
+        service = BatchRewriteService(mode=mode, workers=2)
+        clean = service.submit([good, good])
+        result = service.submit(
+            [good, RewriteRequest(self.DEEP, catalog), good]
+        )
+        assert len(result) == 3
+        for got, want in zip((result[0], result[2]), clean):
+            assert got.error is None
+            assert got.rewritings == want.rewritings
+        assert result[1].error.startswith("internal: RecursionError")
+        assert result.error_count == 1
+
+    def test_execute_request_propagates_by_default(self, catalog):
+        with pytest.raises(RecursionError):
+            execute_request(RewriteRequest(self.DEEP, catalog))
+
+    def test_batch_cli_answers_every_line(self, tmp_path, capsys):
+        schema = tmp_path / "schema.sql"
+        schema.write_text("CREATE TABLE R (A, B);\n")
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(
+            "".join(
+                json.dumps({"query": sql}) + "\n"
+                for sql in (self.GOOD, self.DEEP, self.GOOD)
+            )
+        )
+        code = main(["batch", "--schema", str(schema), str(requests)])
+        captured = capsys.readouterr()
+        docs = [json.loads(line) for line in captured.out.splitlines()]
+        assert code == 1
+        assert [doc["ok"] for doc in docs] == [True, False, True]
+        assert docs[1]["error"]["message"].startswith(
+            "internal: RecursionError"
+        )
+        assert "Traceback" not in captured.err
