@@ -18,12 +18,15 @@ refuse gracefully
     ``"batch_deadline"`` among the tripped limits. Never dropped, never
     an exception.
 
-Deadline enforcement across process workers is necessarily approximate:
-monotonic clocks are per-process, so the overlay ships the *remaining
-seconds at dispatch time* and the worker counts from its own start.
-Queue latency can therefore stretch a batch slightly past its deadline —
-by at most one in-flight chunk, since every request dispatched after the
-trip refuses instantly.
+Across process workers the deadline is one absolute instant. Monotonic
+clocks need not be comparable between processes, so the master ships the
+deadline's wall-clock expiry (:meth:`BatchDeadline.wall_expiry`) and each
+worker task rebuilds its deadline from that instant
+(:meth:`BatchDeadline.until`), however long the task waited in the pool's
+queue. A task dequeued after the expiry therefore refuses every member at
+once; a batch overruns its deadline by at most the one request each
+worker had in flight when it tripped (each is capped by the overlay), plus
+the cost of refusing the rest.
 """
 
 from __future__ import annotations
@@ -49,11 +52,25 @@ class BatchDeadline:
             None if seconds is None else time.monotonic() + seconds
         )
 
+    @classmethod
+    def until(cls, wall_expiry: Optional[float]) -> "BatchDeadline":
+        """The deadline that trips at ``wall_expiry`` (``time.time()``
+        seconds, from :meth:`wall_expiry` in another process)."""
+        if wall_expiry is None:
+            return cls(None)
+        return cls(max(0.0, wall_expiry - time.time()))
+
     def remaining(self) -> Optional[float]:
         """Seconds left, ``None`` when unlimited, 0.0 once spent."""
         if self._expires_at is None:
             return None
         return max(0.0, self._expires_at - time.monotonic())
+
+    def wall_expiry(self) -> Optional[float]:
+        """When this deadline trips on the ``time.time()`` clock, which
+        (unlike the monotonic one) other processes can compare against."""
+        remaining = self.remaining()
+        return None if remaining is None else time.time() + remaining
 
     @property
     def expired(self) -> bool:

@@ -16,31 +16,31 @@ execution backend:
     memo store;
 ``process``
     a :class:`~concurrent.futures.ProcessPoolExecutor` — true
-    parallelism for large CPU-bound batches; chunk payloads (catalog,
-    views, requests, exported planner memo, cache snapshot) are pickled
-    to workers and planner memos ship back for the next batch's
-    warm start.
+    parallelism for large CPU-bound batches. A search is cheap next to
+    an executor round trip, so the unit of dispatch is a *bundle*: the
+    batch's chunks are packed, in order and never split, into at most
+    :data:`BUNDLES_PER_WORKER` bundles per worker of about equal request
+    count, and each bundle is one future. Its payload (per chunk:
+    catalog, views, requests, exported planner memo; per bundle: cache
+    snapshot, deadline expiry) is pickled once; the worker runs the
+    chunks one after another, each on a fresh warm-started planner, and
+    ships back per-chunk results and planner memos (for the next
+    batch's warm start) plus one cache-stats and one metrics snapshot.
 
 Every mode funnels each request through
 :func:`repro.service.executor.execute_request`, so results are
 mode-independent (pinned by the batch-parity differential harness). A
 batch deadline degrades gracefully per :mod:`repro.service.degradation`:
 late requests come back ``exhausted=True``, never dropped or raised. A
-worker or pickling failure demotes the affected chunk to in-process
-execution — the N-requests-in, N-responses-out contract survives
-backend loss.
+worker or pickling failure demotes each chunk of the affected bundle to
+in-process execution — the N-requests-in, N-responses-out contract
+survives backend loss.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Optional, Sequence, Union
 
 from ..cache import CacheSnapshot, QueryCache
@@ -59,6 +59,49 @@ MODES = ("auto", "serial", "thread", "process")
 PROCESS_THRESHOLD = 64
 #: auto mode: batches at most this large stay serial.
 SERIAL_THRESHOLD = 8
+#: process mode: futures per worker. One keeps every worker idle behind
+#: the slowest bundle (a search's p99 is several times its p50); one per
+#: chunk pays an executor round trip per request on a many-fingerprint
+#: batch, which costs more than the searches do.
+BUNDLES_PER_WORKER = 4
+
+Chunk = tuple[RequestGroup, list[tuple[int, RewriteRequest]]]
+
+
+def _available_cpus() -> int:
+    """The cores this process may run on (a cpuset-limited container
+    sees fewer than the host has)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _bundle_chunks(chunks: Sequence[Chunk], workers: int) -> list[list[Chunk]]:
+    """Pack consecutive chunks into at most ``workers *
+    BUNDLES_PER_WORKER`` bundles balanced by request count.
+
+    A chunk is never split, and a batch with no more chunks than that
+    gets one bundle per chunk.
+    """
+    limit = workers * BUNDLES_PER_WORKER
+    if len(chunks) <= limit:
+        return [[chunk] for chunk in chunks]
+    # Every bundle but the last reaches ``target`` requests, so there
+    # are at most ``limit`` of them.
+    target = -(-sum(len(members) for _, members in chunks) // limit)
+    bundles: list[list[Chunk]] = []
+    current: list[Chunk] = []
+    size = 0
+    for chunk in chunks:
+        current.append(chunk)
+        size += len(chunk[1])
+        if size >= target:
+            bundles.append(current)
+            current, size = [], 0
+    if current:
+        bundles.append(current)
+    return bundles
 
 
 def _execute_chunk(
@@ -117,37 +160,46 @@ def _run_chunk_collected(
         return _execute_chunk(*args)
 
 
-def _process_chunk(payload: dict) -> dict:
+def _process_bundle(bundle: dict) -> dict:
     """Top-level process-pool entry point (must be importable to pickle).
 
-    Rebuilds the chunk's planner in the worker, warm-starts it from the
-    shipped memo, runs the chunk, and returns results plus the memo
-    export and cache-lookup counters for the master to merge.
+    Runs the bundle's chunks one after another: rebuilds each chunk's
+    planner in the worker, warm-starts it from the shipped memo and runs
+    the chunk. Returns per-chunk results, memo exports, import counts
+    and planner stats, plus the bundle's cache-lookup counters and metrics snapshot
+    for the master to merge.
     """
-    deadline = BatchDeadline(payload["remaining"])
-    snapshot = payload["snapshot"]
-    planner = RewritePlanner(
-        list(payload["views"]),
-        payload["catalog"],
-        payload["use_set_semantics"],
-    )
-    if payload["memo"]:
-        planner.import_memos(payload["memo"])
+    deadline = BatchDeadline.until(bundle["expires_at"])
+    snapshot = bundle["snapshot"]
     # Worker-local registry: the snapshot ships back for the master to
     # merge exactly once, mirroring the memo/cache-stats discipline.
-    registry = (
-        MetricsRegistry() if payload.get("collect_metrics") else None
-    )
-    results = _run_chunk_collected(
-        registry, payload["members"], planner, deadline, snapshot
-    )
+    registry = MetricsRegistry() if bundle["collect_metrics"] else None
+    outcomes = []
+    for chunk in bundle["chunks"]:
+        planner = RewritePlanner(
+            list(chunk["views"]),
+            chunk["catalog"],
+            chunk["use_set_semantics"],
+        )
+        imported = (
+            planner.import_memos(chunk["memo"]) if chunk["memo"] else 0
+        )
+        results = _run_chunk_collected(
+            registry, chunk["members"], planner, deadline, snapshot
+        )
+        outcomes.append(
+            {
+                "results": results,
+                "memo": planner.export_memos(bundle["memo_export_max"]),
+                "memo_imported": imported,
+                "planner_stats": planner.stats.as_dict(),
+            }
+        )
     return {
-        "results": results,
-        "memo": planner.export_memos(payload["memo_export_max"]),
+        "chunks": outcomes,
         "cache_stats": (
             snapshot.stats.as_dict() if snapshot is not None else None
         ),
-        "planner_stats": planner.stats.as_dict(),
         "metrics": (
             registry.snapshot().as_dict() if registry is not None else None
         ),
@@ -212,15 +264,17 @@ class BatchRewriteService:
             self._planners.put(group.key, planner)
         return planner
 
-    def _fresh_planner(self, group: RequestGroup) -> RewritePlanner:
-        """Thread/process mode: per-chunk planner, memo warm-started."""
+    def _fresh_planner(
+        self, group: RequestGroup
+    ) -> tuple[RewritePlanner, int]:
+        """Thread mode and demoted chunks: a per-chunk planner warm-
+        started from the memo store, and the entries it imported."""
         planner = RewritePlanner(
             list(group.views), group.catalog, group.use_set_semantics
         )
         memo = self._memo_store.get(group.key, None)
-        if memo:
-            planner.import_memos(memo)
-        return planner
+        imported = planner.import_memos(memo) if memo else 0
+        return planner, imported
 
     def _store_memo(self, key: tuple, export: list) -> None:
         if export:
@@ -257,7 +311,7 @@ class BatchRewriteService:
                     "submit() takes RewriteRequest instances; wrap plain "
                     "queries with repro.api.RewriteRequest(query, catalog)"
                 )
-        workers = self.workers or os.cpu_count() or 1
+        workers = self.workers or _available_cpus()
         mode = self._resolve_mode(len(requests), workers)
         batch_deadline = BatchDeadline(
             deadline if deadline is not None else self.batch_deadline
@@ -267,9 +321,6 @@ class BatchRewriteService:
 
         responses: list[Optional[RewriteResponse]] = [None] * len(requests)
         planner_stats: dict[str, int] = {}
-        memo_imported = sum(
-            len(self._memo_store.get(g.key, ())) for g in groups
-        )
 
         # Batch-scoped metrics: when an enclosing registry is active,
         # every chunk (serial, thread task, process worker, demoted
@@ -280,17 +331,20 @@ class BatchRewriteService:
         parent_metrics = current_metrics()
         batch_reg = MetricsRegistry() if parent_metrics is not None else None
 
+        # Memo entries that warm-started a planner of this batch; serial
+        # mode keeps live planners and imports nothing.
+        memo_imported = 0
         if mode == "serial":
             self._run_serial(
                 chunks, batch_deadline, responses, planner_stats, batch_reg
             )
         elif mode == "thread":
-            self._run_threaded(
+            memo_imported = self._run_threaded(
                 chunks, workers, batch_deadline, responses, planner_stats,
                 batch_reg,
             )
         else:
-            self._run_processes(
+            memo_imported = self._run_processes(
                 chunks, workers, batch_deadline, responses, planner_stats,
                 batch_reg,
             )
@@ -370,9 +424,9 @@ class BatchRewriteService:
                 self.cache.merge_external(snapshot.stats)
 
     def _run_threaded(self, chunks, workers, deadline, responses,
-                      planner_stats, batch_reg):
+                      planner_stats, batch_reg) -> int:
         def task(group, members):
-            planner = self._fresh_planner(group)
+            planner, imported = self._fresh_planner(group)
             snapshot = self._fresh_snapshot()
             # Entered inside the worker thread: ``collecting`` is
             # thread-local, so each task must scope its own extent. The
@@ -381,15 +435,17 @@ class BatchRewriteService:
             results = _run_chunk_collected(
                 batch_reg, members, planner, deadline, snapshot
             )
-            return group, results, planner, snapshot
+            return group, results, planner, snapshot, imported
 
+        memo_imported = 0
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(task, group, members)
                 for group, members in chunks
             ]
             for future in futures:
-                group, results, planner, snapshot = future.result()
+                group, results, planner, snapshot, imported = future.result()
+                memo_imported += imported
                 for position, response in results:
                     responses[position] = response
                 self._store_memo(
@@ -400,55 +456,70 @@ class BatchRewriteService:
                 )
                 if snapshot is not None and self.cache is not None:
                     self.cache.merge_external(snapshot.stats)
+        return memo_imported
 
     def _run_processes(self, chunks, workers, deadline, responses,
-                       planner_stats, batch_reg):
+                       planner_stats, batch_reg) -> int:
         snapshot = self._fresh_snapshot()
-        pending: dict[Future, tuple] = {}
+        expires_at = deadline.wall_expiry()
+        memo_imported = 0
+
+        def demote(bundle):
+            # Failure isolation stays per chunk, whatever was shipped.
+            return sum(
+                self._demote_chunk(
+                    group, members, deadline, responses, planner_stats,
+                    batch_reg,
+                )
+                for group, members in bundle
+            )
+
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for group, members in chunks:
+                pending = []
+                for bundle in _bundle_chunks(chunks, workers):
                     payload = {
-                        "catalog": group.catalog,
-                        "views": group.views,
-                        "use_set_semantics": group.use_set_semantics,
-                        "members": members,
-                        "memo": self._memo_store.get(group.key, None),
-                        "remaining": deadline.remaining(),
+                        "chunks": [
+                            {
+                                "catalog": group.catalog,
+                                "views": group.views,
+                                "use_set_semantics": group.use_set_semantics,
+                                "members": members,
+                                "memo": self._memo_store.get(group.key, None),
+                            }
+                            for group, members in bundle
+                        ],
+                        "expires_at": expires_at,
                         "snapshot": snapshot,
                         "memo_export_max": self.MEMO_EXPORT_MAX,
                         "collect_metrics": batch_reg is not None,
                     }
                     try:
-                        future = pool.submit(_process_chunk, payload)
+                        future = pool.submit(_process_bundle, payload)
                     except Exception:
-                        # Unpicklable payload or dead pool: demote this
-                        # chunk to in-process execution.
-                        self._demote_chunk(
-                            group, members, deadline, responses,
-                            planner_stats, batch_reg,
-                        )
+                        # Dead or broken pool: run this bundle's chunks
+                        # in-process.
+                        memo_imported += demote(bundle)
                         continue
-                    pending[future] = (group, members)
-                for future in list(pending):
-                    group, members = pending[future]
+                    pending.append((future, bundle))
+                for future, bundle in pending:
                     try:
                         outcome = future.result()
                     except Exception:
-                        self._demote_chunk(
-                            group, members, deadline, responses,
-                            planner_stats, batch_reg,
-                        )
+                        # Unpicklable payload or dead worker.
+                        memo_imported += demote(bundle)
                         continue
-                    for position, response in outcome["results"]:
-                        responses[position] = response
-                    self._store_memo(group.key, outcome["memo"])
-                    self._merge_planner_stats(
-                        planner_stats, outcome["planner_stats"]
-                    )
+                    for (group, _), done in zip(bundle, outcome["chunks"]):
+                        memo_imported += done["memo_imported"]
+                        for position, response in done["results"]:
+                            responses[position] = response
+                        self._store_memo(group.key, done["memo"])
+                        self._merge_planner_stats(
+                            planner_stats, done["planner_stats"]
+                        )
                     if outcome["cache_stats"] and self.cache is not None:
                         self.cache.merge_external(outcome["cache_stats"])
-                    if outcome.get("metrics") and batch_reg is not None:
+                    if outcome["metrics"] and batch_reg is not None:
                         # One merge per worker snapshot: the worker's
                         # registry was born empty, so these counts exist
                         # nowhere else.
@@ -456,22 +527,22 @@ class BatchRewriteService:
         except Exception:
             # Pool construction itself failed (restricted platforms):
             # run everything in-process rather than failing the batch.
-            for group, members in chunks:
-                if any(responses[p] is None for p, _ in members):
-                    self._demote_chunk(
-                        group, members, deadline, responses, planner_stats,
-                        batch_reg,
-                    )
+            memo_imported += demote(
+                chunk
+                for chunk in chunks
+                if any(responses[p] is None for p, _ in chunk[1])
+            )
+        return memo_imported
 
     def _demote_chunk(self, group, members, deadline, responses,
-                      planner_stats, batch_reg=None):
+                      planner_stats, batch_reg=None) -> int:
         if batch_reg is not None:
             batch_reg.counter(
                 "repro_service_chunk_demotions_total",
                 "Chunks demoted to in-process execution after a worker "
                 "or pickling failure.",
             ).inc()
-        planner = self._fresh_planner(group)
+        planner, imported = self._fresh_planner(group)
         snapshot = self._fresh_snapshot()
         for position, response in _run_chunk_collected(
             batch_reg, members, planner, deadline, snapshot
@@ -481,6 +552,7 @@ class BatchRewriteService:
         self._merge_planner_stats(planner_stats, planner.stats.as_dict())
         if snapshot is not None and self.cache is not None:
             self.cache.merge_external(snapshot.stats)
+        return imported
 
     # ------------------------------------------------------------------
 

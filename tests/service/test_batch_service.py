@@ -36,6 +36,64 @@ def scenario_request(seed: int, **overrides) -> RewriteRequest:
     return RewriteRequest(**defaults)
 
 
+def recording_pool(monkeypatch, *, failing=(), before_first_result=None):
+    """Stand in for ``ProcessPoolExecutor``: record every submitted
+    payload, run a task in this process only when its result is read.
+
+    Futures whose submit index is in ``failing`` raise from
+    ``result()``; ``before_first_result`` runs once, ahead of the first
+    task. Returns ``(payloads, answered)``: what was submitted, and the
+    request positions the pool (not a demotion) answered.
+    """
+    from repro.service import pool as pool_module
+
+    payloads, answered = [], []
+
+    class LazyFuture:
+        def __init__(self, index, task, payload):
+            self.index, self.task, self.payload = index, task, payload
+
+        def result(self):
+            nonlocal before_first_result
+            if before_first_result is not None:
+                before_first_result()
+                before_first_result = None
+            if self.index in failing:
+                raise RuntimeError("worker died")
+            outcome = self.task(self.payload)
+            answered.extend(
+                position
+                for chunk in outcome["chunks"]
+                for position, _ in chunk["results"]
+            )
+            return outcome
+
+    class RecordingPool:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, task, payload):
+            payloads.append(payload)
+            return LazyFuture(len(payloads) - 1, task, payload)
+
+    monkeypatch.setattr(pool_module, "ProcessPoolExecutor", RecordingPool)
+    return payloads, answered
+
+
+def shipped_positions(payload) -> list[int]:
+    return [
+        position
+        for chunk in payload["chunks"]
+        for position, _ in chunk["members"]
+    ]
+
+
 class TestGrouping:
     def test_equal_but_distinct_catalogs_coalesce(self):
         # Two scenarios from the same seed build equal catalogs that are
@@ -136,7 +194,92 @@ class TestModes:
         assert result.report["mode"] == "serial"
 
 
+class TestBundling:
+    """Process mode ships a few bundles of whole chunks, not one future
+    per chunk."""
+
+    def test_many_chunks_ship_as_a_few_bundles(self, monkeypatch):
+        payloads, _ = recording_pool(monkeypatch)
+        requests = [scenario_request(seed) for seed in range(100)]
+        result = BatchRewriteService(mode="process", workers=2).submit(
+            requests
+        )
+        assert result.report["chunks"] == 100
+        assert 2 <= len(payloads) <= 8
+        assert sum(len(p["chunks"]) for p in payloads) == 100
+        # Every request rides in exactly one bundle, in batch order.
+        assert [
+            position for p in payloads for position in shipped_positions(p)
+        ] == list(range(100))
+        # Balanced by request count: ceil(100 / (2 workers * 4)) each.
+        assert max(len(shipped_positions(p)) for p in payloads) == 13
+        baseline = BatchRewriteService(mode="serial").submit(requests)
+        assert [r.rewritings for r in result] == [
+            r.rewritings for r in baseline
+        ]
+
+    def test_few_chunks_ship_one_per_future(self, monkeypatch):
+        payloads, _ = recording_pool(monkeypatch)
+        result = BatchRewriteService(mode="process", workers=2).submit(
+            [scenario_request(seed) for seed in range(3)]
+        )
+        assert result.report["chunks"] == 3
+        assert [len(p["chunks"]) for p in payloads] == [1, 1, 1]
+
+    def test_failed_bundle_demotes_its_chunks_one_by_one(self, monkeypatch):
+        from repro.obs.metrics import MetricsRegistry, collecting
+
+        payloads, answered = recording_pool(monkeypatch, failing={1})
+        requests = [scenario_request(seed) for seed in range(40)]
+        registry = MetricsRegistry()
+        with collecting(registry):
+            result = BatchRewriteService(mode="process", workers=2).submit(
+                requests
+            )
+        lost = shipped_positions(payloads[1])
+        assert len(payloads[1]["chunks"]) > 1
+        assert registry.snapshot().counter_value(
+            "repro_service_chunk_demotions_total"
+        ) == len(payloads[1]["chunks"])
+        # The other bundles' responses came from the pool.
+        assert sorted(answered + lost) == list(range(40))
+        baseline = BatchRewriteService(mode="serial").submit(requests)
+        for got, want in zip(result, baseline):
+            assert got.rewritings == want.rewritings
+            assert got.exhausted == want.exhausted
+            assert got.error == want.error
+
+
 class TestDeadline:
+    def test_bundle_dequeued_after_expiry_refuses_every_member(
+        self, monkeypatch
+    ):
+        # The allowance is one instant for the whole batch: a task that
+        # waited in the pool's queue past it must not start it afresh.
+        import time
+
+        from repro.obs.metrics import MetricsRegistry, collecting
+
+        payloads, answered = recording_pool(
+            monkeypatch, before_first_result=lambda: time.sleep(0.06)
+        )
+        requests = [scenario_request(seed) for seed in range(20)]
+        registry = MetricsRegistry()
+        with collecting(registry):
+            result = BatchRewriteService(mode="process", workers=2).submit(
+                requests, deadline=0.05
+            )
+        assert len(payloads) > 1
+        assert sorted(answered) == list(range(20))  # nothing was demoted
+        assert result.degraded_count == 20
+        for response in result:
+            assert BATCH_DEADLINE in response.budget["tripped"]
+            assert response.error is None
+        assert result.report["planner"]["searches"] == 0
+        snapshot = registry.snapshot()
+        assert snapshot.counter_value("repro_service_refusals_total") == 20
+        assert snapshot.counter_value("repro_planner_searches_total") == 0
+
     def test_spent_deadline_refuses_every_request(self):
         requests = [scenario_request(seed) for seed in range(4)]
         result = BatchRewriteService(mode="serial").submit(
@@ -222,6 +365,48 @@ class TestWarmth:
         assert len(service._memo_store) == 1
         result = service.submit(requests)
         assert result.report["memo_entries_imported"] > 0
+
+    def test_memo_entries_imported_counts_real_imports(self, monkeypatch):
+        payloads, _ = recording_pool(monkeypatch)
+        service = BatchRewriteService(mode="process", workers=2)
+        requests = [scenario_request(5)] * 12 + [scenario_request(6)] * 2
+        first = service.submit(requests)
+        assert first.report["memo_entries_imported"] == 0
+        # Serial mode runs live planners: the store's contents are not
+        # imports, and reporting must not touch the store.
+        service.mode = "serial"
+        order = [key for key, _ in service._memo_store.items()]
+        stats = service._memo_store.stats()
+        assert service.submit(requests).report["memo_entries_imported"] == 0
+        assert [key for key, _ in service._memo_store.items()] == order
+        assert service._memo_store.stats() == stats
+        service.mode = "process"
+        del payloads[:]
+        shipped = service.submit(requests)
+        attached = sum(
+            len(chunk["memo"] or ())
+            for payload in payloads
+            for chunk in payload["chunks"]
+        )
+        assert attached > 0
+        assert shipped.report["memo_entries_imported"] == attached
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        result = BatchRewriteService(mode="thread").submit(
+            [scenario_request(5)]
+        )
+        assert result.report["workers"] == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        result = BatchRewriteService(mode="thread").submit(
+            [scenario_request(5)]
+        )
+        assert result.report["workers"] == 64
 
     def test_warm_results_equal_cold_results(self):
         service = BatchRewriteService(mode="serial")
