@@ -26,10 +26,28 @@ from .core.multiview import all_rewritings
 from .core.planner import RewritePlanner
 from .core.result import Rewriting
 from .obs.budget import BudgetMeter, SearchBudget, ensure_meter
-from .obs.metrics import current_metrics
+from .obs.metrics import counter, gauge
 from .engine.database import Database
 from .engine.table import Table
 from .errors import SchemaError
+
+LOOKUPS = counter(
+    "repro_cache_lookups_total",
+    "Semantic query-cache lookups, by outcome.",
+    ("outcome",),
+)
+REMEMBERED = counter(
+    "repro_cache_remember_total",
+    "Query results remembered by the semantic cache.",
+)
+EVICTIONS = counter(
+    "repro_cache_evictions_total",
+    "LRU evictions forced by the row-capacity bound.",
+)
+SIZE_ROWS = gauge(
+    "repro_cache_size_rows", "Summed cardinality of all cached results."
+)
+ENTRIES = gauge("repro_cache_entries", "Cached result tables currently held.")
 
 
 @dataclass
@@ -68,17 +86,6 @@ class CacheStats:
         self.evictions = 0
         self.remembered = 0
         self.budget_exhausted = 0
-
-
-def _record_lookup(hit: bool) -> None:
-    """One cache lookup into the active metrics registry, if any."""
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.counter(
-            "repro_cache_lookups_total",
-            "Semantic query-cache lookups, by outcome.",
-            ("outcome",),
-        ).labels("hit" if hit else "miss").inc()
 
 
 @dataclass
@@ -139,10 +146,10 @@ class CacheSnapshot:
             names = {rel.name for rel in rewriting.query.from_}
             if names <= cached:
                 self.stats.hits += 1
-                _record_lookup(hit=True)
+                LOOKUPS.labels("hit").inc()
                 return rewriting
         self.stats.misses += 1
-        _record_lookup(hit=False)
+        LOOKUPS.labels("miss").inc()
         return None
 
     def reset_stats(self) -> None:
@@ -218,12 +225,7 @@ class QueryCache:
         self._size_rows += len(table)
         self._planner = None
         self.stats.remembered += 1
-        metrics = current_metrics()
-        if metrics is not None:
-            metrics.counter(
-                "repro_cache_remember_total",
-                "Query results remembered by the semantic cache.",
-            ).inc()
+        REMEMBERED.inc()
         self._evict_over_capacity(keep=name)
         self._update_gauges()
         return view
@@ -253,25 +255,12 @@ class QueryCache:
             self.stats.evictions += 1
             evicted += 1
         if evicted:
-            metrics = current_metrics()
-            if metrics is not None:
-                metrics.counter(
-                    "repro_cache_evictions_total",
-                    "LRU evictions forced by the row-capacity bound.",
-                ).inc(evicted)
+            EVICTIONS.inc(evicted)
 
     def _update_gauges(self) -> None:
         """Mirror occupancy into the active registry after any mutation."""
-        metrics = current_metrics()
-        if metrics is not None:
-            metrics.gauge(
-                "repro_cache_size_rows",
-                "Summed cardinality of all cached results.",
-            ).set(self._size_rows)
-            metrics.gauge(
-                "repro_cache_entries",
-                "Cached result tables currently held.",
-            ).set(len(self._entries))
+        SIZE_ROWS.set(self._size_rows)
+        ENTRIES.set(len(self._entries))
 
     # ------------------------------------------------------------------
 
@@ -378,7 +367,7 @@ class QueryCache:
         rewriting = self.find_rewriting(query, budget=budget)
         if rewriting is None:
             self.stats.misses += 1
-            _record_lookup(hit=False)
+            LOOKUPS.labels("miss").inc()
             return None
         db = Database(self._catalog)
         for name in rewriting.view_names:
@@ -386,7 +375,7 @@ class QueryCache:
             db._view_cache[name] = entry.table  # noqa: SLF001 - serving
             self._entries.move_to_end(name)     # LRU touch
         self.stats.hits += 1
-        _record_lookup(hit=True)
+        LOOKUPS.labels("hit").inc()
         return db.execute(rewriting.query, extra_views=rewriting.extra_views())
 
     def answer(

@@ -58,9 +58,10 @@ everything the command did on exit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import api
 from .blocks.normalize import parse_query
@@ -70,8 +71,37 @@ from .core.rewriter import RewriteEngine
 from .equivalence import check_equivalent
 from .errors import ReproError
 from .obs import SearchBudget
+from .obs.metrics import (
+    METRICS_SCHEMA,
+    MetricsRegistry,
+    collecting,
+    current_metrics,
+    histogram,
+    set_global_metrics,
+    timed,
+)
 from .service import MODES
 from .service.requests import API_SCHEMA
+
+QUERY_SECONDS = histogram(
+    "repro_query_seconds", "Wall-clock time of `repro query` executions."
+)
+
+
+@contextlib.contextmanager
+def _active_registry(fresh: bool = False) -> Iterator[MetricsRegistry]:
+    """The active registry (``--metrics-out``'s); with none, or ``fresh``,
+    a new process global, the previous one restored on exit."""
+    registry = None if fresh else current_metrics()
+    if registry is not None:
+        yield registry
+        return
+    registry = MetricsRegistry()
+    previous = set_global_metrics(registry)
+    try:
+        yield registry
+    finally:
+        set_global_metrics(previous)
 
 
 def _budget_from(args) -> Optional[SearchBudget]:
@@ -262,7 +292,6 @@ def cmd_advise(args) -> int:
 def cmd_query(args) -> int:
     from .blocks.nested import parse_nested_query
     from .engine.io import load_database
-    from .obs.metrics import timed
 
     catalog, queries = _load(args)
     if args.query:
@@ -287,7 +316,7 @@ def cmd_query(args) -> int:
         plan, extra = result.best_plan()
         if result.used_views:
             used = "rewritten over " + ", ".join(result.used_views)
-    with timed("repro_query_seconds") as timer:
+    with timed(QUERY_SECONDS) as timer:
         table = db.execute(plan, extra_views=extra, engine=args.engine)
     print(table.to_text(limit=args.limit))
     print(f"\n({len(table)} rows in {timer.seconds * 1000:.2f} ms, {used})")
@@ -424,22 +453,7 @@ def cmd_rewrite_sql(args) -> int:
 def cmd_serve_sql(args) -> int:
     import time
 
-    from .obs.metrics import (
-        METRICS_SCHEMA,
-        MetricsRegistry,
-        current_metrics,
-        set_global_metrics,
-    )
-
-    # Periodic in-band metric frames need a live registry; reuse the
-    # --metrics-out one when present, else install our own for the loop.
     interval = getattr(args, "metrics_interval", 0.0) or 0.0
-    registry = current_metrics()
-    owns_registry = False
-    if interval > 0 and registry is None:
-        registry = MetricsRegistry()
-        set_global_metrics(registry)
-        owns_registry = True
 
     started = time.monotonic()
     last_frame = started
@@ -461,7 +475,9 @@ def cmd_serve_sql(args) -> int:
             flush=True,
         )
 
-    try:
+    # Periodic in-band metric frames need a live registry.
+    scope = _active_registry() if interval > 0 else contextlib.nullcontext()
+    with scope as registry:
         middleware, connection = _federation_from(args)
         for line_no, line in enumerate(sys.stdin, 1):
             line = line.strip()
@@ -499,9 +515,6 @@ def cmd_serve_sql(args) -> int:
         if interval > 0:
             # A closing frame so short sessions still report totals.
             emit_frame()
-    finally:
-        if owns_registry:
-            set_global_metrics(None)
     return 0
 
 
@@ -532,70 +545,54 @@ def cmd_serve(args) -> int:
     import asyncio
 
     from .engine.database import Database
-    from .obs.metrics import (
-        MetricsRegistry,
-        current_metrics,
-        set_global_metrics,
-    )
     from .serving import RewriteDaemon
 
     catalog, _queries = _load(args)
 
-    # The daemon always runs instrumented: reuse the --metrics-out
-    # registry when main() installed one, else own a fresh one so the
-    # in-band `metrics` op and --metrics-interval frames have data.
-    registry = current_metrics()
-    owns_registry = registry is None
-    if owns_registry:
-        registry = MetricsRegistry()
-        set_global_metrics(registry)
-
-    daemon = RewriteDaemon(
-        catalog,
-        database=Database(catalog),
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        tenant_quotas=_tenant_quotas_from(args),
-        memo_capacity=args.memo_capacity,
-        metrics=registry,
-        metrics_interval=args.metrics_interval,
-    )
-
-    async def run() -> None:
-        await daemon.start(
-            host=args.host, port=args.port, unix_path=args.socket
+    # The daemon always runs instrumented, so the in-band `metrics` op
+    # and --metrics-interval frames have data.
+    with _active_registry() as registry:
+        daemon = RewriteDaemon(
+            catalog,
+            database=Database(catalog),
+            workers=args.workers,
+            queue_limit=args.queue_limit,
+            tenant_quotas=_tenant_quotas_from(args),
+            memo_capacity=args.memo_capacity,
+            metrics=registry,
+            metrics_interval=args.metrics_interval,
         )
-        # The ready line on stdout: harnesses wait for it and read the
-        # bound addresses (TCP port 0 picks a free one).
-        print(
-            json.dumps(
-                api.to_envelope(
-                    {
-                        "addresses": [list(a) for a in daemon.addresses],
-                        "workers": daemon.workers,
-                        "queue_limit": daemon.admission.queue_limit,
-                        "shared_memo": daemon.memo.name is not None,
-                    },
-                    kind="serve-ready",
-                )
-            ),
-            flush=True,
-        )
-        await daemon.serve_forever()
 
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        daemon.stop()
-    finally:
-        if owns_registry:
-            set_global_metrics(None)
+        async def run() -> None:
+            await daemon.start(
+                host=args.host, port=args.port, unix_path=args.socket
+            )
+            # The ready line on stdout: harnesses wait for it and read the
+            # bound addresses (TCP port 0 picks a free one).
+            print(
+                json.dumps(
+                    api.to_envelope(
+                        {
+                            "addresses": [list(a) for a in daemon.addresses],
+                            "workers": daemon.workers,
+                            "queue_limit": daemon.admission.queue_limit,
+                            "shared_memo": daemon.memo.name is not None,
+                        },
+                        kind="serve-ready",
+                    )
+                ),
+                flush=True,
+            )
+            await daemon.serve_forever()
+
+        try:
+            asyncio.run(run())
+        except KeyboardInterrupt:
+            daemon.stop()
     return 0
 
 
 def cmd_metrics(args) -> int:
-    from .obs.metrics import MetricsRegistry, collecting
-
     catalog, queries = _load(args)
     query = _query_from(args, catalog, queries)
     registry = MetricsRegistry()
@@ -1148,20 +1145,12 @@ def _with_metrics_out(args) -> int:
     The Prometheus snapshot is written even when the command fails, so
     a crashed fuzz sweep still leaves its counters behind.
     """
-    from .obs.metrics import (
-        MetricsRegistry,
-        render_prometheus,
-        set_global_metrics,
-    )
-
-    registry = MetricsRegistry()
-    previous = set_global_metrics(registry)
-    try:
-        return args.func(args)
-    finally:
-        set_global_metrics(previous)
-        with open(args.metrics_out, "w") as handle:
-            handle.write(render_prometheus(registry))
+    with _active_registry(fresh=True) as registry:
+        try:
+            return args.func(args)
+        finally:
+            with open(args.metrics_out, "w") as handle:
+                handle.write(registry.render_prometheus())
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -11,7 +11,6 @@ views — complete.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
@@ -22,7 +21,7 @@ from ..blocks.query_block import QueryBlock, ViewDef
 from ..catalog.schema import Catalog
 from ..mappings.enumerate_mappings import enumerate_mappings
 from ..obs.budget import BudgetMeter, SearchBudget, ensure_meter
-from ..obs.metrics import current_metrics
+from ..obs.metrics import counter
 from ..obs.trace import span
 from .aggregate import try_rewrite_aggregation
 from .canonical import canonical_key
@@ -32,24 +31,11 @@ from .setsem import try_rewrite_set_semantics
 
 BudgetLike = Optional[Union[SearchBudget, BudgetMeter]]
 
-#: Per-registry cache of the two mapping-counter children; resolving
-#: the family and label per enumeration call would dominate the cost of
-#: recording on small views (``obs.metrics_overhead_ratio`` in
-#: ``benchmarks/e2e`` measures what recording costs).
-_MAPPING_COUNTERS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _mapping_counters(metrics):
-    counters = _MAPPING_COUNTERS.get(metrics)
-    if counters is None:
-        family = metrics.counter(
-            "repro_planner_mappings_total",
-            "Column mappings enumerated, by kind.",
-            ("kind",),
-        )
-        counters = (family.labels("one_to_one"), family.labels("many_to_one"))
-        _MAPPING_COUNTERS[metrics] = counters
-    return counters
+MAPPINGS = counter(
+    "repro_planner_mappings_total",
+    "Column mappings enumerated, by kind.",
+    ("kind",),
+)
 
 
 def single_view_rewritings(
@@ -82,9 +68,10 @@ def single_view_rewritings(
 
     with span("mapping_enumeration"):
         mappings = list(enumerate_mappings(view.block, query, meter=meter))
-    metrics = current_metrics()
-    if metrics is not None and mappings:
-        _mapping_counters(metrics)[0].inc(len(mappings))
+    if mappings:
+        # Both kinds' series exist once either kind is counted.
+        MAPPINGS.labels("one_to_one").inc(len(mappings))
+        MAPPINGS.labels("many_to_one").inc(0)
     with span("checks"):
         for mapping in mappings:
             if meter is not None and not meter.ok():
@@ -104,8 +91,9 @@ def single_view_rewritings(
                 )
                 if not m.is_one_to_one
             ]
-        if metrics is not None and many:
-            _mapping_counters(metrics)[1].inc(len(many))
+        if many:
+            MAPPINGS.labels("one_to_one").inc(0)
+            MAPPINGS.labels("many_to_one").inc(len(many))
         with span("checks"):
             for mapping in many:
                 if meter is not None and not meter.ok():

@@ -33,9 +33,16 @@ from ...blocks.exprs import Aggregate, Arith, Expr, columns_in
 from ...blocks.query_block import QueryBlock
 from ...blocks.terms import Column, Comparison, Constant
 from ...errors import EvaluationError
-from ...obs.metrics import current_metrics
+from ...obs.metrics import counter
 from ..aggregates import accumulate_by_group, apply_aggregate
-from ..planner import classify_predicates, greedy_join_order
+from ..planner import (
+    GROUPS,
+    ROWS_GROUPED,
+    ROWS_JOINED,
+    ROWS_SCANNED,
+    classify_predicates,
+    greedy_join_order,
+)
 from ..table import Table
 from .batch import Batch
 from .kernels import compile_filter_kernel, compile_value_kernel
@@ -43,21 +50,13 @@ from .kernels import compile_filter_kernel, compile_value_kernel
 RelationResolver = Callable[[str], Table]
 
 
-def _count_kernels(kind: str, n: int) -> None:
-    """Top-level kernel compilations into the active registry, if any.
-
-    Counted at executor call sites, not inside the (recursive) kernel
-    compilers, so one Arith tree counts as one compilation.
-    """
-    if not n:
-        return
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.counter(
-            "repro_engine_kernel_compilations_total",
-            "Columnar kernels compiled, by kind.",
-            ("kind",),
-        ).labels(kind).inc(n)
+#: Counted at executor call sites, not inside the (recursive) kernel
+#: compilers, so one Arith tree counts as one compilation.
+KERNEL_COMPILATIONS = counter(
+    "repro_engine_kernel_compilations_total",
+    "Columnar kernels compiled, by kind.",
+    ("kind",),
+)
 
 
 def evaluate_block_columnar(
@@ -71,7 +70,7 @@ def evaluate_block_columnar(
         kernels = [
             compile_value_kernel(item.expr) for item in block.select
         ]
-        _count_kernels("value", len(kernels))
+        KERNEL_COMPILATIONS.labels("value").inc(len(kernels))
         columns = [kernel(batch) for kernel in kernels]
         if len(columns) == 1:
             rows = [(v,) for v in columns[0]]
@@ -162,19 +161,10 @@ def build_core_batch(
         batch, pending = _apply_ready(batch, pending, bound_cols)
         filter_kernels += before - len(pending)
 
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.counter(
-            "repro_engine_rows_scanned_total",
-            "Base-relation rows read while building core tables.",
-            ("engine",),
-        ).labels("columnar").inc(rows_scanned)
-        metrics.counter(
-            "repro_engine_rows_joined_total",
-            "Core-table rows produced by the join phase.",
-            ("engine",),
-        ).labels("columnar").inc(batch.length)
-        _count_kernels("filter", filter_kernels)
+    ROWS_SCANNED.labels("columnar").inc(rows_scanned)
+    ROWS_JOINED.labels("columnar").inc(batch.length)
+    if filter_kernels:
+        KERNEL_COMPILATIONS.labels("filter").inc(filter_kernels)
     return batch
 
 
@@ -379,7 +369,8 @@ def _evaluate_grouped(block: QueryBlock, batch: Batch) -> Table:
     for agg in block.all_aggregates():
         if agg not in distinct_aggs:
             distinct_aggs.append(agg)
-    _count_kernels("value", len(distinct_aggs))
+    if distinct_aggs:
+        KERNEL_COMPILATIONS.labels("value").inc(len(distinct_aggs))
     agg_values: dict[Aggregate, list] = {}
     for agg in distinct_aggs:
         arg_column = compile_value_kernel(agg.arg)(batch)
@@ -401,18 +392,8 @@ def _evaluate_grouped(block: QueryBlock, batch: Batch) -> Table:
         for item in block.select
     ]
 
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.counter(
-            "repro_engine_rows_grouped_total",
-            "Core rows fed into grouped aggregation, by executor.",
-            ("engine",),
-        ).labels("columnar").inc(n)
-        metrics.counter(
-            "repro_engine_groups_total",
-            "Groups formed by grouped aggregation, by executor.",
-            ("engine",),
-        ).labels("columnar").inc(ngroups)
+    ROWS_GROUPED.labels("columnar").inc(n)
+    GROUPS.labels("columnar").inc(ngroups)
 
     out_rows: list = []
     out_append = out_rows.append

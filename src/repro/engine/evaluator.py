@@ -22,8 +22,9 @@ from ..blocks.exprs import Aggregate, Arith, Expr
 from ..blocks.query_block import QueryBlock
 from ..blocks.terms import Column, Comparison, Constant, Op
 from ..errors import EvaluationError
-from ..obs.metrics import current_metrics
+from ..obs.metrics import counter
 from .aggregates import apply_aggregate
+from .planner import GROUPS, ROWS_GROUPED
 from .table import Row, Table
 
 #: Resolves a FROM-clause relation name to its data.
@@ -37,6 +38,17 @@ ENGINES = ("row", "columnar", "auto")
 #: and column gathering cost more than they save and the row engine
 #: wins. Chosen from the measured crossover region (``docs/engine.md``).
 COLUMNAR_AUTO_THRESHOLD = 4096
+
+AUTO_SWITCHES = counter(
+    "repro_engine_auto_switch_total",
+    "engine=auto decisions, by chosen executor.",
+    ("chosen",),
+)
+BLOCKS = counter(
+    "repro_engine_blocks_total",
+    "Query blocks evaluated, by executor and how it was requested.",
+    ("engine", "requested"),
+)
 
 
 def _compile_row_expr(expr: Expr, index: Mapping[Column, int]):
@@ -155,7 +167,6 @@ def evaluate_block(
         raise EvaluationError(
             f"unknown engine {engine!r}: expected one of {ENGINES}"
         )
-    metrics = current_metrics()
     requested = engine
     if engine != "row":
         # Resolve each FROM name once, whichever executor then runs:
@@ -178,22 +189,15 @@ def evaluate_block(
                 if sizes and max(sizes) >= COLUMNAR_AUTO_THRESHOLD
                 else "row"
             )
-            if metrics is not None:
-                metrics.counter(
-                    "repro_engine_auto_switch_total",
-                    "engine=auto decisions, by chosen executor.",
-                    ("chosen",),
-                ).labels(engine).inc()
+            AUTO_SWITCHES.labels(engine).inc()
         resolve = cached_resolve
         if engine == "columnar":
             from .columnar import evaluate_block_columnar
 
-            if metrics is not None:
-                _count_dispatch(metrics, "columnar", requested)
+            BLOCKS.labels("columnar", requested).inc()
             return evaluate_block_columnar(block, resolve)
 
-    if metrics is not None:
-        _count_dispatch(metrics, "row", requested)
+    BLOCKS.labels("row", requested).inc()
 
     from .planner import build_core
 
@@ -212,14 +216,6 @@ def evaluate_block(
     if block.distinct:
         result = result.distinct()
     return result
-
-
-def _count_dispatch(metrics, engine: str, requested: str) -> None:
-    metrics.counter(
-        "repro_engine_blocks_total",
-        "Query blocks evaluated, by executor and how it was requested.",
-        ("engine", "requested"),
-    ).labels(engine, requested).inc()
 
 
 def _build_core(
@@ -261,18 +257,8 @@ def _evaluate_grouped(
         # A single group that exists even when the core table is empty.
         groups[()] = list(core_rows)
 
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.counter(
-            "repro_engine_rows_grouped_total",
-            "Core rows fed into grouped aggregation, by executor.",
-            ("engine",),
-        ).labels("row").inc(len(core_rows))
-        metrics.counter(
-            "repro_engine_groups_total",
-            "Groups formed by grouped aggregation, by executor.",
-            ("engine",),
-        ).labels("row").inc(len(groups))
+    ROWS_GROUPED.labels("row").inc(len(core_rows))
+    GROUPS.labels("row").inc(len(groups))
 
     out_rows: list[Row] = []
     for key, rows in groups.items():

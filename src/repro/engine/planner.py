@@ -22,8 +22,31 @@ from typing import Callable, Sequence
 
 from ..blocks.query_block import QueryBlock
 from ..blocks.terms import Column, Comparison, Constant, Op
-from ..obs.metrics import current_metrics
+from ..obs.metrics import counter
 from .table import Row, Table
+
+# Recorded by both engines (label ``engine``: row / columnar); declared
+# here, the module the row evaluator and the columnar executor share.
+ROWS_SCANNED = counter(
+    "repro_engine_rows_scanned_total",
+    "Base-relation rows read while building core tables.",
+    ("engine",),
+)
+ROWS_JOINED = counter(
+    "repro_engine_rows_joined_total",
+    "Core-table rows produced by the join phase.",
+    ("engine",),
+)
+ROWS_GROUPED = counter(
+    "repro_engine_rows_grouped_total",
+    "Core rows fed into grouped aggregation, by executor.",
+    ("engine",),
+)
+GROUPS = counter(
+    "repro_engine_groups_total",
+    "Groups formed by grouped aggregation, by executor.",
+    ("engine",),
+)
 
 RelationResolver = Callable[[str], Table]
 
@@ -146,7 +169,6 @@ def build_core(
     # ------------------------------------------------------------------
     # Scan + local filter each relation.
     # ------------------------------------------------------------------
-    metrics = current_metrics()
     rows_scanned = 0
     scans: list[list[Row]] = []
     for i, rel in enumerate(block.from_):
@@ -248,17 +270,8 @@ def build_core(
             current, pending, positions, _compile_predicate
         )
 
-    if metrics is not None:
-        metrics.counter(
-            "repro_engine_rows_scanned_total",
-            "Base-relation rows read while building core tables.",
-            ("engine",),
-        ).labels("row").inc(rows_scanned)
-        metrics.counter(
-            "repro_engine_rows_joined_total",
-            "Core-table rows produced by the join phase.",
-            ("engine",),
-        ).labels("row").inc(len(current))
+    ROWS_SCANNED.labels("row").inc(rows_scanned)
+    ROWS_JOINED.labels("row").inc(len(current))
 
     # Re-order tuple positions to the canonical block layout.
     if positions != index:

@@ -27,10 +27,25 @@ from ..catalog.schema import Catalog
 from ..core.rewriter import RewriteEngine
 from ..dialects import DialectLike, get_dialect
 from ..obs.budget import SearchBudget
-from ..obs.metrics import current_metrics
+from ..obs.metrics import counter
 from ..oracle.values import rows_multiset_equal
 from ..service.requests import API_SCHEMA
 from .catalog import IngestReport, ingest_catalog, parse_materialized_views
+
+STATEMENTS = counter(
+    "repro_federation_statements_total",
+    "SQL statements through the middleware, by outcome.",
+    ("rewritten",),
+)
+INGESTS = counter(
+    "repro_federation_ingests_total",
+    "Catalogs ingested from live connections.",
+)
+VERIFIES = counter(
+    "repro_federation_verify_total",
+    "Live verify runs, by outcome.",
+    ("outcome",),
+)
 
 
 @dataclass(frozen=True)
@@ -106,13 +121,7 @@ class SqlRewriter:
         rewritten = best is not None and (
             not self.only_improving or best.cost < result.original_cost
         )
-        metrics = current_metrics()
-        if metrics is not None:
-            metrics.counter(
-                "repro_federation_statements_total",
-                "SQL statements through the middleware, by outcome.",
-                ("rewritten",),
-            ).labels("true" if rewritten else "false").inc()
+        STATEMENTS.labels("true" if rewritten else "false").inc()
         if rewritten:
             rewriting = best.rewriting
             aux = tuple(
@@ -190,12 +199,7 @@ class FederationSession:
                 materialized=materialized,
                 row_counts=row_counts,
             )
-            metrics = current_metrics()
-            if metrics is not None:
-                metrics.counter(
-                    "repro_federation_ingests_total",
-                    "Catalogs ingested from live connections.",
-                ).inc()
+            INGESTS.inc()
         else:
             self.report = IngestReport(dialect=self.dialect.name)
             if materialized:
@@ -248,18 +252,11 @@ class FederationSession:
         elif verify:
             result.verified = True
         if verify:
-            metrics = current_metrics()
-            if metrics is not None:
-                outcome_label = (
-                    "passthrough"
-                    if not outcome.rewritten
-                    else "ok" if result.verified else "mismatch"
-                )
-                metrics.counter(
-                    "repro_federation_verify_total",
-                    "Live verify runs, by outcome.",
-                    ("outcome",),
-                ).labels(outcome_label).inc()
+            VERIFIES.labels(
+                "passthrough"
+                if not outcome.rewritten
+                else "ok" if result.verified else "mismatch"
+            ).inc()
         return result
 
     def _run(self, outcome: SqlRewriteOutcome) -> list:

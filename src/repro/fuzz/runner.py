@@ -18,13 +18,29 @@ from typing import Optional
 
 from ..errors import OracleUnsupported
 from ..obs.budget import SearchBudget
-from ..obs.metrics import current_metrics
+from ..obs.metrics import counter
 from ..oracle import CrossChecker
 from ..oracle.backends import available_backends
 from ..workloads.random_queries import Scenario
 from .generate import PROFILES, fuzz_scenario
 from .serialize import scenario_to_json
 from .shrink import shrink_scenario
+
+SCENARIOS = counter(
+    "repro_fuzz_scenarios_total",
+    "Fuzz scenarios generated, by profile and outcome.",
+    ("profile", "outcome"),
+)
+CHECKS = counter(
+    "repro_fuzz_checks_total",
+    "Oracle comparisons performed by the fuzz loop, by profile.",
+    ("profile",),
+)
+MISMATCHES = counter(
+    "repro_fuzz_mismatches_total",
+    "Oracle disagreements found by the fuzz loop, by profile.",
+    ("profile",),
+)
 
 #: Every Nth scenario re-runs the search under each tight budget.
 BUDGET_EVERY = 5
@@ -245,26 +261,11 @@ def _record_outcome(
     skipped: bool = False,
 ) -> None:
     """Fold one fuzz scenario's outcome into the active registry."""
-    metrics = current_metrics()
-    if metrics is None:
-        return
-    metrics.counter(
-        "repro_fuzz_scenarios_total",
-        "Fuzz scenarios generated, by profile and outcome.",
-        ("profile", "outcome"),
-    ).labels(profile, "skipped" if skipped else "checked").inc()
+    SCENARIOS.labels(profile, "skipped" if skipped else "checked").inc()
     if checks:
-        metrics.counter(
-            "repro_fuzz_checks_total",
-            "Oracle comparisons performed by the fuzz loop, by profile.",
-            ("profile",),
-        ).labels(profile).inc(checks)
+        CHECKS.labels(profile).inc(checks)
     if mismatches:
-        metrics.counter(
-            "repro_fuzz_mismatches_total",
-            "Oracle disagreements found by the fuzz loop, by profile.",
-            ("profile",),
-        ).labels(profile).inc(mismatches)
+        MISMATCHES.labels(profile).inc(mismatches)
 
 
 def replay(

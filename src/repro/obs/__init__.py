@@ -12,7 +12,7 @@ Two orthogonal facilities, both threaded through the whole rewrite path
   sound results tagged ``exhausted=True`` instead of exceptions;
 * :mod:`repro.obs.metrics` — production counters/gauges/histograms with
   Prometheus text exposition and picklable, mergeable snapshots,
-  sharing the tracer's free-when-off hoisted-``None`` discipline.
+  each family declared once as a handle that is free when off.
 
 See ``docs/observability.md`` for the user-facing guide.
 """

@@ -44,7 +44,7 @@ from ..core.result import Rewriting
 from ..engine.database import Database
 from ..errors import ReproError
 from ..obs.budget import BudgetMeter, SearchBudget
-from ..obs.metrics import current_metrics
+from ..obs.metrics import counter
 from .backends import BACKEND_NAMES, DBAPIBackend, create_backend
 from .values import rows_multiset_equal
 
@@ -99,6 +99,25 @@ class CheckReport:
             )
         return "\n".join(m.describe() for m in self.mismatches)
 
+
+SCENARIOS = counter(
+    "repro_oracle_scenarios_total",
+    "Scenarios cross-checked against live backends.",
+)
+CHECKS = counter(
+    "repro_oracle_checks_total",
+    "Individual multiset-equality comparisons performed.",
+)
+VACATIONS = counter(
+    "repro_oracle_vacations_total",
+    "Scenarios whose rewriting-vs-query check was vacated "
+    "because NULL base data is outside the rewriting model.",
+)
+MISMATCHES = counter(
+    "repro_oracle_mismatches_total",
+    "Cross-backend disagreements, by the backend that differed.",
+    ("backend",),
+)
 
 #: Engine modes the checker accepts: the evaluator's modes plus
 #: ``"both"``, which runs row *and* columnar per evaluation and adds
@@ -423,34 +442,14 @@ def _record_report(report: CheckReport, null_base: bool) -> None:
     Recorded once per :meth:`CrossChecker.check` so counter totals match
     report totals exactly, whatever path produced the mismatches.
     """
-    metrics = current_metrics()
-    if metrics is None:
-        return
-    metrics.counter(
-        "repro_oracle_scenarios_total",
-        "Scenarios cross-checked against live backends.",
-    ).inc()
+    SCENARIOS.inc()
     if report.checks:
-        metrics.counter(
-            "repro_oracle_checks_total",
-            "Individual multiset-equality comparisons performed.",
-        ).inc(report.checks)
+        CHECKS.inc(report.checks)
     if null_base:
-        metrics.counter(
-            "repro_oracle_vacations_total",
-            "Scenarios whose rewriting-vs-query check was vacated "
-            "because NULL base data is outside the rewriting model.",
-        ).inc()
-    if report.mismatches:
-        family = metrics.counter(
-            "repro_oracle_mismatches_total",
-            "Cross-backend disagreements, by the backend that differed.",
-            ("backend",),
-        )
-        for mismatch in report.mismatches:
-            token = mismatch.right_label.split()[0]
-            backend = token if token in BACKEND_NAMES else "engine"
-            family.labels(backend).inc()
+        VACATIONS.inc()
+    for mismatch in report.mismatches:
+        token = mismatch.right_label.split()[0]
+        MISMATCHES.labels(token if token in BACKEND_NAMES else "engine").inc()
 
 
 def check_scenario(

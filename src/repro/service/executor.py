@@ -39,8 +39,24 @@ from ..core.result import Rewriting
 from ..core.rewriter import RankedRewriting, search
 from ..errors import ReproError
 from ..obs.budget import BudgetMeter, SearchBudget, ensure_meter
-from ..obs.metrics import MetricsRegistry, collecting, current_metrics
+from ..obs.metrics import (
+    MetricsRegistry,
+    collecting,
+    counter,
+    current_metrics,
+    histogram,
+)
 from .requests import RewriteRequest, RewriteResponse
+
+REQUEST_SECONDS = histogram(
+    "repro_service_request_seconds",
+    "Wall-clock latency of individual rewrite requests.",
+)
+REQUESTS = counter(
+    "repro_service_requests_total",
+    "Rewrite requests executed, by outcome.",
+    ("outcome",),
+)
 
 #: Distinguishes "no overlay budget supplied" from an explicit None.
 _UNSET = object()
@@ -116,22 +132,12 @@ def _attempt(
             elapsed=time.perf_counter() - started,
             error=message,
         )
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.histogram(
-            "repro_service_request_seconds",
-            "Wall-clock latency of individual rewrite requests.",
-        ).observe(response.elapsed)
-        outcome = (
-            "error"
-            if response.error is not None
-            else "exhausted" if response.exhausted else "ok"
-        )
-        metrics.counter(
-            "repro_service_requests_total",
-            "Rewrite requests executed, by outcome.",
-            ("outcome",),
-        ).labels(outcome).inc()
+    REQUEST_SECONDS.observe(response.elapsed)
+    REQUESTS.labels(
+        "error"
+        if response.error is not None
+        else "exhausted" if response.exhausted else "ok"
+    ).inc()
     return response
 
 

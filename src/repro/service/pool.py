@@ -46,7 +46,13 @@ from typing import Optional, Sequence, Union
 from ..cache import CacheSnapshot, QueryCache
 from ..core.planner import RewritePlanner
 from ..memo import Memo
-from ..obs.metrics import MetricsRegistry, collecting, current_metrics
+from ..obs.metrics import (
+    MetricsRegistry,
+    collecting,
+    counter,
+    current_metrics,
+    histogram,
+)
 from ..obs.trace import RewriteTrace, merge_spans
 from .batcher import RequestGroup, chunk_groups, group_requests
 from .degradation import BatchDeadline, refused_response
@@ -66,6 +72,24 @@ SERIAL_THRESHOLD = 8
 BUNDLES_PER_WORKER = 4
 
 Chunk = tuple[RequestGroup, list[tuple[int, RewriteRequest]]]
+
+REFUSALS = counter(
+    "repro_service_refusals_total",
+    "Requests refused outright by an expired batch deadline.",
+)
+BATCHES = counter(
+    "repro_service_batches_total",
+    "Batches executed, by resolved mode.",
+    ("mode",),
+)
+BATCH_SECONDS = histogram(
+    "repro_service_batch_seconds", "Wall-clock latency of whole batches."
+)
+CHUNK_DEMOTIONS = counter(
+    "repro_service_chunk_demotions_total",
+    "Chunks demoted to in-process execution after a worker or pickling "
+    "failure.",
+)
 
 
 def _available_cpus() -> int:
@@ -120,13 +144,7 @@ def _execute_chunk(
     for position, request in members:
         if deadline is not None and deadline.expired:
             out.append((position, refused_response(request)))
-            metrics = current_metrics()
-            if metrics is not None:
-                metrics.counter(
-                    "repro_service_refusals_total",
-                    "Requests refused outright by an expired batch "
-                    "deadline.",
-                ).inc()
+            REFUSALS.inc()
             continue
         overlay = (
             deadline.overlay(request)
@@ -358,15 +376,8 @@ class BatchRewriteService:
         elapsed = time.perf_counter() - started
         batch_metrics = None
         if batch_reg is not None:
-            batch_reg.counter(
-                "repro_service_batches_total",
-                "Batches executed, by resolved mode.",
-                ("mode",),
-            ).labels(mode).inc()
-            batch_reg.histogram(
-                "repro_service_batch_seconds",
-                "Wall-clock latency of whole batches.",
-            ).observe(elapsed)
+            batch_reg.family(BATCHES).labels(mode).inc()
+            batch_reg.family(BATCH_SECONDS).observe(elapsed)
             snapshot = batch_reg.snapshot()
             parent_metrics.merge(snapshot)
             batch_metrics = snapshot.as_dict()
@@ -537,11 +548,7 @@ class BatchRewriteService:
     def _demote_chunk(self, group, members, deadline, responses,
                       planner_stats, batch_reg=None) -> int:
         if batch_reg is not None:
-            batch_reg.counter(
-                "repro_service_chunk_demotions_total",
-                "Chunks demoted to in-process execution after a worker "
-                "or pickling failure.",
-            ).inc()
+            batch_reg.family(CHUNK_DEMOTIONS).inc()
         planner, imported = self._fresh_planner(group)
         snapshot = self._fresh_snapshot()
         for position, response in _run_chunk_collected(

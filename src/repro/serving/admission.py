@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..obs.budget import SearchBudget
-from ..obs.metrics import current_metrics
+from ..obs.metrics import counter, gauge
 
 #: Trip labels for refused responses (mirrors BATCH_DEADLINE).
 QUEUE_FULL = "queue_full"
@@ -38,6 +38,16 @@ TENANT_QUOTA = "tenant_quota"
 
 #: Tenant name used when a request does not declare one.
 DEFAULT_TENANT = "default"
+
+ADMISSIONS = counter(
+    "repro_serving_admission_total",
+    "Admission decisions, by outcome.",
+    ("outcome",),
+)
+QUEUE_DEPTH = gauge(
+    "repro_serving_queue_depth",
+    "Admitted-but-unfinished requests in the daemon.",
+)
 
 
 @dataclass(frozen=True)
@@ -107,7 +117,8 @@ class AdmissionController:
                     self._per_tenant.get(tenant, 0) + 1
                 )
             depth = self._inflight
-        self._observe(outcome, depth)
+        ADMISSIONS.labels(outcome or "admitted").inc()
+        QUEUE_DEPTH.set(depth)
         return outcome
 
     def release(self, tenant: str = DEFAULT_TENANT) -> None:
@@ -119,23 +130,4 @@ class AdmissionController:
             else:
                 self._per_tenant.pop(tenant, None)
             depth = self._inflight
-        metrics = current_metrics()
-        if metrics is not None:
-            metrics.gauge(
-                "repro_serving_queue_depth",
-                "Admitted-but-unfinished requests in the daemon.",
-            ).set(depth)
-
-    def _observe(self, outcome: Optional[str], depth: int) -> None:
-        metrics = current_metrics()
-        if metrics is None:
-            return
-        metrics.counter(
-            "repro_serving_admission_total",
-            "Admission decisions, by outcome.",
-            ("outcome",),
-        ).labels(outcome or "admitted").inc()
-        metrics.gauge(
-            "repro_serving_queue_depth",
-            "Admitted-but-unfinished requests in the daemon.",
-        ).set(depth)
+        QUEUE_DEPTH.set(depth)

@@ -51,7 +51,13 @@ from ..catalog.schema import Catalog
 from ..engine.database import Database
 from ..errors import UnsupportedSQLError
 from ..maintenance import MaintainedView, apply_change, register_delta_listener
-from ..obs.metrics import METRICS_SCHEMA, MetricsRegistry, current_metrics
+from ..obs.metrics import (
+    METRICS_SCHEMA,
+    MetricsRegistry,
+    counter,
+    current_metrics,
+    histogram,
+)
 from ..service.degradation import refused_response
 from .admission import DEFAULT_TENANT, AdmissionController, TenantQuota
 from .memo import DEFAULT_CAPACITY, create_memo_tier
@@ -62,6 +68,25 @@ from .protocol import (
     strategy_names,
 )
 from .worker import PlannerCache, init_worker, run_in_worker
+
+
+REQUESTS = counter(
+    "repro_serving_requests_total",
+    "Daemon rewrite requests, by tenant and outcome.",
+    ("tenant", "outcome"),
+)
+REQUEST_SECONDS = histogram(
+    "repro_serving_request_seconds",
+    "Daemon rewrite latency, by tenant.",
+    ("tenant",),
+)
+MEMO_PUBLISHES = counter(
+    "repro_serving_shared_memo_publishes_total",
+    "Served responses by whether their memo export was "
+    "published into the shared memo tier or skipped "
+    "(planner unchanged since its last export).",
+    ("outcome",),
+)
 
 
 def _envelope(*args, **kwargs) -> dict:
@@ -377,14 +402,14 @@ class RewriteDaemon:
                 # publishes into the shared tier. An empty export means
                 # the planner learned nothing: nothing to publish.
                 self.memo.publish(key, view_names, export)
-            self._count_publish("published" if export else "skipped")
             outcome = (
                 "error"
                 if response.error is not None
                 else "exhausted" if response.exhausted else "ok"
             )
             self._count_request(
-                tenant, outcome, time.perf_counter() - started
+                tenant, outcome, time.perf_counter() - started,
+                publish="published" if export else "skipped",
             )
             return _envelope(
                 response, kind="rewrite", request_id=request.request_id
@@ -393,33 +418,22 @@ class RewriteDaemon:
             self.admission.release(tenant)
 
     def _count_request(
-        self, tenant: str, outcome: str, seconds: Optional[float] = None
+        self,
+        tenant: str,
+        outcome: str,
+        seconds: Optional[float] = None,
+        publish: Optional[str] = None,
     ) -> None:
+        """Record one request into the daemon's registry, else the
+        active one."""
         metrics = self.metrics or current_metrics()
         if metrics is None:
             return
-        metrics.counter(
-            "repro_serving_requests_total",
-            "Daemon rewrite requests, by tenant and outcome.",
-            ("tenant", "outcome"),
-        ).labels(tenant, outcome).inc()
+        metrics.family(REQUESTS).labels(tenant, outcome).inc()
         if seconds is not None:
-            metrics.histogram(
-                "repro_serving_request_seconds",
-                "Daemon rewrite latency, by tenant.",
-                ("tenant",),
-            ).labels(tenant).observe(seconds)
-
-    def _count_publish(self, outcome: str) -> None:
-        metrics = self.metrics or current_metrics()
-        if metrics is not None:
-            metrics.counter(
-                "repro_serving_shared_memo_publishes_total",
-                "Served responses by whether their memo export was "
-                "published into the shared memo tier or skipped "
-                "(planner unchanged since its last export).",
-                ("outcome",),
-            ).labels(outcome).inc()
+            metrics.family(REQUEST_SECONDS).labels(tenant).observe(seconds)
+        if publish is not None:
+            metrics.family(MEMO_PUBLISHES).labels(publish).inc()
 
     async def _op_update(self, obj: dict, line_no: int) -> dict:
         table = obj.get("table")

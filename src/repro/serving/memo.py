@@ -58,7 +58,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
-from ..obs.metrics import current_metrics
+from ..obs.metrics import counter, gauge
 
 _T = TypeVar("_T")
 
@@ -94,39 +94,24 @@ class MemoEntry:
     memo: list = field(default_factory=list)
 
 
-def _observe_lookup(outcome: str) -> None:
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.counter(
-            "repro_serving_shared_memo_lookups_total",
-            "Shared memo tier lookups, by outcome.",
-            ("outcome",),
-        ).labels(outcome).inc()
-
-
-def _observe_eviction(reason: str, count: int) -> None:
-    if count <= 0:
-        return
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.counter(
-            "repro_serving_shared_memo_evictions_total",
-            "Entries evicted from the shared memo tier, by reason.",
-            ("reason",),
-        ).labels(reason).inc(count)
-
-
-def _observe_size(entries: int, epoch: int) -> None:
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.gauge(
-            "repro_serving_shared_memo_entries",
-            "Entries currently published in the shared memo tier.",
-        ).set(entries)
-        metrics.gauge(
-            "repro_serving_epoch",
-            "Current invalidation epoch of the shared memo tier.",
-        ).set(epoch)
+LOOKUPS = counter(
+    "repro_serving_shared_memo_lookups_total",
+    "Shared memo tier lookups, by outcome.",
+    ("outcome",),
+)
+EVICTIONS = counter(
+    "repro_serving_shared_memo_evictions_total",
+    "Entries evicted from the shared memo tier, by reason.",
+    ("reason",),
+)
+ENTRIES = gauge(
+    "repro_serving_shared_memo_entries",
+    "Entries currently published in the shared memo tier.",
+)
+EPOCH = gauge(
+    "repro_serving_epoch",
+    "Current invalidation epoch of the shared memo tier.",
+)
 
 
 def _iter_records(raw: bytes) -> Iterator[tuple[tuple, memoryview]]:
@@ -188,7 +173,7 @@ class LocalMemoTier:
 
     def lookup(self, key: tuple) -> Optional[MemoEntry]:
         found = self._entries.get(key)
-        _observe_lookup("hit" if found is not None else "miss")
+        LOOKUPS.labels("miss" if found is None else "hit").inc()
         return None if found is None else found[0]
 
     def publish(
@@ -212,7 +197,8 @@ class LocalMemoTier:
             self._bytes += len(record)
             self._enforce_capacity()
             self._flush()
-            _observe_size(len(self._entries), self._epoch)
+            ENTRIES.set(len(self._entries))
+            EPOCH.set(self._epoch)
         return entry
 
     def invalidate_views(self, names: Iterable[str]) -> int:
@@ -234,8 +220,10 @@ class LocalMemoTier:
                 self._remove(key)
             self._epoch += 1
             self._flush()
-            _observe_eviction("invalidation", len(victims))
-            _observe_size(len(self._entries), self._epoch)
+            if victims:
+                EVICTIONS.labels("invalidation").inc(len(victims))
+            ENTRIES.set(len(self._entries))
+            EPOCH.set(self._epoch)
         return len(victims)
 
     def clear(self) -> None:
@@ -267,7 +255,8 @@ class LocalMemoTier:
         ):
             self._remove(next(iter(self._entries)))
             evicted += 1
-        _observe_eviction("capacity", evicted)
+        if evicted:
+            EVICTIONS.labels("capacity").inc(evicted)
 
     def _flush(self) -> None:  # shared-memory subclass hook
         pass
@@ -380,7 +369,7 @@ class SharedMemoTier(LocalMemoTier):
             return None
 
         entry = self._read(find)
-        _observe_lookup("hit" if entry is not None else "miss")
+        LOOKUPS.labels("miss" if entry is None else "hit").inc()
         return entry
 
     def __len__(self) -> int:

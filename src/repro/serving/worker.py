@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..core.planner import RewritePlanner
-from ..obs.metrics import current_metrics
+from ..obs.metrics import counter
 from ..service.executor import execute_request
 from ..service.requests import RewriteRequest, RewriteResponse
 from .memo import MEMO_EXPORT_MAX, SharedMemoTier
@@ -47,15 +47,12 @@ WARM_SHARED = "warm_shared"
 COLD = "cold"
 
 
-def _observe_path(path: str) -> None:
-    metrics = current_metrics()
-    if metrics is not None:
-        metrics.counter(
-            "repro_serving_planner_path_total",
-            "How requests obtained their planner: locally cached, "
-            "warm-started from the shared memo tier, or cold.",
-            ("path",),
-        ).labels(path).inc()
+PLANNER_PATHS = counter(
+    "repro_serving_planner_path_total",
+    "How requests obtained their planner: locally cached, "
+    "warm-started from the shared memo tier, or cold.",
+    ("path",),
+)
 
 
 @dataclass
@@ -114,7 +111,7 @@ class PlannerCache:
             cached.exported_version = version
         else:
             export = []
-        _observe_path(path)
+        PLANNER_PATHS.labels(path).inc()
         return response, key, view_names, export, path
 
     def _planner_for(
