@@ -123,8 +123,11 @@ class QueryBlock:
         # ``_cached_hash`` would be wrong in any other interpreter and
         # silently corrupt every dict keyed by blocks there (the planner's
         # substitution memo shipped to pool workers). Recompute on demand.
+        # The default-dialect text ``block_to_sql`` caches stays in its
+        # process too: it would only add bytes to every memo export.
         state = dict(self.__dict__)
         state.pop("_cached_hash", None)
+        state.pop("_cached_sql", None)
         return state
 
     # ------------------------------------------------------------------

@@ -97,8 +97,20 @@ def block_to_ast(block: QueryBlock) -> SelectStmt:
 
 
 def block_to_sql(block: QueryBlock, dialect: DialectLike = ANSI) -> str:
-    """Render a QueryBlock as SQL text in the given dialect (or name)."""
-    return print_select(block_to_ast(block), dialect=get_dialect(dialect))
+    """Render a QueryBlock as SQL text in the given dialect (or name).
+
+    The default-dialect text is printed at most once per block and kept
+    on it, like its hash (and, like its hash, never pickled).
+    """
+    dialect = get_dialect(dialect)
+    if dialect is not ANSI:
+        return print_select(block_to_ast(block), dialect=dialect)
+    try:
+        return object.__getattribute__(block, "_cached_sql")
+    except AttributeError:
+        text = print_select(block_to_ast(block), dialect=ANSI)
+        object.__setattr__(block, "_cached_sql", text)
+        return text
 
 
 def view_to_sql(view: ViewDef, dialect: DialectLike = ANSI) -> str:

@@ -29,10 +29,23 @@ class Rewriting:
         return {view.name: view for view in self.aux_views}
 
     def sql(self) -> str:
-        """SQL text: auxiliary CREATE VIEW statements, then the query."""
-        pieces = [view_to_sql(v) + ";" for v in self.aux_views]
-        pieces.append(block_to_sql(self.query))
-        return "\n\n".join(pieces)
+        """SQL text: auxiliary CREATE VIEW statements, then the query.
+
+        Printed at most once per rewriting; the text is not pickled.
+        """
+        try:
+            return object.__getattribute__(self, "_cached_sql")
+        except AttributeError:
+            pieces = [view_to_sql(v) + ";" for v in self.aux_views]
+            pieces.append(block_to_sql(self.query))
+            text = "\n\n".join(pieces)
+            object.__setattr__(self, "_cached_sql", text)
+            return text
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_cached_sql", None)
+        return state
 
     def __str__(self) -> str:
         return self.sql()

@@ -116,7 +116,6 @@ class SqlRewriter:
             input_sql = sql
             query = parse_query(sql, self.catalog)
         result = self.engine.rewrite(query)
-        passthrough = block_to_sql(query, dialect=self.dialect)
         best = result.ranked[0] if result.ranked else None
         rewritten = best is not None and (
             not self.only_improving or best.cost < result.original_cost
@@ -141,6 +140,7 @@ class SqlRewriter:
                 cost_rewritten=best.cost,
                 exhausted=result.exhausted,
             )
+        passthrough = block_to_sql(query, dialect=self.dialect)
         return SqlRewriteOutcome(
             input_sql=input_sql,
             dialect=self.dialect.name,

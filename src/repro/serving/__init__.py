@@ -14,7 +14,7 @@ Layers, bottom up:
     with ``repro batch``, and the serving fingerprint;
 :mod:`repro.serving.worker`
     request execution with shared-memo warm start (the epoch protocol's
-    reader side);
+    reader side) and a per-planner memo of finished responses;
 :mod:`repro.serving.daemon`
     the asyncio TCP/Unix server tying it together, including
     maintenance-delta cache invalidation;

@@ -13,6 +13,7 @@ import pytest
 
 from repro.cli import main
 from repro.federation import FederationSession, SqlRewriter, ingest_catalog
+from repro.federation.middleware import SqlRewriteOutcome
 from repro.oracle import rows_multiset_equal
 
 SCHEMA = """
@@ -107,6 +108,52 @@ def test_sql_rewriter_without_connection():
     outcome = rewriter.rewrite_sql(QUERY)
     assert outcome.rewritten
     assert outcome.dialect == "postgres"
+
+
+PASSTHROUGH_QUERY = "SELECT id, amount FROM sales WHERE region = 'east'"
+REWRITTEN_SQL = (
+    'SELECT "region_totals"."region", SUM("region_totals"."total") AS "s"'
+    '\nFROM "region_totals"\nGROUP BY "region_totals"."region"'
+)
+PASSTHROUGH_SQL = (
+    'SELECT "sales"."id", "sales"."amount"\nFROM "sales"'
+    "\nWHERE \"sales\".\"region\" = 'east'"
+)
+
+
+def test_outcomes_are_unchanged_on_both_branches(session, monkeypatch):
+    import repro.federation.middleware as middleware
+
+    emitted = []
+    block_to_sql = middleware.block_to_sql
+
+    def counting(block, dialect=None):
+        emitted.append(block)
+        return block_to_sql(block, dialect=dialect)
+
+    monkeypatch.setattr(middleware, "block_to_sql", counting)
+    assert session.rewrite_sql(QUERY) == SqlRewriteOutcome(
+        input_sql=QUERY,
+        dialect="sqlite",
+        sql=REWRITTEN_SQL,
+        statements=(REWRITTEN_SQL,),
+        rewritten=True,
+        used_views=("region_totals",),
+        cost_original=1000.0,
+        cost_rewritten=100.0,
+    )
+    # The rewritten branch emits only the rewriting, never the input.
+    assert len(emitted) == 1
+    emitted.clear()
+    assert session.rewrite_sql(PASSTHROUGH_QUERY) == SqlRewriteOutcome(
+        input_sql=PASSTHROUGH_QUERY,
+        dialect="sqlite",
+        sql=PASSTHROUGH_SQL,
+        statements=(PASSTHROUGH_SQL,),
+        rewritten=False,
+        cost_original=100.0,
+    )
+    assert len(emitted) == 1
 
 
 # ----------------------------------------------------------------------

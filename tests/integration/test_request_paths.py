@@ -23,7 +23,7 @@ from repro.obs import SearchBudget
 from repro.service import RewriteRequest
 from repro.serving import PlannerCache
 from repro.serving.memo import LocalMemoTier
-from repro.serving.worker import WARM_LOCAL
+from repro.serving.worker import COLD, WARM_LOCAL
 from repro.workloads.random_queries import random_scenario
 
 SEEDS = range(40)
@@ -101,7 +101,8 @@ def test_every_path_gives_the_same_answer(
     cache = PlannerCache(LocalMemoTier())
     cache.run(request)
     served, _key, _names, _export, path = cache.run(request)
-    assert path == WARM_LOCAL
+    # A count-budgeted request plans cold and never caches a planner.
+    assert path == (COLD if case == "count_budget" else WARM_LOCAL)
     assert served.error is None
     assert outcome(served) == want, "warm PlannerCache.run"
 
