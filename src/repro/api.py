@@ -33,7 +33,6 @@ from .blocks.normalize import parse_query
 from .blocks.query_block import QueryBlock, ViewDef
 from .blocks.to_sql import block_to_sql
 from .catalog.schema import Catalog
-from .cache import QueryCache
 from .core.explain import UsabilityDiagnosis, explain_usability
 from .core.result import Rewriting
 from .obs.budget import BudgetMeter, SearchBudget
@@ -185,7 +184,6 @@ def rewrite_batch(
     mode: str = "auto",
     workers: Optional[int] = None,
     deadline: Optional[float] = None,
-    cache: Optional[QueryCache] = None,
     service: Optional[BatchRewriteService] = None,
 ) -> BatchResult:
     """Rewrite a whole batch of requests; N requests in, N responses out.
@@ -198,7 +196,7 @@ def rewrite_batch(
     fresh one is built per call.
     """
     if service is None:
-        service = BatchRewriteService(mode=mode, workers=workers, cache=cache)
+        service = BatchRewriteService(mode=mode, workers=workers)
     return service.submit(requests, deadline=deadline)
 
 

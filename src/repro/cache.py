@@ -16,7 +16,7 @@ under a row-count capacity.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from .blocks.normalize import as_block
@@ -86,75 +86,6 @@ class CacheStats:
         self.evictions = 0
         self.remembered = 0
         self.budget_exhausted = 0
-
-
-@dataclass
-class CacheSnapshot:
-    """A read-only, picklable view of a :class:`QueryCache`'s contents.
-
-    The batch service ships one snapshot per worker so lookups run
-    against a consistent cached-view set without sharing the live cache
-    across processes. ``find_rewriting`` mirrors
-    :meth:`QueryCache.find_rewriting` but never mutates LRU order;
-    per-snapshot :class:`CacheStats` are merged back into the live cache
-    with :meth:`QueryCache.merge_external`.
-    """
-
-    catalog: Catalog
-    views: tuple[ViewDef, ...]
-    use_set_semantics: bool = False
-    budget: Optional[SearchBudget] = None
-
-    def __post_init__(self):
-        self._planner: Optional[RewritePlanner] = None
-        self.stats = CacheStats()
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        # The planner rebuilds lazily per process; stats start at zero so
-        # each worker reports only its own lookups.
-        state["_planner"] = None
-        state["stats"] = CacheStats()
-        return state
-
-    def find_rewriting(
-        self,
-        query: Union[str, QueryBlock],
-        budget: Union[SearchBudget, BudgetMeter, None] = None,
-    ) -> Optional[Rewriting]:
-        """A rewriting of ``query`` over the snapshot's cached views."""
-        meter = ensure_meter(budget if budget is not None else self.budget)
-        block = as_block(query, self.catalog)
-        if self._planner is None:
-            self._planner = RewritePlanner(
-                self.views,
-                catalog=self.catalog,
-                use_set_semantics=self.use_set_semantics,
-            )
-        candidates = all_rewritings(
-            block,
-            (),
-            catalog=self.catalog,
-            use_set_semantics=self.use_set_semantics,
-            planner=self._planner,
-            budget=meter,
-        )
-        if meter is not None and meter.exhausted:
-            self.stats.budget_exhausted += 1
-        cached = {view.name for view in self.views}
-        for rewriting in candidates:
-            names = {rel.name for rel in rewriting.query.from_}
-            if names <= cached:
-                self.stats.hits += 1
-                LOOKUPS.labels("hit").inc()
-                return rewriting
-        self.stats.misses += 1
-        LOOKUPS.labels("miss").inc()
-        return None
-
-    def reset_stats(self) -> None:
-        """Start a fresh counting window for this snapshot."""
-        self.stats.reset()
 
 
 @dataclass
@@ -278,32 +209,6 @@ class QueryCache:
         return list(self._entries)
 
     # ------------------------------------------------------------------
-
-    def snapshot(self) -> CacheSnapshot:
-        """A read-only, picklable view of the current cached-view set.
-
-        The snapshot owns a catalog copy, so later remember/evict traffic
-        on the live cache cannot race lookups running in pool workers.
-        """
-        return CacheSnapshot(
-            catalog=self._catalog.copy(),
-            views=tuple(entry.view for entry in self._entries.values()),
-            use_set_semantics=self.use_set_semantics,
-            budget=self.budget,
-        )
-
-    def merge_external(
-        self,
-        stats: Union[CacheStats, dict],
-    ) -> None:
-        """Fold lookup counters from a snapshot (or a worker's dict of
-        them) into the live cache's stats, so batch traffic shows up in
-        the same place as direct ``try_answer`` traffic."""
-        if isinstance(stats, CacheStats):
-            stats = stats.as_dict()
-        self.stats.hits += stats.get("hits", 0)
-        self.stats.misses += stats.get("misses", 0)
-        self.stats.budget_exhausted += stats.get("budget_exhausted", 0)
 
     def reset_stats(self) -> None:
         """Explicitly zero the lookup/eviction counters.

@@ -72,10 +72,10 @@ from .equivalence import check_equivalent
 from .errors import ReproError
 from .obs import SearchBudget
 from .obs.metrics import (
-    METRICS_SCHEMA,
     MetricsRegistry,
     collecting,
     current_metrics,
+    emit_frame,
     histogram,
     set_global_metrics,
     timed,
@@ -451,29 +451,14 @@ def cmd_rewrite_sql(args) -> int:
 
 
 def cmd_serve_sql(args) -> int:
+    import itertools
     import time
 
     interval = getattr(args, "metrics_interval", 0.0) or 0.0
 
     started = time.monotonic()
     last_frame = started
-    seq = 0
-
-    def emit_frame() -> None:
-        nonlocal seq
-        seq += 1
-        print(
-            json.dumps(
-                {
-                    "schema": METRICS_SCHEMA,
-                    "kind": "metrics-frame",
-                    "seq": seq,
-                    "elapsed": round(time.monotonic() - started, 3),
-                    "metrics": registry.snapshot().as_dict(),
-                }
-            ),
-            flush=True,
-        )
+    frame_seq = itertools.count(1)
 
     # Periodic in-band metric frames need a live registry.
     scope = _active_registry() if interval > 0 else contextlib.nullcontext()
@@ -483,6 +468,8 @@ def cmd_serve_sql(args) -> int:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            # Bound per line: a line that is not JSON has no id to echo.
+            obj = None
             try:
                 obj = json.loads(line)
                 if isinstance(obj, str):
@@ -510,11 +497,11 @@ def cmd_serve_sql(args) -> int:
                 doc["id"] = obj["id"]
             print(json.dumps(doc), flush=True)
             if interval > 0 and time.monotonic() - last_frame >= interval:
-                emit_frame()
+                emit_frame(registry, next(frame_seq), started)
                 last_frame = time.monotonic()
         if interval > 0:
             # A closing frame so short sessions still report totals.
-            emit_frame()
+            emit_frame(registry, next(frame_seq), started)
     return 0
 
 

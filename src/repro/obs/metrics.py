@@ -32,7 +32,7 @@ registry shared across threads (the CLI global, the batch service in
 thread mode) never loses increments. The service additionally runs each
 chunk under its own scoped registry (:class:`collecting`) and folds the
 picklable :class:`MetricsSnapshot` back into the parent exactly once —
-the same merge discipline as planner memos and cache stats — which is
+the same merge discipline as planner memos — which is
 what keeps process-mode workers and the no-double-counting contract
 honest (see ``docs/observability.md``).
 
@@ -41,11 +41,12 @@ method on snapshots) emits the Prometheus text format, served by
 ``repro metrics`` and the ``--metrics-out FILE`` flag; snapshots also
 serialize to the ``repro-metrics/1`` JSON shape carried on
 ``RewriteResponse``/``BatchResult`` envelopes and in the periodic
-frames ``repro serve-sql`` emits.
+frames ``repro serve-sql`` and ``repro serve`` emit (:func:`emit_frame`).
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 import weakref
@@ -599,6 +600,24 @@ def render_prometheus(
             lines.append(f"{name}_sum{block} {_format_number(value['sum'])}")
             lines.append(f"{name}_count{block} {value['count']}")
     return "\n".join(lines) + "\n" if lines else ""
+
+
+def emit_frame(registry: MetricsRegistry, seq: int, started: float) -> None:
+    """Print one in-band ``repro-metrics/1`` frame line on stdout.
+
+    The frame carries ``registry``'s cumulative snapshot as number
+    ``seq``, stamped with the seconds since ``started`` (a
+    :func:`time.monotonic` reading). ``repro serve-sql`` and ``repro
+    serve --metrics-interval`` both emit exactly this shape.
+    """
+    frame = {
+        "schema": METRICS_SCHEMA,
+        "kind": "metrics-frame",
+        "seq": seq,
+        "elapsed": round(time.monotonic() - started, 3),
+        "metrics": registry.snapshot().as_dict(),
+    }
+    print(json.dumps(frame), flush=True)
 
 
 # ----------------------------------------------------------------------

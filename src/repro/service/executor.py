@@ -4,10 +4,11 @@ Every execution mode funnels through :func:`execute_request`: the
 ``repro.api`` facade calls it inline, the serial batch mode loops over
 it, thread/process workers run it once per request in their chunk and
 the serving daemon's :class:`~repro.serving.worker.PlannerCache` calls
-it with the fingerprint's planner. It probes the semantic cache and
-hands the request to :func:`repro.core.rewriter.search` — the one body
-that parses, searches, ranks and traces, with or without a catalog. One
-code path is what makes the batch-parity guarantee testable at all.
+it with the fingerprint's planner. It resolves the budget, hands the
+request to :func:`repro.core.rewriter.search` — the one body that
+parses, searches, ranks and traces, with or without a catalog — and
+shapes the result into a response. One code path is what makes the
+batch-parity guarantee testable at all.
 
 Which planner
     A caller passes the planner it keeps warm for the request's
@@ -32,11 +33,8 @@ from dataclasses import replace
 from typing import Optional, Union
 
 from ..blocks.query_block import QueryBlock
-from ..cache import CacheSnapshot
-from ..core.cost import estimate_cost
 from ..core.planner import RewritePlanner
-from ..core.result import Rewriting
-from ..core.rewriter import RankedRewriting, search
+from ..core.rewriter import search
 from ..errors import ReproError
 from ..obs.budget import BudgetMeter, SearchBudget, ensure_meter
 from ..obs.metrics import (
@@ -67,7 +65,6 @@ def execute_request(
     *,
     planner: Optional[RewritePlanner] = None,
     budget: Union[SearchBudget, BudgetMeter, None, object] = _UNSET,
-    cache_snapshot: Optional[CacheSnapshot] = None,
     capture_errors: bool = False,
 ) -> RewriteResponse:
     """Run one request and shape the outcome into a `RewriteResponse`.
@@ -89,14 +86,10 @@ def execute_request(
     complete without double counting.
     """
     if not request.collect_metrics:
-        return _attempt(
-            request, planner, budget, cache_snapshot, capture_errors
-        )
+        return _attempt(request, planner, budget, capture_errors)
     local = MetricsRegistry()
     with collecting(local):
-        response = _attempt(
-            request, planner, budget, cache_snapshot, capture_errors
-        )
+        response = _attempt(request, planner, budget, capture_errors)
     snapshot = local.snapshot()
     parent = current_metrics()
     if parent is not None:
@@ -108,12 +101,11 @@ def _attempt(
     request: RewriteRequest,
     planner: Optional[RewritePlanner],
     budget,
-    cache_snapshot: Optional[CacheSnapshot],
     capture_errors: bool,
 ) -> RewriteResponse:
     started = time.perf_counter()
     try:
-        response = _run(request, planner, budget, cache_snapshot, started)
+        response = _run(request, planner, budget, started)
     except Exception as error:  # noqa: BLE001 — see capture_errors
         if not capture_errors:
             raise
@@ -145,21 +137,9 @@ def _run(
     request: RewriteRequest,
     planner: Optional[RewritePlanner],
     budget,
-    cache_snapshot: Optional[CacheSnapshot],
     started: float,
 ) -> RewriteResponse:
-    effective = request.budget if budget is _UNSET else budget
-    meter = ensure_meter(effective)
-
-    cache_info: Optional[dict] = None
-    if cache_snapshot is not None:
-        cached = cache_snapshot.find_rewriting(request.query, budget=meter)
-        if cached is not None:
-            return _cache_hit_response(
-                request, cached, cache_snapshot, meter, started
-            )
-        cache_info = {"served_from_cache": False}
-
+    meter = ensure_meter(request.budget if budget is _UNSET else budget)
     if request.has_count_budget():
         planner = None  # the determinism rule: plan cold
     result = search(
@@ -183,52 +163,6 @@ def _run(
         exhausted=result.exhausted,
         budget=result.budget,
         trace=result.trace,
-        cache=cache_info,
-        request_id=request.request_id,
-        elapsed=time.perf_counter() - started,
-    )
-
-
-def _cache_hit_response(
-    request: RewriteRequest,
-    rewriting: Rewriting,
-    snapshot: CacheSnapshot,
-    meter: Optional[BudgetMeter],
-    started: float,
-) -> RewriteResponse:
-    # Cost estimation must use the snapshot's catalog: the rewriting
-    # reads a cached view the request's own catalog has never heard of.
-    catalog = snapshot.catalog
-    ranked: tuple[RankedRewriting, ...] = ()
-    original_cost = None
-    if catalog is not None:
-        query_block = (
-            request.query
-            if isinstance(request.query, QueryBlock)
-            else None
-        )
-        ranked = (
-            RankedRewriting(
-                rewriting,
-                estimate_cost(
-                    rewriting.query, catalog, rewriting.aux_views
-                ),
-            ),
-        )
-        if query_block is not None:
-            original_cost = estimate_cost(query_block, catalog)
-    return RewriteResponse(
-        query=(
-            request.query
-            if isinstance(request.query, QueryBlock)
-            else None
-        ),
-        rewritings=(rewriting,),
-        ranked=ranked,
-        original_cost=original_cost,
-        exhausted=meter.exhausted if meter is not None else False,
-        budget=meter.as_dict() if meter is not None else None,
-        cache={"served_from_cache": True},
         request_id=request.request_id,
         elapsed=time.perf_counter() - started,
     )

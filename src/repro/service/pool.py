@@ -21,11 +21,11 @@ execution backend:
     batch's chunks are packed, in order and never split, into at most
     :data:`BUNDLES_PER_WORKER` bundles per worker of about equal request
     count, and each bundle is one future. Its payload (per chunk:
-    catalog, views, requests, exported planner memo; per bundle: cache
-    snapshot, deadline expiry) is pickled once; the worker runs the
-    chunks one after another, each on a fresh warm-started planner, and
-    ships back per-chunk results and planner memos (for the next
-    batch's warm start) plus one cache-stats and one metrics snapshot.
+    catalog, views, requests, exported planner memo; per bundle: the
+    deadline expiry) is pickled once; the worker runs the chunks one
+    after another, each on a fresh warm-started planner, and ships back
+    per-chunk results and planner memos (for the next batch's warm
+    start) plus one metrics snapshot.
 
 Every mode funnels each request through
 :func:`repro.service.executor.execute_request`, so results are
@@ -43,7 +43,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Optional, Sequence, Union
 
-from ..cache import CacheSnapshot, QueryCache
 from ..core.planner import RewritePlanner
 from ..memo import Memo
 from ..obs.metrics import (
@@ -132,7 +131,6 @@ def _execute_chunk(
     members,
     planner: Optional[RewritePlanner],
     deadline: Optional[BatchDeadline],
-    snapshot: Optional[CacheSnapshot],
 ) -> list[tuple[int, RewriteResponse]]:
     """Run one chunk's requests in order on the group's planner.
 
@@ -155,7 +153,6 @@ def _execute_chunk(
             request,
             planner=planner,
             budget=overlay,
-            cache_snapshot=snapshot,
             capture_errors=True,
         )
         out.append((position, response))
@@ -184,13 +181,12 @@ def _process_bundle(bundle: dict) -> dict:
     Runs the bundle's chunks one after another: rebuilds each chunk's
     planner in the worker, warm-starts it from the shipped memo and runs
     the chunk. Returns per-chunk results, memo exports, import counts
-    and planner stats, plus the bundle's cache-lookup counters and metrics snapshot
-    for the master to merge.
+    and planner stats, plus the bundle's metrics snapshot for the master
+    to merge.
     """
     deadline = BatchDeadline.until(bundle["expires_at"])
-    snapshot = bundle["snapshot"]
     # Worker-local registry: the snapshot ships back for the master to
-    # merge exactly once, mirroring the memo/cache-stats discipline.
+    # merge exactly once, mirroring the planner-memo discipline.
     registry = MetricsRegistry() if bundle["collect_metrics"] else None
     outcomes = []
     for chunk in bundle["chunks"]:
@@ -203,7 +199,7 @@ def _process_bundle(bundle: dict) -> dict:
             planner.import_memos(chunk["memo"]) if chunk["memo"] else 0
         )
         results = _run_chunk_collected(
-            registry, chunk["members"], planner, deadline, snapshot
+            registry, chunk["members"], planner, deadline
         )
         outcomes.append(
             {
@@ -215,9 +211,6 @@ def _process_bundle(bundle: dict) -> dict:
         )
     return {
         "chunks": outcomes,
-        "cache_stats": (
-            snapshot.stats.as_dict() if snapshot is not None else None
-        ),
         "metrics": (
             registry.snapshot().as_dict() if registry is not None else None
         ),
@@ -230,10 +223,7 @@ class BatchRewriteService:
     One instance amortizes planner state across :meth:`submit` calls:
     serial batches keep live planners per view-set fingerprint;
     thread/process batches keep exported substitution memos and ship
-    them to workers for warm start. ``cache`` (a
-    :class:`repro.cache.QueryCache`) is probed read-only before each
-    search — workers receive a consistent snapshot and their lookup
-    counters merge back into the live cache's stats.
+    them to workers for warm start.
     """
 
     #: fingerprints each warm store (live planners, exported memos)
@@ -248,14 +238,12 @@ class BatchRewriteService:
         mode: str = "auto",
         workers: Optional[int] = None,
         batch_deadline: Optional[float] = None,
-        cache: Optional[QueryCache] = None,
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.mode = mode
         self.workers = workers
         self.batch_deadline = batch_deadline
-        self.cache = cache
         # The warm stores, by group fingerprint: serial mode's live
         # planners and the other modes' exported memos.
         self._planners = Memo(self.MEMO_STORE_MAX)
@@ -297,11 +285,6 @@ class BatchRewriteService:
     def _store_memo(self, key: tuple, export: list) -> None:
         if export:
             self._memo_store.put(key, export)
-
-    def _fresh_snapshot(self) -> Optional[CacheSnapshot]:
-        if self.cache is None:
-            return None
-        return self.cache.snapshot()
 
     # ------------------------------------------------------------------
 
@@ -417,9 +400,8 @@ class BatchRewriteService:
         for group, members in chunks:
             planner = self._live_planner(group)
             before = planner.stats.as_dict()
-            snapshot = self._fresh_snapshot()
             for position, response in _run_chunk_collected(
-                batch_reg, members, planner, deadline, snapshot
+                batch_reg, members, planner, deadline
             ):
                 responses[position] = response
             after = planner.stats.as_dict()
@@ -431,22 +413,19 @@ class BatchRewriteService:
                     if isinstance(v, int)
                 },
             )
-            if snapshot is not None and self.cache is not None:
-                self.cache.merge_external(snapshot.stats)
 
     def _run_threaded(self, chunks, workers, deadline, responses,
                       planner_stats, batch_reg) -> int:
         def task(group, members):
             planner, imported = self._fresh_planner(group)
-            snapshot = self._fresh_snapshot()
             # Entered inside the worker thread: ``collecting`` is
             # thread-local, so each task must scope its own extent. The
             # shared batch registry is thread-safe, so tasks record into
             # it directly — nothing to merge, nothing counted twice.
             results = _run_chunk_collected(
-                batch_reg, members, planner, deadline, snapshot
+                batch_reg, members, planner, deadline
             )
-            return group, results, planner, snapshot, imported
+            return group, results, planner, imported
 
         memo_imported = 0
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -455,7 +434,7 @@ class BatchRewriteService:
                 for group, members in chunks
             ]
             for future in futures:
-                group, results, planner, snapshot, imported = future.result()
+                group, results, planner, imported = future.result()
                 memo_imported += imported
                 for position, response in results:
                     responses[position] = response
@@ -465,13 +444,10 @@ class BatchRewriteService:
                 self._merge_planner_stats(
                     planner_stats, planner.stats.as_dict()
                 )
-                if snapshot is not None and self.cache is not None:
-                    self.cache.merge_external(snapshot.stats)
         return memo_imported
 
     def _run_processes(self, chunks, workers, deadline, responses,
                        planner_stats, batch_reg) -> int:
-        snapshot = self._fresh_snapshot()
         expires_at = deadline.wall_expiry()
         memo_imported = 0
 
@@ -501,7 +477,6 @@ class BatchRewriteService:
                             for group, members in bundle
                         ],
                         "expires_at": expires_at,
-                        "snapshot": snapshot,
                         "memo_export_max": self.MEMO_EXPORT_MAX,
                         "collect_metrics": batch_reg is not None,
                     }
@@ -528,8 +503,6 @@ class BatchRewriteService:
                         self._merge_planner_stats(
                             planner_stats, done["planner_stats"]
                         )
-                    if outcome["cache_stats"] and self.cache is not None:
-                        self.cache.merge_external(outcome["cache_stats"])
                     if outcome["metrics"] and batch_reg is not None:
                         # One merge per worker snapshot: the worker's
                         # registry was born empty, so these counts exist
@@ -550,15 +523,12 @@ class BatchRewriteService:
         if batch_reg is not None:
             batch_reg.family(CHUNK_DEMOTIONS).inc()
         planner, imported = self._fresh_planner(group)
-        snapshot = self._fresh_snapshot()
         for position, response in _run_chunk_collected(
-            batch_reg, members, planner, deadline, snapshot
+            batch_reg, members, planner, deadline
         ):
             responses[position] = response
         self._store_memo(group.key, planner.export_memos(self.MEMO_EXPORT_MAX))
         self._merge_planner_stats(planner_stats, planner.stats.as_dict())
-        if snapshot is not None and self.cache is not None:
-            self.cache.merge_external(snapshot.stats)
         return imported
 
     # ------------------------------------------------------------------

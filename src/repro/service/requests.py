@@ -94,8 +94,6 @@ class RewriteResponse:
     exhausted: bool = False
     budget: Optional[dict] = None
     trace: Optional[RewriteTrace] = None
-    stats: Optional[dict] = None
-    cache: Optional[dict] = None
     metrics: Optional[dict] = None
     request_id: Optional[str] = None
     elapsed: float = 0.0
@@ -144,8 +142,6 @@ class RewriteResponse:
             "degraded": self.degraded,
             "budget": self.budget,
             "trace": self.trace.as_dict() if self.trace else None,
-            "stats": self.stats,
-            "cache": self.cache,
             "metrics": self.metrics,
             "elapsed": round(self.elapsed, 6),
             "error": self.error,

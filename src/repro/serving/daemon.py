@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -52,10 +53,10 @@ from ..engine.database import Database
 from ..errors import UnsupportedSQLError
 from ..maintenance import MaintainedView, apply_change, register_delta_listener
 from ..obs.metrics import (
-    METRICS_SCHEMA,
     MetricsRegistry,
     counter,
     current_metrics,
+    emit_frame,
     histogram,
 )
 from ..service.degradation import refused_response
@@ -156,7 +157,6 @@ class RewriteDaemon:
         self._connections: set[asyncio.Task] = set()
         self._stopping: Optional[asyncio.Event] = None
         self._started = time.monotonic()
-        self._frame_seq = 0
         self.addresses: list[tuple] = []
 
     # ------------------------------------------------------------------
@@ -239,23 +239,9 @@ class RewriteDaemon:
     async def _emit_frames(self) -> None:
         """Periodic ``repro-metrics/1`` frames on stdout (serve-sql's
         in-band frame shape, one JSON object per line)."""
-        while True:
+        for seq in itertools.count(1):
             await asyncio.sleep(self.metrics_interval)
-            self._frame_seq += 1
-            print(
-                json.dumps(
-                    {
-                        "schema": METRICS_SCHEMA,
-                        "kind": "metrics-frame",
-                        "seq": self._frame_seq,
-                        "elapsed": round(
-                            time.monotonic() - self._started, 3
-                        ),
-                        "metrics": self.metrics.snapshot().as_dict(),
-                    }
-                ),
-                flush=True,
-            )
+            emit_frame(self.metrics, seq, self._started)
 
     # ------------------------------------------------------------------
     # Connection handling

@@ -50,7 +50,6 @@ they neither use nor displace a cached planner: they report ``cold``.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -109,7 +108,8 @@ class PlannerCache:
 
     def __init__(self, tier):
         self.tier = tier
-        self._planners: OrderedDict[tuple, _CachedPlanner] = OrderedDict()
+        #: ``_CachedPlanner`` by fingerprint, least recently used first.
+        self._planners = Memo(self.MAX_PLANNERS)
 
     def run(
         self,
@@ -206,12 +206,12 @@ class PlannerCache:
         self, key: tuple, views, request: RewriteRequest
     ) -> tuple[_CachedPlanner, str]:
         epoch = self.tier.epoch()
-        cached = self._planners.get(key)
+        # A hit is now the most recently used entry, so the replacement
+        # stored below keeps that place.
+        cached = self._planners.get(key, None)
         if cached is not None and cached.epoch == epoch:
-            self._planners.move_to_end(key)
             return cached, WARM_LOCAL
         # Epoch moved (or first sight): revalidate against the tier.
-        self._planners.pop(key, None)
         planner = RewritePlanner(
             list(views), request.catalog, request.use_set_semantics
         )
@@ -221,11 +221,8 @@ class PlannerCache:
             path = WARM_SHARED
         else:
             path = COLD
-        cached = self._planners[key] = _CachedPlanner(
-            epoch, planner, Memo(self.MAX_RESPONSES)
-        )
-        while len(self._planners) > self.MAX_PLANNERS:
-            self._planners.popitem(last=False)
+        cached = _CachedPlanner(epoch, planner, Memo(self.MAX_RESPONSES))
+        self._planners.put(key, cached)
         return cached, path
 
 

@@ -269,11 +269,13 @@ def test_cli_serve_sql_loop(db_file, capsys, monkeypatch):
 
     lines = "\n".join(
         [
+            "not json",  # malformed first line: in-band, not fatal
             json.dumps({"id": 1, "sql": QUERY, "verify": True,
                         "execute": True}),
             "# a comment",
             json.dumps({"id": 2, "sql": "SELECT broken FROM nowhere"}),
             json.dumps({"id": 3, "sql": QUERY}),
+            "{not json either",  # must not echo the previous line's id
         ]
     )
     monkeypatch.setattr("sys.stdin", io.StringIO(lines + "\n"))
@@ -283,10 +285,12 @@ def test_cli_serve_sql_loop(db_file, capsys, monkeypatch):
     out_lines = capsys.readouterr().out.strip().splitlines()
     assert code == 0
     docs = [json.loads(line) for line in out_lines]
-    assert [d["id"] for d in docs] == [1, 2, 3]
-    assert docs[0]["verified"] is True
-    assert docs[1]["kind"] == "error"
-    assert docs[2]["rewritten"] is True
+    assert [d.get("id") for d in docs] == [None, 1, 2, 3, None]
+    assert docs[0]["kind"] == "error"
+    assert docs[1]["verified"] is True
+    assert docs[2]["kind"] == "error"
+    assert docs[3]["rewritten"] is True
+    assert docs[4]["kind"] == "error"
 
 
 def test_cli_serve_sql_metrics_frames(db_file, capsys, monkeypatch):

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro import Catalog, table
-from repro.cache import QueryCache
 from repro.cli import main
 from repro.obs.budget import SearchBudget
 from repro.service import (
@@ -429,46 +428,6 @@ class TestWarmth:
         assert alone[0].rewritings == after[0].rewritings
         assert alone[0].exhausted == after[0].exhausted
         assert alone[0].budget == after[0].budget
-
-
-class TestCacheIntegration:
-    def test_cache_hit_marks_response(self):
-        scenario = random_scenario(5)
-        cache = QueryCache(scenario.catalog)
-        cache.remember(scenario.query, [])  # the query's own result
-        service = BatchRewriteService(mode="serial", cache=cache)
-        result = service.submit(
-            [RewriteRequest(query=scenario.query, catalog=scenario.catalog)]
-        )
-        response = result[0]
-        assert response.cache == {"served_from_cache": True}
-        assert response.rewritings  # the cached-view rewriting
-
-    def test_cache_miss_is_marked_and_still_searched(self):
-        scenario = random_scenario(5)
-        cache = QueryCache(scenario.catalog)  # nothing remembered
-        service = BatchRewriteService(mode="serial", cache=cache)
-        result = service.submit(
-            [RewriteRequest(query=scenario.query, catalog=scenario.catalog)]
-        )
-        baseline = BatchRewriteService(mode="serial").submit(
-            [RewriteRequest(query=scenario.query, catalog=scenario.catalog)]
-        )
-        assert result[0].cache == {"served_from_cache": False}
-        assert result[0].rewritings == baseline[0].rewritings
-
-    @pytest.mark.parametrize("mode", ["serial", "process"])
-    def test_worker_lookups_merge_into_live_stats(self, mode):
-        scenario = random_scenario(5)
-        cache = QueryCache(scenario.catalog)
-        cache.remember(scenario.query, [])
-        service = BatchRewriteService(mode=mode, workers=2, cache=cache)
-        before = cache.stats.hits + cache.stats.misses
-        service.submit(
-            [RewriteRequest(query=scenario.query, catalog=scenario.catalog)]
-            * 3
-        )
-        assert cache.stats.hits + cache.stats.misses >= before + 3
 
 
 class TestTraceStitching:

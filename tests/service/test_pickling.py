@@ -18,7 +18,6 @@ import textwrap
 import pytest
 
 from repro import api
-from repro.cache import CacheSnapshot, CacheStats, QueryCache
 from repro.catalog.schema import Catalog, TableSchema
 from repro.core.planner import RewritePlanner
 from repro.core.result import Rewriting
@@ -165,19 +164,3 @@ def test_catalog_roundtrips_by_fingerprint(scenario):
 
     clone = roundtrip(scenario.catalog)
     assert catalog_fingerprint(clone) == catalog_fingerprint(scenario.catalog)
-
-
-def test_cache_snapshot_resets_worker_local_state(scenario):
-    cache = QueryCache(scenario.catalog)
-    cache.remember(scenario.query, [])
-    snapshot = cache.snapshot()
-    # Warm the snapshot's lazily built planner and counters...
-    assert snapshot.find_rewriting(scenario.query) is not None
-    assert snapshot.stats.hits == 1
-    clone = roundtrip(snapshot)
-    # ...and the pickled copy must start clean: each worker reports only
-    # its own lookups, and planners never cross process boundaries.
-    assert clone.stats.hits == 0
-    assert clone._planner is None
-    assert clone.find_rewriting(scenario.query) is not None
-    assert clone.stats.hits == 1

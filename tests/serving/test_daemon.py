@@ -316,6 +316,37 @@ def test_serial_daemon_allocates_no_shared_segment(scenario):
         assert daemon.memo.name is not None
 
 
+def test_metrics_interval_emits_frames(scenario, capsys):
+    sc, db = scenario
+    sql = block_to_sql(sc.query)
+    with running_daemon(
+        sc.catalog,
+        database=db,
+        metrics=MetricsRegistry(),
+        metrics_interval=0.01,
+    ) as daemon:
+        with connect(daemon) as client:
+            client.rewrite(sql)
+        # Wait for two frames printed after the response arrived.
+        out = capsys.readouterr().out
+        after = out.count("\n") + 2
+        deadline = time.monotonic() + 10
+        while out.count("\n") < after and time.monotonic() < deadline:
+            time.sleep(0.02)
+            out += capsys.readouterr().out
+    out += capsys.readouterr().out
+    frames = [json.loads(line) for line in out.splitlines()]
+    assert len(frames) >= after
+    assert [f["seq"] for f in frames] == list(range(1, len(frames) + 1))
+    for frame in frames:
+        assert frame["schema"] == "repro-metrics/1"
+        assert frame["kind"] == "metrics-frame"
+        assert frame["elapsed"] >= 0.0
+    # Cumulative: the last frame carries the request the daemon served.
+    families = frames[-1]["metrics"]["families"]
+    assert "repro_serving_requests_total" in families
+
+
 def test_serving_metrics_recorded(scenario):
     sc, db = scenario
     sql = block_to_sql(sc.query)

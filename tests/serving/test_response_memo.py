@@ -185,7 +185,7 @@ def test_a_one_off_text_leaves_only_a_marker():
     request = text_request(sc)
     cache = PlannerCache(LocalMemoTier())
     key = cache.run(request)[1]
-    responses = cache._planners[key].responses
+    responses = cache._planners.get(key).responses
     assert [value for _k, value in responses.items()] == [None]
     (second,), counts = run_counted(cache, request)
     assert counts == {"hit": 0, "miss": 1, "bypass": 0}
@@ -279,7 +279,7 @@ def test_store_leaves_memo_version_unchanged():
     request = text_request(sc)
     cache = PlannerCache(LocalMemoTier())
     response, key, _v, export, _p = cache.run(request)
-    cached = cache._planners[key]
+    cached = cache._planners.get(key)
     assert all(
         memo is not cached.responses
         for memo in cached.planner.memos.values()
@@ -309,7 +309,7 @@ def test_capacity_bound_holds(monkeypatch):
         for _ in range(2):  # stored from the second execution on
             cache.run(RewriteRequest(query=text, catalog=sc.catalog))
     key = serving_group_key(text_request(sc))
-    assert len(cache._planners[key].responses) == 3
+    assert len(cache._planners.get(key).responses) == 3
     (_old, _new), counts = run_counted(
         cache,
         RewriteRequest(query=texts[0], catalog=sc.catalog),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import memo
 from repro.obs.budget import SearchBudget
 from repro.serving import PlannerCache, serving_group_key
 from repro.serving.memo import LocalMemoTier
@@ -196,6 +197,34 @@ def test_rebuilt_planner_exports_again_after_lru_eviction(monkeypatch):
     assert export
 
 
+def test_planner_lru_order(monkeypatch):
+    """The least recently used planner goes first, and one rebuilt after
+    an epoch move counts as just used (``benchmarks/e2e/layers.py``
+    mirrors this order to count planner evictions)."""
+    a, b, c = (random_scenario(seed) for seed in range(3))
+    monkeypatch.setattr(PlannerCache, "MAX_PLANNERS", 2)
+    tier = LocalMemoTier()
+    cache = PlannerCache(tier)
+
+    def paths(*scenarios):
+        return [cache.run(request_for(sc))[4] for sc in scenarios]
+
+    assert paths(a, b, a, c) == [COLD, COLD, WARM_LOCAL, COLD]
+    assert paths(a) == [WARM_LOCAL]  # c pushed b out, not a
+    tier.invalidate_views(["NotAView"])
+    # c is rebuilt, so b pushes out a, not c.
+    assert paths(c, b, c) == [COLD, COLD, WARM_LOCAL]
+
+
+def test_memo_switch_off_keeps_no_planner():
+    sc = random_scenario(7)
+    cache = PlannerCache(LocalMemoTier())
+    with memo.disabled():
+        paths = [cache.run(request_for(sc))[4] for _ in range(2)]
+    assert paths == [COLD, COLD]
+    assert len(cache._planners) == 0
+
+
 def test_warm_shared_rebuild_exports_again():
     sc = random_scenario(7)
     tier = LocalMemoTier()
@@ -219,7 +248,7 @@ def test_strategy_family_insert_alone_makes_the_next_export_non_empty():
     _r, key, _v, _e, _p = cache.run(request_for(sc))
     assert cache.run(request_for(sc))[3] == []
 
-    planner = cache._planners[key].planner
+    planner = cache._planners.get(key).planner
     version = planner.memo_version
     planner.memo("cohen_nutt").put(("k",), ("v",))
     assert planner.memo_version > version

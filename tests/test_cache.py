@@ -204,18 +204,6 @@ class TestStatsWindow:
         )
         assert cache.stats.hits == 1
 
-    def test_snapshot_stats_window_is_independent(self, catalog, server):
-        cache = self._worked_cache(catalog, server)
-        snapshot = cache.snapshot()
-        snapshot.find_rewriting(
-            "SELECT Plan_Id, SUM(Charge) FROM Calls GROUP BY Plan_Id"
-        )
-        assert snapshot.stats.hits == 1
-        snapshot.reset_stats()
-        assert snapshot.stats.hits == 0
-        # The live cache's window is untouched by snapshot resets.
-        assert cache.stats.hits == 1
-
 
 class TestRandomizedCorrectness:
     @pytest.mark.parametrize("seed", range(10))

@@ -6,12 +6,15 @@ exactly one of ``result`` or ``error``, serialized by the single
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro import api
 from repro.cli import main
 from repro.errors import ReproError
+from repro.service.requests import RewriteResponse
 
 SCHEMA_SQL = """
 CREATE TABLE Calls (Call_Id, Plan_Id, Year, Charge);
@@ -193,6 +196,17 @@ class TestToEnvelope:
         response = api.rewrite(QUERY, _catalog())
         doc = api.to_envelope(response)
         assert_envelope(doc, "rewrite")
+
+
+def test_docs_list_every_rewrite_field():
+    """``docs/api.md`` names exactly the keys a ``rewrite`` payload has."""
+    doc = (Path(__file__).parent.parent / "docs" / "api.md").read_text()
+    bullet = re.search(r"^\* `rewrite` — (.*?)^\* ", doc, re.S | re.M)
+    assert bullet is not None, "docs/api.md lost its rewrite field list"
+    # Drop the parenthetical that documents each rewriting's own keys.
+    listed = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", bullet[1]))
+    keys = set(RewriteResponse().to_json_dict()) - {"schema", "kind"}
+    assert sorted(listed) == sorted(keys)
 
 
 def _catalog():
