@@ -1,0 +1,136 @@
+#!/usr/bin/env bash
+# CI smoke for the command line: every `repro` subcommand once, as a real
+# `python -m repro` process, against a tiny schema.
+#
+#     bash benchmarks/cli_smoke.sh        # from the repository root
+#
+# Fails on a non-zero exit, on a traceback on stderr, or on any JSON
+# output (a `--json` document or a JSON-lines stream) that is not a
+# `repro-api/1` envelope. `serve-sql` reads its lines from a heredoc;
+# `serve` is started on a free port and shut down through its protocol.
+set -euo pipefail
+
+export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
+work="$(mktemp -d)"
+serve_pid=""
+cleanup() {
+    if [ -n "$serve_pid" ]; then kill "$serve_pid" 2>/dev/null || true; fi
+    rm -rf "$work"
+}
+trap cleanup EXIT
+
+cat > "$work/schema.sql" <<'SQL'
+CREATE TABLE Calls (Call_Id INT PRIMARY KEY, Plan_Id INT, Year INT, Charge INT);
+CREATE VIEW Yearly (Plan_Id, Year, Total, N) AS
+SELECT Plan_Id, Year, SUM(Charge), COUNT(Charge) FROM Calls GROUP BY Plan_Id, Year;
+SQL
+query="SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = 1995 GROUP BY Plan_Id"
+cat > "$work/requests.jsonl" <<JSONL
+{"id": "q1", "query": "$query"}
+"SELECT Plan_Id, SUM(Charge) FROM Calls GROUP BY Plan_Id"
+JSONL
+echo "$query;" > "$work/workload.sql"
+mkdir "$work/data"
+printf 'Call_Id,Plan_Id,Year,Charge\n1,1,1995,10\n2,1,1995,5\n3,2,1996,7\n' \
+    > "$work/data/Calls.csv"
+
+# check_output NAME: no traceback in NAME.err; every JSON document or
+# line in NAME.out and NAME.err is a repro-api/1 envelope.
+check_output() {
+    if grep -q "Traceback" "$work/$1.err"; then
+        echo "::error::repro $1 printed a traceback"
+        cat "$work/$1.err"
+        exit 1
+    fi
+    python - "$work/$1.out" "$work/$1.err" <<'PY'
+import json
+import sys
+
+def check(doc, where):
+    ok = (
+        isinstance(doc, dict)
+        and doc.get("schema") == "repro-api/1"
+        and isinstance(doc.get("kind"), str)
+        and isinstance(doc.get("ok"), bool)
+        and ("result" in doc) != ("error" in doc)
+    )
+    if not ok:
+        sys.exit(f"{where}: not a repro-api/1 envelope: {doc!r}"[:400])
+
+for path in sys.argv[1:]:
+    text = open(path).read()
+    try:
+        docs = [json.loads(text)] if text.lstrip().startswith("{") else []
+    except json.JSONDecodeError:
+        docs = [json.loads(l) for l in text.splitlines() if l.startswith("{")]
+    for doc in docs:
+        check(doc, path)
+PY
+}
+
+# run NAME ARGS...: `python -m repro ARGS...` must exit 0.
+run() {
+    local name="$1"
+    shift
+    if ! python -m repro "$@" > "$work/$name.out" 2> "$work/$name.err" \
+            < "${stdin:-/dev/null}"; then
+        echo "::error::repro $* exited non-zero"
+        cat "$work/$name.err"
+        exit 1
+    fi
+    check_output "$name"
+    echo "ok: repro $name"
+}
+
+s=(--schema "$work/schema.sql")
+run rewrite rewrite "${s[@]}" --query "$query" --json
+run explain explain "${s[@]}" --query "$query" --json --trace
+run batch batch "${s[@]}" "$work/requests.jsonl" --metrics-out "$work/m.prom"
+run check check "${s[@]}" --left "SELECT Plan_Id FROM Calls" \
+    --right "SELECT Plan_Id FROM Calls" --trials 5
+run advise advise "${s[@]}" --workload "$work/workload.sql" --budget 100
+run query query "${s[@]}" --data "$work/data" --query "$query" --use-views
+run emit emit "${s[@]}" --query "$query" --dialect postgres --views --json
+run rewrite-sql rewrite-sql "${s[@]}" --sql "$query" --json
+cat > "$work/serve-sql.in" <<JSONL
+{"id": 1, "sql": "$query"}
+{"id": 2, "sql": "SELECT x FROM nowhere"}
+{not json
+JSONL
+stdin="$work/serve-sql.in" run serve-sql serve-sql "${s[@]}"
+run metrics metrics "${s[@]}" --query "$query"
+run fuzz fuzz --max-scenarios 5 --seed 1 --json --out-dir "$work/fuzz"
+
+python -m repro serve "${s[@]}" --port 0 \
+    > "$work/serve.out" 2> "$work/serve.err" &
+serve_pid=$!
+python - "$work/serve.out" <<'PY'
+import json
+import sys
+import time
+
+from repro import api
+
+deadline = time.monotonic() + 60
+while time.monotonic() < deadline:
+    with open(sys.argv[1]) as handle:
+        line = handle.readline()
+    if line.endswith("\n"):
+        break
+    time.sleep(0.1)
+else:
+    sys.exit("repro serve printed no ready line")
+kind, host, port = json.loads(line)["result"]["addresses"][0]
+with api.connect((host, port)) as client:
+    client.ping()
+    client.shutdown()
+PY
+if ! wait "$serve_pid"; then
+    serve_pid=""
+    echo "::error::repro serve exited non-zero"
+    cat "$work/serve.err"
+    exit 1
+fi
+serve_pid=""
+check_output serve
+echo "ok: repro serve"

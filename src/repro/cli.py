@@ -19,11 +19,6 @@ Commands:
 ``query``
     Execute a query over CSV data files, optionally through the cheapest
     view-based rewriting.
-``fuzz``
-    Property-based fuzzing of rewrite soundness against independent
-    live backends (``--backend sqlite|duckdb|all``); mismatches are
-    shrunk to replayable JSON repros (``repro fuzz --replay <file>``).
-    See ``docs/oracle.md``.
 ``emit``
     Print a query — or the whole conformance corpus — as SQL text in a
     chosen dialect (``--dialect sqlite|duckdb|postgres|ansi``).
@@ -32,8 +27,9 @@ Commands:
     schema script or a live SQLite database file, print dialect-correct
     SQL (optionally ``--execute`` and ``--verify`` on the live file).
 ``serve-sql``
-    The same middleware as a JSON-lines loop on stdin/stdout; per-line
-    errors are reported in-band, never fatal. With
+    The same middleware as a JSON-lines loop on stdin/stdout. Lines are
+    read with the daemon's own parser; every answer, and every per-line
+    error, is one ``repro-api/1`` envelope line, never fatal. With
     ``--metrics-interval`` the loop also emits periodic in-band
     ``repro-metrics/1`` frames. See ``docs/dialects.md``.
 ``serve``
@@ -44,13 +40,18 @@ Commands:
 ``metrics``
     Run one rewrite search with metrics enabled and print the registry
     as Prometheus text exposition. See ``docs/observability.md``.
+``fuzz``
+    Property-based fuzzing of rewrite soundness against independent
+    live backends (``--backend sqlite|duckdb|all``); mismatches are
+    shrunk to replayable JSON repros (``repro fuzz --replay <file>``).
+    See ``docs/oracle.md``.
 
 Schema scripts are ';'-separated statements; a workload file is a script
 whose SELECT statements form the workload. Every ``--json`` output is
 the consolidated ``repro-api/1`` envelope — top-level ``schema`` /
 ``kind`` / ``ok`` and exactly one of ``result`` or ``error`` (see
 ``docs/api.md``).
-``rewrite``, ``batch``, ``fuzz`` and ``serve-sql`` accept
+``rewrite``, ``batch``, ``serve-sql``, ``serve`` and ``fuzz`` accept
 ``--metrics-out FILE`` to write a scrape-ready Prometheus snapshot of
 everything the command did on exit.
 """
@@ -68,9 +69,9 @@ from .blocks.normalize import parse_query
 from .blocks.to_sql import block_to_sql, view_to_sql
 from .catalog.load import load_schema
 from .core.rewriter import RewriteEngine
+from .dialects import DIALECT_NAMES
 from .equivalence import check_equivalent
 from .errors import ReproError
-from .obs import SearchBudget
 from .obs.metrics import (
     MetricsRegistry,
     collecting,
@@ -81,7 +82,6 @@ from .obs.metrics import (
     timed,
 )
 from .service import MODES
-from .service.requests import API_SCHEMA
 
 QUERY_SECONDS = histogram(
     "repro_query_seconds", "Wall-clock time of `repro query` executions."
@@ -104,7 +104,7 @@ def _active_registry(fresh: bool = False) -> Iterator[MetricsRegistry]:
         set_global_metrics(previous)
 
 
-def _budget_from(args) -> Optional[SearchBudget]:
+def _budget_from(args):
     """A SearchBudget from the --deadline-ms / --max-* flags, or None."""
     from .serving.protocol import budget_from_wire
 
@@ -124,26 +124,45 @@ def _print_search_report(result) -> None:
         print(result.trace.format())
 
 
+def _print_envelope(payload=None, *, indent=2, file=None, **envelope):
+    """Print one ``repro-api/1`` envelope (:func:`api.to_envelope`'s
+    keywords): indented for a ``--json`` document, on one line with
+    ``indent=None`` for a JSON-lines stream."""
+    envelope = api.to_envelope(payload, **envelope)
+    print(json.dumps(envelope, indent=indent), file=file, flush=True)
+
+
 def _load(args) -> tuple:
+    """(catalog, the script's SELECTs) from --schema."""
     with open(args.schema) as handle:
-        script = handle.read()
-    return load_schema(script)
+        return load_schema(handle.read())
 
 
-def _query_from(args, catalog, queries):
+def _schema_and_query(args, parse=parse_query) -> tuple:
+    """(catalog, query): --query read with ``parse``, else the schema
+    script's last SELECT."""
+    catalog, queries = _load(args)
     if args.query:
-        return parse_query(args.query, catalog)
+        return catalog, parse(args.query, catalog)
     if queries:
-        return queries[-1]
+        return catalog, queries[-1]
     raise ReproError(
         "no query given: pass --query or end the schema script with a "
         "SELECT statement"
     )
 
 
+def _pairs(entries, flag: str, shape: str) -> Iterator[tuple]:
+    """(entry, name, value) per repeatable ``NAME=VALUE`` flag entry."""
+    for entry in entries or ():
+        name, sep, value = entry.partition("=")
+        if not sep or not name.strip() or not value.strip():
+            raise ReproError(f"{flag} {entry!r}: expected {shape}")
+        yield entry, name.strip(), value.strip()
+
+
 def cmd_rewrite(args) -> int:
-    catalog, queries = _load(args)
-    query = _query_from(args, catalog, queries)
+    catalog, query = _schema_and_query(args)
     response = api.rewrite(
         query,
         catalog=catalog,
@@ -153,7 +172,7 @@ def cmd_rewrite(args) -> int:
         strategy=args.strategy,
     )
     if args.json:
-        print(json.dumps(api.to_envelope(response), indent=2))
+        _print_envelope(response)
         return 0 if response.rewritings else 1
     print(f"-- query (estimated cost {response.original_cost:,.0f}):")
     print(block_to_sql(response.query))
@@ -178,11 +197,10 @@ def cmd_rewrite(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    catalog, queries = _load(args)
-    query = _query_from(args, catalog, queries)
+    catalog, query = _schema_and_query(args)
     response = api.explain(query, catalog, view=args.view or None)
     if args.json:
-        print(json.dumps(api.to_envelope(response), indent=2))
+        _print_envelope(response)
         return 0
     for diagnosis in response.diagnoses:
         print(diagnosis.summary())
@@ -192,9 +210,7 @@ def cmd_explain(args) -> int:
         result = api.rewrite(
             query, catalog=catalog, budget=_budget_from(args), trace=True
         )
-        print(
-            f"-- search: {len(result.ranked)} rewriting(s) found"
-        )
+        print(f"-- search: {len(result.ranked)} rewriting(s) found")
         _print_search_report(result)
     return 0
 
@@ -233,20 +249,16 @@ def cmd_batch(args) -> int:
     # Responses as JSON lines on stdout (request order); the batch-level
     # report goes to stderr so stdout stays parseable line by line.
     for response in result:
-        print(json.dumps(api.to_envelope(response)))
-    print(
-        json.dumps(
-            api.to_envelope(
-                {"batch": result.report}, kind="batch-report"
-            )
-        ),
+        _print_envelope(response, indent=None)
+    _print_envelope(
+        {"batch": result.report}, kind="batch-report", indent=None,
         file=sys.stderr,
     )
     return 0 if result.error_count == 0 else 1
 
 
 def cmd_check(args) -> int:
-    catalog, queries = _load(args)
+    catalog, _queries = _load(args)
     left = parse_query(args.left, catalog)
     right = parse_query(args.right, catalog)
     counterexample = check_equivalent(
@@ -290,21 +302,12 @@ def cmd_advise(args) -> int:
 
 
 def cmd_query(args) -> int:
-    from .blocks.nested import parse_nested_query
+    from .blocks.nested import NestedQuery, parse_nested_query
     from .engine.io import load_database
 
-    catalog, queries = _load(args)
-    if args.query:
-        nested = parse_nested_query(args.query, catalog)
-    elif queries:
-        from .blocks.nested import NestedQuery
-
-        nested = NestedQuery(block=queries[-1])
-    else:
-        raise ReproError(
-            "no query given: pass --query or end the schema script with a "
-            "SELECT statement"
-        )
+    catalog, nested = _schema_and_query(args, parse_nested_query)
+    if not isinstance(nested, NestedQuery):
+        nested = NestedQuery(block=nested)
     db = load_database(catalog, args.data)
 
     plan = nested.block
@@ -331,14 +334,8 @@ def cmd_emit(args) -> int:
     if args.conformance:
         text = emit_corpus(dialect)
         if args.json:
-            print(
-                json.dumps(
-                    api.to_envelope(
-                        {"dialect": dialect.name, "corpus": text},
-                        kind="conformance",
-                    ),
-                    indent=2,
-                )
+            _print_envelope(
+                {"dialect": dialect.name, "corpus": text}, kind="conformance"
             )
         else:
             print(text)
@@ -347,8 +344,7 @@ def cmd_emit(args) -> int:
         raise ReproError(
             "nothing to emit: pass --schema (and --query) or --conformance"
         )
-    catalog, queries = _load(args)
-    query = _query_from(args, catalog, queries)
+    catalog, query = _schema_and_query(args)
     views = [
         view_to_sql(view, dialect=dialect) + ";"
         for view in catalog.views.values()
@@ -358,7 +354,7 @@ def cmd_emit(args) -> int:
         payload = {"dialect": dialect.name, "sql": sql}
         if args.views:
             payload["views"] = views
-        print(json.dumps(api.to_envelope(payload, kind="emit"), indent=2))
+        _print_envelope(payload, kind="emit")
         return 0
     if args.views:
         for statement in views:
@@ -368,34 +364,27 @@ def cmd_emit(args) -> int:
     return 0
 
 
-def _materialized_from(args) -> dict:
-    """--materialized NAME=SELECT... (repeatable) -> {name: sql}."""
-    materialized = {}
-    for entry in args.materialized or ():
-        name, sep, sql = entry.partition("=")
-        if not sep or not name.strip() or not sql.strip():
-            raise ReproError(
-                f"--materialized {entry!r}: expected NAME=SELECT ..."
-            )
-        materialized[name.strip()] = sql.strip()
-    return materialized
-
-
 def _federation_from(args):
     """(SqlRewriter-like, connection-or-None) from --schema / --db."""
     import sqlite3
 
     from .federation import FederationSession, SqlRewriter
 
-    materialized = _materialized_from(args)
+    materialized = {
+        name: sql
+        for _entry, name, sql in _pairs(
+            args.materialized, "--materialized", "NAME=SELECT ..."
+        )
+    }
+    options = dict(
+        dialect=args.dialect,
+        budget=_budget_from(args),
+        only_improving=not args.force_rewrite,
+    )
     if args.db:
         connection = sqlite3.connect(args.db)
         session = FederationSession(
-            connection,
-            dialect=args.dialect,
-            materialized=materialized,
-            budget=_budget_from(args),
-            only_improving=not args.force_rewrite,
+            connection, materialized=materialized, **options
         )
         return session, connection
     if not args.schema:
@@ -405,59 +394,49 @@ def _federation_from(args):
         from .federation import parse_materialized_views
 
         parse_materialized_views(catalog, materialized)
-    rewriter = SqlRewriter(
-        catalog,
-        dialect=args.dialect,
-        budget=_budget_from(args),
-        only_improving=not args.force_rewrite,
-    )
-    return rewriter, None
+    return SqlRewriter(catalog, **options), None
 
 
 def cmd_rewrite_sql(args) -> int:
     middleware, connection = _federation_from(args)
-    if (args.execute or args.verify) and connection is None:
+    execute = args.execute or args.verify
+    if execute and connection is None:
         raise ReproError("--execute/--verify require --db FILE")
-    if args.execute or args.verify:
+    if execute:
         result = middleware.execute(args.sql, verify=args.verify)
-        if args.json:
-            print(json.dumps(api.to_envelope(result), indent=2))
-        else:
-            outcome = result.outcome
-            for statement in outcome.statements:
-                print(statement + ";")
-            for row in result.rows:
-                print(tuple(row))
-            if result.verified is not None:
-                print(f"-- verified: {result.verified}")
-        if args.verify and result.verified is False:
-            return 1
-        return 0
-    outcome = middleware.rewrite_sql(args.sql)
-    if args.json:
-        print(json.dumps(api.to_envelope(outcome), indent=2))
+        outcome = result.outcome
     else:
-        for statement in outcome.statements:
-            print(statement + ";")
-        if outcome.rewritten:
-            print(
-                f"-- rewritten over {', '.join(outcome.used_views)} "
-                f"(cost {outcome.cost_original:,.0f} -> "
-                f"{outcome.cost_rewritten:,.0f})"
-            )
-        else:
-            print("-- passed through unchanged")
-    return 0
+        result = outcome = middleware.rewrite_sql(args.sql)
+    code = 1 if args.verify and result.verified is False else 0
+    if args.json:
+        _print_envelope(result)
+        return code
+    for statement in outcome.statements:
+        print(statement + ";")
+    if execute:
+        for row in result.rows:
+            print(tuple(row))
+        if result.verified is not None:
+            print(f"-- verified: {result.verified}")
+    elif outcome.rewritten:
+        print(
+            f"-- rewritten over {', '.join(outcome.used_views)} "
+            f"(cost {outcome.cost_original:,.0f} -> "
+            f"{outcome.cost_rewritten:,.0f})"
+        )
+    else:
+        print("-- passed through unchanged")
+    return code
 
 
 def cmd_serve_sql(args) -> int:
     import itertools
     import time
 
-    interval = getattr(args, "metrics_interval", 0.0) or 0.0
+    from .serving.protocol import parse_line
 
-    started = time.monotonic()
-    last_frame = started
+    interval = args.metrics_interval
+    started = last_frame = time.monotonic()
     frame_seq = itertools.count(1)
 
     # Periodic in-band metric frames need a live registry.
@@ -468,34 +447,30 @@ def cmd_serve_sql(args) -> int:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            # Bound per line: a line that is not JSON has no id to echo.
-            obj = None
+            # Bound per line: a line that does not parse has no id to echo.
+            request_id = None
             try:
-                obj = json.loads(line)
-                if isinstance(obj, str):
-                    obj = {"sql": obj}
-                if not isinstance(obj, dict) or "sql" not in obj:
+                obj = parse_line(line, line_no)
+                request_id = obj.get("id")
+                if obj["op"] != "rewrite" or "sql" not in obj:
                     raise ReproError(
                         f"line {line_no}: expected an object with 'sql'"
                     )
-                execute = bool(obj.get("execute")) or bool(obj.get("verify"))
-                if execute and connection is None:
+                verify = bool(obj.get("verify"))
+                if not (obj.get("execute") or verify):
+                    answer = middleware.rewrite_sql(obj["sql"])
+                elif connection is None:
                     raise ReproError(
                         f"line {line_no}: execute/verify require --db FILE"
                     )
-                if execute:
-                    result = middleware.execute(
-                        obj["sql"], verify=bool(obj.get("verify"))
-                    )
-                    doc = result.to_json_dict()
                 else:
-                    doc = middleware.rewrite_sql(obj["sql"]).to_json_dict()
-            except (ReproError, json.JSONDecodeError) as error:
-                doc = {"schema": API_SCHEMA, "kind": "error",
-                       "error": str(error)}
-            if isinstance(obj, dict) and "id" in obj:
-                doc["id"] = obj["id"]
-            print(json.dumps(doc), flush=True)
+                    answer = middleware.execute(obj["sql"], verify=verify)
+                _print_envelope(answer, indent=None, request_id=request_id)
+            except ReproError as error:
+                _print_envelope(
+                    error=error, kind="error", indent=None,
+                    request_id=request_id,
+                )
             if interval > 0 and time.monotonic() - last_frame >= interval:
                 emit_frame(registry, next(frame_seq), started)
                 last_frame = time.monotonic()
@@ -510,16 +485,12 @@ def _tenant_quotas_from(args) -> dict:
     from .serving import TenantQuota
 
     quotas = {}
-    for entry in args.tenant or ():
-        name, sep, spec = entry.partition("=")
-        if not sep or not name.strip() or not spec.strip():
-            raise ReproError(
-                f"--tenant {entry!r}: expected NAME=MAX_INFLIGHT"
-                "[:DEADLINE_MS]"
-            )
+    for entry, name, spec in _pairs(
+        args.tenant, "--tenant", "NAME=MAX_INFLIGHT[:DEADLINE_MS]"
+    ):
         inflight, _sep, deadline = spec.partition(":")
         try:
-            quotas[name.strip()] = TenantQuota(
+            quotas[name] = TenantQuota(
                 max_inflight=int(inflight),
                 deadline_ms_cap=float(deadline) if deadline else None,
             )
@@ -556,20 +527,13 @@ def cmd_serve(args) -> int:
             )
             # The ready line on stdout: harnesses wait for it and read the
             # bound addresses (TCP port 0 picks a free one).
-            print(
-                json.dumps(
-                    api.to_envelope(
-                        {
-                            "addresses": [list(a) for a in daemon.addresses],
-                            "workers": daemon.workers,
-                            "queue_limit": daemon.admission.queue_limit,
-                            "shared_memo": daemon.memo.name is not None,
-                        },
-                        kind="serve-ready",
-                    )
-                ),
-                flush=True,
-            )
+            ready = {
+                "addresses": [list(a) for a in daemon.addresses],
+                "workers": daemon.workers,
+                "queue_limit": daemon.admission.queue_limit,
+                "shared_memo": daemon.memo.name is not None,
+            }
+            _print_envelope(ready, kind="serve-ready", indent=None)
             await daemon.serve_forever()
 
         try:
@@ -580,8 +544,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    catalog, queries = _load(args)
-    query = _query_from(args, catalog, queries)
+    catalog, query = _schema_and_query(args)
     registry = MetricsRegistry()
     with collecting(registry):
         api.rewrite(query, catalog=catalog, budget=_budget_from(args))
@@ -614,20 +577,17 @@ def cmd_fuzz(args) -> int:
     from .fuzz import FuzzRunner, inject_bug, replay
 
     backends = _fuzz_backends(args)
+    # --inject-bug holds during --replay too, so a repro produced by a
+    # mutation run can be re-examined under the same injected bug.
+    bug = (
+        inject_bug(args.inject_bug)
+        if args.inject_bug
+        else contextlib.nullcontext()
+    )
     if args.replay:
-        # Honour --inject-bug during replay too, so a repro produced by a
-        # mutation run can be re-examined under the same injected bug.
         # When --engine is not given (None), replay() falls back to the
         # mode recorded in the repro document itself.
-        if args.inject_bug:
-            with inject_bug(args.inject_bug):
-                report = replay(
-                    Path(args.replay),
-                    engine=args.engine,
-                    backends=backends,
-                    strategy=args.strategy,
-                )
-        else:
+        with bug:
             report = replay(
                 Path(args.replay),
                 engine=args.engine,
@@ -664,28 +624,17 @@ def cmd_fuzz(args) -> int:
             file=sys.stderr,
         )
 
-    def run():
-        return runner.run(
+    with bug:
+        stats = runner.run(
             budget_seconds=args.budget,
             max_scenarios=args.max_scenarios,
             max_failures=args.max_failures,
             progress=None if args.json else progress,
         )
 
-    if args.inject_bug:
-        with inject_bug(args.inject_bug):
-            stats = run()
-    else:
-        stats = run()
-
     if args.json:
-        payload = {"base_seed": base_seed}
-        payload.update(stats.as_dict())
-        print(
-            json.dumps(
-                api.to_envelope(payload, kind="fuzz-stats"), indent=2
-            )
-        )
+        payload = {"base_seed": base_seed, **stats.as_dict()}
+        _print_envelope(payload, kind="fuzz-stats")
     else:
         print(
             f"fuzz: {stats.scenarios} scenarios "
@@ -698,6 +647,207 @@ def cmd_fuzz(args) -> int:
     return 1 if stats.failures else 0
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type: an integer that is not negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+SCHEMA_HELP = "SQL script with CREATE TABLE / CREATE VIEW statements"
+STRATEGIES = ["c1c4", "cohen_nutt", "both"]
+
+
+def _flag_table() -> dict:
+    """Every distinct option spec, once: key -> (option name,
+    add_argument keywords). Built per parser, so ``repro.fuzz`` loads
+    only then."""
+    from .fuzz import BUG_NAMES
+
+    def flag(name, help=None, **options):
+        return name, dict(options, help=help)
+
+    def switch(name, help):
+        return flag(name, help, action="store_true")
+
+    return {
+        "schema": flag("--schema", SCHEMA_HELP, required=True),
+        "schema-optional": flag("--schema", SCHEMA_HELP),
+        "query": flag("--query", "the SELECT to rewrite"),
+        "query-explain": flag("--query", "the SELECT to diagnose against"),
+        "query-run": flag("--query", "the SELECT to run"),
+        "query-emit": flag("--query", "the SELECT to emit"),
+        "json": switch("--json", "emit the repro-api/1 JSON projection "
+            "instead of text"),
+        "json-fuzz": switch("--json", "emit the stats report as a "
+            "repro-api/1 envelope (kind fuzz-stats)"),
+        "metrics-out": flag("--metrics-out", "collect metrics while the "
+            "command runs and write a Prometheus text snapshot to FILE on "
+            "exit", metavar="FILE"),
+        "strategy": flag("--strategy", "planner strategy: the C1-C4 "
+            "usability conditions (default), or add Cohen-Nutt "
+            "complete-rewriting extras (cohen_nutt/both)",
+            choices=STRATEGIES, default="c1c4"),
+        "trace": switch("--trace", "print per-stage timings and search "
+            "counters"),
+        "deadline-ms": flag("--deadline-ms", "wall-clock budget for the "
+            "rewrite search (milliseconds)", type=float),
+        "max-mappings": flag("--max-mappings", "cap on column mappings "
+            "enumerated by the search", type=int),
+        "max-candidates": flag("--max-candidates", "cap on candidate "
+            "rewritings generated by the search", type=int),
+        "all": switch("--all", "print every rewriting found"),
+        "explain": switch("--explain", "on failure, print per-view "
+            "condition diagnoses"),
+        "unfold": switch("--unfold", "first unfold conjunctive views in the "
+            "query's FROM clause"),
+        "view": flag("--view", "restrict to one view name"),
+        "requests": flag("requests", "JSON-lines file; each line an object "
+            "with 'query' plus optional id, deadline_ms, max_mappings, "
+            "max_candidates, max_steps, unfold (see docs/api.md)"),
+        "mode": flag("--mode", "execution backend (default: auto by batch "
+            "size)", choices=MODES, default="auto"),
+        "workers-batch": flag("--workers", "worker count for thread/process "
+            "modes (default: CPU count)", type=non_negative_int),
+        "deadline-ms-batch": flag("--deadline-ms", "wall-clock budget for "
+            "the WHOLE batch (milliseconds); overflow requests degrade "
+            "gracefully", type=float),
+        "left": flag("--left", required=True),
+        "right": flag("--right", required=True),
+        "trials": flag("--trials", type=int, default=50),
+        "seed-check": flag("--seed", type=int, default=0),
+        "workload": flag("--workload", "SQL script of SELECTs (defaults to "
+            "SELECTs in --schema)"),
+        "budget-advise": flag("--budget", type=float, default=float("inf")),
+        "data": flag("--data", "directory of <table>.csv", required=True),
+        "use-views": switch("--use-views", "evaluate through the cheapest "
+            "view rewriting when one wins"),
+        "limit": flag("--limit", type=int, default=20),
+        "engine-query": flag("--engine", "execution engine (default: auto — "
+            "columnar for large inputs)", default="auto",
+            choices=["row", "columnar", "auto"]),
+        "dialect": flag("--dialect", "target SQL dialect: one of "
+            + ", ".join(DIALECT_NAMES) + " (default: sqlite)",
+            default="sqlite", metavar="NAME"),
+        "views": switch("--views", "also emit every catalog view as CREATE "
+            "VIEW"),
+        "conformance": switch("--conformance", "emit the built-in "
+            "conformance corpus instead of a query"),
+        "db": flag("--db", "SQLite database file to ingest the catalog from "
+            "(and to execute on)"),
+        "materialized": flag("--materialized", "declare a table as "
+            "materializing the given SELECT (repeatable); it becomes a "
+            "rewriting candidate", action="append", metavar="NAME=SQL"),
+        "force-rewrite": switch("--force-rewrite", "use the best rewriting "
+            "even when its estimated cost does not beat direct evaluation"),
+        "sql": flag("--sql", "the SELECT to rewrite", required=True),
+        "execute": switch("--execute", "execute the (rewritten) statement "
+            "on --db and print rows"),
+        "verify": switch("--verify", "also run the original query on --db "
+            "and demand multiset-equality (exit 1 on disagreement)"),
+        "metrics-interval-sql": flag("--metrics-interval", "emit an in-band "
+            "repro-metrics/1 JSON frame at least this often, plus one at "
+            "end of input; 0 disables (default)", type=float, default=0.0,
+            metavar="SECONDS"),
+        "host": flag("--host", "TCP bind address (default: 127.0.0.1 unless "
+            "--socket only)"),
+        "port": flag("--port", "TCP port; 0 picks a free one, reported on "
+            "the serve-ready line (default: 0)", type=int, default=0),
+        "socket": flag("--socket", "also (or only) listen on a Unix-domain "
+            "socket at PATH", metavar="PATH"),
+        "workers-serve": flag("--workers", "process workers sharing the "
+            "memo tier; 0 = serial in-process execution (default: 0)",
+            type=int, default=0),
+        "queue-limit": flag("--queue-limit", "daemon-wide bound on "
+            "admitted-but-unfinished requests; overload refuses in-band, "
+            "never drops connections (default: 64)", type=int, default=64),
+        "tenant": flag("--tenant", "per-tenant quota: in-flight cap and "
+            "optional search deadline ceiling (repeatable)", action="append",
+            metavar="NAME=MAX_INFLIGHT[:DEADLINE_MS]"),
+        "memo-capacity": flag("--memo-capacity", "shared memo segment "
+            "capacity (default: 4 MiB)", type=non_negative_int,
+            default=4 * 1024 * 1024, metavar="BYTES"),
+        "metrics-interval-serve": flag("--metrics-interval", "emit a "
+            "repro-metrics/1 frame on stdout this often; 0 disables "
+            "(default)", type=float, default=0.0, metavar="SECONDS"),
+        "backend": flag("--backend", "live oracle backends: 'duckdb' means "
+            "the N-way engine=sqlite=duckdb oracle; 'all' uses every "
+            "installed driver. Default: sqlite for fuzzing, the recorded "
+            "set for --replay", choices=["sqlite", "duckdb", "all"]),
+        "budget-fuzz": flag("--budget", "wall-clock budget in seconds "
+            "(default: 60)", type=float, default=60.0),
+        "max-scenarios": flag("--max-scenarios", "stop after this many "
+            "scenarios (default: budget-bound only)", type=int),
+        "max-failures": flag("--max-failures", "stop after this many "
+            "distinct failures (default: 5)", type=int, default=5),
+        "seed-fuzz": flag("--seed", "base seed (default: 0)", type=int,
+            default=0),
+        "seed-from-env": switch("--seed-from-env", "derive the base seed "
+            "from $FUZZ_SEED or $GITHUB_RUN_ID"),
+        "out-dir": flag("--out-dir", "directory for shrunk repro files "
+            "(default: fuzz-failures)", default="fuzz-failures"),
+        "replay": flag("--replay", "re-run one persisted repro-fuzz/1 JSON "
+            "file and exit", metavar="FILE"),
+        "inject-bug": flag("--inject-bug", "mutation-test the oracle: patch "
+            "a known evaluator bug in and require the fuzzer to catch it",
+            choices=BUG_NAMES),
+        "engine-fuzz": flag("--engine", "execution engine per scenario; "
+            "'both' cross-checks row vs columnar on every evaluation "
+            "(three-way oracle with SQLite). Default: auto for fuzzing, the "
+            "recorded mode for --replay",
+            choices=["row", "columnar", "both", "auto"]),
+        "strategy-fuzz": flag("--strategy", "planner strategy the oracle "
+            "searches with; 'both' runs the cross-planner differential mode "
+            "(oracle soundness plus C1-C4 <= Cohen-Nutt dominance per "
+            "scenario). Default: c1c4 for fuzzing, the recorded strategy "
+            "for --replay", choices=STRATEGIES),
+    }
+
+
+BUDGET = "deadline-ms max-mappings max-candidates"
+FEDERATION = f"dialect schema-optional db materialized force-rewrite {BUDGET}"
+
+#: Command name -> (handler, help line, flag-table keys in --help order).
+COMMANDS = {
+    "rewrite": (cmd_rewrite, "rewrite a query to use views",
+        f"schema query strategy all explain unfold json trace {BUDGET} "
+        "metrics-out"),
+    "explain": (cmd_explain, "diagnose view usability",
+        f"schema query-explain view json trace {BUDGET}"),
+    "batch": (cmd_batch,
+        "rewrite many queries (JSON-lines file) through the service",
+        "schema requests mode workers-batch deadline-ms-batch strategy "
+        "metrics-out"),
+    "check": (cmd_check, "empirical equivalence check",
+        "schema left right trials seed-check"),
+    "advise": (cmd_advise, "recommend views for a workload",
+        "schema workload budget-advise"),
+    "query": (cmd_query, "run a query over CSV data",
+        "schema data query-run use-views limit engine-query"),
+    "emit": (cmd_emit,
+        "print a query (or the conformance corpus) in a dialect",
+        "dialect schema-optional query-emit views conformance json"),
+    "rewrite-sql": (cmd_rewrite_sql,
+        "rewrite one SQL statement through the federation middleware",
+        f"{FEDERATION} sql execute verify json"),
+    "serve-sql": (cmd_serve_sql,
+        "federation middleware as a JSON-lines loop on stdin/stdout",
+        f"{FEDERATION} metrics-interval-sql metrics-out"),
+    "serve": (cmd_serve, "always-on rewriting daemon over TCP / Unix sockets "
+        "(repro-api/1 JSONL)", "schema host port socket workers-serve "
+        "queue-limit tenant memo-capacity metrics-interval-serve metrics-out"),
+    "metrics": (cmd_metrics,
+        "run one rewrite with metrics on and print Prometheus text",
+        f"schema query {BUDGET}"),
+    "fuzz": (cmd_fuzz,
+        "fuzz rewrite soundness against live backend cross-oracles",
+        "backend budget-fuzz max-scenarios max-failures seed-fuzz "
+        "seed-from-env out-dir replay inject-bug engine-fuzz strategy-fuzz "
+        "json-fuzz metrics-out"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -707,422 +857,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument(
-            "--schema",
-            required=True,
-            help="SQL script with CREATE TABLE / CREATE VIEW statements",
-        )
-
-    def metrics_flag(p):
-        p.add_argument(
-            "--metrics-out",
-            metavar="FILE",
-            help="collect metrics while the command runs and write a "
-            "Prometheus text snapshot to FILE on exit",
-        )
-
-    def strategy_flag(p):
-        p.add_argument(
-            "--strategy",
-            choices=["c1c4", "cohen_nutt", "both"],
-            default="c1c4",
-            help="planner strategy: the C1-C4 usability conditions "
-            "(default), or add Cohen-Nutt complete-rewriting extras "
-            "(cohen_nutt/both)",
-        )
-
-    def search_knobs(p):
-        p.add_argument(
-            "--trace",
-            action="store_true",
-            help="print per-stage timings and search counters",
-        )
-        p.add_argument(
-            "--deadline-ms",
-            type=float,
-            help="wall-clock budget for the rewrite search (milliseconds)",
-        )
-        p.add_argument(
-            "--max-mappings",
-            type=int,
-            help="cap on column mappings enumerated by the search",
-        )
-        p.add_argument(
-            "--max-candidates",
-            type=int,
-            help="cap on candidate rewritings generated by the search",
-        )
-
-    p = sub.add_parser("rewrite", help="rewrite a query to use views")
-    common(p)
-    p.add_argument("--query", help="the SELECT to rewrite")
-    strategy_flag(p)
-    p.add_argument(
-        "--all", action="store_true", help="print every rewriting found"
-    )
-    p.add_argument(
-        "--explain",
-        action="store_true",
-        help="on failure, print per-view condition diagnoses",
-    )
-    p.add_argument(
-        "--unfold",
-        action="store_true",
-        help="first unfold conjunctive views in the query's FROM clause",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the repro-api/1 JSON projection instead of text",
-    )
-    search_knobs(p)
-    metrics_flag(p)
-    p.set_defaults(func=cmd_rewrite)
-
-    p = sub.add_parser("explain", help="diagnose view usability")
-    common(p)
-    p.add_argument("--query", help="the SELECT to diagnose against")
-    p.add_argument("--view", help="restrict to one view name")
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the repro-api/1 JSON projection instead of text",
-    )
-    search_knobs(p)
-    p.set_defaults(func=cmd_explain)
-
-    p = sub.add_parser(
-        "batch",
-        help="rewrite many queries (JSON-lines file) through the service",
-    )
-    common(p)
-    p.add_argument(
-        "requests",
-        help=(
-            "JSON-lines file; each line an object with 'query' plus "
-            "optional id, deadline_ms, max_mappings, max_candidates, "
-            "max_steps, unfold (see docs/api.md)"
-        ),
-    )
-    p.add_argument(
-        "--mode",
-        choices=MODES,
-        default="auto",
-        help="execution backend (default: auto by batch size)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        help="worker count for thread/process modes (default: CPU count)",
-    )
-    p.add_argument(
-        "--deadline-ms",
-        type=float,
-        help="wall-clock budget for the WHOLE batch (milliseconds); "
-        "overflow requests degrade gracefully",
-    )
-    strategy_flag(p)
-    metrics_flag(p)
-    p.set_defaults(func=cmd_batch)
-
-    p = sub.add_parser("check", help="empirical equivalence check")
-    common(p)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("advise", help="recommend views for a workload")
-    common(p)
-    p.add_argument(
-        "--workload",
-        help="SQL script of SELECTs (defaults to SELECTs in --schema)",
-    )
-    p.add_argument("--budget", type=float, default=float("inf"))
-    p.set_defaults(func=cmd_advise)
-
-    p = sub.add_parser("query", help="run a query over CSV data")
-    common(p)
-    p.add_argument("--data", required=True, help="directory of <table>.csv")
-    p.add_argument("--query", help="the SELECT to run")
-    p.add_argument(
-        "--use-views",
-        action="store_true",
-        help="evaluate through the cheapest view rewriting when one wins",
-    )
-    p.add_argument("--limit", type=int, default=20)
-    p.add_argument(
-        "--engine",
-        choices=["row", "columnar", "auto"],
-        default="auto",
-        help="execution engine (default: auto — columnar for large inputs)",
-    )
-    p.set_defaults(func=cmd_query)
-
-    from .dialects import DIALECT_NAMES
-
-    def dialect_flag(p, default="sqlite"):
-        p.add_argument(
-            "--dialect",
-            default=default,
-            metavar="NAME",
-            help=(
-                "target SQL dialect: one of "
-                + ", ".join(DIALECT_NAMES)
-                + f" (default: {default})"
-            ),
-        )
-
-    p = sub.add_parser(
-        "emit",
-        help="print a query (or the conformance corpus) in a dialect",
-    )
-    dialect_flag(p)
-    p.add_argument(
-        "--schema",
-        help="SQL script with CREATE TABLE / CREATE VIEW statements",
-    )
-    p.add_argument("--query", help="the SELECT to emit")
-    p.add_argument(
-        "--views",
-        action="store_true",
-        help="also emit every catalog view as CREATE VIEW",
-    )
-    p.add_argument(
-        "--conformance",
-        action="store_true",
-        help="emit the built-in conformance corpus instead of a query",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the repro-api/1 JSON projection instead of text",
-    )
-    p.set_defaults(func=cmd_emit)
-
-    def federation_flags(p):
-        dialect_flag(p)
-        p.add_argument(
-            "--schema",
-            help="SQL script with CREATE TABLE / CREATE VIEW statements",
-        )
-        p.add_argument(
-            "--db",
-            help="SQLite database file to ingest the catalog from "
-            "(and to execute on)",
-        )
-        p.add_argument(
-            "--materialized",
-            action="append",
-            metavar="NAME=SQL",
-            help="declare a table as materializing the given SELECT "
-            "(repeatable); it becomes a rewriting candidate",
-        )
-        p.add_argument(
-            "--force-rewrite",
-            action="store_true",
-            help="use the best rewriting even when its estimated cost "
-            "does not beat direct evaluation",
-        )
-        search_knobs(p)
-
-    p = sub.add_parser(
-        "rewrite-sql",
-        help="rewrite one SQL statement through the federation middleware",
-    )
-    federation_flags(p)
-    p.add_argument("--sql", required=True, help="the SELECT to rewrite")
-    p.add_argument(
-        "--execute",
-        action="store_true",
-        help="execute the (rewritten) statement on --db and print rows",
-    )
-    p.add_argument(
-        "--verify",
-        action="store_true",
-        help="also run the original query on --db and demand "
-        "multiset-equality (exit 1 on disagreement)",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the repro-api/1 JSON projection instead of text",
-    )
-    p.set_defaults(func=cmd_rewrite_sql)
-
-    p = sub.add_parser(
-        "serve-sql",
-        help="federation middleware as a JSON-lines loop on stdin/stdout",
-    )
-    federation_flags(p)
-    p.add_argument(
-        "--metrics-interval",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="emit an in-band repro-metrics/1 JSON frame at least this "
-        "often, plus one at end of input; 0 disables (default)",
-    )
-    metrics_flag(p)
-    p.set_defaults(func=cmd_serve_sql)
-
-    p = sub.add_parser(
-        "serve",
-        help="always-on rewriting daemon over TCP / Unix sockets "
-        "(repro-api/1 JSONL)",
-    )
-    common(p)
-    p.add_argument(
-        "--host",
-        default=None,
-        help="TCP bind address (default: 127.0.0.1 unless --socket only)",
-    )
-    p.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="TCP port; 0 picks a free one, reported on the serve-ready "
-        "line (default: 0)",
-    )
-    p.add_argument(
-        "--socket",
-        metavar="PATH",
-        default=None,
-        help="also (or only) listen on a Unix-domain socket at PATH",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process workers sharing the memo tier; 0 = serial "
-        "in-process execution (default: 0)",
-    )
-    p.add_argument(
-        "--queue-limit",
-        type=int,
-        default=64,
-        help="daemon-wide bound on admitted-but-unfinished requests; "
-        "overload refuses in-band, never drops connections "
-        "(default: 64)",
-    )
-    p.add_argument(
-        "--tenant",
-        action="append",
-        metavar="NAME=MAX_INFLIGHT[:DEADLINE_MS]",
-        help="per-tenant quota: in-flight cap and optional search "
-        "deadline ceiling (repeatable)",
-    )
-    p.add_argument(
-        "--memo-capacity",
-        type=int,
-        default=4 * 1024 * 1024,
-        metavar="BYTES",
-        help="shared memo segment capacity (default: 4 MiB)",
-    )
-    p.add_argument(
-        "--metrics-interval",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="emit a repro-metrics/1 frame on stdout this often; "
-        "0 disables (default)",
-    )
-    metrics_flag(p)
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "metrics",
-        help="run one rewrite with metrics on and print Prometheus text",
-    )
-    common(p)
-    p.add_argument("--query", help="the SELECT to rewrite")
-    search_knobs(p)
-    p.set_defaults(func=cmd_metrics)
-
-    from .fuzz import BUG_NAMES
-
-    p = sub.add_parser(
-        "fuzz",
-        help="fuzz rewrite soundness against live backend cross-oracles",
-    )
-    p.add_argument(
-        "--backend",
-        choices=["sqlite", "duckdb", "all"],
-        default=None,
-        help="live oracle backends: 'duckdb' means the N-way "
-        "engine=sqlite=duckdb oracle; 'all' uses every installed "
-        "driver. Default: sqlite for fuzzing, the recorded set for "
-        "--replay",
-    )
-    p.add_argument(
-        "--budget",
-        type=float,
-        default=60.0,
-        help="wall-clock budget in seconds (default: 60)",
-    )
-    p.add_argument(
-        "--max-scenarios",
-        type=int,
-        help="stop after this many scenarios (default: budget-bound only)",
-    )
-    p.add_argument(
-        "--max-failures",
-        type=int,
-        default=5,
-        help="stop after this many distinct failures (default: 5)",
-    )
-    p.add_argument(
-        "--seed", type=int, default=0, help="base seed (default: 0)"
-    )
-    p.add_argument(
-        "--seed-from-env",
-        action="store_true",
-        help="derive the base seed from $FUZZ_SEED or $GITHUB_RUN_ID",
-    )
-    p.add_argument(
-        "--out-dir",
-        default="fuzz-failures",
-        help="directory for shrunk repro files (default: fuzz-failures)",
-    )
-    p.add_argument(
-        "--replay",
-        metavar="FILE",
-        help="re-run one persisted repro-fuzz/1 JSON file and exit",
-    )
-    p.add_argument(
-        "--inject-bug",
-        choices=BUG_NAMES,
-        help="mutation-test the oracle: patch a known evaluator bug in "
-        "and require the fuzzer to catch it",
-    )
-    p.add_argument(
-        "--engine",
-        choices=["row", "columnar", "both", "auto"],
-        default=None,
-        help="execution engine per scenario; 'both' cross-checks row vs "
-        "columnar on every evaluation (three-way oracle with SQLite). "
-        "Default: auto for fuzzing, the recorded mode for --replay",
-    )
-    p.add_argument(
-        "--strategy",
-        choices=["c1c4", "cohen_nutt", "both"],
-        default=None,
-        help="planner strategy the oracle searches with; 'both' runs "
-        "the cross-planner differential mode (oracle soundness plus "
-        "C1-C4 <= Cohen-Nutt dominance per scenario). Default: c1c4 "
-        "for fuzzing, the recorded strategy for --replay",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the stats report as a repro-api/1 envelope "
-        "(kind fuzz-stats)",
-    )
-    metrics_flag(p)
-    p.set_defaults(func=cmd_fuzz)
+    flags = _flag_table()
+    for name, (func, help_line, keys) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for key in keys.split():
+            flag_name, options = flags[key]
+            p.add_argument(flag_name, **options)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -1147,10 +888,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "metrics_out", None):
             return _with_metrics_out(args)
         return args.func(args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
+    except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

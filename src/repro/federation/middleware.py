@@ -24,12 +24,13 @@ from ..blocks.normalize import parse_query
 from ..blocks.query_block import QueryBlock
 from ..blocks.to_sql import block_to_sql, view_to_sql
 from ..catalog.schema import Catalog
-from ..core.rewriter import RewriteEngine
+from ..core.planner import RewritePlanner
 from ..dialects import DialectLike, get_dialect
 from ..obs.budget import SearchBudget
 from ..obs.metrics import counter
 from ..oracle.values import rows_multiset_equal
-from ..service.requests import API_SCHEMA
+from ..service.executor import execute_request
+from ..service.requests import API_SCHEMA, RewriteRequest, RewriteResponse
 from .catalog import IngestReport, ingest_catalog, parse_materialized_views
 
 STATEMENTS = counter(
@@ -92,6 +93,13 @@ class SqlRewriter:
     evaluation — a middleware must never make a query slower on purpose.
     With ``only_improving=False`` the best rewriting always wins when
     one exists (useful for conformance testing).
+
+    Every statement runs through
+    :func:`repro.service.executor.execute_request`, like every other
+    front end, with one planner over the catalog's views (as they are at
+    construction) that the rewriter builds once and keeps warm. A
+    ``budget`` with count limits plans cold, by the executor's
+    determinism rule.
     """
 
     def __init__(
@@ -103,8 +111,26 @@ class SqlRewriter:
     ):
         self.catalog = catalog
         self.dialect = get_dialect(dialect)
-        self.engine = RewriteEngine(catalog, budget=budget)
+        self.budget = budget
         self.only_improving = only_improving
+        self.views = tuple(catalog.views.values())
+        self.planner = RewritePlanner(self.views, catalog, True)
+
+    @property
+    def engine(self) -> "SqlRewriter":
+        """This rewriter: ``rewriter.engine.rewrite(query, trace=True)``
+        keeps working for callers that searched through the engine."""
+        return self
+
+    def rewrite(
+        self, query: Union[str, QueryBlock], trace: bool = False
+    ) -> RewriteResponse:
+        """One ranked search of ``query`` over the catalog's views."""
+        request = RewriteRequest(
+            query, self.catalog, views=self.views, budget=self.budget,
+            trace=trace,
+        )
+        return execute_request(request, planner=self.planner)
 
     def rewrite_sql(
         self, sql: Union[str, QueryBlock]
@@ -115,7 +141,7 @@ class SqlRewriter:
         else:
             input_sql = sql
             query = parse_query(sql, self.catalog)
-        result = self.engine.rewrite(query)
+        result = self.rewrite(query)
         best = result.ranked[0] if result.ranked else None
         rewritten = best is not None and (
             not self.only_improving or best.cost < result.original_cost

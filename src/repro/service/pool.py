@@ -241,6 +241,10 @@ class BatchRewriteService:
     ):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if workers is not None and workers < 0:
+            raise ValueError(
+                f"workers must be >= 0 (0 or None: CPU count), got {workers}"
+            )
         self.mode = mode
         self.workers = workers
         self.batch_deadline = batch_deadline

@@ -289,7 +289,15 @@ class SharedMemoTier(LocalMemoTier):
         self.name = self._shm.name
         self._generation = 0
         self._writer = True
-        self._flush()
+        try:
+            self._flush()
+        except BaseException:
+            # The caller never gets this tier to close, and
+            # create_memo_tier falls back to a local one: the segment
+            # must not outlive the failed construction.
+            self.close()
+            self.unlink()
+            raise
 
     @classmethod
     def attach(cls, name: str) -> "SharedMemoTier":

@@ -110,6 +110,31 @@ def test_sql_rewriter_without_connection():
     assert outcome.dialect == "postgres"
 
 
+def test_statements_share_one_planner(connection, monkeypatch):
+    """SqlRewriter builds one planner and searches every statement on
+    it; a count-budgeted statement plans cold, like on every front end."""
+    from repro.core.planner import RewritePlanner
+    from repro.obs.budget import SearchBudget
+
+    built = []
+    init = RewritePlanner.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RewritePlanner, "__init__", counting_init)
+    catalog, _report = ingest_catalog(connection, materialized=MATERIALIZED)
+    rewriter = SqlRewriter(catalog)
+    for _ in range(3):
+        assert rewriter.rewrite_sql(QUERY).rewritten
+    assert built == [rewriter.planner]
+    budgeted = SqlRewriter(catalog, budget=SearchBudget(max_mappings=100))
+    for _ in range(2):
+        assert budgeted.rewrite_sql(QUERY).rewritten
+    assert len(built) == 4 and budgeted.planner in built
+
+
 PASSTHROUGH_QUERY = "SELECT id, amount FROM sales WHERE region = 'east'"
 REWRITTEN_SQL = (
     'SELECT "region_totals"."region", SUM("region_totals"."total") AS "s"'
@@ -286,11 +311,11 @@ def test_cli_serve_sql_loop(db_file, capsys, monkeypatch):
     assert code == 0
     docs = [json.loads(line) for line in out_lines]
     assert [d.get("id") for d in docs] == [None, 1, 2, 3, None]
-    assert docs[0]["kind"] == "error"
-    assert docs[1]["verified"] is True
-    assert docs[2]["kind"] == "error"
-    assert docs[3]["rewritten"] is True
-    assert docs[4]["kind"] == "error"
+    assert [d["kind"] for d in docs] == [
+        "error", "sql-rewrite", "error", "sql-rewrite", "error",
+    ]
+    assert docs[1]["result"]["verified"] is True
+    assert docs[3]["result"]["rewritten"] is True
 
 
 def test_cli_serve_sql_metrics_frames(db_file, capsys, monkeypatch):

@@ -182,6 +182,17 @@ class TestModes:
         with pytest.raises(ValueError):
             BatchRewriteService(mode="gpu")
 
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            BatchRewriteService(mode="thread", workers=-1)
+
+    @pytest.mark.parametrize("workers", [0, None])
+    def test_zero_or_no_workers_means_cpu_count(self, workers):
+        result = BatchRewriteService(mode="thread", workers=workers).submit(
+            [scenario_request(5)] * 2
+        )
+        assert result.report["workers"] >= 1
+
     def test_plain_strings_rejected(self):
         with pytest.raises(TypeError):
             BatchRewriteService(mode="serial").submit(["SELECT 1"])

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import pickle
 import random
+import struct
 import sys
 import threading
 
@@ -145,6 +147,31 @@ class TestSharedMemoTier:
         finally:
             writer.close()
             writer.unlink()
+
+    @pytest.mark.parametrize("capacity", [64, -5])
+    def test_failed_construction_unlinks_the_segment(
+        self, monkeypatch, capacity
+    ):
+        """Nothing holds a tier whose constructor raised, and
+        create_memo_tier falls back to a local one: the segment must go
+        with it. A negative capacity makes the first flush fail for real."""
+        from multiprocessing import shared_memory
+
+        if capacity > 0:
+            def failing_flush(tier):
+                raise RuntimeError("flush failed")
+
+            monkeypatch.setattr(SharedMemoTier, "_flush", failing_flush)
+        name = f"repro_memo_test_{os.getpid()}_{capacity + 5}"
+        with pytest.raises((RuntimeError, struct.error)):
+            SharedMemoTier(capacity=capacity, name=name)
+        try:
+            leaked = shared_memory.SharedMemory(name=name)
+        except FileNotFoundError:
+            return
+        leaked.close()
+        leaked.unlink()
+        pytest.fail(f"segment {name} outlived the failed construction")
 
     def test_oversized_single_entry_still_frames(self):
         writer = SharedMemoTier(capacity=2048)

@@ -1,8 +1,14 @@
 """CLI behaviour (driven through ``main(argv)``, no subprocesses)."""
 
+import argparse
+import json
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro import cli
+from repro.cli import build_parser, main
 
 SCHEMA = """
 CREATE TABLE Plans (Plan_Id INT PRIMARY KEY, Plan_Name TEXT);
@@ -357,3 +363,89 @@ class TestBatchLines:
         assert first["id"] == "line-2" and second["id"] == "wired"
         assert first["result"]["rewritings"]
         assert second["result"]["metrics"] is not None
+
+
+class TestParser:
+    """The parser built from the flag and command tables."""
+
+    GOLDEN = Path(__file__).parent / "goldens" / "cli_parser_spec.json"
+
+    @staticmethod
+    def spec(parser) -> dict:
+        """Per subcommand, every option's argparse contract."""
+        sub = next(
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        return {
+            name: [
+                {
+                    "option_strings": list(a.option_strings),
+                    "dest": a.dest,
+                    "default": repr(a.default),
+                    "type": getattr(a.type, "__name__", None),
+                    "choices": None if a.choices is None else list(a.choices),
+                    "required": a.required,
+                    "nargs": a.nargs,
+                    "action": type(a).__name__,
+                }
+                for a in p._actions
+            ]
+            for name, p in sub.choices.items()
+        }
+
+    def test_matches_the_golden_but_for_the_intended_changes(self):
+        """The golden is the hand-written parser the tables replaced; the
+        edits below are the only changes made on purpose since."""
+        golden = json.loads(self.GOLDEN.read_text())
+        for command in ("metrics", "rewrite-sql", "serve-sql"):
+            golden[command] = [
+                o for o in golden[command] if o["dest"] != "trace"
+            ]
+        for command, dest in [
+            ("batch", "workers"), ("serve", "memo_capacity"),
+        ]:
+            (option,) = [o for o in golden[command] if o["dest"] == dest]
+            assert option["type"] == "int"
+            option["type"] = "non_negative_int"
+        assert self.spec(build_parser()) == golden
+
+    def test_docstring_lists_the_command_table(self):
+        doc = cli.__doc__
+        headings = re.findall(r"^``([a-z-]+)``$", doc, re.M)
+        assert headings == list(cli.COMMANDS)
+        sentence = re.search(
+            r"^(.*) accept\n``--metrics-out FILE``", doc, re.M
+        )
+        assert sentence is not None, "the --metrics-out list is gone"
+        assert re.findall(r"``([a-z-]+)``", sentence[1]) == [
+            name for name, (_f, _h, keys) in cli.COMMANDS.items()
+            if "metrics-out" in keys.split()
+        ]
+
+    @pytest.mark.parametrize(
+        "command", ["metrics", "rewrite-sql", "serve-sql"]
+    )
+    def test_trace_is_refused_where_nothing_reads_it(
+        self, schema_file, command, capsys
+    ):
+        argv = [command, "--schema", schema_file, "--trace"]
+        if command == "rewrite-sql":
+            argv += ["--sql", QUERY]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["batch", "requests.jsonl", "--mode", "thread", "--workers", "-1"],
+            ["serve", "--memo-capacity", "-5"],
+        ],
+    )
+    def test_negative_counts_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv + ["--schema", "s.sql"])
+        assert exit_info.value.code == 2
+        assert "must be >= 0" in capsys.readouterr().err

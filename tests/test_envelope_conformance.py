@@ -129,6 +129,27 @@ class TestCliEnvelopes:
         assert code == 0
         assert "rewritten" in doc["result"]
 
+    def test_serve_sql(self, schema_file, capsys, monkeypatch):
+        import io
+
+        lines = [
+            json.dumps({"id": "ok", "sql": QUERY}),
+            json.dumps({"id": "bad", "sql": "SELECT x FROM nowhere"}),
+            "{not json",
+        ]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines)))
+        code, out = run_json(capsys, ["serve-sql", "--schema", schema_file])
+        assert code == 0
+        ok, bad, malformed = map(json.loads, out.out.splitlines())
+        assert assert_envelope(ok, "sql-rewrite")["id"] == "ok"
+        assert ok["result"]["rewritten"] is True
+        assert assert_envelope(bad, "error")["id"] == "bad"
+        assert bad["error"]["message"] == "unknown relation nowhere"
+        assert "id" not in assert_envelope(malformed, "error")
+        assert malformed["error"]["message"].startswith(
+            "line 3: not valid JSON"
+        )
+
     def test_fuzz(self, tmp_path, capsys):
         code, out = run_json(
             capsys,
