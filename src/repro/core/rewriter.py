@@ -141,6 +141,26 @@ def strategy_rewritings(
     )
 
 
+def rank(
+    candidates: Sequence[Rewriting], catalog: Catalog
+) -> list[RankedRewriting]:
+    """``candidates`` in estimated-cost order, ties broken by mapping.
+
+    The costs read only the catalog's cardinalities, never the search, so
+    ranking a finished candidate set again under new statistics gives
+    what a fresh :func:`search` would.
+    """
+    return sorted(
+        (
+            RankedRewriting(
+                rw, estimate_cost(rw.query, catalog, rw.aux_views)
+            )
+            for rw in candidates
+        ),
+        key=lambda r: (r.cost, r.rewriting.mapping_desc),
+    )
+
+
 def search(
     query: Union[str, QueryBlock],
     views: Sequence[ViewDef],
@@ -203,20 +223,7 @@ def search(
                 budget=meter,
             )
         with span("rank"):
-            ranked = (
-                sorted(
-                    (
-                        RankedRewriting(
-                            rw,
-                            estimate_cost(rw.query, catalog, rw.aux_views),
-                        )
-                        for rw in candidates
-                    ),
-                    key=lambda r: (r.cost, r.rewriting.mapping_desc),
-                )
-                if catalog is not None
-                else []
-            )
+            ranked = rank(candidates, catalog) if catalog is not None else []
         if tracer is not None:
             for name, value in planner.stats.as_dict().items():
                 if isinstance(value, int):

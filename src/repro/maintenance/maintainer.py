@@ -13,6 +13,10 @@ without recomputing the view from scratch:
   the standard treatment in the incremental-view-maintenance literature
   the paper cites ([BLT86, GMS93]).
 
+A change is all or nothing: every maintainer computes its delta on
+copies of the touched groups first, so one that cannot absorb the change
+leaves every view, and the database, as they were.
+
 This substrate completes the paper's warehouse story: Example 1.1's V1
 can be kept fresh under a stream of Calls inserts while the rewriter
 answers queries from it.
@@ -23,7 +27,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..blocks.exprs import Aggregate, Arith, Expr, has_aggregate
 from ..blocks.query_block import QueryBlock, ViewDef
@@ -31,7 +35,7 @@ from ..blocks.terms import Column, Comparison, Constant
 from ..engine.database import Database
 from ..engine.evaluator import _compile_row_expr  # noqa: SLF001
 from ..engine.table import Table
-from ..errors import EvaluationError, UnsupportedSQLError
+from ..errors import EvaluationError, SchemaError, UnsupportedSQLError
 from .delta import check_removable, delta_core_rows, table_minus, table_plus
 from .state import AggState, GroupState
 
@@ -144,6 +148,8 @@ class MaintainedView:
             ]
 
         self.maintenance_rows = 0  # delta rows processed (for benches)
+        #: Keys of groups whose MIN/MAX lost its extremum.
+        self._dirty: set[tuple] = set()
         self._initialize()
 
     # ------------------------------------------------------------------
@@ -157,8 +163,12 @@ class MaintainedView:
 
     def _initialize(self) -> None:
         """Full initial computation (the only non-incremental step)."""
+        self._commit_of((), self._full_core())()
+
+    def _full_core(self) -> list:
+        """Every core row of the view over the current database."""
         tables = self._base_tables()
-        rows = delta_core_rows(
+        return delta_core_rows(
             # Trick: treat the whole first table as the delta against an
             # empty "old" state; the telescope then yields the full core.
             self.block,
@@ -170,7 +180,6 @@ class MaintainedView:
             },
             new=tables,
         )
-        self._apply_core_delta(rows, sign=+1)
 
     # ------------------------------------------------------------------
     # Updates
@@ -198,107 +207,122 @@ class MaintainedView:
         deletes: Iterable[Sequence] = (),
         update_database: bool = True,
     ) -> None:
-        """Maintain the view for a base-table change.
+        """Maintain the view for a base-table change, all or nothing.
 
         Must be called *before* the shared database reflects the change.
         With ``update_database=True`` the database is mutated here (in
         O(delta)); with ``False`` the caller applies the change itself —
         see :func:`apply_change` for coordinating several maintainers.
         """
-        insert_rows = [tuple(r) for r in inserts]
-        delete_rows = [tuple(r) for r in deletes]
-        schema = self.db.catalog.table(table_name)
+        _change(
+            [self], self.db, table_name, inserts, deletes, update_database
+        )
+
+    def _prepare(
+        self, table_name: str, insert_rows: list, delete_rows: list
+    ) -> Callable[[], None]:
+        """This view's delta for a checked base-table change, computed
+        against the pre-change database without touching any state; the
+        returned commit applies it (and cannot fail)."""
         occurrences = sum(
             1 for rel in self.block.from_ if rel.name == table_name
         )
-        relevant = occurrences > 0
-
-        # Snapshots are only needed when the view self-joins the changed
-        # table (the telescope then consults old/new side by side).
+        if not occurrences:
+            return lambda: None
+        columns = self.db.catalog.table(table_name).columns
+        # A table's own content is read only when the view self-joins it
+        # (the telescope then consults old/new side by side).
         current = self.db.table(table_name)
+        removed = added = ()
         if delete_rows:
-            # Fail *before* touching any state: a partial update on a bad
-            # delete would silently corrupt the materialization.
-            check_removable(current, delete_rows)
-        if delete_rows:
-            if relevant:
-                if occurrences > 1:
-                    old_t: Table = Table(current.columns, list(current.rows))
-                    new_t = table_minus(current, delete_rows)
-                else:
-                    old_t = new_t = current
-                removed = delta_core_rows(
-                    self.block,
-                    table_name,
-                    Table(schema.columns, delete_rows),
-                    old=self._with(table_name, old_t),
-                    new=self._with(table_name, new_t),
-                )
-                self._apply_core_delta(removed, sign=-1)
-            if update_database:
-                self.db.remove_rows(table_name, delete_rows)
-                current = self.db.table(table_name)
-            else:
-                current = table_minus(current, delete_rows)
-        if insert_rows:
-            if relevant:
-                if occurrences > 1:
-                    old_t = Table(current.columns, list(current.rows))
-                    new_t = table_plus(current, insert_rows)
-                else:
-                    old_t = new_t = current
-                added = delta_core_rows(
-                    self.block,
-                    table_name,
-                    Table(schema.columns, insert_rows),
-                    old=self._with(table_name, old_t),
-                    new=self._with(table_name, new_t),
-                )
-                self._apply_core_delta(added, sign=+1)
-            if update_database:
-                self.db.append_rows(table_name, insert_rows)
-        if insert_rows or delete_rows:
-            _notify_delta(
-                ViewDelta(
-                    view_name=self.view.name,
-                    table_name=table_name,
-                    inserted=len(insert_rows),
-                    deleted=len(delete_rows),
-                    relevant=relevant,
-                    maintainer=self,
-                )
+            after = (
+                table_minus(current, delete_rows)
+                if occurrences > 1
+                else current
             )
+            removed = self._delta_core(
+                table_name, Table(columns, delete_rows), current, after
+            )
+            current = after
+        if insert_rows:
+            after = (
+                table_plus(current, insert_rows)
+                if occurrences > 1
+                else current
+            )
+            added = self._delta_core(
+                table_name, Table(columns, insert_rows), current, after
+            )
+        return self._commit_of(removed, added)
 
-    def _with(self, table_name: str, content: Table) -> dict[str, Table]:
+    def _delta_core(
+        self, table_name: str, delta: Table, old: Table, new: Table
+    ) -> list:
         tables = self._base_tables()
-        tables[table_name] = content
-        return tables
+        return delta_core_rows(
+            self.block,
+            table_name,
+            delta,
+            old={**tables, table_name: old},
+            new={**tables, table_name: new},
+        )
 
-    def _apply_core_delta(self, rows, sign: int) -> None:
-        self.maintenance_rows += len(rows)
+    def _commit_of(self, removed, added) -> Callable[[], None]:
+        """The commit of removing then adding these core rows.
+
+        Everything that can fail (row expressions, aggregate arithmetic)
+        runs here, on copies of the touched groups.
+        """
+        processed = len(removed) + len(added)
         if not self.is_aggregation:
+            outputs: Counter = Counter()
+            for rows, sign in ((removed, -1), (added, +1)):
+                for row in rows:
+                    outputs[tuple(fn(row) for fn in self._select_fns)] += sign
+
+            def commit_rows() -> None:
+                self.maintenance_rows += processed
+                counts = self._row_counts
+                for out, n in outputs.items():
+                    counts[out] += n
+                    if counts[out] == 0:
+                        del counts[out]
+
+            return commit_rows
+
+        #: New state per touched group; ``None`` = the group emptied.
+        touched: dict[tuple, Optional[GroupState]] = {}
+        for rows, sign in ((removed, -1), (added, +1)):
             for row in rows:
-                out = tuple(fn(row) for fn in self._select_fns)
-                self._row_counts[out] += sign
-                if self._row_counts[out] == 0:
-                    del self._row_counts[out]
-            return
-        for row in rows:
-            key = tuple(fn(row) for fn in self._group_key_fns)
-            state = self._groups.get(key)
-            if state is None:
-                state = GroupState(
-                    key=key,
-                    aggregates=[AggState(agg.func) for agg in self._aggs],
-                )
-                self._groups[key] = state
-            values = tuple(fn(row) for fn in self._agg_arg_fns)
-            if sign > 0:
-                state.insert(values)
-            else:
-                state.delete(values)
-            if state.empty:
-                del self._groups[key]
+                key = tuple(fn(row) for fn in self._group_key_fns)
+                if key not in touched:
+                    old = self._groups.get(key)
+                    touched[key] = old.copy() if old is not None else None
+                state = touched[key] or self._new_group(key)
+                values = tuple(fn(row) for fn in self._agg_arg_fns)
+                if sign > 0:
+                    state.insert(values)
+                else:
+                    state.delete(values)
+                touched[key] = None if state.empty else state
+
+        def commit_groups() -> None:
+            self.maintenance_rows += processed
+            for key, state in touched.items():
+                if state is None:
+                    self._groups.pop(key, None)
+                    self._dirty.discard(key)
+                else:
+                    self._groups[key] = state
+                    if state.needs_recompute:
+                        self._dirty.add(key)
+
+        return commit_groups
+
+    def _new_group(self, key: tuple) -> GroupState:
+        return GroupState(
+            key=key, aggregates=[AggState(agg.func) for agg in self._aggs]
+        )
 
     # ------------------------------------------------------------------
     # Reads
@@ -311,67 +335,59 @@ class MaintainedView:
             for row, count in self._row_counts.items():
                 rows.extend([row] * count)
             return Table(self.view.output_names, rows)
-
-        self._recompute_dirty()
-        out_rows = []
-        for state in self._groups.values():
-            evaluator = _StateEvaluator(self, state)
-            if all(evaluator.holds(atom) for atom in self.block.having):
-                out_rows.append(
-                    tuple(
-                        evaluator.value(item.expr)
-                        for item in self.block.select
-                    )
+        return Table(
+            self.view.output_names,
+            [
+                tuple(
+                    evaluator.value(item.expr)
+                    for item in self.block.select
                 )
+                for evaluator in self._output_groups()
+            ],
+        )
+
+    def row_count(self) -> int:
+        """``len(self.table())``, counted without building a row."""
+        if not self.is_aggregation:
+            return sum(self._row_counts.values())
+        if self.block.having:
+            return sum(1 for _ in self._output_groups())
+        self._recompute_dirty()
+        if not self._groups and not self.block.group_by:
+            return 1  # SQL's one row on empty input
+        return len(self._groups)
+
+    def _output_groups(self) -> Iterator["_StateEvaluator"]:
+        """An evaluator per output row: each group whose HAVING holds."""
+        self._recompute_dirty()
+        states: Iterable[GroupState] = self._groups.values()
         if not self.block.group_by and not self._groups:
             # SQL's one-row-on-empty-input rule for global aggregates.
-            empty = GroupState(
-                key=(), aggregates=[AggState(a.func) for a in self._aggs]
-            )
-            evaluator = _StateEvaluator(self, empty)
+            states = [self._new_group(())]
+        for state in states:
+            evaluator = _StateEvaluator(self, state)
             if all(evaluator.holds(atom) for atom in self.block.having):
-                out_rows.append(
-                    tuple(
-                        evaluator.value(item.expr)
-                        for item in self.block.select
-                    )
-                )
-        return Table(self.view.output_names, out_rows)
+                yield evaluator
 
     def _recompute_dirty(self) -> None:
-        dirty_keys = {
-            key
-            for key, state in self._groups.items()
-            if state.needs_recompute
-        }
-        if not dirty_keys:
+        """Rebuild the groups whose MIN/MAX lost its extremum."""
+        if not self._dirty:
             return
-        tables = self._base_tables()
-        rows = delta_core_rows(
-            self.block,
-            self.block.from_[0].name,
-            tables[self.block.from_[0].name],
-            old={n: Table(t.columns, []) for n, t in tables.items()},
-            new=tables,
-        )
         rebuilt: dict[tuple, GroupState] = {}
-        for row in rows:
+        for row in self._full_core():
             key = tuple(fn(row) for fn in self._group_key_fns)
-            if key not in dirty_keys:
+            if key not in self._dirty:
                 continue
             state = rebuilt.get(key)
             if state is None:
-                state = GroupState(
-                    key=key,
-                    aggregates=[AggState(a.func) for a in self._aggs],
-                )
-                rebuilt[key] = state
+                state = rebuilt[key] = self._new_group(key)
             state.insert(tuple(fn(row) for fn in self._agg_arg_fns))
-        for key in dirty_keys:
+        for key in self._dirty:
             if key in rebuilt:
                 self._groups[key] = rebuilt[key]
             else:
                 del self._groups[key]
+        self._dirty = set()
 
     def consistency_check(self) -> bool:
         """Compare against a fresh full evaluation (used by tests)."""
@@ -394,9 +410,12 @@ def apply_change(
     multiple views share a database: a maintainer that observes after the
     database changed would compute its deltas against the wrong snapshot
     whenever its view self-joins the changed table.
+
+    All or nothing: a change that fails anywhere — a missing delete
+    row, a wrong-width row, a value one view's aggregate cannot absorb —
+    raises before any view state or the database changes, and no
+    listener hears of it.
     """
-    insert_rows = [tuple(r) for r in inserts]
-    delete_rows = [tuple(r) for r in deletes]
     db = database
     for maintainer in maintainers:
         if db is None:
@@ -405,16 +424,57 @@ def apply_change(
             raise ValueError(
                 "apply_change requires all maintainers to share a database"
             )
-        maintainer.observe(
-            table_name, insert_rows, delete_rows, update_database=False
-        )
     if db is None:
         raise ValueError("no maintainers and no database given")
-    if delete_rows:
-        db.remove_rows(table_name, delete_rows)
-    if insert_rows:
-        db.append_rows(table_name, insert_rows)
+    _change(maintainers, db, table_name, inserts, deletes, True)
 
+
+def _change(
+    maintainers: Sequence[MaintainedView],
+    db: Database,
+    table_name: str,
+    inserts: Iterable[Sequence],
+    deletes: Iterable[Sequence],
+    update_database: bool,
+) -> None:
+    """Check, prepare every maintainer, mutate ``db``, commit, notify."""
+    insert_rows = [tuple(r) for r in inserts]
+    delete_rows = [tuple(r) for r in deletes]
+    schema = db.catalog.table(table_name)
+    for row in insert_rows:
+        if len(row) != len(schema.columns):
+            raise SchemaError(
+                f"table {table_name}: row {row!r} has {len(row)} values "
+                f"for {len(schema.columns)} columns"
+            )
+    if delete_rows:
+        check_removable(db.table(table_name), delete_rows)
+    commits = [
+        maintainer._prepare(table_name, insert_rows, delete_rows)
+        for maintainer in maintainers
+    ]
+    if update_database:
+        if delete_rows:
+            db.remove_rows(table_name, delete_rows)
+        if insert_rows:
+            db.append_rows(table_name, insert_rows)
+    for commit in commits:
+        commit()
+    if not (insert_rows or delete_rows):
+        return
+    for maintainer in maintainers:
+        _notify_delta(
+            ViewDelta(
+                view_name=maintainer.view.name,
+                table_name=table_name,
+                inserted=len(insert_rows),
+                deleted=len(delete_rows),
+                relevant=any(
+                    rel.name == table_name for rel in maintainer.block.from_
+                ),
+                maintainer=maintainer,
+            )
+        )
 
 class _StateEvaluator:
     """Evaluates SELECT/HAVING expressions against a GroupState."""

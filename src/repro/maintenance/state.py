@@ -88,6 +88,17 @@ class GroupState:
     def needs_recompute(self) -> bool:
         return any(a.dirty for a in self.aggregates)
 
+    def copy(self) -> "GroupState":
+        """A state that changes independently of this one."""
+        return GroupState(
+            self.key,
+            self.multiplicity,
+            [
+                AggState(a.func, a.count, a.total, a.extremum, a.dirty)
+                for a in self.aggregates
+            ],
+        )
+
     def insert(self, values: tuple) -> None:
         self.multiplicity += 1
         for state, value in zip(self.aggregates, values):

@@ -14,7 +14,8 @@ Layers, bottom up:
     with ``repro batch``, and the serving fingerprint;
 :mod:`repro.serving.worker`
     request execution with shared-memo warm start (the epoch protocol's
-    reader side) and a per-planner memo of finished responses;
+    reader side) and a memo of finished responses that an update
+    re-ranks instead of discarding;
 :mod:`repro.serving.daemon`
     the asyncio TCP/Unix server tying it together, including
     maintenance-delta cache invalidation;

@@ -32,9 +32,9 @@ invalidation, so *any* maintenance activity against the daemon's
 database (including direct ``apply_change`` calls in embedding code)
 bumps the shared tier's epoch and evicts the affected fingerprints.
 Affected views also get their catalog cardinality refreshed from the
-maintained materialization, so post-update responses re-rank with live
-statistics — without a restart and without cold-starting unaffected
-fingerprints.
+maintained materialization (counted, not built), so post-update
+responses re-rank with live statistics — without a restart and without
+cold-starting unaffected fingerprints.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ from ..service.degradation import refused_response
 from .admission import DEFAULT_TENANT, AdmissionController, TenantQuota
 from .memo import DEFAULT_CAPACITY, create_memo_tier
 from .protocol import (
-    ProtocolError,
     parse_line,
     request_from_wire,
     strategy_names,
+    update_from_wire,
 )
 from .worker import PlannerCache, init_worker, run_in_worker
 
@@ -422,13 +422,7 @@ class RewriteDaemon:
             metrics.family(MEMO_PUBLISHES).labels(publish).inc()
 
     async def _op_update(self, obj: dict, line_no: int) -> dict:
-        table = obj.get("table")
-        if not isinstance(table, str) or not self.catalog.is_table(table):
-            raise ProtocolError(
-                f"line {line_no}: 'table' must name a base table"
-            )
-        inserts = [tuple(r) for r in obj.get("insert", ())]
-        deletes = [tuple(r) for r in obj.get("delete", ())]
+        table, inserts, deletes = update_from_wire(obj, self.catalog, line_no)
         async with self._update_lock:
             loop = asyncio.get_running_loop()
             summary = await loop.run_in_executor(
@@ -503,7 +497,5 @@ class RewriteDaemon:
             return  # someone else's warehouse
         name = event.view_name
         if name in self.catalog.views:
-            self.catalog.set_row_count(
-                name, len(event.maintainer.table())
-            )
+            self.catalog.set_row_count(name, event.maintainer.row_count())
         self.memo.invalidate_views([name])

@@ -171,6 +171,31 @@ def request_from_wire(
     )
 
 
+def update_from_wire(
+    obj: dict, catalog: Catalog, line_no: int = 0
+) -> tuple[str, list[tuple], list[tuple]]:
+    """An ``update`` op object -> ``(table, insert rows, delete rows)``.
+
+    ``insert`` / ``delete`` are optional, and each must be a JSON array
+    of arrays: a string is not read as rows of characters.
+    """
+    table = obj.get("table")
+    if not isinstance(table, str) or not catalog.is_table(table):
+        raise ProtocolError(f"line {line_no}: 'table' must name a base table")
+
+    def rows(name: str) -> list[tuple]:
+        value = obj.get(name, [])
+        if not isinstance(value, list) or not all(
+            isinstance(row, list) for row in value
+        ):
+            raise ProtocolError(
+                f"line {line_no}: {name!r} must be a list of rows"
+            )
+        return [tuple(row) for row in value]
+
+    return table, rows("insert"), rows("delete")
+
+
 # ----------------------------------------------------------------------
 # Serving fingerprints
 
@@ -185,14 +210,34 @@ def serving_group_key(request: RewriteRequest) -> tuple:
     Planner interchangeability still holds (the key only segments the
     batch-service fingerprint further, never merges across it).
     """
+    return serving_keys(request)[0]
+
+
+def serving_keys(request: RewriteRequest) -> tuple[tuple, tuple, tuple]:
+    """``(fingerprint, definitions, cardinalities)`` of one request, from
+    one pass over its catalog.
+
+    ``fingerprint`` is :func:`serving_group_key`. ``definitions`` is the
+    fingerprint without statistics — table schemas less ``row_count`` /
+    ``distinct_counts``, the view fingerprints and the semantics flag —
+    which, with the request's own fields, fixes the set of rewritings.
+    ``cardinalities`` is the rest: each table's row and distinct counts
+    and each candidate view's row count, what cost ranking reads.
+    """
     catalog = request.catalog
     views = request.effective_views()
+    tables = tuple(sorted(catalog.tables.items())) if catalog else ()
+    prints = tuple(view_fingerprint(v) for v in views)
+    counts = tuple(
+        catalog.row_count(v.name) if catalog else None for v in views
+    )
+    semantics = request.use_set_semantics
     return (
-        tuple(sorted(catalog.tables.items())) if catalog else (),
-        tuple(
-            (view_fingerprint(v),
-             catalog.row_count(v.name) if catalog else None)
-            for v in views
+        (tables, tuple(zip(prints, counts)), semantics),
+        (
+            tuple((s.name, s.columns, s.keys, s.fds) for _n, s in tables),
+            prints,
+            semantics,
         ),
-        request.use_set_semantics,
+        (tuple((s.row_count, s.distinct_counts) for _n, s in tables), counts),
     )

@@ -12,7 +12,7 @@ reader side of the epoch protocol:
    build a planner and warm it with :meth:`import_memos` (the entry
    cannot be stale — invalidation removes entries, it never leaves old
    bytes findable); absent means plan cold;
-4. answer a byte-identical repeat from that planner's response memo
+4. answer a byte-identical repeat from the cache's response memo
    (below); otherwise hand the request and the planner to the shared
    :func:`repro.service.executor.execute_request` — the same call the
    batch service makes;
@@ -28,20 +28,25 @@ against the full catalog like any other request; their fingerprints
 respond to invalidation independently of full-catalog traffic.
 
 Response memo
-    A response is a pure function of the fingerprint and the request's
-    answer-determining fields (SQL text, strategy, ``max_steps``,
-    ``unfold``, ``include_partial``), so each cached planner keeps a
-    bounded :class:`~repro.memo.Memo` of finished responses under those
-    fields. It needs no invalidation of its own: it lives and dies with
-    its planner entry, which the epoch check and the LRU already
-    replace. It is not a planner memo family, so a store never moves
-    ``memo_version`` and nothing of it is ever published. Only textual
-    requests without a budget (after the tenant cap) and without
-    ``collect_metrics`` take part, and only ok, unexhausted responses
-    are stored — from a key's second execution on: the first leaves a
-    marker, so one-off texts never hold a response. ``trace`` does not
-    matter — a traced hit carries a trace whose root holds one
-    ``response_memo`` span.
+    A response's rewritings are a pure function of the fingerprint's
+    *definitions* (no cardinalities: whether a view answers a query
+    never reads the data) and the request's answer-determining fields
+    (SQL text, strategy, ``max_steps``, ``unfold``,
+    ``include_partial``); only their ranking reads cardinalities. So
+    the cache keeps one bounded :class:`~repro.memo.Memo` of finished
+    responses under those keys, apart from the planners, and stamps
+    each with the counts it was ranked under. A hit whose stamp differs
+    from the request's counts — an update moved them — is ranked again
+    with :func:`repro.core.rewriter.rank` and stored under the new
+    stamp: an update costs a re-rank, not a search. It is not a planner
+    memo family, so a store never moves ``memo_version`` and nothing of
+    it is ever published. Only textual requests without a budget (after
+    the tenant cap) and without ``collect_metrics`` take part, and only
+    ok, unexhausted responses are stored — from a key's second execution
+    on: the first leaves a marker, so one-off texts never hold a
+    response. ``trace`` does not matter — a traced hit carries a trace
+    whose root holds one ``response_memo`` span (with a ``rank`` child
+    when it was ranked again).
 
 Count-budgeted requests plan cold (the executor's determinism rule), so
 they neither use nor displace a cached planner: they report ``cold``.
@@ -54,14 +59,16 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from ..core.cost import estimate_cost
 from ..core.planner import RewritePlanner
+from ..core.rewriter import rank
 from ..memo import MISSING, Memo
 from ..obs.metrics import counter
 from ..obs.trace import RewriteTrace, Tracer
 from ..service.executor import execute_request
 from ..service.requests import RewriteRequest, RewriteResponse
 from .memo import MEMO_EXPORT_MAX, SharedMemoTier
-from .protocol import resolve_strategy, serving_group_key
+from .protocol import resolve_strategy, serving_keys
 
 #: Planner paths, as reported by repro_serving_planner_path_total.
 WARM_LOCAL = "warm_local"
@@ -91,11 +98,46 @@ class _CachedPlanner:
     #: Tier epoch the planner was validated against.
     epoch: int
     planner: RewritePlanner
-    #: Finished responses by answer-determining request fields.
-    responses: Memo
     #: ``planner.memo_version`` at the last export; -1 = never exported,
     #: so a new planner always exports after its first request.
     exported_version: int = -1
+
+
+@dataclass(frozen=True)
+class _Stored:
+    """A finished response and the cardinalities it was ranked under."""
+
+    response: RewriteResponse
+    #: ``(the fingerprint's cardinalities, counts of from_views)``.
+    stamp: tuple
+    #: Views the query's FROM names outside the request's view set:
+    #: ``original_cost`` reads their counts, so the stamp covers them.
+    from_views: tuple[str, ...]
+
+
+def _stamped(
+    response: RewriteResponse,
+    catalog,
+    counts: tuple,
+    view_names: tuple[str, ...],
+) -> _Stored:
+    """A fresh execution's response as stored, stamped with ``counts``
+    (read before the search ran)."""
+    from_views = tuple(
+        dict.fromkeys(
+            rel.name
+            for rel in response.query.from_
+            if catalog.is_view(rel.name) and rel.name not in view_names
+        )
+    )
+    # Those views' counts could only be read now, after a search an
+    # update may have overlapped: no stamp equals ``None``, so the first
+    # hit ranks again and records them.
+    return _Stored(
+        replace(response, trace=None),
+        (counts, None if from_views else ()),
+        from_views,
+    )
 
 
 class PlannerCache:
@@ -103,13 +145,16 @@ class PlannerCache:
 
     #: Distinct fingerprints kept warm per process.
     MAX_PLANNERS = 8
-    #: Finished responses kept per planner.
+    #: Finished responses kept per planner slot: the response memo holds
+    #: up to ``MAX_PLANNERS * MAX_RESPONSES``.
     MAX_RESPONSES = 16
 
     def __init__(self, tier):
         self.tier = tier
         #: ``_CachedPlanner`` by fingerprint, least recently used first.
         self._planners = Memo(self.MAX_PLANNERS)
+        #: ``_Stored`` (or a ``None`` marker) by definitions and fields.
+        self._responses = Memo(self.MAX_PLANNERS * self.MAX_RESPONSES)
 
     def run(
         self,
@@ -132,7 +177,7 @@ class PlannerCache:
         pinned = resolve_strategy(strategy)
         if pinned is not None:
             request = replace(request, strategy=pinned)
-        key = serving_group_key(request)
+        key, definitions, counts = serving_keys(request)
         views = request.effective_views()
         view_names = tuple(v.name for v in views)
         if request.has_count_budget():
@@ -145,7 +190,9 @@ class PlannerCache:
             and request.budget is None
             and not request.collect_metrics
         ):
-            response = self._answer(cached, request)
+            response = self._answer(
+                cached, request, definitions, counts, view_names
+            )
         else:
             RESPONSE_MEMO.labels("bypass").inc()
             response = execute_request(
@@ -163,16 +210,22 @@ class PlannerCache:
         return response, key, view_names, export, path
 
     def _answer(
-        self, cached: _CachedPlanner, request: RewriteRequest
+        self,
+        cached: _CachedPlanner,
+        request: RewriteRequest,
+        definitions: tuple,
+        counts: tuple,
+        view_names: tuple[str, ...],
     ) -> RewriteResponse:
-        """A memoizable request: the stored response for a repeat, else a
-        fresh execution.
+        """A memoizable request: the stored response for a repeat (ranked
+        again if the counts moved), else a fresh execution.
 
         A key's first complete execution stores only a ``None`` marker;
         the response is stored when the key comes back, so a one-off
         text never holds a stored response.
         """
         memo_key = (
+            definitions,
             request.query,
             request.strategy,
             request.max_steps,
@@ -182,11 +235,15 @@ class PlannerCache:
         started = time.perf_counter()
         tracer = Tracer() if request.trace else None
         with tracer.span("response_memo") if tracer else nullcontext():
-            stored = cached.responses.get(memo_key)
-        if stored is not MISSING and stored is not None:
+            stored = self._responses.get(memo_key)
+            if isinstance(stored, _Stored):
+                response = self._current(
+                    memo_key, stored, request.catalog, counts, tracer
+                )
+        if isinstance(stored, _Stored):
             RESPONSE_MEMO.labels("hit").inc()
             return replace(
-                stored,
+                response,
                 request_id=request.request_id,
                 elapsed=time.perf_counter() - started,
                 trace=RewriteTrace(tracer.finish()) if tracer else None,
@@ -196,10 +253,31 @@ class PlannerCache:
             request, planner=cached.planner, capture_errors=True
         )
         if response.ok and not response.exhausted:
-            cached.responses.put(
+            self._responses.put(
                 memo_key,
-                None if stored is MISSING else replace(response, trace=None),
+                None
+                if stored is MISSING
+                else _stamped(response, request.catalog, counts, view_names),
             )
+        return response
+
+    def _current(
+        self, memo_key, stored: _Stored, catalog, counts: tuple, tracer
+    ) -> RewriteResponse:
+        """``stored``'s response under the catalog's counts now: as
+        stored when its stamp matches, else ranked again and stored."""
+        stamp = (counts, tuple(map(catalog.row_count, stored.from_views)))
+        if stamp == stored.stamp:
+            return stored.response
+        with tracer.span("rank") if tracer else nullcontext():
+            response = replace(
+                stored.response,
+                ranked=tuple(rank(stored.response.rewritings, catalog)),
+                original_cost=estimate_cost(stored.response.query, catalog),
+            )
+        self._responses.put(
+            memo_key, replace(stored, response=response, stamp=stamp)
+        )
         return response
 
     def _planner_for(
@@ -221,7 +299,7 @@ class PlannerCache:
             path = WARM_SHARED
         else:
             path = COLD
-        cached = _CachedPlanner(epoch, planner, Memo(self.MAX_RESPONSES))
+        cached = _CachedPlanner(epoch, planner)
         self._planners.put(key, cached)
         return cached, path
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro import Catalog, Database, parse_view, table
-from repro.errors import UnsupportedSQLError
+from repro.errors import SchemaError, UnsupportedSQLError
 from repro.maintenance import MaintainedView
 
 
@@ -274,6 +274,100 @@ class TestRandomizedStream:
                     ],
                 )
             assert mv.consistency_check(), (seed, _step, view_sql)
+
+
+class TestRowCount:
+    """``row_count()`` counts what ``table()`` would build."""
+
+    VIEWS = [
+        SUM_VIEW,
+        TestMinMax.VIEW,
+        TestHavingViews.VIEW,
+        TestGlobalAggregates.VIEW,
+        "CREATE VIEW V (N, S) AS SELECT COUNT(V), SUM(V) FROM R "
+        "HAVING COUNT(V) > 2",
+        "CREATE VIEW V (A, Lo) AS SELECT A, MIN(V) FROM R GROUP BY A "
+        "HAVING MIN(V) < 5",
+        TestConjunctiveViews.VIEW,
+        TestJoinsAndSelfJoins.JOIN_VIEW,
+        "CREATE VIEW V (A, N) AS SELECT x.A, COUNT(y.V) FROM R x, R y "
+        "WHERE x.B = y.B GROUP BY x.A",
+    ]
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_stream(self, catalog, seed):
+        """Property: after every insert/delete batch — extremum deletes
+        included — the count equals the materialization's length."""
+        rng = random.Random(seed)
+        view_sql = self.VIEWS[seed % len(self.VIEWS)]
+        mv, db = make(catalog, view_sql)
+        assert mv.row_count() == len(mv.table())
+        for step in range(30):
+            target = rng.choice(["R", "R", "S"])
+            width = 3 if target == "R" else 2
+            current = list(db.table(target).rows)
+            rng.shuffle(current)
+            deletes = current[: rng.randint(0, min(2, len(current)))]
+            inserts = [
+                tuple(rng.randint(0, 3) for _ in range(width))
+                for _ in range(rng.randint(0, 3))
+            ]
+            mv.apply(target, inserts=inserts, deletes=deletes)
+            assert mv.row_count() == len(mv.table()), (seed, step)
+            assert mv.consistency_check(), (seed, step)
+
+
+class TestAllOrNothing:
+    VIEWS = [
+        "CREATE VIEW P (A, V) AS SELECT A, V FROM R",
+        SUM_VIEW,
+        TestMinMax.VIEW,
+    ]
+
+    @pytest.mark.parametrize(
+        "change, error",
+        [
+            # The second row breaks SUM after the first one was absorbed.
+            ({"inserts": [(1, 0, 5), (2, 0, "y")]}, TypeError),
+            ({"deletes": [(1, 0, 10)], "inserts": [(3, 0, "y")]}, TypeError),
+            ({"deletes": [(1, 0, 10)], "inserts": [(3, 0)]}, SchemaError),
+            ({"deletes": [(1, 0, 10), (7, 7, 7)]}, ValueError),
+        ],
+        ids=["bad_value", "delete_then_bad_value", "short_row", "absent"],
+    )
+    def test_a_failed_change_changes_nothing(self, catalog, change, error):
+        from repro.maintenance import apply_change, register_delta_listener
+
+        db = Database(catalog, {"R": [(1, 0, 10), (1, 0, 3)], "S": []})
+        maintainers = [
+            MaintainedView(parse_view(sql, catalog.copy()), db)
+            for sql in self.VIEWS
+        ]
+        tables = [sorted(m.table().rows) for m in maintainers]
+        heard = []
+        unsubscribe = register_delta_listener(heard.append)
+        try:
+            with pytest.raises(error):
+                apply_change(maintainers, "R", **change)
+            assert heard == []  # no listener hears of a failed change
+            assert db.table("R").rows == [(1, 0, 10), (1, 0, 3)]
+            assert [sorted(m.table().rows) for m in maintainers] == tables
+            # ... and the next valid change maintains every view.
+            apply_change(
+                maintainers, "R", inserts=[(2, 0, 4)], deletes=[(1, 0, 10)]
+            )
+            assert len(heard) == len(maintainers)
+            assert all(m.consistency_check() for m in maintainers)
+        finally:
+            unsubscribe()
+
+    def test_single_view_apply_is_all_or_nothing(self, catalog):
+        mv, db = make(catalog, SUM_VIEW, r_rows=[(1, 0, 10)])
+        with pytest.raises(TypeError):
+            mv.apply("R", inserts=[(1, 0, 5), (1, 0, "y")])
+        assert db.table("R").rows == [(1, 0, 10)]
+        assert mv.table().rows == [(1, 10, 1)]
+        assert mv.consistency_check()
 
 
 class TestApplyChange:

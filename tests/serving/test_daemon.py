@@ -161,6 +161,24 @@ def test_non_numeric_limit_is_refused_in_band(scenario):
             assert client.ping()["ok"] is True
 
 
+@pytest.mark.parametrize("bad", [None, 5, "abc"])
+def test_update_rows_must_be_a_list_of_rows(scenario, bad):
+    sc, db = scenario
+    table = next(iter(sc.catalog.tables))
+    before = list(db.table(table).rows)
+    with running_daemon(sc.catalog, database=db) as daemon:
+        with connect(daemon) as client:
+            doc = client.request(
+                {"op": "update", "table": table, "insert": bad}
+            )
+            assert_envelope(doc, "error")
+            assert doc["error"]["message"] == (
+                "line 1: 'insert' must be a list of rows"
+            )
+            assert client.ping()["ok"] is True
+    assert db.table(table).rows == before
+
+
 def test_update_invalidates_and_keeps_serving(scenario):
     sc, db = scenario
     sql = block_to_sql(sc.query)

@@ -14,7 +14,11 @@ from repro.serving import (
     serving_group_key,
     strategy_names,
 )
-from repro.serving.protocol import budget_from_wire
+from repro.serving.protocol import (
+    budget_from_wire,
+    serving_keys,
+    update_from_wire,
+)
 from repro.workloads.random_queries import random_scenario
 
 
@@ -228,3 +232,69 @@ class TestServingGroupKey:
         before = serving_group_key(self._request(sc, views=pinned))
         sc.catalog.set_row_count(other, sc.catalog.row_count(other) + 10)
         assert serving_group_key(self._request(sc, views=pinned)) == before
+
+
+class TestServingKeys:
+    """The response memo's key is the fingerprint's definitions; its
+    stamp is the fingerprint's cardinalities."""
+
+    def _keys(self, sc):
+        from repro.service.requests import RewriteRequest
+
+        return serving_keys(RewriteRequest(query=sc.query, catalog=sc.catalog))
+
+    def test_fingerprint_is_the_group_key(self):
+        from repro.service.requests import RewriteRequest
+
+        sc = random_scenario(3)
+        request = RewriteRequest(query=sc.query, catalog=sc.catalog)
+        assert serving_keys(request)[0] == serving_group_key(request)
+
+    def test_counts_move_the_stamp_not_the_definitions(self):
+        sc = random_scenario(3)
+        key, definitions, counts = self._keys(sc)
+        name = sc.views[0].name
+        sc.catalog.set_row_count(name, sc.catalog.row_count(name) + 10)
+        table = next(iter(sc.catalog.tables))
+        sc.catalog.set_table_row_count(
+            table, sc.catalog.row_count(table) + 10
+        )
+        key2, definitions2, counts2 = self._keys(sc)
+        assert definitions2 == definitions
+        assert key2 != key and counts2 != counts
+
+    def test_a_key_change_moves_the_definitions(self):
+        from dataclasses import replace
+
+        sc = random_scenario(3)
+        definitions = self._keys(sc)[1]
+        name, schema = next(iter(sc.catalog.tables.items()))
+        sc.catalog._tables[name] = replace(
+            schema, keys=(frozenset(schema.columns),)
+        )
+        assert self._keys(sc)[1] != definitions
+
+
+class TestUpdateFromWire:
+    def test_rows_become_tuples(self):
+        sc = random_scenario(3)
+        table = next(iter(sc.catalog.tables))
+        assert update_from_wire(
+            {"op": "update", "table": table, "insert": [[1, 2]]}, sc.catalog
+        ) == (table, [(1, 2)], [])
+
+    @pytest.mark.parametrize("field", ["insert", "delete"])
+    @pytest.mark.parametrize("bad", [None, 5, "abc", [1, 2], [[1], "ab"]])
+    def test_non_row_lists_refused(self, field, bad):
+        sc = random_scenario(3)
+        table = next(iter(sc.catalog.tables))
+        with pytest.raises(ProtocolError) as refusal:
+            update_from_wire(
+                {"op": "update", "table": table, field: bad}, sc.catalog, 5
+            )
+        assert str(refusal.value) == f"line 5: '{field}' must be a list of rows"
+
+    def test_unknown_table_refused(self):
+        sc = random_scenario(3)
+        with pytest.raises(ProtocolError, match="must name a base table"):
+            update_from_wire({"op": "update", "table": "Nope"}, sc.catalog)

@@ -1,13 +1,12 @@
 """PlannerCache's response memo: byte-identical repeats are answered from
-the planner's finished responses.
+finished responses.
 
 A key's first execution leaves a marker and its second stores the
 response, so the third is the first hit. A hit must be indistinguishable
 from a cold execution apart from its ``request_id``, ``elapsed`` and
-trace; an update must turn the same text back into a miss that ranks
-with the new statistics; budgeted and ``collect_metrics`` requests never
-take part; and nothing of it is published, pickled or kept past its
-bound.
+trace; after an update the same text stays a hit, ranked again with the
+new statistics; budgeted and ``collect_metrics`` requests never take
+part; and nothing of it is published, pickled or kept past its bound.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from dataclasses import replace
 import pytest
 
 from repro.blocks.to_sql import block_to_sql
+from repro.catalog.load import load_schema
 from repro.obs.budget import SearchBudget
 from repro.obs.metrics import MetricsRegistry, collecting, set_global_metrics
 from repro.serving import PlannerCache, ServingClient, serving_group_key
@@ -87,6 +87,9 @@ def test_hit_equals_a_cold_execution(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_update_turns_the_same_text_into_a_reranked_miss(seed):
+    """An update moves counts, not rewritings: the same text misses only
+    the ranking — its stored rewritings are ranked again, and the
+    request counts as a hit."""
     sc = random_scenario(seed)
     request = text_request(sc)
     tier = LocalMemoTier()
@@ -99,16 +102,65 @@ def test_update_turns_the_same_text_into_a_reranked_miss(seed):
     for name in catalog.views:
         catalog.set_row_count(name, catalog.row_count(name) + 10**9)
     tier.invalidate_views(list(catalog.views))
-    ((after, *_rest),), counts = run_counted(cache, request)
-    assert counts == {"hit": 0, "miss": 1, "bypass": 0}
-    assert outcome(after) == outcome(execute_request(request))
+    (after, again), counts = run_counted(cache, request, request)
+    # Ranked again, not searched again: both are hits.
+    assert counts == {"hit": 2, "miss": 0, "bypass": 0}
+    assert outcome(after[0]) == outcome(execute_request(request))
+    assert outcome(again[0]) == outcome(after[0])
     if before.ranked:
-        assert [r.cost for r in after.ranked] != [
+        assert [r.cost for r in after[0].ranked] != [
             r.cost for r in before.ranked
         ]
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_a_count_change_without_invalidation_reranks(seed):
+    """The stamp, not the epoch, decides: counts moved behind the tier's
+    back (no invalidation) still re-rank, table counts included."""
+    sc = random_scenario(seed)
+    request = text_request(sc)
+    cache = PlannerCache(LocalMemoTier())
+    for _ in range(2):
+        cache.run(request)
+    catalog = sc.catalog
+    table = next(iter(catalog.tables))
+    catalog.set_table_row_count(table, catalog.row_count(table) * 1000)
+    name = next(iter(catalog.views))
+    catalog.set_row_count(name, catalog.row_count(name) + 10**6)
+    (hit,), counts = run_counted(cache, request)
+    assert counts == {"hit": 1, "miss": 0, "bypass": 0}
+    assert outcome(hit[0]) == outcome(execute_request(request))
+
+
+def test_pinned_request_reranks_when_an_unpinned_from_view_moves():
+    """``original_cost`` reads the count of a view the query's FROM names
+    but the request did not pin, so the stamp covers it."""
+    catalog, _ = load_schema(
+        "CREATE TABLE Calls (Call_Id, Plan_Id, Year, Charge);\n"
+        "CREATE VIEW Yearly (Plan_Id, Year, Total) AS SELECT Plan_Id, "
+        "Year, SUM(Charge) FROM Calls GROUP BY Plan_Id, Year;\n"
+        "CREATE VIEW Totals (Plan_Id, Total) AS SELECT Plan_Id, "
+        "SUM(Charge) FROM Calls GROUP BY Plan_Id;\n"
+    )
+    request = RewriteRequest(
+        query="SELECT Plan_Id, SUM(Total) FROM Yearly GROUP BY Plan_Id",
+        catalog=catalog,
+        views=(catalog.view("Totals"),),
+    )
+    cache = PlannerCache(LocalMemoTier())
+    results, counts = run_counted(cache, request, request, request)
+    assert counts == {"hit": 1, "miss": 2, "bypass": 0}
+    before = results[-1][0]
+    catalog.set_row_count("Yearly", catalog.row_count("Yearly") + 10**6)
+    (hit,), counts = run_counted(cache, request)
+    assert counts == {"hit": 1, "miss": 0, "bypass": 0}
+    assert outcome(hit[0]) == outcome(execute_request(request))
+    assert hit[0].original_cost != before.original_cost
+
+
 def test_daemon_update_turns_the_hot_text_into_a_miss(scenario):
+    """Through a live daemon: after an update the hot text is a stored
+    response ranked again (a hit), equal to a cold execution."""
     sc, db = scenario
     sql = block_to_sql(sc.query)
     table = next(
@@ -128,11 +180,14 @@ def test_daemon_update_turns_the_hot_text_into_a_miss(scenario):
             ) as client:
                 for _ in range(3):
                     assert client.rewrite(sql)["ok"]
-                assert client.update(table, insert=[[1] * width])["ok"]
+                update = client.update(
+                    table, insert=[[i] * width for i in range(40)]
+                )
+                assert update["ok"]
                 served = client.rewrite(sql)
     finally:
         set_global_metrics(previous)
-    assert memo_counts(registry) == {"hit": 1, "miss": 3, "bypass": 0}
+    assert memo_counts(registry) == {"hit": 2, "miss": 2, "bypass": 0}
     cold = execute_request(RewriteRequest(query=sql, catalog=sc.catalog))
     assert [
         (r["sql"], r["cost"]) for r in served["result"]["rewritings"]
@@ -184,14 +239,32 @@ def test_a_one_off_text_leaves_only_a_marker():
     sc = random_scenario(7)
     request = text_request(sc)
     cache = PlannerCache(LocalMemoTier())
-    key = cache.run(request)[1]
-    responses = cache._planners.get(key).responses
+    cache.run(request)
+    responses = cache._responses
     assert [value for _k, value in responses.items()] == [None]
     (second,), counts = run_counted(cache, request)
     assert counts == {"hit": 0, "miss": 1, "bypass": 0}
-    assert [value for _k, value in responses.items()] == [
+    assert [value.response for _k, value in responses.items()] == [
         replace(second[0], trace=None)
     ]
+
+
+def test_stored_responses_outlive_their_planner():
+    """The memo belongs to the cache: evicting a fingerprint's planner
+    from the LRU leaves its stored responses hitting."""
+    scenarios = [
+        random_scenario(seed) for seed in range(PlannerCache.MAX_PLANNERS + 1)
+    ]
+    cache = PlannerCache(LocalMemoTier())
+    first = text_request(scenarios[0])
+    cache.run(first)
+    cache.run(first)
+    for sc in scenarios[1:]:  # pushes the first planner out
+        cache.run(text_request(sc))
+    (again,), counts = run_counted(cache, first)
+    assert again[4] == COLD
+    assert counts == {"hit": 1, "miss": 0, "bypass": 0}
+    assert outcome(again[0]) == outcome(execute_request(first))
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +354,7 @@ def test_store_leaves_memo_version_unchanged():
     response, key, _v, export, _p = cache.run(request)
     cached = cache._planners.get(key)
     assert all(
-        memo is not cached.responses
+        memo is not cache._responses
         for memo in cached.planner.memos.values()
     )
     assert not any(
@@ -290,8 +363,15 @@ def test_store_leaves_memo_version_unchanged():
     version = cached.planner.memo_version
     # The second execution stores the response: nothing to export.
     assert cache.run(request)[3] == []
-    assert isinstance(cached.responses.items()[0][1], type(response))
+    stored = cache._responses.items()[0][1]
+    assert isinstance(stored.response, type(response))
     assert cached.planner.memo_version == version
+    # Nor does a re-ranked store.
+    name = next(iter(sc.catalog.views))
+    sc.catalog.set_row_count(name, sc.catalog.row_count(name) + 10**6)
+    _response, key, _v, export, _p = cache.run(request)
+    assert export == []
+    assert cache._planners.get(key).planner.memo_version == 0
 
 
 # ----------------------------------------------------------------------
@@ -299,6 +379,8 @@ def test_store_leaves_memo_version_unchanged():
 
 
 def test_capacity_bound_holds(monkeypatch):
+    # One memo for the cache: MAX_PLANNERS * MAX_RESPONSES entries.
+    monkeypatch.setattr(PlannerCache, "MAX_PLANNERS", 1)
     monkeypatch.setattr(PlannerCache, "MAX_RESPONSES", 3)
     sc = random_scenario(7)
     sql = block_to_sql(sc.query)
@@ -308,8 +390,7 @@ def test_capacity_bound_holds(monkeypatch):
     for text in texts:
         for _ in range(2):  # stored from the second execution on
             cache.run(RewriteRequest(query=text, catalog=sc.catalog))
-    key = serving_group_key(text_request(sc))
-    assert len(cache._planners.get(key).responses) == 3
+    assert len(cache._responses) == 3
     (_old, _new), counts = run_counted(
         cache,
         RewriteRequest(query=texts[0], catalog=sc.catalog),
