@@ -300,7 +300,9 @@ class RewritePlanner:
         return the same entries (up to LRU order), which is how the
         serving layer skips re-exporting a planner that learned nothing.
         """
-        return sum(memo.inserts for memo in self.memos.values())
+        # A snapshot of the families: the serving loop reads this while a
+        # search on the worker thread may add one.
+        return sum(memo.inserts for memo in tuple(self.memos.values()))
 
     def export_memos(self, max_entries: Optional[int] = None) -> list:
         """Every memo family as one flat picklable list of ``(family,

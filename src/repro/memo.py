@@ -13,7 +13,14 @@ tolerates one race: another thread evicting the key between the lookup
 and the LRU touch. Counters are plain ``+=`` and may drop an update
 under contention — they are diagnostics, never control flow. Cached
 values are shared between callers and must be treated as immutable. A
-planner's own memos are used by one thread at a time.
+planner's own memos are used by one thread at a time; another thread
+may read their ``inserts``.
+
+The serial daemon's ``PlannerCache`` memos (its planners and its stored
+responses) are the other shared case: the event-loop thread reads them
+beside the worker thread that runs requests. The loop only looks with
+:meth:`Memo.peek` and touches a hit with :meth:`Memo.get`; it never
+stores, so every insert and eviction happens on the worker thread.
 
 This module imports nothing from ``repro``.
 """
@@ -68,6 +75,14 @@ class Memo:
             # value in hand is still the right answer.
             pass
         return value
+
+    def peek(self, key, default=MISSING):
+        """The value stored under ``key``, or ``default``, without
+        counting a lookup or touching LRU order. Inside :func:`disabled`
+        it finds nothing, like :meth:`get`."""
+        if not _enabled:
+            return default
+        return self._entries.get(key, default)
 
     def put(self, key, value) -> None:
         """Store ``value`` as the most recently used entry, evicting the

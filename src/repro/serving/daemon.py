@@ -7,6 +7,13 @@ catalog; the request path is::
     line -> parse -> admission -> executor queue -> PlannerCache.run
          -> publish memo export (if any) -> envelope line back
 
+In serial mode a rewrite whose stored response comes back unchanged
+(:meth:`PlannerCache.stored_response`) skips the executor: it is
+answered on the event loop right after admission. A round trip to the
+worker thread costs most of what such a hit costs, and the hit never
+queues behind another request's search. Lines are read up to
+:data:`MAX_LINE_BYTES`; a longer one is answered in-band and skipped.
+
 Admission happens synchronously on the event loop when a line arrives,
 so overload never buffers unboundedly: past the queue limit (or a
 tenant's quota) the client gets an immediate in-band *refused* response
@@ -63,6 +70,7 @@ from ..service.degradation import refused_response
 from .admission import DEFAULT_TENANT, AdmissionController, TenantQuota
 from .memo import DEFAULT_CAPACITY, create_memo_tier
 from .protocol import (
+    ProtocolError,
     parse_line,
     request_from_wire,
     strategy_names,
@@ -90,10 +98,26 @@ MEMO_PUBLISHES = counter(
 )
 
 
+#: The longest request line either server reads, newline excluded; a
+#: 3000-row ``update`` is about 100 KB. A longer line is answered
+#: in-band and skipped.
+MAX_LINE_BYTES = 8 * 1024 * 1024
+
+
 def _envelope(*args, **kwargs) -> dict:
     from .. import api
 
     return api.to_envelope(*args, **kwargs)
+
+
+async def _skip_line(reader) -> None:
+    """Discard the rest of an over-long line, its newline included."""
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as error:
+            await reader.readexactly(error.consumed)
 
 
 class RewriteDaemon:
@@ -175,7 +199,10 @@ class RewriteDaemon:
             host = "127.0.0.1"
         if host is not None:
             server = await asyncio.start_server(
-                self._handle_connection, host=host, port=port
+                self._handle_connection,
+                host=host,
+                port=port,
+                limit=MAX_LINE_BYTES,
             )
             self._servers.append(server)
             for sock in server.sockets:
@@ -184,7 +211,9 @@ class RewriteDaemon:
                 )
         if unix_path is not None:
             server = await asyncio.start_unix_server(
-                self._handle_connection, path=unix_path
+                self._handle_connection,
+                path=unix_path,
+                limit=MAX_LINE_BYTES,
             )
             self._servers.append(server)
             self.addresses.append(("unix", unix_path))
@@ -256,9 +285,25 @@ class RewriteDaemon:
         try:
             line_no = 0
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as error:
+                    line = error.partial  # an unterminated last line
+                    if not line:
+                        break
+                except asyncio.LimitOverrunError:
+                    line_no += 1
+                    refusal = ProtocolError(
+                        f"line {line_no}: request line longer than "
+                        f"{MAX_LINE_BYTES} bytes"
+                    )
+                    await self._write(
+                        writer,
+                        write_lock,
+                        _envelope(kind="error", error=refusal),
+                    )
+                    await _skip_line(reader)
+                    continue
                 line = line.strip()
                 if not line or line.startswith(b"#"):
                     continue
@@ -374,20 +419,28 @@ class RewriteDaemon:
                     else request.budget.merged_with(cap)
                 )
                 request = replace(request, budget=tightened)
-            response, key, view_names, export, _path = (
-                await asyncio.get_running_loop().run_in_executor(
-                    self._pool,
-                    run_in_worker
-                    if self.workers > 0
-                    else self._planner_cache.run,
-                    request,
-                )
+            # Process workers keep the responses: the master has none.
+            response = (
+                self._planner_cache.stored_response(request)
+                if self.workers == 0
+                else None
             )
-            if export:
-                # Single-writer discipline: only this (master) process
-                # publishes into the shared tier. An empty export means
-                # the planner learned nothing: nothing to publish.
-                self.memo.publish(key, view_names, export)
+            export = None
+            if response is None:
+                response, key, view_names, export, _path = (
+                    await asyncio.get_running_loop().run_in_executor(
+                        self._pool,
+                        run_in_worker
+                        if self.workers > 0
+                        else self._planner_cache.run,
+                        request,
+                    )
+                )
+                if export:
+                    # Single-writer discipline: only this (master)
+                    # process publishes into the shared tier. An empty
+                    # export means the planner learned nothing.
+                    self.memo.publish(key, view_names, export)
             outcome = (
                 "error"
                 if response.error is not None

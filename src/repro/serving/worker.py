@@ -48,6 +48,13 @@ Response memo
     whose root holds one ``response_memo`` span (with a ``rank`` child
     when it was ranked again).
 
+    A hit that comes back unchanged — untraced, its planner current and
+    already exported, its stamp equal to the counts now — is answered by
+    :meth:`PlannerCache.stored_response`, which neither ranks nor
+    searches. :meth:`PlannerCache.run` answers those hits through it, and
+    the serial daemon calls it on its event loop, before the hand-off to
+    the worker thread.
+
 Count-budgeted requests plan cold (the executor's determinism rule), so
 they neither use nor displace a cached planner: they report ``cold``.
 """
@@ -114,6 +121,29 @@ class _Stored:
     #: ``original_cost`` reads their counts, so the stamp covers them.
     from_views: tuple[str, ...]
 
+    def stamp_now(self, catalog, counts: tuple) -> tuple:
+        """The stamp this response would carry if ranked now."""
+        return (counts, tuple(map(catalog.row_count, self.from_views)))
+
+
+def _memoizable(request: RewriteRequest) -> bool:
+    return (
+        isinstance(request.query, str)
+        and request.budget is None
+        and not request.collect_metrics
+    )
+
+
+def _memo_key(request: RewriteRequest, definitions: tuple) -> tuple:
+    return (
+        definitions,
+        request.query,
+        request.strategy,
+        request.max_steps,
+        request.unfold,
+        request.include_partial,
+    )
+
 
 def _stamped(
     response: RewriteResponse,
@@ -177,19 +207,19 @@ class PlannerCache:
         pinned = resolve_strategy(strategy)
         if pinned is not None:
             request = replace(request, strategy=pinned)
-        key, definitions, counts = serving_keys(request)
+        keys = serving_keys(request)
+        key, definitions, counts = keys
         views = request.effective_views()
         view_names = tuple(v.name for v in views)
+        response = self.stored_response(request, keys)
+        if response is not None:
+            return response, key, view_names, [], WARM_LOCAL
         if request.has_count_budget():
             # execute_request would drop a warm planner anyway.
             cached, path = None, COLD
         else:
             cached, path = self._planner_for(key, views, request)
-        if (
-            isinstance(request.query, str)
-            and request.budget is None
-            and not request.collect_metrics
-        ):
+        if _memoizable(request):
             response = self._answer(
                 cached, request, definitions, counts, view_names
             )
@@ -209,6 +239,49 @@ class PlannerCache:
         PLANNER_PATHS.labels(path).inc()
         return response, key, view_names, export, path
 
+    def stored_response(
+        self, request: RewriteRequest, keys: Optional[tuple] = None
+    ) -> Optional[RewriteResponse]:
+        """``request``'s stored response when :meth:`run` would return it
+        unchanged, with an empty export, on path ``warm_local``; else
+        ``None``.
+
+        That takes an untraced memoizable request whose planner is
+        cached under the tier's current epoch and already exported, and
+        a stored response whose stamp equals the counts now. The answer
+        carries this request's ``request_id`` and ``elapsed``, and is
+        counted and touched as :meth:`run` counts and touches a hit; on
+        ``None`` nothing is counted or touched. It never ranks or
+        searches, so the serial daemon calls it on its event loop.
+        ``keys`` is ``serving_keys(request)`` when the caller has it.
+        """
+        if request.trace or not _memoizable(request):
+            return None
+        started = time.perf_counter()
+        key, definitions, counts = keys or serving_keys(request)
+        cached = self._planners.peek(key)
+        if (
+            cached is MISSING
+            or cached.epoch != self.tier.epoch()
+            or cached.exported_version != cached.planner.memo_version
+        ):
+            return None
+        memo_key = _memo_key(request, definitions)
+        stored = self._responses.peek(memo_key)
+        if not isinstance(stored, _Stored):
+            return None
+        if stored.stamp != stored.stamp_now(request.catalog, counts):
+            return None
+        self._planners.get(key)
+        self._responses.get(memo_key)
+        RESPONSE_MEMO.labels("hit").inc()
+        PLANNER_PATHS.labels(WARM_LOCAL).inc()
+        return replace(
+            stored.response,
+            request_id=request.request_id,
+            elapsed=time.perf_counter() - started,
+        )
+
     def _answer(
         self,
         cached: _CachedPlanner,
@@ -217,21 +290,15 @@ class PlannerCache:
         counts: tuple,
         view_names: tuple[str, ...],
     ) -> RewriteResponse:
-        """A memoizable request: the stored response for a repeat (ranked
-        again if the counts moved), else a fresh execution.
+        """A memoizable request :meth:`stored_response` did not answer:
+        the stored response for a traced repeat or one whose counts moved
+        (ranked again), else a fresh execution.
 
         A key's first complete execution stores only a ``None`` marker;
         the response is stored when the key comes back, so a one-off
         text never holds a stored response.
         """
-        memo_key = (
-            definitions,
-            request.query,
-            request.strategy,
-            request.max_steps,
-            request.unfold,
-            request.include_partial,
-        )
+        memo_key = _memo_key(request, definitions)
         started = time.perf_counter()
         tracer = Tracer() if request.trace else None
         with tracer.span("response_memo") if tracer else nullcontext():
@@ -266,7 +333,7 @@ class PlannerCache:
     ) -> RewriteResponse:
         """``stored``'s response under the catalog's counts now: as
         stored when its stamp matches, else ranked again and stored."""
-        stamp = (counts, tuple(map(catalog.row_count, stored.from_views)))
+        stamp = stored.stamp_now(catalog, counts)
         if stamp == stored.stamp:
             return stored.response
         with tracer.span("rank") if tracer else nullcontext():

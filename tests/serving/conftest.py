@@ -53,11 +53,16 @@ def running_daemon(catalog, *, unix_path=None, **kwargs):
         assert not thread.is_alive(), "daemon did not shut down"
 
 
-@pytest.fixture
-def scenario():
+def loaded_scenario():
     """One rewriting-rich random scenario with a loaded database."""
     sc = random_scenario(7)
     db = Database(sc.catalog)
     for name, rows in sc.instance.items():
         db.load(name, rows)
     return sc, db
+
+
+@pytest.fixture
+def scenario():
+    """A fresh :func:`loaded_scenario` per test."""
+    return loaded_scenario()

@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import threading
 import time
 
 import pytest
 
+import repro.serving.daemon as serving_daemon
+from repro import api
 from repro.blocks.to_sql import block_to_sql
+from repro.catalog.load import load_schema
 from repro.core.planner import RewritePlanner
-from repro.obs.metrics import MetricsRegistry
-from repro.serving import ServingClient, TenantQuota
+from repro.engine.database import Database
+from repro.obs.metrics import MetricsRegistry, collecting, set_global_metrics
+from repro.serving import RewriteDaemon, ServingClient, TenantQuota
 from repro.serving.memo import LocalMemoTier, SharedMemoTier
-from repro.serving.worker import WARM_SHARED, run_in_worker
+from repro.serving.protocol import request_from_wire
+from repro.serving.worker import COLD, WARM_LOCAL, WARM_SHARED, run_in_worker
 from repro.service.executor import execute_request
 from repro.service.requests import RewriteRequest
 
-from .conftest import running_daemon
+from .conftest import loaded_scenario, running_daemon
 
 
 def assert_envelope(doc, kind=None):
@@ -387,3 +394,232 @@ def test_serving_metrics_recorded(scenario):
     assert requests[("dash", "ok")] == 3
     latency = families["repro_serving_request_seconds"]["samples"]
     assert latency[0][1]["count"] == 3
+
+
+# ----------------------------------------------------------------------
+# Request lines of any realistic size
+
+CALLS_SCHEMA = (
+    "CREATE TABLE Calls (Call_Id, Plan_Id, Year, Charge);\n"
+    "CREATE VIEW Yearly (Plan_Id, Year, Total) AS SELECT Plan_Id, "
+    "Year, SUM(Charge) FROM Calls GROUP BY Plan_Id, Year;\n"
+)
+
+
+def test_a_3000_row_update_is_answered():
+    """Past asyncio's default 64 KiB line limit the connection used to
+    close with no reply."""
+    catalog, _ = load_schema(CALLS_SCHEMA)
+    rows = [[i, i % 7, 1990 + i % 5, 10**12 + i] for i in range(3000)]
+    assert len(json.dumps(rows)) > 64 * 1024
+    with running_daemon(catalog, database=Database(catalog)) as daemon:
+        with connect(daemon) as client:
+            doc = client.update("Calls", insert=rows)
+            assert_envelope(doc, "update")
+            assert doc["result"]["inserted"] == 3000
+            assert client.ping()["ok"] is True
+
+
+def test_an_over_limit_line_is_refused_in_band(monkeypatch):
+    monkeypatch.setattr(serving_daemon, "MAX_LINE_BYTES", 1024)
+    catalog, _ = load_schema(CALLS_SCHEMA)
+    with running_daemon(catalog, database=Database(catalog)) as daemon:
+        with connect(daemon) as client:
+            assert client.ping()["ok"] is True
+            # One line that arrives in one read, one spread over many.
+            for line_no, pad in ((2, 2_000), (4, 300_000)):
+                doc = client.request({"op": "ping", "pad": "x" * pad})
+                assert_envelope(doc, "error")
+                assert doc["error"]["message"] == (
+                    f"line {line_no}: request line longer than 1024 bytes"
+                )
+                assert client.ping()["ok"] is True
+
+
+# ----------------------------------------------------------------------
+# Stored responses are answered on the event loop
+
+
+def test_a_stored_hit_does_not_wait_for_another_requests_search(
+    scenario, monkeypatch
+):
+    """While the worker thread holds one request's search, a stored hot
+    text on a second connection is answered from the event loop, equal
+    to a hit the worker answers apart from its id and elapsed."""
+    sc, db = scenario
+    sql = block_to_sql(sc.query)
+    slow = sql + " "  # another text: a miss, searched on the worker
+    searching, release = threading.Event(), threading.Event()
+
+    def held(request, **kwargs):
+        if request.query == slow:
+            searching.set()
+            release.wait(timeout=30)
+        return execute_request(request, **kwargs)
+
+    monkeypatch.setattr("repro.serving.worker.execute_request", held)
+    with running_daemon(sc.catalog, database=db) as daemon:
+        address = ("127.0.0.1", daemon.tcp_port)
+        try:
+            with ServingClient.connect(address, timeout=5) as hot:
+                with ServingClient.connect(address, timeout=5) as busy:
+                    for _ in range(2):  # a marker, then the response
+                        assert hot.rewrite(sql)["ok"]
+                    worker_hit = daemon._pool.submit(
+                        daemon._planner_cache.run,
+                        request_from_wire({"sql": sql}, sc.catalog),
+                    ).result(timeout=30)[0]
+                    busy._sock.sendall(
+                        (json.dumps({"sql": slow, "id": "slow"}) + "\n")
+                        .encode()
+                    )
+                    assert searching.wait(timeout=30)
+                    # Answered while the worker thread still holds the
+                    # search; queued behind it, this would time out.
+                    loop_hit = hot.rewrite(sql, id="loop")
+                    release.set()
+                    assert busy._read_until("slow")["ok"]
+        finally:
+            release.set()
+    expected = json.loads(
+        json.dumps(api.to_envelope(worker_hit, kind="rewrite"))
+    )
+    for doc in (loop_hit, expected):
+        doc.pop("id", None)
+        del doc["result"]["request_id"], doc["result"]["elapsed"]
+    assert loop_hit == expected
+
+
+def traced_from_wire(obj, catalog, line_no=0):
+    """``request_from_wire`` plus a ``trace`` field. The wire carries
+    none: a traced request reaches a daemon only from embedding code."""
+    return dataclasses.replace(
+        request_from_wire(obj, catalog, line_no),
+        trace=bool(obj.get("trace")),
+    )
+
+
+@pytest.fixture
+def executor_ids(monkeypatch):
+    """The ids of the rewrites a daemon hands to its executor."""
+    sent = []
+    for name in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
+
+        class Counting(getattr(serving_daemon, name)):
+            def submit(self, fn, /, *args, **kwargs):
+                sent.append(args[0].request_id)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(serving_daemon, name, Counting)
+    return sent
+
+
+def serving_counts(registry) -> dict:
+    snapshot = registry.snapshot()
+    counts = {
+        outcome: snapshot.counter_value(
+            "repro_serving_response_memo_total", outcome=outcome
+        )
+        for outcome in ("hit", "miss", "bypass")
+    }
+    for path in (WARM_LOCAL, WARM_SHARED, COLD):
+        counts[path] = snapshot.counter_value(
+            "repro_serving_planner_path_total", path=path
+        )
+    return counts
+
+
+def replayed_counts(stream, quotas) -> dict:
+    """The counters of ``stream`` run through ``PlannerCache.run`` alone,
+    on a fresh copy of the scenario, by a daemon that never serves."""
+    sc, db = loaded_scenario()
+    replay = RewriteDaemon(sc.catalog, database=db)
+    registry = MetricsRegistry()
+    try:
+        with collecting(registry):
+            for rid, obj in stream:
+                if obj.get("op") == "update":
+                    replay.apply_update(
+                        obj["table"], [tuple(row) for row in obj["insert"]]
+                    )
+                    continue
+                request = traced_from_wire({**obj, "id": rid}, sc.catalog)
+                quota = quotas.get(obj.get("tenant"))
+                if quota is not None:
+                    request = dataclasses.replace(
+                        request, budget=quota.budget_cap()
+                    )
+                _r, key, names, export, _p = replay._planner_cache.run(
+                    request
+                )
+                if export:
+                    replay.memo.publish(key, names, export)
+    finally:
+        replay._unsubscribe()
+        replay._pool.shutdown()
+    return serving_counts(registry)
+
+
+def test_only_unchanged_stored_responses_skip_the_executor(
+    executor_ids, monkeypatch
+):
+    """Everything that needs planner work still reaches the worker
+    thread; exact-stamp hits are answered on the loop. Either way the
+    hit and path counters equal the same stream run through
+    ``PlannerCache.run`` alone."""
+    monkeypatch.setattr(serving_daemon, "request_from_wire", traced_from_wire)
+    quotas = {"capped": TenantQuota(deadline_ms_cap=60_000)}
+    sc, db = loaded_scenario()
+    sql = block_to_sql(sc.query)
+    table = next(
+        rel.name
+        for view in sc.catalog.views.values()
+        for rel in view.block.from_
+    )
+    width = len(sc.catalog.tables[table].columns)
+    rows = [[i + 1000] * width for i in range(5)]
+    stream = [
+        ("miss", {"sql": sql}),
+        ("store", {"sql": sql}),
+        ("hit", {"sql": sql}),
+        ("traced", {"sql": sql, "trace": True}),
+        ("capped", {"sql": sql, "tenant": "capped"}),
+        ("collect_metrics", {"sql": sql, "collect_metrics": True}),
+        ("count_budget", {"sql": sql, "max_mappings": 1000}),
+        ("hit_again", {"sql": sql}),
+        ("update", {"op": "update", "table": table, "insert": rows}),
+        ("after_update", {"sql": sql}),
+        ("hit_after_update", {"sql": sql}),
+    ]
+    registry = MetricsRegistry()
+    previous = set_global_metrics(registry)
+    try:
+        with running_daemon(
+            sc.catalog, database=db, tenant_quotas=quotas
+        ) as daemon:
+            with connect(daemon) as client:
+                docs = [
+                    client.request({**obj, "id": rid}) for rid, obj in stream
+                ]
+    finally:
+        set_global_metrics(previous)
+    assert all(doc["ok"] for doc in docs), docs
+    assert executor_ids == [
+        "miss", "store", "traced", "capped", "collect_metrics",
+        "count_budget", "after_update",
+    ]
+    served = serving_counts(registry)
+    assert (served["hit"], served["miss"], served["bypass"]) == (5, 2, 3)
+    assert served == replayed_counts(stream, quotas)
+
+
+def test_process_workers_take_every_rewrite(scenario, executor_ids):
+    """With --workers N the master holds no responses: every repeat of a
+    stored text still goes to the pool."""
+    sc, db = scenario
+    sql = block_to_sql(sc.query)
+    with running_daemon(sc.catalog, database=db, workers=1) as daemon:
+        with connect(daemon) as client:
+            docs = [client.rewrite(sql, id=f"h{i}") for i in range(4)]
+    assert all(doc["ok"] for doc in docs)
+    assert executor_ids == ["h0", "h1", "h2", "h3"]

@@ -12,6 +12,10 @@ part; and nothing of it is published, pickled or kept past its bound.
 from __future__ import annotations
 
 import pickle
+import random
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -22,7 +26,7 @@ from repro.obs.budget import SearchBudget
 from repro.obs.metrics import MetricsRegistry, collecting, set_global_metrics
 from repro.serving import PlannerCache, ServingClient, serving_group_key
 from repro.serving.memo import LocalMemoTier
-from repro.serving.worker import COLD, WARM_LOCAL
+from repro.serving.worker import COLD, WARM_LOCAL, WARM_SHARED
 from repro.service.executor import execute_request
 from repro.service.requests import RewriteRequest
 from repro.workloads.random_queries import random_scenario
@@ -419,3 +423,81 @@ def test_pickled_rewriting_and_block_carry_no_text():
     assert block_to_sql(block, dialect="sqlite") == block_to_sql(
         block, dialect="sqlite"
     )
+
+
+# ----------------------------------------------------------------------
+# The event loop beside the worker thread
+
+
+def test_stored_response_races_run_on_another_thread(monkeypatch):
+    """The serial daemon calls ``stored_response`` on its event loop
+    while the worker thread runs ``run``. With both memos evicting,
+    epoch bumps and a 1 µs switch interval, every answer still equals a
+    cold execution, neither memo outgrows its cap, and each answer is
+    counted exactly once."""
+    monkeypatch.setattr(PlannerCache, "MAX_PLANNERS", 2)
+    monkeypatch.setattr(PlannerCache, "MAX_RESPONSES", 3)
+    requests = [
+        RewriteRequest(
+            query=block_to_sql(sc.query) + " " * blanks, catalog=sc.catalog
+        )
+        for sc in map(random_scenario, range(3))
+        for blanks in range(3)
+    ]
+    expected = [outcome(execute_request(request)) for request in requests]
+    tier = LocalMemoTier()
+    cache = PlannerCache(tier)
+    registry = MetricsRegistry()
+    answered = {"run": 0, "loop": 0}
+    failures = []
+    deadline = time.monotonic() + 1.5
+
+    def run(i):
+        if answered["run"] % 25 == 24:
+            tier.invalidate_views(["NotAView"])  # bumps the epoch
+        response = cache.run(requests[i])[0]
+        # Only this thread stores, so it never sees a put half done.
+        for memo in (cache._planners, cache._responses):
+            if len(memo) > memo.cap:
+                failures.append(("over cap", len(memo), memo.cap))
+        return response
+
+    def loop(i):
+        return cache.stored_response(requests[i])
+
+    def drive(answer) -> None:
+        name = answer.__name__
+        rng = random.Random(name)
+        try:
+            with collecting(registry):
+                while time.monotonic() < deadline:
+                    i = rng.randrange(len(requests))
+                    response = answer(i)
+                    if response is None:
+                        continue
+                    answered[name] += 1
+                    if outcome(response) != expected[i]:
+                        failures.append((name, i))
+        except Exception as error:  # noqa: BLE001 — reported below
+            failures.append(error)
+
+    threads = [threading.Thread(target=drive, args=(f,)) for f in (run, loop)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert answered["run"] and answered["loop"]
+    total = answered["run"] + answered["loop"]
+    assert sum(memo_counts(registry).values()) == total
+    snapshot = registry.snapshot()
+    assert sum(
+        snapshot.counter_value("repro_serving_planner_path_total", path=path)
+        for path in (WARM_LOCAL, WARM_SHARED, COLD)
+    ) == total

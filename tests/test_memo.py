@@ -73,6 +73,20 @@ class TestAccounting:
         assert "a" not in memo
         assert (memo.hits, memo.misses) == (0, 0)
 
+    def test_peek_neither_counts_nor_touches(self):
+        memo = Memo(2)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        assert memo.peek("a") == 1
+        assert memo.peek("x") is MISSING
+        assert memo.peek("x", None) is None
+        memo.put("c", 3)  # "a" was not touched, so it goes
+        assert "a" not in memo
+        assert (memo.hits, memo.misses) == (0, 0)
+        with disabled():
+            assert memo.peek("b") is MISSING
+        assert memo.bypasses == 0
+
     def test_disabled_bypasses_lookup_and_store(self):
         memo = Memo(4)
         memo.put("k", "v")
