@@ -111,12 +111,18 @@ class Catalog:
     clauses: base tables, user views (rewriting candidates) and auxiliary
     views created by the rewriting algorithm itself (the ``Va`` views of
     step S4'/S5').
+
+    Every mutator moves ``version`` after it writes: change a catalog
+    only through its methods, or :meth:`memo` will not see the change.
     """
+
+    _memo: tuple = (-1, {})  # (version, values); never copied or pickled
 
     def __init__(self, tables: Iterable[TableSchema] = ()):
         self._tables: dict[str, TableSchema] = {}
         self._views: dict[str, ViewDef] = {}
         self._view_row_counts: dict[str, int] = {}
+        self.version = 0
         for schema in tables:
             self.add_table(schema)
 
@@ -126,6 +132,7 @@ class Catalog:
         if schema.name in self._tables or schema.name in self._views:
             raise SchemaError(f"duplicate relation name {schema.name}")
         self._tables[schema.name] = schema
+        self.version += 1
 
     def add_view(self, view: ViewDef, row_count: Optional[int] = None) -> None:
         if view.name in self._tables or view.name in self._views:
@@ -133,6 +140,7 @@ class Catalog:
         self._views[view.name] = view
         if row_count is not None:
             self._view_row_counts[view.name] = row_count
+        self.version += 1
 
     def set_table_row_count(self, name: str, count: int) -> None:
         """Record an observed cardinality for a base table (for costing)."""
@@ -140,6 +148,7 @@ class Catalog:
 
         schema = self.table(name)
         self._tables[name] = replace(schema, row_count=count)
+        self.version += 1
 
     def remove_view(self, name: str) -> None:
         """Drop a view (used by caches that evict materializations)."""
@@ -147,6 +156,17 @@ class Catalog:
             raise SchemaError(f"unknown view {name}")
         del self._views[name]
         self._view_row_counts.pop(name, None)
+        self.version += 1
+
+    def memo(self) -> dict:
+        """A dict for values computed from this catalog (the serving
+        keys) at the version read *before* the caller computes them."""
+        version = self.version
+        memo_version, values = self._memo
+        if memo_version != version:
+            values = {}
+            self._memo = (version, values)
+        return values
 
     # ------------------------------------------------------------------
 
@@ -204,6 +224,7 @@ class Catalog:
         if name not in self._views:
             raise SchemaError(f"unknown view {name}")
         self._view_row_counts[name] = count
+        self.version += 1
 
     def _estimate_view(self, view: ViewDef) -> int:
         size = 1
@@ -226,3 +247,8 @@ class Catalog:
         clone._views = dict(self._views)
         clone._view_row_counts = dict(self._view_row_counts)
         return clone
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_memo", None)
+        return state

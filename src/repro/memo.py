@@ -22,6 +22,10 @@ beside the worker thread that runs requests. The loop only looks with
 :meth:`Memo.peek` and touches a hit with :meth:`Memo.get`; it never
 stores, so every insert and eviction happens on the worker thread.
 
+``Catalog.memo`` (the serving keys) is a plain dict both threads store
+into: a mutator writes, then moves the catalog's version, and a reader
+stores under the version it read before computing.
+
 This module imports nothing from ``repro``.
 """
 

@@ -116,6 +116,12 @@ class RewriteResponse:
     def ok(self) -> bool:
         return self.error is None
 
+    def __getstate__(self) -> dict:
+        # serving.protocol.line_template's cache stays in its process.
+        state = dict(self.__dict__)
+        state.pop("_cached_line", None)
+        return state
+
     def to_json_dict(self) -> dict:
         """The ``repro-api/1`` projection (shared by every CLI command)."""
         ranked = self.ranked or tuple(

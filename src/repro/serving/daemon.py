@@ -55,6 +55,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from typing import Optional
 
+from ..api import to_envelope
 from ..catalog.schema import Catalog
 from ..engine.database import Database
 from ..errors import UnsupportedSQLError
@@ -71,6 +72,7 @@ from .admission import DEFAULT_TENANT, AdmissionController, TenantQuota
 from .memo import DEFAULT_CAPACITY, create_memo_tier
 from .protocol import (
     ProtocolError,
+    encoded_line,
     parse_line,
     request_from_wire,
     strategy_names,
@@ -102,12 +104,6 @@ MEMO_PUBLISHES = counter(
 #: 3000-row ``update`` is about 100 KB. A longer line is answered
 #: in-band and skipped.
 MAX_LINE_BYTES = 8 * 1024 * 1024
-
-
-def _envelope(*args, **kwargs) -> dict:
-    from .. import api
-
-    return api.to_envelope(*args, **kwargs)
 
 
 async def _skip_line(reader) -> None:
@@ -300,7 +296,7 @@ class RewriteDaemon:
                     await self._write(
                         writer,
                         write_lock,
-                        _envelope(kind="error", error=refusal),
+                        to_envelope(kind="error", error=refusal),
                     )
                     await _skip_line(reader)
                     continue
@@ -333,10 +329,12 @@ class RewriteDaemon:
             except (ConnectionResetError, OSError, asyncio.CancelledError):
                 pass
 
-    async def _write(self, writer, lock, doc: dict) -> None:
-        payload = (json.dumps(doc) + "\n").encode("utf-8")
+    async def _write(self, writer, lock, doc) -> None:
+        """Write one envelope: a dict, or its encoded line."""
+        if not isinstance(doc, bytes):
+            doc = (json.dumps(doc) + "\n").encode("utf-8")
         async with lock:
-            writer.write(payload)
+            writer.write(doc)
             try:
                 await writer.drain()
             except (ConnectionResetError, OSError):
@@ -355,7 +353,7 @@ class RewriteDaemon:
             elif op == "update":
                 doc = await self._op_update(obj, line_no)
             elif op == "ping":
-                doc = _envelope(
+                doc = to_envelope(
                     {
                         "pong": True,
                         "epoch": self.memo.epoch(),
@@ -371,13 +369,13 @@ class RewriteDaemon:
                     if self.metrics is not None
                     else None
                 )
-                doc = _envelope(
+                doc = to_envelope(
                     {"metrics": snapshot},
                     kind="metrics",
                     request_id=request_id,
                 )
             else:  # shutdown
-                doc = _envelope(
+                doc = to_envelope(
                     {"stopping": True},
                     kind="shutdown",
                     request_id=request_id,
@@ -389,7 +387,7 @@ class RewriteDaemon:
             raise
         except Exception as error:  # noqa: BLE001 — a response line must
             # always come back; an unanswered request hangs the client.
-            doc = _envelope(
+            doc = to_envelope(
                 kind="error", error=error, request_id=request_id
             )
         await self._write(writer, write_lock, doc)
@@ -397,17 +395,18 @@ class RewriteDaemon:
     # ------------------------------------------------------------------
     # Ops
 
-    async def _op_rewrite(self, obj: dict, line_no: int) -> dict:
+    async def _op_rewrite(self, obj: dict, line_no: int) -> dict | bytes:
         request = request_from_wire(obj, self.catalog, line_no)
         tenant = str(obj.get("tenant") or DEFAULT_TENANT)
+        wire_id = obj.get("id")
 
         reason = self.admission.admit(tenant)
         if reason is not None:
             self._count_request(tenant, "refused")
-            return _envelope(
+            return to_envelope(
                 refused_response(request, reason),
                 kind="rewrite",
-                request_id=request.request_id,
+                request_id=wire_id,
             )
         started = time.perf_counter()
         try:
@@ -450,9 +449,7 @@ class RewriteDaemon:
                 tenant, outcome, time.perf_counter() - started,
                 publish="published" if export else "skipped",
             )
-            return _envelope(
-                response, kind="rewrite", request_id=request.request_id
-            )
+            return encoded_line(response, wire_id)
         finally:
             self.admission.release(tenant)
 
@@ -484,7 +481,7 @@ class RewriteDaemon:
                     self.apply_update, table, inserts, deletes
                 ),
             )
-        return _envelope(
+        return to_envelope(
             summary, kind="update", request_id=obj.get("id")
         )
 

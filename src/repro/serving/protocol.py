@@ -6,7 +6,7 @@ top-level ``schema`` / ``kind`` / ``ok`` and exactly one of ``result``
 or ``error``, plus the request's ``id`` echoed back so clients may
 pipeline.
 
-Request objects::
+Request objects (an ``id`` is a string or an integer)::
 
     {"op": "rewrite", "sql": "SELECT ...", "id": "r1",
      "tenant": "dash", "views": ["Monthly"], "strategy": "default",
@@ -36,11 +36,12 @@ from __future__ import annotations
 import json
 from typing import Optional
 
+from ..api import to_envelope
 from ..catalog.schema import Catalog
 from ..errors import ReproError
 from ..obs.budget import SearchBudget
 from ..service.batcher import view_fingerprint
-from ..service.requests import RewriteRequest
+from ..service.requests import RewriteRequest, RewriteResponse
 from ..strategies import STRATEGY_NAMES, normalize_strategy
 
 #: Ops a daemon understands.
@@ -48,6 +49,10 @@ OPS = ("rewrite", "update", "ping", "metrics", "shutdown")
 
 #: The default strategy name every request gets.
 DEFAULT_STRATEGY = "default"
+
+#: View sets per catalog version whose serving keys are memoized.
+MAX_MEMOIZED_KEYS = 256
+_SLOT = "\x00repro-slot\x00"  # a line template's per-request values
 
 
 class ProtocolError(ReproError):
@@ -96,6 +101,10 @@ def parse_line(line: str, line_no: int = 0) -> dict:
         raise ProtocolError(
             f"line {line_no}: unknown op {op!r}; known: "
             + ", ".join(OPS)
+        )
+    if isinstance(obj.get("id"), (bool, float, list, dict)):
+        raise ProtocolError(
+            f"line {line_no}: 'id' must be a string or an integer"
         )
     return obj
 
@@ -223,8 +232,16 @@ def serving_keys(request: RewriteRequest) -> tuple[tuple, tuple, tuple]:
     which, with the request's own fields, fixes the set of rewritings.
     ``cardinalities`` is the rest: each table's row and distinct counts
     and each candidate view's row count, what cost ranking reads.
+
+    Memoized in :meth:`Catalog.memo` per view set, so until the catalog
+    changes (through its methods) the same tuples come back.
     """
     catalog = request.catalog
+    memo = catalog.memo() if catalog else {}
+    memo_key = (request.views, request.use_set_semantics)
+    keys = memo.get(memo_key)
+    if keys is not None:
+        return keys
     views = request.effective_views()
     tables = tuple(sorted(catalog.tables.items())) if catalog else ()
     prints = tuple(view_fingerprint(v) for v in views)
@@ -232,7 +249,7 @@ def serving_keys(request: RewriteRequest) -> tuple[tuple, tuple, tuple]:
         catalog.row_count(v.name) if catalog else None for v in views
     )
     semantics = request.use_set_semantics
-    return (
+    keys = (
         (tables, tuple(zip(prints, counts)), semantics),
         (
             tuple((s.name, s.columns, s.keys, s.fds) for _n, s in tables),
@@ -241,3 +258,39 @@ def serving_keys(request: RewriteRequest) -> tuple[tuple, tuple, tuple]:
         ),
         (tuple((s.row_count, s.distinct_counts) for _n, s in tables), counts),
     )
+    if len(memo) >= MAX_MEMOIZED_KEYS:
+        memo.clear()
+    memo[memo_key] = keys
+    return keys
+
+
+# ----------------------------------------------------------------------
+# Response lines
+
+def line_template(response: RewriteResponse) -> Optional[tuple[str, ...]]:
+    """``response``'s ``rewrite`` envelope line, encoded once and split
+    around its ``id``, ``result.request_id`` and ``result.elapsed``;
+    ``None`` when that split is ambiguous. Cached, never pickled."""
+    if "_cached_line" in response.__dict__:
+        return response.__dict__["_cached_line"]
+    doc = to_envelope(response, kind="rewrite", request_id=_SLOT)
+    doc["result"].update(request_id=_SLOT, elapsed=_SLOT)
+    pieces = (json.dumps(doc) + "\n").split(json.dumps(_SLOT))
+    template = tuple(pieces) if len(pieces) == 4 else None
+    response.__dict__["_cached_line"] = template
+    return template
+
+
+def encoded_line(response: RewriteResponse, wire_id) -> bytes:
+    """The bytes of ``json.dumps(to_envelope(response, kind="rewrite",
+    request_id=wire_id)) + "\\n"``: spliced into the response's
+    :func:`line_template` when it carries one and ``wire_id`` is set."""
+    template = response.__dict__.get("_cached_line")
+    if template is None or wire_id is None:
+        doc = to_envelope(response, kind="rewrite", request_id=wire_id)
+        return (json.dumps(doc) + "\n").encode("utf-8")
+    head, middle, tail, end = template
+    return (
+        f"{head}{json.dumps(wire_id)}{middle}{json.dumps(response.request_id)}"
+        f"{tail}{json.dumps(round(response.elapsed, 6))}{end}"
+    ).encode("utf-8")

@@ -75,7 +75,7 @@ from ..obs.trace import RewriteTrace, Tracer
 from ..service.executor import execute_request
 from ..service.requests import RewriteRequest, RewriteResponse
 from .memo import MEMO_EXPORT_MAX, SharedMemoTier
-from .protocol import resolve_strategy, serving_keys
+from .protocol import line_template, resolve_strategy, serving_keys
 
 #: Planner paths, as reported by repro_serving_planner_path_total.
 WARM_LOCAL = "warm_local"
@@ -95,6 +95,10 @@ RESPONSE_MEMO = counter(
     "planner's finished responses (hit), executed (miss), or not "
     "memoizable (bypass).",
     ("outcome",),
+)
+PLANNER_EVICTIONS = counter(
+    "repro_serving_planner_evictions_total",
+    "Planners a PlannerCache dropped past MAX_PLANNERS fingerprints.",
 )
 
 
@@ -207,11 +211,10 @@ class PlannerCache:
         pinned = resolve_strategy(strategy)
         if pinned is not None:
             request = replace(request, strategy=pinned)
-        keys = serving_keys(request)
-        key, definitions, counts = keys
+        key, definitions, counts = serving_keys(request)
         views = request.effective_views()
         view_names = tuple(v.name for v in views)
-        response = self.stored_response(request, keys)
+        response = self.stored_response(request)
         if response is not None:
             return response, key, view_names, [], WARM_LOCAL
         if request.has_count_budget():
@@ -240,7 +243,7 @@ class PlannerCache:
         return response, key, view_names, export, path
 
     def stored_response(
-        self, request: RewriteRequest, keys: Optional[tuple] = None
+        self, request: RewriteRequest
     ) -> Optional[RewriteResponse]:
         """``request``'s stored response when :meth:`run` would return it
         unchanged, with an empty export, on path ``warm_local``; else
@@ -253,12 +256,11 @@ class PlannerCache:
         counted and touched as :meth:`run` counts and touches a hit; on
         ``None`` nothing is counted or touched. It never ranks or
         searches, so the serial daemon calls it on its event loop.
-        ``keys`` is ``serving_keys(request)`` when the caller has it.
         """
         if request.trace or not _memoizable(request):
             return None
         started = time.perf_counter()
-        key, definitions, counts = keys or serving_keys(request)
+        key, definitions, counts = serving_keys(request)
         cached = self._planners.peek(key)
         if (
             cached is MISSING
@@ -276,11 +278,16 @@ class PlannerCache:
         self._responses.get(memo_key)
         RESPONSE_MEMO.labels("hit").inc()
         PLANNER_PATHS.labels(WARM_LOCAL).inc()
-        return replace(
-            stored.response,
+        # A copy of the stored response, its line template included:
+        # request_id and elapsed are that template's slots.
+        line_template(stored.response)
+        answer = object.__new__(RewriteResponse)
+        answer.__dict__.update(
+            stored.response.__dict__,
             request_id=request.request_id,
             elapsed=time.perf_counter() - started,
         )
+        return answer
 
     def _answer(
         self,
@@ -367,7 +374,9 @@ class PlannerCache:
         else:
             path = COLD
         cached = _CachedPlanner(epoch, planner)
+        evictions = self._planners.evictions
         self._planners.put(key, cached)
+        PLANNER_EVICTIONS.inc(self._planners.evictions - evictions)
         return cached, path
 
 

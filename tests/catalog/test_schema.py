@@ -95,3 +95,72 @@ class TestCatalog:
         clone = cat.copy()
         clone.add_table(table("S", ["c"]))
         assert not cat.is_table("S")
+
+
+class Recording(Catalog):
+    """A catalog that records what its relations were each time its
+    version moved."""
+
+    def __init__(self, *args):
+        self.seen = []
+        super().__init__(*args)
+
+    @property
+    def version(self):
+        return self.__dict__.get("_version", 0)
+
+    @version.setter
+    def version(self, value):
+        self.__dict__["_version"] = value
+        self.seen.append(self.state())
+
+    def state(self):
+        return (
+            self.tables,
+            self.views,
+            {name: self.row_count(name) for name in self.views},
+        )
+
+
+class TestVersion:
+    """Every mutator moves ``version``, after it writes."""
+
+    def test_every_mutator_moves_the_version_after_writing(self):
+        cat = Recording([table("R", ["a", "b"])])
+        view = parse_view(
+            "CREATE VIEW V (x, n) AS SELECT a, COUNT(b) FROM R GROUP BY a",
+            cat,
+        )
+        mutations = [
+            lambda: cat.add_table(table("S", ["c"])),
+            lambda: cat.add_view(view),
+            lambda: cat.set_row_count("V", 5),
+            lambda: cat.set_table_row_count("R", 99),
+            lambda: cat.remove_view("V"),
+            lambda: cat.add_view(view, row_count=3),
+        ]
+        for mutation in mutations:
+            version = cat.version
+            mutation()
+            assert cat.version == version + 1
+            assert cat.seen[-1] == cat.state()
+
+    def test_a_refused_mutation_moves_nothing(self):
+        cat = Catalog([table("R", ["a"])])
+        version = cat.version
+        for refused in (
+            lambda: cat.add_table(table("R", ["x"])),
+            lambda: cat.set_row_count("Nope", 1),
+            lambda: cat.set_table_row_count("Nope", 1),
+            lambda: cat.remove_view("Nope"),
+        ):
+            with pytest.raises(SchemaError):
+                refused()
+        assert cat.version == version
+
+    def test_the_memo_is_dropped_when_the_version_moves(self):
+        cat = Catalog([table("R", ["a"])])
+        cat.memo()["k"] = 1
+        assert cat.memo() == {"k": 1}
+        cat.set_table_row_count("R", 5)
+        assert cat.memo() == {}

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import json
+import random
+import sys
 import threading
 import time
 
@@ -18,7 +21,7 @@ from repro.engine.database import Database
 from repro.obs.metrics import MetricsRegistry, collecting, set_global_metrics
 from repro.serving import RewriteDaemon, ServingClient, TenantQuota
 from repro.serving.memo import LocalMemoTier, SharedMemoTier
-from repro.serving.protocol import request_from_wire
+from repro.serving.protocol import request_from_wire, serving_keys
 from repro.serving.worker import COLD, WARM_LOCAL, WARM_SHARED, run_in_worker
 from repro.service.executor import execute_request
 from repro.service.requests import RewriteRequest
@@ -623,3 +626,272 @@ def test_process_workers_take_every_rewrite(scenario, executor_ids):
             docs = [client.rewrite(sql, id=f"h{i}") for i in range(4)]
     assert all(doc["ok"] for doc in docs)
     assert executor_ids == ["h0", "h1", "h2", "h3"]
+
+
+# ----------------------------------------------------------------------
+# Ids echo as sent; stored hits are spliced lines
+
+
+def handled(daemon, objs) -> list:
+    """Each op object through the daemon's line handler, in order, as the
+    lines it writes back."""
+    written = []
+
+    class Writer:
+        def write(self, payload):
+            written.append(payload)
+
+        async def drain(self):
+            pass
+
+    async def drive():
+        lock = asyncio.Lock()
+        for line_no, obj in enumerate(objs, 1):
+            await daemon._handle_line(json.dumps(obj), line_no, Writer(), lock)
+
+    asyncio.run(drive())
+    return written
+
+
+def never_started(**kwargs):
+    """A daemon that never binds a socket, and its scenario."""
+    sc, db = loaded_scenario()
+    return RewriteDaemon(sc.catalog, database=db, **kwargs), sc
+
+
+def closed(daemon) -> None:
+    daemon._unsubscribe()
+    daemon._pool.shutdown()
+
+
+def first_maintained_table(catalog) -> str:
+    return next(
+        rel.name for view in catalog.views.values() for rel in view.block.from_
+    )
+
+
+@pytest.mark.parametrize(
+    "op",
+    ["rewrite", "loop_hit", "refused", "error", "ping", "metrics", "update",
+     "shutdown"],
+)
+@pytest.mark.parametrize("wire_id", [7, "7", -1, 2**70, 'q"\\\u00e9'])
+def test_every_op_echoes_the_id_as_sent(op, wire_id):
+    daemon, sc = never_started(queue_limit=0 if op == "refused" else 64)
+    sql = block_to_sql(sc.query)
+    table = first_maintained_table(sc.catalog)
+    width = len(sc.catalog.tables[table].columns)
+    prelude, obj = [], {"sql": sql}
+    if op == "loop_hit":
+        prelude = [{"sql": sql, "id": "warm"}] * 2
+    elif op == "error":
+        obj = {"sql": sql, "views": ["NoSuchView"]}
+    elif op == "update":
+        obj = {"op": "update", "table": table, "insert": [[9] * width]}
+    elif op not in ("rewrite", "refused"):
+        obj = {"op": op}
+    try:
+        line = handled(daemon, prelude + [{**obj, "id": wire_id}])[-1]
+    finally:
+        closed(daemon)
+    doc = json.loads(line)
+    assert doc["ok"] is (op != "error")
+    assert doc["id"] == wire_id and type(doc["id"]) is type(wire_id)
+    if op == "loop_hit":
+        assert isinstance(line, bytes) and doc["result"]["rewritings"]
+    if op == "refused":
+        assert doc["result"]["budget"]["tripped"] == ["queue_full"]
+
+
+def test_an_id_that_is_neither_string_nor_integer_is_refused():
+    daemon, sc = never_started()
+    sql = block_to_sql(sc.query)
+    try:
+        lines = handled(
+            daemon,
+            [{"sql": sql, "id": {"a": 1}}, {"op": "ping", "id": [7]},
+             {"sql": sql, "id": 1.5}, {"op": "ping", "id": True}],
+        )
+    finally:
+        closed(daemon)
+    for line_no, line in enumerate(lines, 1):
+        doc = json.loads(line)
+        assert doc["ok"] is False and "id" not in doc
+        assert doc["error"]["message"] == (
+            f"line {line_no}: 'id' must be a string or an integer"
+        )
+
+
+def test_only_untraced_hits_with_an_id_are_spliced(monkeypatch):
+    """A loop hit with an id is spliced into its stored line, encoding
+    nothing; an id-less hit and a traced one are encoded."""
+    monkeypatch.setattr(serving_daemon, "request_from_wire", traced_from_wire)
+    encoded = []
+
+    def counting(*args, **kwargs):
+        encoded.append(kwargs.get("request_id"))
+        return api.to_envelope(*args, **kwargs)
+
+    monkeypatch.setattr("repro.serving.protocol.to_envelope", counting)
+    daemon, sc = never_started()
+    sql = block_to_sql(sc.query)
+
+    async def drive():
+        out = {}
+        for name, obj in (
+            ("marker", {"sql": sql}),
+            ("store", {"sql": sql}),
+            ("first", {"sql": sql, "id": "first"}),  # encodes the template
+            ("loop", {"sql": sql, "id": "loop"}),
+            ("idless", {"sql": sql}),
+            ("traced", {"sql": sql, "id": "traced", "trace": True}),
+        ):
+            before = len(encoded)
+            out[name] = await daemon._op_rewrite(obj, 1)
+            out[name + "_encodes"] = len(encoded) - before
+        return out
+
+    try:
+        out = asyncio.run(drive())
+    finally:
+        closed(daemon)
+    assert (out["loop_encodes"], out["idless_encodes"]) == (0, 1)
+    assert out["traced_encodes"] == 1
+    assert json.loads(out["traced"])["result"]["trace"]
+    spliced, idless = json.loads(out["loop"]), json.loads(out["idless"])
+    assert spliced["id"] == spliced["result"]["request_id"] == "loop"
+    assert "id" not in idless
+    for doc in (spliced, idless):
+        doc.pop("id", None)
+        del doc["result"]["request_id"], doc["result"]["elapsed"]
+    assert spliced == idless
+
+
+def test_process_workers_answer_with_the_id_as_sent(scenario):
+    sc, db = scenario
+    sql = block_to_sql(sc.query)
+    with running_daemon(sc.catalog, database=db, workers=1) as daemon:
+        with connect(daemon) as client:
+            docs = [client.rewrite(sql, id=i) for i in range(3)]
+    assert [doc["id"] for doc in docs] == [0, 1, 2]
+    assert all(doc["ok"] and doc["result"]["rewritings"] for doc in docs)
+
+
+# ----------------------------------------------------------------------
+# Updates race loop hits
+
+
+def test_updates_racing_loop_hits_never_serve_an_old_answer():
+    """``apply_update`` runs on the default executor and ``run`` on the
+    worker thread while the loop thread answers stored hits, with a 1 µs
+    switch interval. Every hit answered between two updates equals a
+    cold execution against the catalog as it then was, and once the
+    writer stops the memoized keys equal an uncached computation."""
+    daemon, sc = never_started()
+    catalog = sc.catalog
+    sql = block_to_sql(sc.query)
+    requests = [
+        request_from_wire({"sql": sql + " " * blanks}, catalog)
+        for blanks in range(2)
+    ]
+    pinned = request_from_wire(
+        {"sql": sql, "views": [sc.views[0].name]}, catalog
+    )
+    table = first_maintained_table(catalog)
+    width = len(catalog.tables[table].columns)
+    rng = random.Random(11)
+
+    def rows(n):
+        return [tuple(rng.randrange(50) for _ in range(width)) for _ in range(n)]
+
+    # From here on view counts are maintained ones, and inserts only
+    # ever raise them; each text is stored before the race starts.
+    daemon.apply_update(table, rows(1))
+    for request in requests + requests:
+        daemon._planner_cache.run(request)
+    snapshots = {catalog.version: catalog.copy()}
+    writes = {"started": 0, "done": 0}
+    answers = []
+    seen_keys = {}  # version -> the pinned request's memoized keys
+
+    def write():
+        writes["started"] += 1
+        daemon.apply_update(table, rows(3))
+        snapshots[catalog.version] = catalog.copy()
+        writes["done"] += 1
+
+    def state():
+        return writes["started"], writes["done"], catalog.version
+
+    async def writer(deadline):
+        loop = asyncio.get_running_loop()
+        while time.monotonic() < deadline:
+            await loop.run_in_executor(None, write)
+            # Give the worker time to rank again and the loop to answer
+            # at this version before the next update moves it.
+            version = catalog.version
+            while time.monotonic() < deadline and not any(
+                v == version for _i, v, _a in answers[-5:]
+            ):
+                await asyncio.sleep(0.002)
+
+    async def worker(deadline):
+        loop = asyncio.get_running_loop()
+        cache = daemon._planner_cache
+        while time.monotonic() < deadline:
+            for request in requests + [pinned]:
+                await loop.run_in_executor(daemon._pool, cache.run, request)
+
+    async def reader(deadline):
+        while time.monotonic() < deadline:
+            for i, request in enumerate(requests):
+                before = state()
+                answer = daemon._planner_cache.stored_response(request)
+                keys = serving_keys(pinned)
+                if before == state() and before[0] == before[1]:
+                    # No update in flight: the catalog is the snapshot.
+                    seen_keys.setdefault(before[2], keys)
+                    if answer is not None:
+                        answers.append((i, before[2], answer))
+            await asyncio.sleep(0)
+
+    async def main():
+        deadline = time.monotonic() + 1.5
+        await asyncio.wait_for(
+            asyncio.gather(writer(deadline), worker(deadline), reader(deadline)),
+            timeout=60,
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        asyncio.run(main())
+    finally:
+        sys.setswitchinterval(interval)
+        closed(daemon)
+    for request in requests + [pinned]:
+        fresh = dataclasses.replace(request, catalog=catalog.copy())
+        assert serving_keys(request) == serving_keys(fresh)
+    for version, keys in seen_keys.items():
+        fresh = dataclasses.replace(pinned, catalog=snapshots[version].copy())
+        assert keys == serving_keys(fresh), version
+    assert writes["done"] >= 2
+    assert len({version for _i, version, _a in answers}) >= 2, writes
+
+    def seen(response):
+        return (
+            [(r.rewriting.sql(), r.cost) for r in response.ranked],
+            response.original_cost,
+        )
+
+    cold = {}
+    for i, version, answer in answers:
+        if (i, version) not in cold:
+            cold[i, version] = seen(
+                execute_request(
+                    dataclasses.replace(
+                        requests[i], catalog=snapshots[version]
+                    )
+                )
+            )
+        assert seen(answer) == cold[i, version]

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import pickle
+import random
+from dataclasses import replace
 
 import pytest
 
+from repro import api
+from repro.blocks.to_sql import block_to_sql
+from repro.catalog.schema import Catalog, table
 from repro.serving import (
     ProtocolError,
     parse_line,
@@ -14,11 +20,16 @@ from repro.serving import (
     serving_group_key,
     strategy_names,
 )
+from repro.serving import PlannerCache, protocol
+from repro.serving.memo import LocalMemoTier
 from repro.serving.protocol import (
     budget_from_wire,
+    encoded_line,
+    line_template,
     serving_keys,
     update_from_wire,
 )
+from repro.service.requests import RewriteRequest, RewriteResponse
 from repro.workloads.random_queries import random_scenario
 
 
@@ -47,6 +58,20 @@ class TestParseLine:
     def test_unknown_op_raises(self):
         with pytest.raises(ProtocolError, match="unknown op"):
             parse_line('{"op": "frobnicate"}')
+
+    @pytest.mark.parametrize("request_id", ["r1", "", 7, -3, 2**70])
+    def test_string_and_integer_ids_pass_as_sent(self, request_id):
+        obj = parse_line(json.dumps({"op": "ping", "id": request_id}))
+        assert obj["id"] == request_id
+        assert type(obj["id"]) is type(request_id)
+
+    @pytest.mark.parametrize("bad", [{"a": 1}, [1], 1.5, True, False])
+    def test_other_ids_refused(self, bad):
+        with pytest.raises(ProtocolError) as refusal:
+            parse_line(json.dumps({"op": "ping", "id": bad}), line_no=4)
+        assert str(refusal.value) == (
+            "line 4: 'id' must be a string or an integer"
+        )
 
 
 class TestBudgetFromWire:
@@ -239,13 +264,9 @@ class TestServingKeys:
     stamp is the fingerprint's cardinalities."""
 
     def _keys(self, sc):
-        from repro.service.requests import RewriteRequest
-
         return serving_keys(RewriteRequest(query=sc.query, catalog=sc.catalog))
 
     def test_fingerprint_is_the_group_key(self):
-        from repro.service.requests import RewriteRequest
-
         sc = random_scenario(3)
         request = RewriteRequest(query=sc.query, catalog=sc.catalog)
         assert serving_keys(request)[0] == serving_group_key(request)
@@ -268,11 +289,200 @@ class TestServingKeys:
 
         sc = random_scenario(3)
         definitions = self._keys(sc)[1]
-        name, schema = next(iter(sc.catalog.tables.items()))
-        sc.catalog._tables[name] = replace(
-            schema, keys=(frozenset(schema.columns),)
-        )
+        # The same tables and views, one table with a new key; built
+        # through the public constructors, which move the version.
+        tables = list(sc.catalog.tables.values())
+        tables[0] = replace(tables[0], keys=(frozenset(tables[0].columns),))
+        catalog = Catalog(tables)
+        for view in sc.catalog.views.values():
+            catalog.add_view(view)
+        sc = replace(sc, catalog=catalog)
         assert self._keys(sc)[1] != definitions
+
+
+def uncached_keys(request) -> tuple:
+    """``serving_keys`` computed afresh: a copy starts with no memo."""
+    return serving_keys(replace(request, catalog=request.catalog.copy()))
+
+
+def mutate(rng: random.Random, catalog: Catalog, step: int, pinned) -> str:
+    """One random public mutation of ``catalog``; never removes a view
+    in ``pinned``. Returns the mutator's name."""
+    views = list(catalog.views.values())
+    removable = [v for v in views if v not in pinned]
+    choice = rng.choice(
+        ["add_table", "set_table_row_count", "set_row_count", "add_view"]
+        + (["remove_view"] if removable else [])
+    )
+    if choice == "add_table":
+        catalog.add_table(table(f"New{step}", ["a", "b"], key=["a"]))
+    elif choice == "set_table_row_count":
+        name = rng.choice(sorted(catalog.tables))
+        catalog.set_table_row_count(name, rng.randrange(1, 10**6))
+    elif choice == "set_row_count" and views:
+        catalog.set_row_count(rng.choice(views).name, rng.randrange(1, 10**6))
+    elif choice == "remove_view":
+        catalog.remove_view(rng.choice(removable).name)
+    elif choice == "add_view" and views:
+        view = rng.choice(views)
+        catalog.add_view(
+            replace(view, name=f"{view.name}_{step}"),
+            row_count=rng.choice([None, rng.randrange(1, 1000)]),
+        )
+    return choice
+
+
+class TestMemoizedServingKeys:
+    """``serving_keys`` is memoized per catalog version: between changes
+    a view set's keys are the same tuples, and every mutator makes the
+    next call see the change."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_mutations_never_serve_an_old_key(self, seed):
+        sc = random_scenario(seed)
+        rng = random.Random(seed)
+        pinned = (sc.views[0],)
+        requests = [
+            RewriteRequest(query=sc.query, catalog=sc.catalog),
+            RewriteRequest(query=sc.query, catalog=sc.catalog, views=pinned),
+            RewriteRequest(
+                query=sc.query, catalog=sc.catalog, use_set_semantics=False
+            ),
+        ]
+        for step in range(12):
+            for request in requests:
+                keys = serving_keys(request)
+                assert keys == uncached_keys(request)
+                assert serving_keys(request) is keys
+            version = sc.catalog.version
+            mutate(rng, sc.catalog, step, pinned)
+            assert sc.catalog.version > version
+
+    def test_keys_computed_across_a_change_are_not_served_after_it(self):
+        """The version is read before the keys are computed: a change
+        that lands mid-computation leaves them under the old version."""
+        sc = random_scenario(3)
+        request = RewriteRequest(query=sc.query, catalog=sc.catalog)
+        name = sc.views[0].name
+        real = sc.catalog.row_count
+        changed = []
+
+        def row_count(relation):
+            count = real(relation)
+            if not changed:  # the first count is read, then it moves
+                changed.append(relation)
+                sc.catalog.set_row_count(name, real(name) + 1)
+            return count
+
+        sc.catalog.row_count = row_count
+        try:
+            serving_keys(request)
+        finally:
+            del sc.catalog.row_count
+        assert changed == [name]
+        assert serving_keys(request) == uncached_keys(request)
+
+    def test_the_memo_stays_within_its_cap(self):
+        sc = random_scenario(3)
+        views = sc.views
+        cap = protocol.MAX_MEMOIZED_KEYS
+        for size in range(1, cap + 40):
+            pinned = tuple(views[i % len(views)] for i in range(size))
+            request = RewriteRequest(
+                query=sc.query, catalog=sc.catalog, views=pinned
+            )
+            assert serving_keys(request) == uncached_keys(request)
+            assert len(sc.catalog.memo()) <= cap
+
+    def test_pickled_catalogs_carry_no_keys(self):
+        sc = random_scenario(3)
+        cold = pickle.dumps(sc.catalog)
+        serving_keys(RewriteRequest(query=sc.query, catalog=sc.catalog))
+        assert sc.catalog.memo()
+        assert len(pickle.dumps(sc.catalog)) == len(cold)
+        assert pickle.loads(cold).memo() == {}
+
+    def test_a_copy_has_its_own_memo(self):
+        sc = random_scenario(3)
+        request = RewriteRequest(query=sc.query, catalog=sc.catalog)
+        keys = serving_keys(request)
+        clone = sc.catalog.copy()
+        assert clone.memo() == {}
+        assert clone.memo() is not sc.catalog.memo()
+        assert serving_keys(replace(request, catalog=clone)) == keys
+        assert serving_keys(request) is keys
+
+
+def stored_cache(seed: int):
+    """A cache holding scenario ``seed``'s response, and its request."""
+    sc = random_scenario(seed)
+    request = RewriteRequest(query=block_to_sql(sc.query), catalog=sc.catalog)
+    cache = PlannerCache(LocalMemoTier())
+    for _ in range(2):  # a marker, then the response
+        cache.run(request)
+    return cache, request
+
+
+#: Wire ids a client may send: quotes, backslashes, non-ASCII, control
+#: characters, and integers.
+TRICKY_IDS = [
+    "r1", 'q"uo"te', "back\\slash\\", "caf\u00e9 \u00fc\u4e2d\U0001f600",
+    "ctl\x00\x01\x1f\n\t\r\x7f", "\u2028\u2029", "", 0, 7, -42, 2**70,
+]
+ELAPSED = [0.0, 1e-9, 4.2e-7, 0.000123456789, 0.0421, 0.5, 0.999999, 1.0]
+
+
+class TestSplicedLines:
+    """A stored response's line is encoded once; each loop hit splices
+    its wire id, request id and elapsed into it."""
+
+    def test_spliced_lines_equal_the_encoded_envelope(self):
+        spliced = 0
+        for seed in range(40):
+            cache, request = stored_cache(seed)
+            if cache.stored_response(request) is None:
+                continue  # an error or exhausted answer is not stored
+            spliced += 1
+            for wire_id in TRICKY_IDS:
+                answer = cache.stored_response(
+                    replace(request, request_id=str(wire_id))
+                )
+                assert line_template(answer) is not None
+                for elapsed in ELAPSED:
+                    object.__setattr__(answer, "elapsed", elapsed)
+                    expected = json.dumps(
+                        api.to_envelope(
+                            answer, kind="rewrite", request_id=wire_id
+                        )
+                    ) + "\n"
+                    line = encoded_line(answer, wire_id)
+                    assert line == expected.encode("utf-8")
+        assert spliced >= 30
+
+    def test_answers_share_the_stored_template_and_never_pickle_it(self):
+        cache, request = stored_cache(3)
+        first, second = (cache.stored_response(request) for _ in range(2))
+        assert line_template(first) is line_template(second) is not None
+        assert "_cached_line" not in pickle.loads(pickle.dumps(first)).__dict__
+
+    def test_an_ambiguous_split_is_encoded(self):
+        response = RewriteResponse(budget={"note": protocol._SLOT})
+        assert line_template(response) is None
+        expected = json.dumps(
+            api.to_envelope(response, kind="rewrite", request_id=7)
+        ) + "\n"
+        assert encoded_line(response, 7) == expected.encode("utf-8")
+
+    def test_a_response_without_a_template_or_an_id_is_encoded(self):
+        cache, request = stored_cache(3)
+        answer = cache.stored_response(request)
+        fresh = replace(answer)
+        for response, wire_id in ((answer, None), (fresh, "r1")):
+            expected = json.dumps(
+                api.to_envelope(response, kind="rewrite", request_id=wire_id)
+            ) + "\n"
+            assert encoded_line(response, wire_id) == expected.encode("utf-8")
+        assert "_cached_line" not in fresh.__dict__
 
 
 class TestUpdateFromWire:

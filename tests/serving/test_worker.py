@@ -6,6 +6,7 @@ import pytest
 
 from repro import memo
 from repro.obs.budget import SearchBudget
+from repro.obs.metrics import MetricsRegistry, collecting
 from repro.serving import PlannerCache, serving_group_key
 from repro.serving.memo import LocalMemoTier
 from repro.serving.worker import COLD, WARM_LOCAL, WARM_SHARED
@@ -214,6 +215,23 @@ def test_planner_lru_order(monkeypatch):
     tier.invalidate_views(["NotAView"])
     # c is rebuilt, so b pushes out a, not c.
     assert paths(c, b, c) == [COLD, COLD, WARM_LOCAL]
+
+
+def test_planner_evictions_are_counted():
+    """``repro_serving_planner_evictions_total`` reads the planner LRU's
+    own count: a stream of pinned subsets past MAX_PLANNERS evicts one
+    planner per new fingerprint."""
+    extra = 5
+    cache = PlannerCache(LocalMemoTier())
+    registry = MetricsRegistry()
+    with collecting(registry):
+        for seed in range(PlannerCache.MAX_PLANNERS + extra):
+            sc = random_scenario(seed)
+            assert cache.run(request_for(sc, views=(sc.views[0],)))[4] == COLD
+    evictions = registry.snapshot().counter_value(
+        "repro_serving_planner_evictions_total"
+    )
+    assert evictions == cache._planners.evictions == extra
 
 
 def test_memo_switch_off_keeps_no_planner():
