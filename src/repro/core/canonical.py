@@ -7,6 +7,9 @@ invents. This module computes a canonical key for a block so that tests
 (and the multi-view search's deduplication) can compare rewritings
 structurally.
 
+:class:`BlockSet` is that deduplication: it computes a key only when two
+blocks could be isomorphic, which most searches never meet.
+
 Only FROM occurrences with the same relation name are interchangeable, so
 the search over orders is the product of per-name permutation groups —
 tiny for realistic queries.
@@ -15,7 +18,7 @@ tiny for realistic queries.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..blocks.exprs import Aggregate, Arith, Expr
 from ..blocks.query_block import QueryBlock
@@ -120,3 +123,35 @@ def _canonical_key_uncached(block: QueryBlock) -> str:
 def blocks_isomorphic(left: QueryBlock, right: QueryBlock) -> bool:
     """Structural equality up to column renaming and FROM reordering."""
     return canonical_key(left) == canonical_key(right)
+
+
+class BlockSet:
+    """A set of blocks up to isomorphism, keyed only on collision.
+
+    Isomorphic blocks have the same sorted FROM names (the key renders
+    them first), so blocks are bucketed by those names and
+    :func:`canonical_key` runs only once a second block lands in an
+    occupied bucket. :meth:`add` answers exactly as a set of keys would.
+    """
+
+    def __init__(self, blocks: Iterable[QueryBlock] = ()):
+        self._lone: dict[tuple[str, ...], QueryBlock] = {}
+        self._keys: dict[tuple[str, ...], set[str]] = {}
+        for block in blocks:
+            self.add(block)
+
+    def add(self, block: QueryBlock) -> bool:
+        """Add ``block``; False when an isomorphic block is already in."""
+        names = tuple(sorted(rel.name for rel in block.from_))
+        keys = self._keys.get(names)
+        if keys is None:
+            lone = self._lone.pop(names, None)
+            if lone is None:
+                self._lone[names] = block
+                return True
+            keys = self._keys[names] = {canonical_key(lone)}
+        key = canonical_key(block)
+        if key in keys:
+            return False
+        keys.add(key)
+        return True

@@ -24,7 +24,7 @@ from ..obs.budget import BudgetMeter, SearchBudget, ensure_meter
 from ..obs.metrics import counter
 from ..obs.trace import span
 from .aggregate import try_rewrite_aggregation
-from .canonical import canonical_key
+from .canonical import BlockSet, canonical_key
 from .conjunctive import try_rewrite_conjunctive
 from .result import Rewriting
 from .setsem import try_rewrite_set_semantics
@@ -56,14 +56,10 @@ def single_view_rewritings(
     far; completeness of the list is what degrades.
     """
     out: list[Rewriting] = []
-    seen: set[str] = set()
+    seen = BlockSet()
 
     def add(rewriting: Optional[Rewriting]) -> None:
-        if rewriting is None:
-            return
-        key = canonical_key(rewriting.query)
-        if key not in seen:
-            seen.add(key)
+        if rewriting is not None and seen.add(rewriting.query):
             out.append(rewriting)
 
     with span("mapping_enumeration"):

@@ -49,7 +49,7 @@ from ..memo import MISSING, Memo, disabled, shared_memos
 from ..obs.budget import BudgetMeter, SearchBudget, ensure_meter
 from ..obs.metrics import counter, current_metrics
 from ..obs.trace import current_tracer
-from .canonical import canonical_key
+from .canonical import BlockSet
 from .result import Rewriting
 
 SEARCHES = counter(
@@ -362,7 +362,7 @@ class RewritePlanner:
         node: "_Node",
         options: list[Rewriting],
         meter: Optional[BudgetMeter],
-        seen: set[str],
+        seen: BlockSet,
         next_frontier: list["_Node"],
         result_nodes: list["_Node"],
     ) -> bool:
@@ -373,11 +373,9 @@ class RewritePlanner:
                 return True
             merged = _merge(node.rewriting, option)
             self.stats.candidates_generated += 1
-            key = canonical_key(merged.query)
-            if key in seen:
+            if not seen.add(merged.query):
                 self.stats.duplicates_skipped += 1
                 continue
-            seen.add(key)
             child = _Node(merged, merged.query)
             next_frontier.append(child)
             result_nodes.append(child)
@@ -414,7 +412,7 @@ class RewritePlanner:
             stats_before = _stats_tuple(self.stats)
             memo_before = self._memo_counts()
         self.stats.searches += 1
-        seen: set[str] = {canonical_key(query)}
+        seen = BlockSet([query])
         frontier: list[_Node] = [_Node(None, query)]
         result_nodes: list[_Node] = []
         budget_hit = False

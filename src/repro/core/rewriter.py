@@ -98,16 +98,10 @@ def merge_strategy_extras(
     """The strategy union: C1–C4 candidates plus the extras another
     strategy found, deduplicated by canonical key (C1–C4's member wins a
     tie, so rankings and provenance of the base set never shift)."""
-    from .canonical import canonical_key
+    from .canonical import BlockSet
 
-    seen = {canonical_key(rw.query) for rw in candidates}
-    merged = list(candidates)
-    for extra in extras:
-        key = canonical_key(extra.query)
-        if key not in seen:
-            seen.add(key)
-            merged.append(extra)
-    return merged
+    seen = BlockSet(rw.query for rw in candidates)
+    return list(candidates) + [rw for rw in extras if seen.add(rw.query)]
 
 
 def strategy_rewritings(
@@ -204,7 +198,9 @@ def search(
         with span("parse"):
             block = as_block(query, catalog)
         with span("normalize"):
-            block.validate()
+            if isinstance(query, QueryBlock):
+                # Text and statements were validated by normalize_select.
+                block.validate()
             if unfold and catalog is not None:
                 from ..blocks.unfold import unfold_views
 

@@ -1,152 +1,113 @@
-"""Hand-written lexer for the single-block SQL dialect."""
+"""Lexer for the single-block SQL dialect: one compiled pattern.
+
+Each alternative of ``_TOKEN`` is one token class, tried in order at the
+current position; the loop in :func:`tokenize` branches on ``lastgroup``.
+The classes match the rules below, which ``tests/sqlparser`` pins with a
+golden of token streams and error positions:
+
+- whitespace is ``str.isspace()``; only ``\\n`` starts a new line;
+- ``--`` comments run to the end of the line;
+- an identifier starts with a character passing ``isalpha()`` or ``_``
+  and continues with ``isalnum()``, ``_`` or ``$`` (``\\w`` is exactly
+  ``isalnum() or '_'``), so ``¹``, ``Ⅻ`` and ``٣`` start no token;
+- numbers are ASCII digits with at most one decimal point that must be
+  followed by a digit (``1.5.3`` is ``1.5`` then ``.3``);
+- ``'...'`` strings and ``"..."`` delimited identifiers escape their
+  quote by doubling it, so ``'''`` is unterminated; both may span lines.
+"""
 
 from __future__ import annotations
 
+import re
+
 from ..errors import SQLSyntaxError
-from .tokens import KEYWORDS, Token, TokenType
+from .tokens import COMMA, DOT, EOF, IDENT, KEYWORD, KEYWORDS, LPAREN, NUMBER, OP
+from .tokens import RPAREN, SEMI, STAR, STRING, Token
 
-_OPERATOR_STARTS = "<>=!+-/"
-_ASCII_DIGITS = "0123456789"
+_TOKEN = re.compile(
+    r"""
+    [^\S\n]*                     # blanks before the token
+    (?:
+      (?P<WORD>[^\W0-9][\w$]*)
+    | (?P<NUMBER>[0-9]+(?:\.[0-9]+)?|\.[0-9]+)
+    | (?P<PUNCT>[,.()*;])
+    | (?P<NEWLINE>\n)
+    | (?P<COMMENT>--[^\n]*)
+    | (?P<OP><=|>=|<>|!=|[<>=+\-/])
+    | (?P<QUOTED>'(?:[^']|'')*'(?!')|"(?:[^"]|"")*"(?!"))
+    | (?P<BAD>.)                  # an unclosed quote, a lone '!', a stray character
+    | \Z
+    )
+    """,
+    re.VERBOSE,
+)
 
-
-def _is_ascii_digit(ch: str) -> bool:
-    # str.isdigit() accepts Unicode digits like '¹' that int() rejects.
-    return ch in _ASCII_DIGITS
+_PUNCT = {
+    ",": COMMA,
+    ".": DOT,
+    "(": LPAREN,
+    ")": RPAREN,
+    "*": STAR,
+    ";": SEMI,
+}
+_QUOTED = {"'": STRING, '"': IDENT}
+_UNTERMINATED = {
+    "'": "unterminated string literal",
+    '"': "unterminated quoted identifier",
+}
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize SQL text; raises :class:`SQLSyntaxError` on bad input."""
     tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
     pos = 0
     line = 1
     line_start = 0
     n = len(text)
-
-    def location() -> tuple[int, int]:
-        return line, pos - line_start + 1
-
     while pos < n:
-        ch = text[pos]
-
-        if ch == "\n":
-            line += 1
-            pos += 1
-            line_start = pos
-            continue
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "-" and text.startswith("--", pos):
-            while pos < n and text[pos] != "\n":
-                pos += 1
-            continue
-
-        lin, col = location()
-
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < n and (text[pos].isalnum() or text[pos] in "_$"):
-                pos += 1
-            word = text[start:pos]
-            upper = word.upper()
+        m = match(text, pos)
+        kind = m.lastgroup
+        pos = m.end()
+        if kind is None:  # trailing blanks
+            break
+        raw = m[kind]
+        col = pos - len(raw) - line_start + 1
+        if kind == "WORD":
+            # [^\W0-9] admits every ASCII letter and '_', but beyond
+            # ASCII also digits and numerals ('٣', '¹', 'Ⅻ') that are
+            # not letters: those start no token.
+            if raw[0] > "z" and not raw[0].isalpha():
+                raise SQLSyntaxError(f"unexpected character {raw[0]!r}", line, col)
+            upper = raw.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(TokenType.KEYWORD, upper, lin, col))
+                append(Token(KEYWORD, upper, line, col))
             else:
-                tokens.append(Token(TokenType.IDENT, word, lin, col))
-            continue
-
-        if _is_ascii_digit(ch) or (
-            ch == "." and pos + 1 < n and _is_ascii_digit(text[pos + 1])
-        ):
-            start = pos
-            seen_dot = False
-            while pos < n and (_is_ascii_digit(text[pos]) or text[pos] == "."):
-                if text[pos] == ".":
-                    if seen_dot:
-                        break
-                    # Only a decimal point when followed by a digit;
-                    # otherwise it is a qualifier dot.
-                    if pos + 1 >= n or not _is_ascii_digit(text[pos + 1]):
-                        break
-                    seen_dot = True
-                pos += 1
-            raw = text[start:pos]
+                append(Token(IDENT, raw, line, col))
+        elif kind == "PUNCT":
+            append(Token(_PUNCT[raw], raw, line, col))
+        elif kind == "OP":
+            append(Token(OP, "<>" if raw == "!=" else raw, line, col))
+        elif kind == "NUMBER":
             value = float(raw) if "." in raw else int(raw)
-            tokens.append(Token(TokenType.NUMBER, value, lin, col))
-            continue
-
-        if ch == "'":
-            pos += 1
-            chunks: list[str] = []
-            while True:
-                if pos >= n:
-                    raise SQLSyntaxError("unterminated string literal", lin, col)
-                if text[pos] == "'":
-                    if pos + 1 < n and text[pos + 1] == "'":
-                        chunks.append("'")
-                        pos += 2
-                        continue
-                    pos += 1
-                    break
-                chunks.append(text[pos])
-                pos += 1
-            tokens.append(Token(TokenType.STRING, "".join(chunks), lin, col))
-            continue
-
-        if ch == '"':
-            # Delimited identifier: "name" with "" escaping a quote. Never
-            # a keyword, whatever it spells — this is how dialect-emitted
+            append(Token(NUMBER, value, line, col))
+        elif kind == "NEWLINE":
+            line += 1
+            line_start = pos
+        elif kind == "QUOTED":
+            # A '...' string, or a "..." delimited identifier: never a
+            # keyword, whatever it spells — this is how dialect-emitted
             # SQL round-trips adversarial names (see repro.dialects).
-            pos += 1
-            parts: list[str] = []
-            while True:
-                if pos >= n:
-                    raise SQLSyntaxError(
-                        "unterminated quoted identifier", lin, col
-                    )
-                if text[pos] == '"':
-                    if pos + 1 < n and text[pos + 1] == '"':
-                        parts.append('"')
-                        pos += 2
-                        continue
-                    pos += 1
-                    break
-                if text[pos] == "\n":
-                    line += 1
-                    line_start = pos + 1
-                parts.append(text[pos])
-                pos += 1
-            tokens.append(Token(TokenType.IDENT, "".join(parts), lin, col))
-            continue
-
-        if ch in _OPERATOR_STARTS:
-            two = text[pos : pos + 2]
-            if two in ("<=", ">=", "<>", "!="):
-                op = "<>" if two == "!=" else two
-                tokens.append(Token(TokenType.OP, op, lin, col))
-                pos += 2
-                continue
-            if ch == "!":
-                raise SQLSyntaxError(f"unexpected character {ch!r}", lin, col)
-            tokens.append(Token(TokenType.OP, ch, lin, col))
-            pos += 1
-            continue
-
-        simple = {
-            ",": TokenType.COMMA,
-            ".": TokenType.DOT,
-            "(": TokenType.LPAREN,
-            ")": TokenType.RPAREN,
-            "*": TokenType.STAR,
-            ";": TokenType.SEMI,
-        }
-        if ch in simple:
-            tokens.append(Token(simple[ch], ch, lin, col))
-            pos += 1
-            continue
-
-        raise SQLSyntaxError(f"unexpected character {ch!r}", lin, col)
-
-    lin, col = location()
-    tokens.append(Token(TokenType.EOF, "", lin, col))
+            quote = raw[0]
+            value = raw[1:-1].replace(quote + quote, quote)
+            append(Token(_QUOTED[quote], value, line, col))
+            if "\n" in raw:  # later positions count the lines it spans
+                line += raw.count("\n")
+                line_start = pos - len(raw) + raw.rindex("\n") + 1
+        elif kind == "BAD":
+            message = _UNTERMINATED.get(raw, f"unexpected character {raw!r}")
+            raise SQLSyntaxError(message, line, col)
+        # A COMMENT needs nothing.
+    tokens.append(Token(EOF, "", line, pos - line_start + 1))
     return tokens

@@ -46,7 +46,8 @@ from .ast import (
     TableRef,
 )
 from .lexer import tokenize
-from .tokens import AGG_NAMES, Token, TokenType
+from .tokens import AGG_NAMES, COMMA, DOT, EOF, IDENT, KEYWORD, LPAREN, NUMBER, OP
+from .tokens import RPAREN, SEMI, STAR, STRING, Token, TokenType
 
 Statement = Union["SelectStmt", "CreateViewStmt", "CreateTableStmt"]
 
@@ -72,41 +73,33 @@ class _Parser:
     # Token helpers
     # ------------------------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        token = self.current
-        self.pos += 1
-        return token
-
     def check(self, type_: TokenType, value: Optional[str] = None) -> bool:
-        token = self.current
-        if token.type is not type_:
-            return False
-        return value is None or token.value == value
+        token = self.tokens[self.pos]
+        return token.type is type_ and (value is None or token.value == value)
 
     def accept(self, type_: TokenType, value: Optional[str] = None) -> Optional[Token]:
-        if self.check(type_, value):
-            return self.advance()
+        token = self.tokens[self.pos]
+        if token.type is type_ and (value is None or token.value == value):
+            self.pos += 1
+            return token
         return None
 
     def expect(self, type_: TokenType, value: Optional[str] = None) -> Token:
-        if self.check(type_, value):
-            return self.advance()
-        token = self.current
+        token = self.tokens[self.pos]
+        if token.type is type_ and (value is None or token.value == value):
+            self.pos += 1
+            return token
         wanted = value or type_.name
         raise SQLSyntaxError(
             f"expected {wanted}, found {token.value!r}", token.line, token.column
         )
 
     def keyword(self, word: str) -> bool:
-        return bool(self.accept(TokenType.KEYWORD, word))
+        return bool(self.accept(KEYWORD, word))
 
     def reject_unsupported(self):
-        token = self.current
-        if token.type is TokenType.KEYWORD and token.value in _UNSUPPORTED:
+        token = self.tokens[self.pos]
+        if token.type is KEYWORD and token.value in _UNSUPPORTED:
             raise UnsupportedSQLError(
                 f"{token.value} is not supported: {_UNSUPPORTED[token.value]}"
             )
@@ -117,75 +110,70 @@ class _Parser:
 
     def parse_statement(self) -> Statement:
         stmt = self.parse_statement_only()
-        self.accept(TokenType.SEMI)
-        self.expect(TokenType.EOF)
+        self.accept(SEMI)
+        self.expect(EOF)
         return stmt
 
     def parse_statement_only(self) -> Statement:
         """One statement, leaving any trailing tokens unconsumed."""
-        if self.check(TokenType.KEYWORD, "CREATE"):
-            self.advance()
-            if self.check(TokenType.KEYWORD, "TABLE"):
+        if self.keyword("CREATE"):
+            if self.check(KEYWORD, "TABLE"):
                 return self.parse_create_table()
             return self.parse_create_view()
         return self.parse_select()
 
     def parse_create_table(self) -> CreateTableStmt:
-        self.expect(TokenType.KEYWORD, "TABLE")
-        name = str(self.expect(TokenType.IDENT).value)
-        self.expect(TokenType.LPAREN)
+        self.expect(KEYWORD, "TABLE")
+        name = str(self.expect(IDENT).value)
+        self.expect(LPAREN)
         columns: list[str] = []
         types: list[str] = []
         primary_key: tuple[str, ...] = ()
         uniques: list[tuple[str, ...]] = []
 
         def parse_column_list() -> tuple[str, ...]:
-            self.expect(TokenType.LPAREN)
-            cols = [str(self.expect(TokenType.IDENT).value)]
-            while self.accept(TokenType.COMMA):
-                cols.append(str(self.expect(TokenType.IDENT).value))
-            self.expect(TokenType.RPAREN)
+            self.expect(LPAREN)
+            cols = [str(self.expect(IDENT).value)]
+            while self.accept(COMMA):
+                cols.append(str(self.expect(IDENT).value))
+            self.expect(RPAREN)
             return tuple(cols)
 
         while True:
-            if self.check(TokenType.KEYWORD, "PRIMARY"):
-                self.advance()
-                self.expect(TokenType.KEYWORD, "KEY")
+            if self.keyword("PRIMARY"):
+                self.expect(KEYWORD, "KEY")
                 if primary_key:
                     raise SQLSyntaxError(
                         f"table {name}: duplicate PRIMARY KEY clause"
                     )
                 primary_key = parse_column_list()
-            elif self.check(TokenType.KEYWORD, "UNIQUE"):
-                self.advance()
+            elif self.keyword("UNIQUE"):
                 uniques.append(parse_column_list())
             else:
-                column = str(self.expect(TokenType.IDENT).value)
+                column = str(self.expect(IDENT).value)
                 type_words: list[str] = []
                 # Tolerant type parsing: identifiers plus an optional
                 # parenthesized length, e.g. VARCHAR(30) or DOUBLE PRECISION.
-                while self.check(TokenType.IDENT):
-                    type_words.append(str(self.advance().value))
-                    if self.accept(TokenType.LPAREN):
-                        length = self.expect(TokenType.NUMBER).value
-                        self.expect(TokenType.RPAREN)
+                while word := self.accept(IDENT):
+                    type_words.append(word.value)
+                    if self.accept(LPAREN):
+                        length = self.expect(NUMBER).value
+                        self.expect(RPAREN)
                         type_words[-1] += f"({length})"
                 columns.append(column)
                 types.append(" ".join(type_words))
-                if self.check(TokenType.KEYWORD, "PRIMARY"):
-                    self.advance()
-                    self.expect(TokenType.KEYWORD, "KEY")
+                if self.keyword("PRIMARY"):
+                    self.expect(KEYWORD, "KEY")
                     if primary_key:
                         raise SQLSyntaxError(
                             f"table {name}: duplicate PRIMARY KEY clause"
                         )
                     primary_key = (column,)
-                elif self.check(TokenType.KEYWORD, "UNIQUE"):
-                    self.advance()
+                elif self.keyword("UNIQUE"):
                     uniques.append((column,))
-            if not self.accept(TokenType.COMMA):
+            if not self.accept(COMMA):
                 break
-        self.expect(TokenType.RPAREN)
+        self.expect(RPAREN)
         return CreateTableStmt(
             name=name,
             columns=tuple(columns),
@@ -195,28 +183,28 @@ class _Parser:
         )
 
     def parse_create_view(self) -> CreateViewStmt:
-        self.expect(TokenType.KEYWORD, "VIEW")
-        name = self.expect(TokenType.IDENT).value
+        self.expect(KEYWORD, "VIEW")
+        name = self.expect(IDENT).value
         columns: list[str] = []
-        if self.accept(TokenType.LPAREN):
-            columns.append(self.expect(TokenType.IDENT).value)
-            while self.accept(TokenType.COMMA):
-                columns.append(self.expect(TokenType.IDENT).value)
-            self.expect(TokenType.RPAREN)
-        self.expect(TokenType.KEYWORD, "AS")
+        if self.accept(LPAREN):
+            columns.append(self.expect(IDENT).value)
+            while self.accept(COMMA):
+                columns.append(self.expect(IDENT).value)
+            self.expect(RPAREN)
+        self.expect(KEYWORD, "AS")
         select = self.parse_select()
         return CreateViewStmt(str(name), tuple(map(str, columns)), select)
 
     def parse_select(self) -> SelectStmt:
-        self.expect(TokenType.KEYWORD, "SELECT")
+        self.expect(KEYWORD, "SELECT")
         distinct = self.keyword("DISTINCT")
         items = [self.parse_select_item()]
-        while self.accept(TokenType.COMMA):
+        while self.accept(COMMA):
             items.append(self.parse_select_item())
 
-        self.expect(TokenType.KEYWORD, "FROM")
+        self.expect(KEYWORD, "FROM")
         tables = [self.parse_table_ref()]
-        while self.accept(TokenType.COMMA):
+        while self.accept(COMMA):
             tables.append(self.parse_table_ref())
         self.reject_unsupported()
 
@@ -226,10 +214,10 @@ class _Parser:
 
         group_by: list[ColumnRef] = []
         if self.keyword("GROUPBY") or (
-            self.keyword("GROUP") and (self.expect(TokenType.KEYWORD, "BY") or True)
+            self.keyword("GROUP") and (self.expect(KEYWORD, "BY") or True)
         ):
             group_by.append(self.parse_column_ref())
-            while self.accept(TokenType.COMMA):
+            while self.accept(COMMA):
                 group_by.append(self.parse_column_ref())
 
         having: list[SqlComparison] = []
@@ -251,60 +239,51 @@ class _Parser:
     # ------------------------------------------------------------------
 
     def parse_column_ref(self) -> ColumnRef:
-        name = str(self.expect(TokenType.IDENT).value)
-        if self.accept(TokenType.DOT):
-            column = str(self.expect(TokenType.IDENT).value)
+        name = str(self.expect(IDENT).value)
+        if self.accept(DOT):
+            column = str(self.expect(IDENT).value)
             return ColumnRef(column, qualifier=name)
         return ColumnRef(name)
 
     def parse_select_item(self) -> SelectItemSyntax:
-        expr = self.parse_expr()
-        alias: Optional[str] = None
+        return SelectItemSyntax(self.parse_expr(), self.parse_alias())
+
+    def parse_alias(self) -> Optional[str]:
+        """``[AS] ident``, or None when no alias follows."""
         if self.keyword("AS"):
-            alias = str(self.expect(TokenType.IDENT).value)
-        elif self.check(TokenType.IDENT):
-            alias = str(self.advance().value)
-        return SelectItemSyntax(expr, alias)
+            return self.expect(IDENT).value
+        token = self.accept(IDENT)
+        return None if token is None else token.value
 
     def parse_table_ref(self) -> Union[TableRef, DerivedTable]:
-        if self.accept(TokenType.LPAREN):
+        if self.accept(LPAREN):
             # A derived table: (SELECT ...) [AS] alias.
             select = self.parse_select()
-            self.expect(TokenType.RPAREN)
+            self.expect(RPAREN)
             self.keyword("AS")
-            token = self.current
-            if not self.check(TokenType.IDENT):
+            token = self.tokens[self.pos]
+            if not self.accept(IDENT):
                 raise SQLSyntaxError(
                     "a derived table needs an alias", token.line, token.column
                 )
-            alias = str(self.advance().value)
-            return DerivedTable(select, alias)
-        name = str(self.expect(TokenType.IDENT).value)
-        alias: Optional[str] = None
-        if self.keyword("AS"):
-            alias = str(self.expect(TokenType.IDENT).value)
-        elif self.check(TokenType.IDENT):
-            alias = str(self.advance().value)
-        return TableRef(name, alias)
+            return DerivedTable(select, token.value)
+        name = str(self.expect(IDENT).value)
+        return TableRef(name, self.parse_alias())
 
     def parse_conjunction(self) -> list[SqlComparison]:
         atoms = [self.parse_comparison()]
-        while True:
-            self.reject_unsupported()
-            if not self.keyword("AND"):
-                break
+        while self.keyword("AND"):
             atoms.append(self.parse_comparison())
+        self.reject_unsupported()
         return atoms
 
     def parse_comparison(self) -> SqlComparison:
-        self.reject_unsupported()
         left = self.parse_expr()
+        token = self.tokens[self.pos]
+        if token.type is OP and token.value in _COMPARISON_OPS:
+            self.pos += 1
+            return SqlComparison(left, token.value, self.parse_expr())
         self.reject_unsupported()
-        token = self.current
-        if token.type is TokenType.OP and token.value in _COMPARISON_OPS:
-            self.advance()
-            right = self.parse_expr()
-            return SqlComparison(left, str(token.value), right)
         raise SQLSyntaxError(
             f"expected comparison operator, found {token.value!r}",
             token.line,
@@ -317,58 +296,70 @@ class _Parser:
 
     def parse_expr(self) -> SqlExpr:
         expr = self.parse_term()
-        while self.check(TokenType.OP, "+") or self.check(TokenType.OP, "-"):
-            op = str(self.advance().value)
-            expr = BinOp(op, expr, self.parse_term())
-        return expr
+        while True:
+            token = self.tokens[self.pos]
+            if token.type is not OP or token.value not in ("+", "-"):
+                return expr
+            self.pos += 1
+            expr = BinOp(token.value, expr, self.parse_term())
 
     def parse_term(self) -> SqlExpr:
         expr = self.parse_factor()
-        while self.check(TokenType.STAR) or self.check(TokenType.OP, "/"):
-            op = "*" if self.current.type is TokenType.STAR else "/"
-            self.advance()
+        while True:
+            token = self.tokens[self.pos]
+            if token.type is STAR:
+                op = "*"
+            elif token.type is OP and token.value == "/":
+                op = "/"
+            else:
+                return expr
+            self.pos += 1
             expr = BinOp(op, expr, self.parse_factor())
-        return expr
 
     def parse_factor(self) -> SqlExpr:
-        self.reject_unsupported()
-        token = self.current
-
-        if token.type is TokenType.NUMBER:
-            self.advance()
+        token = self.tokens[self.pos]
+        type_ = token.type
+        if type_ is IDENT:
+            self.pos += 1
+            name = token.value
+            following = self.tokens[self.pos].type
+            if following is LPAREN:
+                if name.upper() not in AGG_NAMES:
+                    raise UnsupportedSQLError(
+                        f"function {name} is not supported (aggregates only: "
+                        f"MIN, MAX, SUM, COUNT, AVG)"
+                    )
+                self.pos += 1
+                arg: SqlExpr
+                if self.accept(STAR):
+                    arg = Star()
+                else:
+                    arg = self.parse_expr()
+                self.expect(RPAREN)
+                return FuncCall(name.upper(), arg)
+            if following is DOT:
+                self.pos += 1
+                column = str(self.expect(IDENT).value)
+                return ColumnRef(column, qualifier=name)
+            return ColumnRef(name)
+        if type_ is NUMBER:
+            self.pos += 1
             return Literal(token.value)
-        if token.type is TokenType.STRING:
-            self.advance()
-            return Literal(str(token.value))
-        if self.accept(TokenType.OP, "-"):
+        if type_ is STRING:
+            self.pos += 1
+            return Literal(token.value)
+        if type_ is OP and token.value == "-":
+            self.pos += 1
             inner = self.parse_factor()
             if isinstance(inner, Literal) and isinstance(inner.value, (int, float)):
                 return Literal(-inner.value)
             return BinOp("-", Literal(0), inner)
-        if self.accept(TokenType.LPAREN):
+        if type_ is LPAREN:
+            self.pos += 1
             expr = self.parse_expr()
-            self.expect(TokenType.RPAREN)
+            self.expect(RPAREN)
             return expr
-        if token.type is TokenType.IDENT:
-            name = str(self.advance().value)
-            if name.upper() in AGG_NAMES and self.check(TokenType.LPAREN):
-                self.advance()
-                arg: SqlExpr
-                if self.accept(TokenType.STAR):
-                    arg = Star()
-                else:
-                    arg = self.parse_expr()
-                self.expect(TokenType.RPAREN)
-                return FuncCall(name.upper(), arg)
-            if self.check(TokenType.LPAREN):
-                raise UnsupportedSQLError(
-                    f"function {name} is not supported (aggregates only: "
-                    f"MIN, MAX, SUM, COUNT, AVG)"
-                )
-            if self.accept(TokenType.DOT):
-                column = str(self.expect(TokenType.IDENT).value)
-                return ColumnRef(column, qualifier=name)
-            return ColumnRef(name)
+        self.reject_unsupported()
         raise SQLSyntaxError(
             f"unexpected token {token.value!r}", token.line, token.column
         )
@@ -391,9 +382,9 @@ def parse_script(text: str) -> list[Statement]:
     """Parse a ';'-separated script of statements."""
     parser = _Parser(text)
     out: list[Statement] = []
-    while not parser.check(TokenType.EOF):
+    while not parser.check(EOF):
         out.append(parser.parse_statement_only())
-        if not parser.accept(TokenType.SEMI):
+        if not parser.accept(SEMI):
             break
-    parser.expect(TokenType.EOF)
+    parser.expect(EOF)
     return out

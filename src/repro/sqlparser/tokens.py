@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Union
 
 
@@ -21,6 +20,11 @@ class TokenType(enum.Enum):
     SEMI = "SEMI"
     EOF = "EOF"
 
+
+#: The members as module constants, in definition order. Reading
+#: ``TokenType.X`` is a descriptor call on Python 3.11, and the lexer and
+#: parser compare token types a few hundred times per statement.
+IDENT, KEYWORD, NUMBER, STRING, OP, COMMA, DOT, LPAREN, RPAREN, STAR, SEMI, EOF = TokenType
 
 #: Reserved words recognized by the lexer (always upper-cased).
 KEYWORDS = frozenset(
@@ -58,12 +62,25 @@ KEYWORDS = frozenset(
 AGG_NAMES = frozenset({"MIN", "MAX", "SUM", "COUNT", "AVG"})
 
 
-@dataclass(frozen=True)
 class Token:
-    type: TokenType
-    value: Union[str, int, float]
-    line: int
-    column: int
+    """One lexed token; a slotted class because the lexer builds one per
+    word, and a frozen dataclass pays ``object.__setattr__`` per field."""
+
+    __slots__ = ("type", "value", "line", "column")
+
+    def __init__(
+        self, type: TokenType, value: Union[str, int, float], line: int, column: int
+    ):
+        self.type = type
+        self.value = value
+        self.line = line
+        self.column = column
+
+    def __repr__(self) -> str:
+        return (
+            f"Token(type={self.type!r}, value={self.value!r}, "
+            f"line={self.line!r}, column={self.column!r})"
+        )
 
     def __str__(self) -> str:
         return f"{self.type.name}({self.value!r})"

@@ -62,7 +62,7 @@ from ..errors import NormalizationError
 from ..mappings.enumerate_mappings import enumerate_mappings
 from ..memo import MISSING
 from ..obs.budget import BudgetMeter, ensure_meter
-from ..core.canonical import canonical_key
+from ..core.canonical import BlockSet
 from ..core.common import ViewOccurrence, make_view_occurrence, query_namer
 from ..core.result import Rewriting
 
@@ -98,18 +98,15 @@ def cohen_nutt_rewritings(
             return list(cached)
     closure_q = closure_of(query.where)
     out: list[Rewriting] = []
-    seen: set[str] = set()
+    seen = BlockSet()
     for view in views:
         if meter is not None and not meter.ok():
             break
         for rewriting in _view_rewritings(query, view, closure_q, meter):
             if meter is not None and not meter.charge_candidate():
                 break
-            key = canonical_key(rewriting.query)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(rewriting)
+            if seen.add(rewriting.query):
+                out.append(rewriting)
     if planner is not None and (meter is None or not meter.exhausted):
         # Budget-tripped enumerations are partial; caching one would
         # poison later unbudgeted searches (same rule as the planner's

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import SQLSyntaxError
+from repro.sqlparser import tokens as tokens_module
 from repro.sqlparser.lexer import tokenize
+from repro.sqlparser.parser import parse_select
 from repro.sqlparser.tokens import TokenType
 
 
@@ -122,3 +124,36 @@ class TestErrors:
         with pytest.raises(SQLSyntaxError) as excinfo:
             tokenize("abc\n  @")
         assert excinfo.value.line == 2
+
+
+class TestMultilineLiterals:
+    """A quoted token spanning lines moves every later position."""
+
+    def test_string_literal_counts_its_newlines(self):
+        tokens = tokenize("SELECT 'a\nb' FROM\nT")
+        assert [(t.value, t.line, t.column) for t in tokens] == [
+            ("SELECT", 1, 1),
+            ("a\nb", 1, 8),
+            ("FROM", 2, 4),
+            ("T", 3, 1),
+            ("", 3, 2),
+        ]
+
+    def test_string_literal_matches_quoted_identifier(self):
+        literal = tokenize("SELECT 'a\nb' FROM\nT")
+        quoted = tokenize('SELECT "a\nb" FROM\nT')
+        assert [(t.line, t.column) for t in literal] == [
+            (t.line, t.column) for t in quoted
+        ]
+
+    def test_error_after_multiline_literal_reports_its_line(self):
+        with pytest.raises(SQLSyntaxError) as excinfo:
+            parse_select("SELECT 'a\nb' FROM T WHERE x = 1 @")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 23)
+        assert "(line 2, column 23)" in str(excinfo.value)
+
+
+class TestTokenConstants:
+    def test_module_constants_are_the_members(self):
+        for member in TokenType:
+            assert getattr(tokens_module, member.name) is member

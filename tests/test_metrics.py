@@ -617,7 +617,7 @@ class TestPlannerInstrumentation:
         }
         assert counts == {
             "closure": (5, 2),
-            "canonical_key": (4, 4),
+            "canonical_key": (0, 0),
             "residual": (1, 1),
             "substitution": (1, 2),
         }
