@@ -94,10 +94,23 @@ run emit emit "${s[@]}" --query "$query" --dialect postgres --views --json
 run rewrite-sql rewrite-sql "${s[@]}" --sql "$query" --json
 cat > "$work/serve-sql.in" <<JSONL
 {"id": 1, "sql": "$query"}
+# a comment: numbered, not answered
 {"id": 2, "sql": "SELECT x FROM nowhere"}
+{"sql": 5}
 {not json
 JSONL
 stdin="$work/serve-sql.in" run serve-sql serve-sql "${s[@]}"
+# Every per-line error is an envelope, never fatal: exactly one line out
+# per request line in.
+python - "$work/serve-sql.in" "$work/serve-sql.out" <<'PY'
+import sys
+
+lines = open(sys.argv[1]).read().splitlines()
+wanted = sum(1 for l in lines if l.strip() and not l.startswith("#"))
+got = len(open(sys.argv[2]).read().splitlines())
+if got != wanted:
+    sys.exit(f"repro serve-sql answered {got} lines for {wanted} requests")
+PY
 run metrics metrics "${s[@]}" --query "$query"
 run fuzz fuzz --max-scenarios 5 --seed 1 --json --out-dir "$work/fuzz"
 

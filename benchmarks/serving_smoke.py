@@ -15,7 +15,10 @@ the ``serve-hot`` / ``serve-mixed`` rows of ``benchmarks/e2e``:
 3. write the first round's rewrite lines to a JSONL file, run
    ``python -m repro batch`` on it and require each line's rewritings
    to equal what the daemon returned — the "a batch file replays
-   against a daemon verbatim" promise, on real processes;
+   against a daemon verbatim" promise, on real processes; then send a
+   comment and a malformed line on a fresh connection and in a batch
+   file, and require the same error text (the same line number) from
+   both;
 4. restart with ``--queue-limit 0`` and assert overload is refused
    *in-band* (degraded response, ``queue_full`` tripped, connection
    survives);
@@ -77,6 +80,37 @@ def replay_through_batch(schema: str, tmp: str, replay: list) -> None:
     for doc, (wire, served) in zip(docs, replay):
         assert doc["ok"], doc
         assert doc["result"]["rewritings"] == served, (wire, doc, served)
+
+
+#: A comment, then a line both servers refuse: as line 2, since both
+#: number physical lines.
+MALFORMED = '# a comment\n{"sql": 5, "id": "bad"}\n'
+
+
+def malformed_through_both(schema: str, tmp: str, port: int) -> str:
+    """The daemon's and `repro batch`'s error for :data:`MALFORMED`."""
+    from repro import api
+
+    with api.connect(("127.0.0.1", port)) as probe:
+        probe._sock.sendall(MALFORMED.encode())
+        served = probe._read_until("bad")
+    assert served["ok"] is False, served
+    message = served["error"]["message"]
+    lines = Path(tmp) / "malformed.jsonl"
+    lines.write_text(MALFORMED)
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "batch", "--schema", schema,
+         str(lines)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=120,
+    )
+    assert done.returncode == 2, (done.returncode, done.stderr)
+    assert done.stderr == f"error: {lines}: {message}\n", (
+        done.stderr, message,
+    )
+    return message
 
 
 def start_daemon(schema: str, metrics_out: str, *extra: str):
@@ -178,10 +212,12 @@ def main() -> int:
             for outcome in ("hit", "miss", "bypass")
         }
         assert memo == {"hit": 19, "miss": 8, "bypass": 0}, memo
+        message = malformed_through_both(schema, tmp, port)
         stop_daemon(proc, client)
         print("mixed workload: ok (3 rounds, 27 rewrites, 3 updates)")
         replay_through_batch(schema, tmp, replay)
         print(f"batch replay: ok ({len(replay)} lines equal the daemon's)")
+        print(f"malformed line: ok (daemon and batch both say {message!r})")
 
         # -- overload under a zero-size queue refuses in-band
         proc, port = start_daemon(

@@ -433,7 +433,7 @@ def cmd_serve_sql(args) -> int:
     import itertools
     import time
 
-    from .serving.protocol import parse_line
+    from .serving.protocol import parse_line, sql_from_wire
 
     interval = args.metrics_interval
     started = last_frame = time.monotonic()
@@ -452,21 +452,22 @@ def cmd_serve_sql(args) -> int:
             try:
                 obj = parse_line(line, line_no)
                 request_id = obj.get("id")
-                if obj["op"] != "rewrite" or "sql" not in obj:
+                if obj["op"] != "rewrite":
                     raise ReproError(
                         f"line {line_no}: expected an object with 'sql'"
                     )
+                sql = sql_from_wire(obj, line_no)
                 verify = bool(obj.get("verify"))
                 if not (obj.get("execute") or verify):
-                    answer = middleware.rewrite_sql(obj["sql"])
+                    answer = middleware.rewrite_sql(sql)
                 elif connection is None:
                     raise ReproError(
                         f"line {line_no}: execute/verify require --db FILE"
                     )
                 else:
-                    answer = middleware.execute(obj["sql"], verify=verify)
+                    answer = middleware.execute(sql, verify=verify)
                 _print_envelope(answer, indent=None, request_id=request_id)
-            except ReproError as error:
+            except Exception as error:  # noqa: BLE001 — never fatal
                 _print_envelope(
                     error=error, kind="error", indent=None,
                     request_id=request_id,

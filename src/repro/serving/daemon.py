@@ -2,17 +2,18 @@
 
 A stdlib-``asyncio`` JSONL-over-socket server (TCP and/or Unix-domain)
 speaking the versioned ``repro-api/1`` envelope. One daemon serves one
-catalog; the request path is::
+catalog. One synchronous core, :meth:`RewriteDaemon.handle`, answers
+every op on the calling thread, with no event loop; a rewrite::
 
-    line -> parse -> admission -> executor queue -> PlannerCache.run
-         -> publish memo export (if any) -> envelope line back
+    line -> parse -> admission -> stored response, unchanged? -> its line
+                               -> executor: PlannerCache.run
+                                  -> publish memo export (if any) -> line
 
-In serial mode a rewrite whose stored response comes back unchanged
-(:meth:`PlannerCache.stored_response`) skips the executor: it is
-answered on the event loop right after admission. A round trip to the
-worker thread costs most of what such a hit costs, and the hit never
-queues behind another request's search. Lines are read up to
-:data:`MAX_LINE_BYTES`; a longer one is answered in-band and skipped.
+The server only reads lines (numbered as ``repro batch`` numbers them),
+awaits the executor for a rewrite miss or an update, and writes the
+line the core returns. So an unchanged stored response (serial mode) is
+answered on the event loop, never queued behind another search. A line
+over :data:`MAX_LINE_BYTES` is answered in-band and skipped.
 
 Admission happens synchronously on the event loop when a line arrives,
 so overload never buffers unboundedly: past the queue limit (or a
@@ -47,6 +48,7 @@ cold-starting unaffected fingerprints.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import itertools
 import json
@@ -106,14 +108,40 @@ MEMO_PUBLISHES = counter(
 MAX_LINE_BYTES = 8 * 1024 * 1024
 
 
-async def _skip_line(reader) -> None:
-    """Discard the rest of an over-long line, its newline included."""
-    while True:
-        try:
-            await reader.readuntil(b"\n")
-            return
-        except asyncio.LimitOverrunError as error:
-            await reader.readexactly(error.consumed)
+#: Bytes a connection reads at a time. asyncio's 256 KiB buffer is past
+#: glibc's mmap threshold: two minor page faults a request; 64 KiB, none.
+READ_BYTES = 64 * 1024
+
+_UNLOCKED = contextlib.nullcontext()
+
+
+async def _next_line(reader) -> Optional[str]:
+    """The next physical line, stripped (``None``: one over the limit,
+    skipped); ``IncompleteReadError`` at the end of the stream."""
+    try:
+        line = await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as error:
+        if not error.partial:
+            raise
+        line = error.partial  # an unterminated last line
+    except asyncio.LimitOverrunError:
+        while True:
+            try:
+                await reader.readuntil(b"\n")
+                return None
+            except asyncio.LimitOverrunError as error:
+                await reader.readexactly(error.consumed)
+    return line.decode("utf-8", "replace").strip()
+
+
+async def _write(writer, line: bytes) -> None:
+    """Write one response line: one ``write`` call, so lines never
+    interleave. A client that left is not an error."""
+    writer.write(line)
+    try:
+        await writer.drain()
+    except (ConnectionResetError, OSError):
+        pass
 
 
 class RewriteDaemon:
@@ -195,21 +223,14 @@ class RewriteDaemon:
             host = "127.0.0.1"
         if host is not None:
             server = await asyncio.start_server(
-                self._handle_connection,
-                host=host,
-                port=port,
-                limit=MAX_LINE_BYTES,
+                self._handle_connection, host, port, limit=MAX_LINE_BYTES
             )
             self._servers.append(server)
             for sock in server.sockets:
-                self.addresses.append(
-                    ("tcp",) + sock.getsockname()[:2]
-                )
+                self.addresses.append(("tcp",) + sock.getsockname()[:2])
         if unix_path is not None:
             server = await asyncio.start_unix_server(
-                self._handle_connection,
-                path=unix_path,
-                limit=MAX_LINE_BYTES,
+                self._handle_connection, unix_path, limit=MAX_LINE_BYTES
             )
             self._servers.append(server)
             self.addresses.append(("unix", unix_path))
@@ -252,10 +273,13 @@ class RewriteDaemon:
         self._servers.clear()
         for task in list(self._connections):
             task.cancel()
-        if self._connections:
-            await asyncio.gather(
-                *self._connections, return_exceptions=True
-            )
+        await asyncio.gather(*self._connections, return_exceptions=True)
+        self.close()
+
+    def close(self) -> None:
+        """Release the delta listener, the executor and the memo tier.
+        Serving calls it on the way out; a daemon that never started
+        must call it itself."""
         self._unsubscribe()
         self._pool.shutdown(wait=True, cancel_futures=True)
         self.memo.close()
@@ -269,155 +293,143 @@ class RewriteDaemon:
             emit_frame(self.metrics, seq, self._started)
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Connection handling: read, hand off, write
 
     async def _handle_connection(self, reader, writer) -> None:
         me = asyncio.current_task()
         if me is not None:
             self._connections.add(me)
             me.add_done_callback(self._connections.discard)
-        write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
+        writer.transport.max_size = READ_BYTES
         try:
-            line_no = 0
-            while True:
+            for line_no in itertools.count(1):
+                line = await _next_line(reader)
+                if line is not None and line[:1] in ("", "#"):
+                    continue  # numbered, as repro batch numbers it
+                steps = self._respond(line, line_no)
                 try:
-                    line = await reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError as error:
-                    line = error.partial  # an unterminated last line
-                    if not line:
-                        break
-                except asyncio.LimitOverrunError:
-                    line_no += 1
-                    refusal = ProtocolError(
-                        f"line {line_no}: request line longer than "
-                        f"{MAX_LINE_BYTES} bytes"
-                    )
-                    await self._write(
-                        writer,
-                        write_lock,
-                        to_envelope(kind="error", error=refusal),
-                    )
-                    await _skip_line(reader)
+                    pool, call = next(steps)
+                except StopIteration as answered:
+                    await _write(writer, answered.value)
                     continue
-                line = line.strip()
-                if not line or line.startswith(b"#"):
-                    continue
-                line_no += 1
                 task = asyncio.ensure_future(
-                    self._handle_line(
-                        line.decode("utf-8", "replace"),
-                        line_no,
-                        writer,
-                        write_lock,
-                    )
+                    self._hand_off(steps, pool, call, writer)
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
+        except (
+            ConnectionResetError,
+            asyncio.IncompleteReadError,
+            asyncio.CancelledError,  # shutdown, the client still connected
+        ):
             pass
-        except asyncio.CancelledError:
-            pass  # daemon shutdown with the client still connected
         finally:
-            if tasks:
-                for task in tasks:
-                    task.cancel()
-                await asyncio.gather(*tasks, return_exceptions=True)
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionResetError, OSError, asyncio.CancelledError):
                 pass
 
-    async def _write(self, writer, lock, doc) -> None:
-        """Write one envelope: a dict, or its encoded line."""
-        if not isinstance(doc, bytes):
-            doc = (json.dumps(doc) + "\n").encode("utf-8")
-        async with lock:
-            writer.write(doc)
-            try:
-                await writer.drain()
-            except (ConnectionResetError, OSError):
-                pass
-
-    async def _handle_line(
-        self, line: str, line_no: int, writer, write_lock
-    ) -> None:
-        request_id = None
+    async def _hand_off(self, steps, pool, call, writer) -> None:
+        """Await the executor for one line, then write its reply. ``pool``
+        ``None`` is an update: one at a time, on the default executor."""
         try:
-            obj = parse_line(line, line_no)
-            request_id = obj.get("id")
-            op = obj["op"]
-            if op == "rewrite":
-                doc = await self._op_rewrite(obj, line_no)
-            elif op == "update":
-                doc = await self._op_update(obj, line_no)
-            elif op == "ping":
-                doc = to_envelope(
-                    {
-                        "pong": True,
-                        "epoch": self.memo.epoch(),
-                        "queue_depth": self.admission.depth,
-                        "strategies": list(strategy_names()),
-                    },
-                    kind="ping",
-                    request_id=request_id,
-                )
-            elif op == "metrics":
-                snapshot = (
-                    self.metrics.snapshot().as_dict()
-                    if self.metrics is not None
-                    else None
-                )
-                doc = to_envelope(
-                    {"metrics": snapshot},
-                    kind="metrics",
-                    request_id=request_id,
-                )
-            else:  # shutdown
-                doc = to_envelope(
-                    {"stopping": True},
-                    kind="shutdown",
-                    request_id=request_id,
-                )
-                await self._write(writer, write_lock, doc)
-                self.stop()
-                return
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:  # noqa: BLE001 — a response line must
-            # always come back; an unanswered request hangs the client.
-            doc = to_envelope(
-                kind="error", error=error, request_id=request_id
-            )
-        await self._write(writer, write_lock, doc)
+            async with self._update_lock if pool is None else _UNLOCKED:
+                done = asyncio.get_running_loop().run_in_executor(pool, call)
+                with contextlib.suppress(Exception):  # raised in the core
+                    await done
+            steps.send(done.result)
+        except StopIteration as answered:
+            await _write(writer, answered.value)
+        finally:
+            steps.close()
 
     # ------------------------------------------------------------------
-    # Ops
+    # The synchronous core
 
-    async def _op_rewrite(self, obj: dict, line_no: int) -> dict | bytes:
+    def handle(self, line: Optional[str], line_no: int = 0) -> bytes:
+        """The response line to request line ``line_no`` (``None``: one
+        over :data:`MAX_LINE_BYTES`), on the calling thread; only a
+        rewrite miss runs on the executor. A daemon that never started
+        answers as a serving one does; :meth:`close` it after."""
+        steps = self._respond(line, line_no)
+        try:
+            pool, call = next(steps)
+            steps.send(call if pool is None else pool.submit(call).result)
+        except StopIteration as answered:
+            return answered.value
+        raise RuntimeError("a request line has at most one hand-off")
+
+    def _respond(self, line: Optional[str], line_no: int):
+        """One request line, as a generator shared by :meth:`handle` and
+        the server. It yields at most one hand-off ``(pool, call)``: run
+        ``call`` on ``pool`` (``None``: an update) and send back a callable
+        returning or raising its outcome. It returns the response line."""
+        request_id = None
+        try:
+            if line is None:
+                raise ProtocolError(
+                    f"line {line_no}: request line longer than "
+                    f"{MAX_LINE_BYTES} bytes"
+                )
+            obj = parse_line(line, line_no)
+            request_id, op = obj.get("id"), obj["op"]
+            if op == "rewrite":
+                reply = yield from self._rewrite(obj, line_no)
+            elif op == "update":
+                ran = yield None, functools.partial(
+                    self.apply_update,
+                    *update_from_wire(obj, self.catalog, line_no),
+                )
+                reply = ran()
+            elif op == "ping":
+                reply = {
+                    "pong": True,
+                    "epoch": self.memo.epoch(),
+                    "queue_depth": self.admission.depth,
+                    "strategies": list(strategy_names()),
+                }
+            elif op == "metrics":
+                reply = {
+                    "metrics": self.metrics.snapshot().as_dict()
+                    if self.metrics is not None
+                    else None
+                }
+            else:  # shutdown: the server writes this line, then stops
+                self.stop()
+                reply = {"stopping": True}
+            if not isinstance(reply, bytes):
+                reply = to_envelope(reply, kind=op, request_id=request_id)
+        except Exception as error:  # noqa: BLE001 — a response line must
+            # always come back; an unanswered request hangs the client.
+            reply = to_envelope(
+                kind="error", error=error, request_id=request_id
+            )
+        if not isinstance(reply, bytes):
+            reply = (json.dumps(reply) + "\n").encode("utf-8")
+        return reply
+
+    def _rewrite(self, obj: dict, line_no: int):
+        """The ``rewrite`` op: its line, after at most one hand-off."""
         request = request_from_wire(obj, self.catalog, line_no)
         tenant = str(obj.get("tenant") or DEFAULT_TENANT)
-        wire_id = obj.get("id")
-
         reason = self.admission.admit(tenant)
         if reason is not None:
             self._count_request(tenant, "refused")
-            return to_envelope(
-                refused_response(request, reason),
-                kind="rewrite",
-                request_id=wire_id,
+            return encoded_line(
+                refused_response(request, reason), obj.get("id")
             )
         started = time.perf_counter()
         try:
             cap = self.admission.budget_cap(tenant)
             if cap is not None:
-                tightened = (
-                    cap
-                    if request.budget is None
-                    else request.budget.merged_with(cap)
-                )
-                request = replace(request, budget=tightened)
+                budget = request.budget
+                budget = cap if budget is None else budget.merged_with(cap)
+                request = replace(request, budget=budget)
             # Process workers keep the responses: the master has none.
             response = (
                 self._planner_cache.stored_response(request)
@@ -426,38 +438,31 @@ class RewriteDaemon:
             )
             export = None
             if response is None:
-                response, key, view_names, export, _path = (
-                    await asyncio.get_running_loop().run_in_executor(
-                        self._pool,
-                        run_in_worker
-                        if self.workers > 0
-                        else self._planner_cache.run,
-                        request,
-                    )
+                ran = yield self._pool, functools.partial(
+                    run_in_worker
+                    if self.workers > 0
+                    else self._planner_cache.run,
+                    request,
                 )
+                response, key, view_names, export, _path = ran()
                 if export:
                     # Single-writer discipline: only this (master)
                     # process publishes into the shared tier. An empty
                     # export means the planner learned nothing.
                     self.memo.publish(key, view_names, export)
-            outcome = (
-                "error"
-                if response.error is not None
-                else "exhausted" if response.exhausted else "ok"
+            outcome = "error" if response.error is not None else (
+                "exhausted" if response.exhausted else "ok"
             )
             self._count_request(
                 tenant, outcome, time.perf_counter() - started,
                 publish="published" if export else "skipped",
             )
-            return encoded_line(response, wire_id)
+            return encoded_line(response, obj.get("id"))
         finally:
             self.admission.release(tenant)
 
     def _count_request(
-        self,
-        tenant: str,
-        outcome: str,
-        seconds: Optional[float] = None,
+        self, tenant: str, outcome: str, seconds: Optional[float] = None,
         publish: Optional[str] = None,
     ) -> None:
         """Record one request into the daemon's registry, else the
@@ -471,28 +476,14 @@ class RewriteDaemon:
         if publish is not None:
             metrics.family(MEMO_PUBLISHES).labels(publish).inc()
 
-    async def _op_update(self, obj: dict, line_no: int) -> dict:
-        table, inserts, deletes = update_from_wire(obj, self.catalog, line_no)
-        async with self._update_lock:
-            loop = asyncio.get_running_loop()
-            summary = await loop.run_in_executor(
-                None,
-                functools.partial(
-                    self.apply_update, table, inserts, deletes
-                ),
-            )
-        return to_envelope(
-            summary, kind="update", request_id=obj.get("id")
-        )
-
-    def apply_update(
-        self, table: str, inserts=(), deletes=()
-    ) -> dict:
-        """One base-table change: maintain views, refresh stats.
+    def apply_update(self, table: str, inserts=(), deletes=()) -> dict:
+        """One base-table change: maintain views, refresh stats. Rows may
+        come as any iterables; each is read once.
 
         Invalidation itself happens in the delta listener, so it also
         covers maintenance driven from outside this method.
         """
+        inserts, deletes = list(inserts), list(deletes)
         epoch_before = self.memo.epoch()
         maintainers = self._maintainers_reading(table)
         apply_change(
@@ -514,8 +505,8 @@ class RewriteDaemon:
             self.memo.invalidate_views(unmaintained)
         return {
             "table": table,
-            "inserted": len(list(inserts)),
-            "deleted": len(list(deletes)),
+            "inserted": len(inserts),
+            "deleted": len(deletes),
             "maintained_views": sorted(maintainers),
             "invalidated_views": sorted(
                 set(maintainers) | set(unmaintained)

@@ -141,15 +141,21 @@ def budget_from_wire(obj: dict, line_no: int = 0) -> Optional[SearchBudget]:
     )
 
 
-def request_from_wire(
-    obj: dict, catalog: Catalog, line_no: int = 0
-) -> RewriteRequest:
-    """A ``rewrite`` op object -> the service's RewriteRequest."""
+def sql_from_wire(obj: dict, line_no: int = 0) -> str:
+    """The statement of a ``rewrite`` op object (``sql``, or ``query``)."""
     sql = obj.get("sql", obj.get("query"))
     if not isinstance(sql, str) or not sql.strip():
         raise ProtocolError(
             f"line {line_no}: 'sql' must be a non-empty SELECT string"
         )
+    return sql
+
+
+def request_from_wire(
+    obj: dict, catalog: Catalog, line_no: int = 0
+) -> RewriteRequest:
+    """A ``rewrite`` op object -> the service's RewriteRequest."""
+    sql = sql_from_wire(obj, line_no)
     views = None
     if obj.get("views") is not None:
         names = obj["views"]

@@ -318,6 +318,54 @@ def test_cli_serve_sql_loop(db_file, capsys, monkeypatch):
     assert docs[3]["result"]["rewritten"] is True
 
 
+def test_cli_serve_sql_refuses_a_non_string_sql_in_band(
+    db_file, capsys, monkeypatch
+):
+    """The daemon's rule and message; the loop goes on to the next line."""
+    import io
+
+    lines = [json.dumps({"sql": 5}), json.dumps({"id": 2, "sql": QUERY})]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code = main(["serve-sql", "--db", db_file] + _materialized_flag())
+    docs = [
+        json.loads(line)
+        for line in capsys.readouterr().out.strip().splitlines()
+    ]
+    assert code == 0
+    assert [d["kind"] for d in docs] == ["error", "sql-rewrite"]
+    assert docs[0]["error"]["message"] == (
+        "line 1: 'sql' must be a non-empty SELECT string"
+    )
+    assert docs[1]["id"] == 2 and docs[1]["ok"] is True
+
+
+def test_cli_serve_sql_answers_any_per_line_exception_in_band(
+    db_file, capsys, monkeypatch
+):
+    import io
+
+    def broken(self, sql):
+        if "broken" in sql:
+            raise RuntimeError("backend fell over")
+        return rewrite_sql(self, sql)
+
+    rewrite_sql = FederationSession.rewrite_sql
+    monkeypatch.setattr(FederationSession, "rewrite_sql", broken)
+    lines = [
+        json.dumps({"id": 1, "sql": "SELECT broken FROM sales"}),
+        json.dumps({"id": 2, "sql": QUERY}),
+    ]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    code = main(["serve-sql", "--db", db_file] + _materialized_flag())
+    docs = [
+        json.loads(line)
+        for line in capsys.readouterr().out.strip().splitlines()
+    ]
+    assert code == 0
+    assert [(d["id"], d["ok"]) for d in docs] == [(1, False), (2, True)]
+    assert docs[0]["error"]["message"] == "backend fell over"
+
+
 def test_cli_serve_sql_metrics_frames(db_file, capsys, monkeypatch):
     import io
 

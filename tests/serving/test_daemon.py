@@ -18,7 +18,8 @@ from repro.blocks.to_sql import block_to_sql
 from repro.catalog.load import load_schema
 from repro.core.planner import RewritePlanner
 from repro.engine.database import Database
-from repro.obs.metrics import MetricsRegistry, collecting, set_global_metrics
+from repro.memo import clear_shared
+from repro.obs.metrics import MetricsRegistry, set_global_metrics
 from repro.serving import RewriteDaemon, ServingClient, TenantQuota
 from repro.serving.memo import LocalMemoTier, SharedMemoTier
 from repro.serving.protocol import request_from_wire, serving_keys
@@ -224,6 +225,21 @@ def test_update_invalidates_and_keeps_serving(scenario):
             assert [r["sql"] for r in doc["result"]["rewritings"]] == [
                 r.sql() for r in cold.rewritings
             ]
+
+
+def test_apply_update_counts_rows_given_as_iterators():
+    daemon, sc = never_started()
+    table = first_maintained_table(sc.catalog)
+    width = len(sc.catalog.tables[table].columns)
+    before = len(daemon.database.table(table).rows)
+    try:
+        summary = daemon.apply_update(
+            table, inserts=((i + 70,) * width for i in range(4))
+        )
+    finally:
+        daemon.close()
+    assert summary["inserted"] == 4
+    assert len(daemon.database.table(table).rows) == before + 4
 
 
 def test_update_refreshes_view_statistics(scenario):
@@ -439,6 +455,27 @@ def test_an_over_limit_line_is_refused_in_band(monkeypatch):
                 assert client.ping()["ok"] is True
 
 
+def test_the_daemon_and_repro_batch_name_the_same_line(tmp_path, capsys):
+    """Both number physical lines: comments and blank lines count."""
+    from repro.cli import main
+
+    payload = '# c\n\n{"sql": 5, "id": 1}\n'
+    schema, requests = tmp_path / "schema.sql", tmp_path / "requests.jsonl"
+    schema.write_text(CALLS_SCHEMA)
+    requests.write_text(payload)
+    assert main(["batch", "--schema", str(schema), str(requests)]) == 2
+    batch_error = capsys.readouterr().err
+    catalog, _ = load_schema(CALLS_SCHEMA)
+    with running_daemon(catalog, database=Database(catalog)) as daemon:
+        with connect(daemon) as client:
+            client._sock.sendall(payload.encode())
+            doc = client._read_until("1")
+    assert doc["error"]["message"] == (
+        "line 3: 'sql' must be a non-empty SELECT string"
+    )
+    assert batch_error == f"error: {requests}: {doc['error']['message']}\n"
+
+
 # ----------------------------------------------------------------------
 # Stored responses are answered on the event loop
 
@@ -510,7 +547,7 @@ def executor_ids(monkeypatch):
 
         class Counting(getattr(serving_daemon, name)):
             def submit(self, fn, /, *args, **kwargs):
-                sent.append(args[0].request_id)
+                sent.append(fn.args[0].request_id)
                 return super().submit(fn, *args, **kwargs)
 
         monkeypatch.setattr(serving_daemon, name, Counting)
@@ -533,33 +570,17 @@ def serving_counts(registry) -> dict:
 
 
 def replayed_counts(stream, quotas) -> dict:
-    """The counters of ``stream`` run through ``PlannerCache.run`` alone,
-    on a fresh copy of the scenario, by a daemon that never serves."""
-    sc, db = loaded_scenario()
-    replay = RewriteDaemon(sc.catalog, database=db)
+    """The counters of ``stream`` answered by the synchronous core of a
+    daemon that never serves, on a fresh copy of the scenario."""
+    replay, _sc = never_started(tenant_quotas=quotas)
     registry = MetricsRegistry()
+    previous = set_global_metrics(registry)  # seen by the worker thread
     try:
-        with collecting(registry):
-            for rid, obj in stream:
-                if obj.get("op") == "update":
-                    replay.apply_update(
-                        obj["table"], [tuple(row) for row in obj["insert"]]
-                    )
-                    continue
-                request = traced_from_wire({**obj, "id": rid}, sc.catalog)
-                quota = quotas.get(obj.get("tenant"))
-                if quota is not None:
-                    request = dataclasses.replace(
-                        request, budget=quota.budget_cap()
-                    )
-                _r, key, names, export, _p = replay._planner_cache.run(
-                    request
-                )
-                if export:
-                    replay.memo.publish(key, names, export)
+        for line_no, (rid, obj) in enumerate(stream, 1):
+            replay.handle(json.dumps({**obj, "id": rid}), line_no)
     finally:
-        replay._unsubscribe()
-        replay._pool.shutdown()
+        set_global_metrics(previous)
+        replay.close()
     return serving_counts(registry)
 
 
@@ -568,8 +589,8 @@ def test_only_unchanged_stored_responses_skip_the_executor(
 ):
     """Everything that needs planner work still reaches the worker
     thread; exact-stamp hits are answered on the loop. Either way the
-    hit and path counters equal the same stream run through
-    ``PlannerCache.run`` alone."""
+    hit and path counters equal the same stream answered by ``handle``
+    on a daemon that never serves."""
     monkeypatch.setattr(serving_daemon, "request_from_wire", traced_from_wire)
     quotas = {"capped": TenantQuota(deadline_ms_cap=60_000)}
     sc, db = loaded_scenario()
@@ -633,35 +654,18 @@ def test_process_workers_take_every_rewrite(scenario, executor_ids):
 
 
 def handled(daemon, objs) -> list:
-    """Each op object through the daemon's line handler, in order, as the
-    lines it writes back."""
-    written = []
-
-    class Writer:
-        def write(self, payload):
-            written.append(payload)
-
-        async def drain(self):
-            pass
-
-    async def drive():
-        lock = asyncio.Lock()
-        for line_no, obj in enumerate(objs, 1):
-            await daemon._handle_line(json.dumps(obj), line_no, Writer(), lock)
-
-    asyncio.run(drive())
-    return written
+    """Each op object through the daemon's synchronous core, in order, as
+    the lines it answers."""
+    return [
+        daemon.handle(json.dumps(obj), line_no)
+        for line_no, obj in enumerate(objs, 1)
+    ]
 
 
 def never_started(**kwargs):
     """A daemon that never binds a socket, and its scenario."""
     sc, db = loaded_scenario()
     return RewriteDaemon(sc.catalog, database=db, **kwargs), sc
-
-
-def closed(daemon) -> None:
-    daemon._unsubscribe()
-    daemon._pool.shutdown()
 
 
 def first_maintained_table(catalog) -> str:
@@ -693,7 +697,7 @@ def test_every_op_echoes_the_id_as_sent(op, wire_id):
     try:
         line = handled(daemon, prelude + [{**obj, "id": wire_id}])[-1]
     finally:
-        closed(daemon)
+        daemon.close()
     doc = json.loads(line)
     assert doc["ok"] is (op != "error")
     assert doc["id"] == wire_id and type(doc["id"]) is type(wire_id)
@@ -713,7 +717,7 @@ def test_an_id_that_is_neither_string_nor_integer_is_refused():
              {"sql": sql, "id": 1.5}, {"op": "ping", "id": True}],
         )
     finally:
-        closed(daemon)
+        daemon.close()
     for line_no, line in enumerate(lines, 1):
         doc = json.loads(line)
         assert doc["ok"] is False and "id" not in doc
@@ -736,8 +740,8 @@ def test_only_untraced_hits_with_an_id_are_spliced(monkeypatch):
     daemon, sc = never_started()
     sql = block_to_sql(sc.query)
 
-    async def drive():
-        out = {}
+    out = {}
+    try:
         for name, obj in (
             ("marker", {"sql": sql}),
             ("store", {"sql": sql}),
@@ -747,14 +751,10 @@ def test_only_untraced_hits_with_an_id_are_spliced(monkeypatch):
             ("traced", {"sql": sql, "id": "traced", "trace": True}),
         ):
             before = len(encoded)
-            out[name] = await daemon._op_rewrite(obj, 1)
+            out[name] = daemon.handle(json.dumps(obj), 1)
             out[name + "_encodes"] = len(encoded) - before
-        return out
-
-    try:
-        out = asyncio.run(drive())
     finally:
-        closed(daemon)
+        daemon.close()
     assert (out["loop_encodes"], out["idless_encodes"]) == (0, 1)
     assert out["traced_encodes"] == 1
     assert json.loads(out["traced"])["result"]["trace"]
@@ -868,7 +868,7 @@ def test_updates_racing_loop_hits_never_serve_an_old_answer():
         asyncio.run(main())
     finally:
         sys.setswitchinterval(interval)
-        closed(daemon)
+        daemon.close()
     for request in requests + [pinned]:
         fresh = dataclasses.replace(request, catalog=catalog.copy())
         assert serving_keys(request) == serving_keys(fresh)
@@ -895,3 +895,133 @@ def test_updates_racing_loop_hits_never_serve_an_old_answer():
                 )
             )
         assert seen(answer) == cold[i, version]
+
+
+# ----------------------------------------------------------------------
+# The server adds nothing to the synchronous core
+
+PARITY_QUOTAS = {
+    "capped": TenantQuota(deadline_ms_cap=60_000),
+    "noisy": TenantQuota(max_inflight=0),
+}
+
+
+def mixed_stream(seed: int, sc) -> list[str]:
+    """Request lines: a hot text (miss, store, hit), then, in a seeded
+    order, each of an ad hoc miss, a hot repeat, pinned views, a capped
+    and a refused tenant, an update, a ping, metrics and a malformed
+    line, and six more drawn from the same kinds."""
+    rng = random.Random(seed)
+    sql = block_to_sql(sc.query)
+    table = first_maintained_table(sc.catalog)
+    width = len(sc.catalog.tables[table].columns)
+    mix = ["adhoc", "hot", "pinned", "capped", "refused", "update", "ping",
+           "metrics", "malformed"]
+    mix += rng.choices(mix, k=6)
+    rng.shuffle(mix)
+    kinds = ["hot"] * 3 + mix
+    objs = {
+        "hot": lambda: {"sql": sql},
+        "adhoc": lambda: {"sql": sql + " " * rng.randrange(1, 6)},
+        "pinned": lambda: {
+            "sql": sql, "views": [rng.choice(sc.views).name]
+        },
+        "capped": lambda: {"sql": sql, "tenant": "capped"},
+        "refused": lambda: {"sql": sql, "tenant": "noisy"},
+        "update": lambda: {
+            "op": "update", "table": table,
+            "insert": [[rng.randrange(50) for _ in range(width)]],
+        },
+        "ping": lambda: {"op": "ping"},
+        "metrics": lambda: {"op": "metrics"},
+        "malformed": lambda: rng.choice(
+            [{"sql": 5}, {"op": "nonsense"}, "{not json"]
+        ),
+    }
+    lines = []
+    for i, kind in enumerate(kinds):
+        obj = objs[kind]()
+        if isinstance(obj, dict):
+            obj["id"] = f"{seed}-{i}" if i % 4 else i
+            obj = json.dumps(obj)
+        lines.append(obj)
+    return lines
+
+
+def masked(line: bytes) -> dict:
+    """A reply with its timings taken out: ``elapsed``, and a histogram's
+    sum and buckets (its count stays)."""
+    doc = json.loads(line)
+    result = doc.get("result") or {}
+    result.pop("elapsed", None)
+    for family in ((result.get("metrics") or {}).get("families") or {}).values():
+        if family["kind"] == "histogram":
+            family["samples"] = [
+                [labels, value["count"]] for labels, value in family["samples"]
+            ]
+    return doc
+
+
+def serving_counters(registry) -> dict:
+    return {
+        name: family["samples"]
+        for name, family in registry.snapshot().families.items()
+        if name.startswith("repro_serving_") and family["kind"] == "counter"
+    }
+
+
+def served_one_at_a_time(lines) -> tuple[list, dict]:
+    clear_shared()  # the process-wide planner memos start empty
+    sc, db = loaded_scenario()
+    registry = MetricsRegistry()
+    previous = set_global_metrics(registry)  # seen by the worker thread
+    try:
+        with running_daemon(
+            sc.catalog, database=db, tenant_quotas=PARITY_QUOTAS,
+            metrics=registry,
+        ) as daemon:
+            with connect(daemon) as client:
+                replies = []
+                for line in lines:
+                    client._sock.sendall((line + "\n").encode())
+                    replies.append(client._reader.readline().encode())
+    finally:
+        set_global_metrics(previous)
+    return replies, serving_counters(registry)
+
+
+def handled_by_a_twin(lines) -> tuple[list, dict]:
+    clear_shared()
+    registry = MetricsRegistry()
+    daemon, _sc = never_started(tenant_quotas=PARITY_QUOTAS, metrics=registry)
+    previous = set_global_metrics(registry)
+    try:
+        replies = [
+            daemon.handle(line, line_no)
+            for line_no, line in enumerate(lines, 1)
+        ]
+    finally:
+        set_global_metrics(previous)
+        daemon.close()
+    return replies, serving_counters(registry)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_served_stream_equals_the_core_on_a_never_started_twin(seed):
+    lines = mixed_stream(seed, loaded_scenario()[0])
+    served, served_counts = served_one_at_a_time(lines)
+    handled, handled_counts = handled_by_a_twin(lines)
+    assert len(served) == len(handled) == len(lines)
+    for line, a, b in zip(lines, served, handled):
+        assert masked(a) == masked(b), line
+    assert served_counts == handled_counts
+    outcomes = {
+        tuple(labels)
+        for labels, _n in served_counts["repro_serving_requests_total"]
+    }
+    assert ("noisy", "refused") in outcomes
+    memo = dict(
+        (labels[0], n)
+        for labels, n in served_counts["repro_serving_response_memo_total"]
+    )
+    assert memo["hit"] >= 1 and memo["miss"] >= 2

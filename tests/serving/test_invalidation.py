@@ -10,11 +10,17 @@ back to cold planning, never to stale rewritings).
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.blocks.to_sql import block_to_sql
 from repro.engine.database import Database
+from repro.obs.metrics import MetricsRegistry, set_global_metrics
 from repro.serving import PlannerCache, RewriteDaemon
 from repro.serving.memo import LocalMemoTier
+from repro.serving.protocol import request_from_wire, serving_group_key
+from repro.serving.worker import COLD, WARM_LOCAL, WARM_SHARED
 from repro.service.executor import execute_request
 from repro.service.requests import RewriteRequest
 from repro.workloads.random_queries import random_scenario
@@ -38,19 +44,34 @@ def make_daemon(sc):
     )
 
 
-def close_daemon(daemon):
-    daemon._unsubscribe()
-    daemon._pool.shutdown(wait=True)
-    daemon.memo.close()
-    daemon.memo.unlink()
+def wire(sc, view=None) -> dict:
+    """The rewrite op of the scenario's query, or of ``view``'s own
+    definition pinned to ``view``: a planner that learns something
+    exports it, and the core publishes only a non-empty export."""
+    if view is None:
+        return {"sql": block_to_sql(sc.query)}
+    return {"sql": block_to_sql(view.block), "views": [view.name]}
 
 
-def run_and_publish(daemon, request):
-    response, key, view_names, export, path = daemon._planner_cache.run(
-        request
+def run_and_publish(daemon, obj):
+    """One rewrite through the daemon's core, which publishes its memo
+    export: the response envelope, the fingerprint and the planner path."""
+    registry = MetricsRegistry()
+    previous = set_global_metrics(registry)  # seen by the worker thread
+    try:
+        doc = json.loads(daemon.handle(json.dumps(obj), 1))
+    finally:
+        set_global_metrics(previous)
+    assert doc["ok"], doc
+    key = serving_group_key(request_from_wire(obj, daemon.catalog))
+    (path,) = (
+        path
+        for path in (WARM_LOCAL, WARM_SHARED, COLD)
+        if registry.snapshot().counter_value(
+            "repro_serving_planner_path_total", path=path
+        )
     )
-    daemon.memo.publish(key, view_names, export)
-    return response, key, path
+    return doc["result"], key, path
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -59,16 +80,12 @@ def test_delta_invalidation_is_exact_with_cold_parity(seed):
     daemon = make_daemon(sc)
     try:
         # One fingerprint per view subset plus the full-catalog one.
-        requests = {
-            "all": RewriteRequest(query=sc.query, catalog=sc.catalog)
-        }
+        requests = {"all": wire(sc)}
         for view in sc.views:
-            requests[view.name] = RewriteRequest(
-                query=sc.query, catalog=sc.catalog, views=(view,)
-            )
+            requests[view.name] = wire(sc, view)
         keys = {}
-        for label, request in requests.items():
-            _response, key, _path = run_and_publish(daemon, request)
+        for label, obj in requests.items():
+            _response, key, _path = run_and_publish(daemon, obj)
             keys[label] = key
         published = set(daemon.memo.keys())
         assert set(keys.values()) <= published
@@ -102,15 +119,15 @@ def test_delta_invalidation_is_exact_with_cold_parity(seed):
                 assert key in survivors, (seed, label)
 
         # Parity: every re-run equals a cold planner on the fresh state.
-        for label, request in requests.items():
-            warm, _key, _path = run_and_publish(daemon, request)
-            cold = execute_request(request)
-            assert rewriting_sqls(warm) == rewriting_sqls(cold), (
-                seed, label,
-            )
-            assert warm.original_cost == cold.original_cost
+        for label, obj in requests.items():
+            warm, _key, _path = run_and_publish(daemon, obj)
+            cold = execute_request(request_from_wire(obj, sc.catalog))
+            assert [r["sql"] for r in warm["rewritings"]] == rewriting_sqls(
+                cold
+            ), (seed, label)
+            assert warm["original_cost"] == cold.original_cost
     finally:
-        close_daemon(daemon)
+        daemon.close()
 
 
 @pytest.mark.parametrize("seed", range(0, 8))
@@ -118,14 +135,12 @@ def test_stale_local_planner_never_served_after_delta(seed):
     # A worker with a locally cached planner must notice the epoch bump
     # (one header read) and revalidate; since the entry is evicted it
     # plans cold rather than serving the pre-delta ranking.
-    from repro.serving.worker import WARM_LOCAL
-
     sc = random_scenario(seed)
     daemon = make_daemon(sc)
     try:
-        request = RewriteRequest(query=sc.query, catalog=sc.catalog)
-        _r, key, path = run_and_publish(daemon, request)
-        _r2, _k2, path2 = run_and_publish(daemon, request)
+        request = request_from_wire(wire(sc), sc.catalog)
+        _r, key, path = run_and_publish(daemon, wire(sc))
+        _r2, _k2, path2 = run_and_publish(daemon, wire(sc))
         assert path2 == WARM_LOCAL
 
         # A second reader simulating another worker process.
@@ -148,4 +163,4 @@ def test_stale_local_planner_never_served_after_delta(seed):
             )
             assert rewriting_sqls(response) == rewriting_sqls(cold)
     finally:
-        close_daemon(daemon)
+        daemon.close()
