@@ -84,6 +84,35 @@ run() {
 
 s=(--schema "$work/schema.sql")
 run rewrite rewrite "${s[@]}" --query "$query" --json
+run rewrite-traced rewrite "${s[@]}" --query "$query" --json --trace \
+    --metrics-out "$work/traced.prom"
+# The trace counters and the planner metrics come from one fold per
+# search, so in a real process they must agree.
+python - "$work/rewrite-traced.out" "$work/traced.prom" <<'PY'
+import json
+import re
+import sys
+
+counters = json.load(open(sys.argv[1]))["result"]["trace"]["counters"]
+samples = {}
+for line in open(sys.argv[2]):
+    match = re.match(r"^(repro_planner_\w+?)(\{[^}]*\})? (\S+)$", line)
+    if match:
+        name = match.group(1)
+        samples[name] = samples.get(name, 0) + int(float(match.group(3)))
+pairs = {
+    "searches": "repro_planner_searches_total",
+    "nodes_expanded": "repro_planner_nodes_expanded_total",
+    "candidates_generated": "repro_planner_candidates_total",
+}
+for counter, family in pairs.items():
+    if counters.get(counter, 0) != samples.get(family) or not samples[family]:
+        sys.exit(
+            f"trace counter {counter}={counters.get(counter, 0)} but "
+            f"{family} (summed over labels)={samples.get(family)}"
+        )
+PY
+echo "ok: trace counters equal the planner metrics"
 run explain explain "${s[@]}" --query "$query" --json --trace
 run batch batch "${s[@]}" "$work/requests.jsonl" --metrics-out "$work/m.prom"
 run check check "${s[@]}" --left "SELECT Plan_Id FROM Calls" \

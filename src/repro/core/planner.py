@@ -47,8 +47,8 @@ from ..blocks.query_block import QueryBlock, ViewDef
 from ..catalog.schema import Catalog
 from ..memo import MISSING, Memo, disabled, shared_memos
 from ..obs.budget import BudgetMeter, SearchBudget, ensure_meter
-from ..obs.metrics import counter, current_metrics
-from ..obs.trace import current_tracer
+from ..obs.metrics import _ACTIVE, counter, current_metrics
+from ..obs.trace import span
 from .canonical import BlockSet
 from .result import Rewriting
 
@@ -400,17 +400,16 @@ class RewritePlanner:
         substitution memo.
         """
         meter = None if budget is None else ensure_meter(budget)
-        # Hoisted once: tracing cannot change mid-search, and the traced
-        # branches below keep all span machinery (including its no-op
-        # context) off the warm path entirely. Metrics follow the same
-        # discipline: one probe per search, recorded as PlannerStats
-        # deltas after the search so the BFS inner loops never touch the
-        # registry.
-        tracer = current_tracer()
-        metered = current_metrics() is not None
-        if metered:
-            stats_before = _stats_tuple(self.stats)
-            memo_before = self._memo_counts()
+        # One probe per search: while a tracer or a registry is active,
+        # the PlannerStats and memo counters are read before the search
+        # and their deltas folded into both after it, so the BFS inner
+        # loops never touch either.
+        tracer = _ACTIVE.tracer
+        before = (
+            self._counts()
+            if tracer is not None or current_metrics() is not None
+            else None
+        )
         self.stats.searches += 1
         seen = BlockSet([query])
         frontier: list[_Node] = [_Node(None, query)]
@@ -425,26 +424,17 @@ class RewritePlanner:
                     break
                 node.probed = True
                 self.stats.nodes_expanded += 1
-                if tracer is None:
+                with span("signature_probe"):
                     indices = self._candidate_indices(node.block)
-                else:
-                    with tracer.span("signature_probe"):
-                        indices = self._candidate_indices(node.block)
                 for view_index in indices:
                     options = self._single_view(node.block, view_index, meter)
                     if options:
                         node.expandable = True
-                        if tracer is None:
+                        with span("merge"):
                             budget_hit = self._merge_options(
                                 node, options, meter, seen,
                                 next_frontier, result_nodes,
                             )
-                        else:
-                            with tracer.span("merge"):
-                                budget_hit = self._merge_options(
-                                    node, options, meter, seen,
-                                    next_frontier, result_nodes,
-                                )
                     if budget_hit:
                         break
                 if budget_hit:
@@ -455,13 +445,11 @@ class RewritePlanner:
 
         if include_partial:
             results = [node.rewriting for node in result_nodes]
-        elif tracer is None:
-            results = self._maximal_results(result_nodes, meter)
         else:
-            with tracer.span("maximality"):
+            with span("maximality"):
                 results = self._maximal_results(result_nodes, meter)
-        if metered:
-            _record_search(stats_before, memo_before, self, len(results))
+        if before is not None:
+            _record_search(before, self, len(results), tracer)
         return results
 
     def _search_memos(self) -> Iterator[tuple[str, Memo]]:
@@ -469,12 +457,17 @@ class RewritePlanner:
         process-wide registry, then this planner's families."""
         return chain(shared_memos().items(), self.memos.items())
 
-    def _memo_counts(self) -> dict[str, tuple[int, int]]:
-        """``family -> (hits, misses)`` over :meth:`_search_memos`."""
-        return {
-            family: (memo.hits, memo.misses)
-            for family, memo in self._search_memos()
-        }
+    def _counts(self) -> tuple[list[int], dict[str, tuple[int, int]]]:
+        """The counters a search's deltas are taken of: the
+        :data:`_FOLDED` PlannerStats fields, and ``family -> (hits,
+        misses)`` over :meth:`_search_memos`."""
+        return (
+            [getattr(self.stats, name) for name in _FOLDED],
+            {
+                family: (memo.hits, memo.misses)
+                for family, memo in self._search_memos()
+            },
+        )
 
     def _maximal_results(
         self,
@@ -509,59 +502,77 @@ def cache_stats() -> dict:
     return {name: memo.stats() for name, memo in shared_memos().items()}
 
 
-def _stats_tuple(stats: PlannerStats) -> tuple:
-    """The PlannerStats counters metrics record deltas of, as a tuple."""
-    return (
-        stats.nodes_expanded,
-        stats.views_considered,
-        stats.views_pruned,
-        stats.candidates_generated,
-        stats.duplicates_skipped,
-        stats.maximality_probes,
-    )
+#: The PlannerStats fields folded per search, in trace counter order.
+_FOLDED = (
+    "searches",
+    "nodes_expanded",
+    "views_considered",
+    "views_pruned",
+    "candidates_generated",
+    "duplicates_skipped",
+    "maximality_probes",
+)
 
 
 def _record_search(
     before: tuple,
-    memo_before: dict,
     planner: RewritePlanner,
     results_found: int,
+    tracer,
 ) -> None:
     """Fold one search's PlannerStats / memo deltas into the active
-    registry.
+    tracer's counters and the active registry.
 
-    Runs once per search (never inside the BFS), so enabled-mode overhead
-    stays a fixed set of counter updates per planner call. Deltas are
-    clamped at zero: the process-wide memos may be cleared (or raced by
-    sibling threads) mid-search.
+    Runs once per search (never inside the BFS), so the enabled-mode
+    cost is a fixed set of updates per planner call. The trace gets each
+    PlannerStats field under its own name, plus the substitution memo's
+    ``substitution_hits`` / ``_misses``; zero deltas are left out. Deltas
+    are clamped at zero: the process-wide memos may be cleared (or raced
+    by sibling threads) mid-search.
     """
-    nodes, considered, pruned, candidates, duplicates, probes = before
-    stats = planner.stats
+    stats_then, memos_then = before
 
     def delta(now: int, then: int) -> int:
         return now - then if now > then else 0
 
-    SEARCHES.inc()
-    NODES_EXPANDED.inc(delta(stats.nodes_expanded, nodes))
-    pruned_now = delta(stats.views_pruned, pruned)
-    VIEWS.labels("admitted").inc(
-        max(0, delta(stats.views_considered, considered) - pruned_now)
-    )
-    VIEWS.labels("pruned").inc(pruned_now)
-    dup_now = delta(stats.duplicates_skipped, duplicates)
-    CANDIDATES.labels("kept").inc(
-        max(0, delta(stats.candidates_generated, candidates) - dup_now)
-    )
-    CANDIDATES.labels("duplicate").inc(dup_now)
-    MAXIMALITY_PROBES.inc(delta(stats.maximality_probes, probes))
-    RESULTS.inc(results_found)
-
+    deltas = {
+        name: delta(getattr(planner.stats, name), then)
+        for name, then in zip(_FOLDED, stats_then)
+    }
+    memo_deltas = {}
     for family, memo in planner._search_memos():
-        hits_then, misses_then = memo_before.get(family, (0, 0))
-        MEMO_LOOKUPS.labels(family, "hit").inc(delta(memo.hits, hits_then))
-        MEMO_LOOKUPS.labels(family, "miss").inc(
-            delta(memo.misses, misses_then)
+        hits_then, misses_then = memos_then.get(family, (0, 0))
+        memo_deltas[family] = (
+            delta(memo.hits, hits_then),
+            delta(memo.misses, misses_then),
         )
+    if tracer is not None:
+        hits, misses = memo_deltas["substitution"]
+        for name, n in (
+            *deltas.items(),
+            ("substitution_hits", hits),
+            ("substitution_misses", misses),
+        ):
+            if n:
+                tracer.add(name, n)
+
+    SEARCHES.inc(deltas["searches"])
+    NODES_EXPANDED.inc(deltas["nodes_expanded"])
+    pruned = deltas["views_pruned"]
+    VIEWS.labels("admitted").inc(
+        max(0, deltas["views_considered"] - pruned)
+    )
+    VIEWS.labels("pruned").inc(pruned)
+    duplicates = deltas["duplicates_skipped"]
+    CANDIDATES.labels("kept").inc(
+        max(0, deltas["candidates_generated"] - duplicates)
+    )
+    CANDIDATES.labels("duplicate").inc(duplicates)
+    MAXIMALITY_PROBES.inc(deltas["maximality_probes"])
+    RESULTS.inc(results_found)
+    for family, (hits, misses) in memo_deltas.items():
+        MEMO_LOOKUPS.labels(family, "hit").inc(hits)
+        MEMO_LOOKUPS.labels(family, "miss").inc(misses)
 
 
 def baseline_mode():

@@ -194,7 +194,7 @@ def search(
     if planner is None:
         planner = RewritePlanner(views, catalog, use_set_semantics)
 
-    def run() -> RewriteResult:
+    with tracing(tracer):
         with span("parse"):
             block = as_block(query, catalog)
         with span("normalize"):
@@ -205,9 +205,6 @@ def search(
                 from ..blocks.unfold import unfold_views
 
                 block = unfold_views(block, catalog)
-        stats_before = (
-            planner.stats.as_dict() if tracer is not None else None
-        )
         with span("search"):
             candidates = strategy_rewritings(
                 strategy,
@@ -220,31 +217,18 @@ def search(
             )
         with span("rank"):
             ranked = rank(candidates, catalog) if catalog is not None else []
-        if tracer is not None:
-            for name, value in planner.stats.as_dict().items():
-                if isinstance(value, int):
-                    delta = value - stats_before.get(name, 0)
-                    if delta:
-                        tracer.add(name, delta)
-        return RewriteResult(
-            block,
-            ranked,
-            estimate_cost(block, catalog) if catalog is not None else None,
-            exhausted=meter.exhausted if meter is not None else False,
-            budget=meter.as_dict() if meter is not None else None,
-            found=tuple(candidates),
-        )
-
-    if tracer is None:
-        return run()
-    with tracing(tracer):
-        result = run()
-    result.trace = RewriteTrace(
-        tracer.finish(),
-        counters=tracer.counters,
-        budget=meter.as_dict() if meter is not None else None,
+    budget_doc = meter.as_dict() if meter is not None else None
+    return RewriteResult(
+        block,
+        ranked,
+        estimate_cost(block, catalog) if catalog is not None else None,
+        exhausted=meter.exhausted if meter is not None else False,
+        budget=budget_doc,
+        found=tuple(candidates),
+        trace=None if tracer is None else RewriteTrace(
+            tracer.finish(), counters=tracer.counters, budget=budget_doc
+        ),
     )
-    return result
 
 
 def _rename_relation(block: QueryBlock, old: str, new: str) -> QueryBlock:

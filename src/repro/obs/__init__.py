@@ -1,6 +1,6 @@
 """Observability + robustness for the rewrite search.
 
-Two orthogonal facilities, both threaded through the whole rewrite path
+Three facilities, threaded through the whole rewrite path
 (:mod:`repro.core.planner`, :mod:`repro.core.multiview`,
 :mod:`repro.mappings.enumerate_mappings`, :mod:`repro.core.rewriter`):
 
@@ -13,6 +13,10 @@ Two orthogonal facilities, both threaded through the whole rewrite path
 * :mod:`repro.obs.metrics` — production counters/gauges/histograms with
   Prometheus text exposition and picklable, mergeable snapshots,
   each family declared once as a handle that is free when off.
+
+The tracer and the metrics registry share one thread-local scope
+(:class:`collecting`; :func:`tracing` is the same scope for a tracer),
+and the planner folds its per-search counters once into both.
 
 See ``docs/observability.md`` for the user-facing guide.
 """
@@ -33,8 +37,6 @@ from .trace import (
     RewriteTrace,
     Span,
     Tracer,
-    add_counter,
-    current_tracer,
     merge_spans,
     span,
     tracing,
@@ -56,8 +58,6 @@ __all__ = [
     "RewriteTrace",
     "Span",
     "Tracer",
-    "add_counter",
-    "current_tracer",
     "merge_spans",
     "span",
     "tracing",

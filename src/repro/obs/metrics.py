@@ -21,7 +21,7 @@ Three metric kinds, all supporting labeled families:
 ``Counter``
     monotonically increasing count (``_total`` names by convention);
 ``Gauge``
-    a value that can go up and down (sizes, occupancy);
+    the latest value set (sizes, occupancy);
 ``Histogram``
     observations bucketed over a fixed exponential ladder
     (:data:`DEFAULT_LATENCY_BUCKETS`) with the *exact* count and sum
@@ -31,8 +31,9 @@ Thread-safety: value updates take the owning registry's lock, so a
 registry shared across threads (the CLI global, the batch service in
 thread mode) never loses increments. The service additionally runs each
 chunk under its own scoped registry (:class:`collecting`) and folds the
-picklable :class:`MetricsSnapshot` back into the parent exactly once —
-the same merge discipline as planner memos — which is
+picklable :class:`MetricsSnapshot` back into the parent exactly once
+with :meth:`MetricsRegistry.merge` — the same merge discipline as
+planner memos — which is
 what keeps process-mode workers and the no-double-counting contract
 honest (see ``docs/observability.md``).
 
@@ -103,7 +104,7 @@ class Counter:
 
 
 class Gauge:
-    """A series that can move both ways (sizes, occupancy, rates)."""
+    """A series set to its latest value (sizes, occupancy, rates)."""
 
     __slots__ = ("_lock", "value")
 
@@ -114,14 +115,6 @@ class Gauge:
     def set(self, value: Union[int, float]) -> None:
         with self._lock:
             self.value = value
-
-    def inc(self, n: Union[int, float] = 1) -> None:
-        with self._lock:
-            self.value += n
-
-    def dec(self, n: Union[int, float] = 1) -> None:
-        with self._lock:
-            self.value -= n
 
 
 class Histogram:
@@ -160,7 +153,7 @@ class MetricFamily:
     """One named family: fixed label names, one child per label values.
 
     A family declared with no label names proxies the single unlabeled
-    child, so ``registry.counter("x").inc()`` works without a
+    child, so ``registry.family(HANDLE).inc()`` works without a
     ``labels()`` hop.
     """
 
@@ -191,26 +184,13 @@ class MetricFamily:
         self._lock = lock
         self._children: dict[tuple, object] = {}
 
-    def labels(self, *values, **by_name):
+    def labels(self, *values):
         """The child series for one label-value combination."""
-        if by_name:
-            if values:
-                raise TypeError("pass labels positionally or by name, not both")
-            try:
-                values = tuple(by_name[n] for n in self.labelnames)
-            except KeyError as exc:
-                raise ValueError(
-                    f"{self.name}: missing label {exc.args[0]!r}"
-                ) from None
-            if len(by_name) != len(self.labelnames):
-                extra = set(by_name) - set(self.labelnames)
-                raise ValueError(f"{self.name}: unknown labels {sorted(extra)}")
-        else:
-            # Children are keyed by str tuples, so string labels of the
-            # right arity hit here without any coercion.
-            child = self._children.get(values)
-            if child is not None:
-                return child
+        # Children are keyed by str tuples, so string labels of the
+        # right arity hit here without any coercion.
+        child = self._children.get(values)
+        if child is not None:
+            return child
         if len(values) != len(self.labelnames):
             raise ValueError(
                 f"{self.name}: expected labels {self.labelnames}, "
@@ -245,9 +225,6 @@ class MetricFamily:
     def inc(self, n: Union[int, float] = 1) -> None:
         self._solo().inc(n)
 
-    def dec(self, n: Union[int, float] = 1) -> None:
-        self._solo().dec(n)
-
     def set(self, value: Union[int, float]) -> None:
         self._solo().set(value)
 
@@ -270,9 +247,10 @@ class MetricsSnapshot:
     ``families`` maps name -> ``{"kind", "help", "labelnames",
     "samples"}`` where each sample is ``[label_values, value]`` —
     scalars for counters/gauges, ``{"count", "sum", "bounds",
-    "counts"}`` for histograms. Snapshots merge (counters/histograms
-    add, gauges last-write-wins) so worker registries fold back into a
-    parent without double counting.
+    "counts"}`` for histograms. :meth:`MetricsRegistry.merge` folds one
+    into a registry (counters/histograms add, gauges last-write-wins),
+    so worker registries fold back into a parent without double
+    counting.
     """
 
     __slots__ = ("families",)
@@ -289,27 +267,6 @@ class MetricsSnapshot:
             raise ValueError(f"not a {METRICS_SCHEMA} document: {doc.get('schema')!r}")
         return cls(doc.get("families", {}))
 
-    def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Fold ``other`` into this snapshot in place (and return self)."""
-        for name, fam in other.families.items():
-            mine = self.families.get(name)
-            if mine is None:
-                self.families[name] = _copy_family(fam)
-                continue
-            if mine["kind"] != fam["kind"]:
-                raise ValueError(
-                    f"{name}: cannot merge {fam['kind']} into {mine['kind']}"
-                )
-            index = {tuple(lv): sample for lv, sample in
-                     ((s[0], s) for s in mine["samples"])}
-            for labels, value in fam["samples"]:
-                sample = index.get(tuple(labels))
-                if sample is None:
-                    mine["samples"].append([list(labels), _copy_value(value)])
-                    continue
-                sample[1] = _merge_value(mine["kind"], sample[1], value, name)
-        return self
-
     def render_prometheus(self) -> str:
         return render_prometheus(self)
 
@@ -325,39 +282,6 @@ class MetricsSnapshot:
         return 0
 
 
-def _copy_value(value):
-    if isinstance(value, dict):
-        out = dict(value)
-        out["counts"] = list(value["counts"])
-        out["bounds"] = list(value["bounds"])
-        return out
-    return value
-
-
-def _copy_family(fam: dict) -> dict:
-    return {
-        "kind": fam["kind"],
-        "help": fam["help"],
-        "labelnames": list(fam["labelnames"]),
-        "samples": [[list(lv), _copy_value(v)] for lv, v in fam["samples"]],
-    }
-
-
-def _merge_value(kind: str, mine, theirs, name: str):
-    if kind == "counter":
-        return mine + theirs
-    if kind == "gauge":
-        return theirs
-    if list(mine["bounds"]) != list(theirs["bounds"]):
-        raise ValueError(f"{name}: histogram bucket bounds differ; cannot merge")
-    return {
-        "count": mine["count"] + theirs["count"],
-        "sum": mine["sum"] + theirs["sum"],
-        "bounds": list(mine["bounds"]),
-        "counts": [a + b for a, b in zip(mine["counts"], theirs["counts"])],
-    }
-
-
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
@@ -370,7 +294,7 @@ class MetricsRegistry:
         self._lock = threading.RLock()
         self._families: dict[str, MetricFamily] = {}
 
-    # Family declaration (get-or-create; idempotent) ---------------------
+    # Family resolution (get-or-create; idempotent) ----------------------
 
     def _family(
         self,
@@ -400,25 +324,6 @@ class MetricsRegistry:
                 )
                 self._families[name] = family
         return family
-
-    def counter(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> MetricFamily:
-        return self._family(name, "counter", help, labelnames)
-
-    def gauge(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> MetricFamily:
-        return self._family(name, "gauge", help, labelnames)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS,
-    ) -> MetricFamily:
-        return self._family(name, "histogram", help, labelnames, buckets)
 
     def family(self, metric: "Metric") -> MetricFamily:
         """The family ``metric`` declares, in this registry.
@@ -621,16 +526,20 @@ def emit_frame(registry: MetricsRegistry, seq: int, started: float) -> None:
 
 
 # ----------------------------------------------------------------------
-# Active-registry plumbing
+# The active scope: this thread's registry and tracer
 # ----------------------------------------------------------------------
 
 
 class _Active(threading.local):
-    #: A class default: a thread that never set one reads ``None`` cheaply.
+    """The one thread-local of :mod:`repro.obs`. Class defaults: a thread
+    that never set one reads ``None`` cheaply."""
+
     registry: Optional[MetricsRegistry] = None
+    #: The active :class:`repro.obs.trace.Tracer`, read by ``span()``.
+    tracer = None
 
 
-_TLS = _Active()
+_ACTIVE = _Active()
 _GLOBAL: Optional[MetricsRegistry] = None
 
 
@@ -641,7 +550,7 @@ def current_metrics() -> Optional[MetricsRegistry]:
     global (:func:`set_global_metrics`). Recording goes through declared
     handles; this is for callers that need the registry object itself.
     """
-    return _TLS.registry or _GLOBAL
+    return _ACTIVE.registry or _GLOBAL
 
 
 def set_global_metrics(
@@ -659,25 +568,33 @@ def set_global_metrics(
 
 
 class collecting:
-    """Activate ``registry`` for this thread's dynamic extent.
+    """Activate ``registry`` and/or ``tracer`` for this thread's dynamic
+    extent; the one scope of :mod:`repro.obs`.
 
-    Nests: the previous thread-scoped registry (or the global) is
-    restored on exit. The batch service runs each chunk under its own
-    ``collecting`` block and merges the snapshot back exactly once.
+    ``None`` leaves that slot as it is, so an optional registry needs no
+    branch. Nests: exit restores both slots. The batch service runs each
+    chunk under its own ``collecting`` block and merges the snapshot back
+    exactly once; :func:`repro.obs.trace.tracing` is this scope for a
+    tracer. ``as`` binds the registry, else the tracer.
     """
 
-    __slots__ = ("registry", "_previous")
+    __slots__ = ("registry", "tracer", "_previous")
 
-    def __init__(self, registry: MetricsRegistry):
+    def __init__(self, registry: Optional[MetricsRegistry] = None, tracer=None):
         self.registry = registry
+        self.tracer = tracer
 
-    def __enter__(self) -> MetricsRegistry:
-        self._previous = _TLS.registry
-        _TLS.registry = self.registry
-        return self.registry
+    def __enter__(self):
+        active = _ACTIVE
+        self._previous = active.registry, active.tracer
+        if self.registry is not None:
+            active.registry = self.registry
+        if self.tracer is not None:
+            active.tracer = self.tracer
+        return self.registry or self.tracer
 
     def __exit__(self, *exc) -> bool:
-        _TLS.registry = self._previous
+        _ACTIVE.registry, _ACTIVE.tracer = self._previous
         return False
 
 
@@ -727,7 +644,7 @@ class Metric:
 
     def labels(self, *values):
         """The child series for ``values`` (a no-op child when off)."""
-        registry = _TLS.registry or _GLOBAL
+        registry = _ACTIVE.registry or _GLOBAL
         if registry is None:
             return _OFF
         ref, family = self._bound

@@ -1,16 +1,16 @@
 """Hierarchical trace spans for the rewrite pipeline.
 
 The rewrite path (parse → normalize → signature-index probe → mapping
-enumeration → C1–C4 checks → merge → maximality) reports where time went
-through module-level :func:`span` / :func:`add_counter` calls, so the
-instrumentation needs no tracer argument plumbed through every function.
+enumeration → C1–C4 checks → merge → maximality) opens every stage with
+the module-level :func:`span`, so the instrumentation needs no tracer
+argument plumbed through every function.
 
 Two properties drive the design:
 
 near-zero overhead when disabled
     With no active tracer, :func:`span` returns a shared no-op context
-    (no allocation at all) and :func:`add_counter` is one global read.
-    Enabling a tracer is an explicit, scoped act (:func:`tracing`).
+    (no allocation at all). Enabling a tracer is an explicit, scoped act
+    (:func:`tracing`).
 
 stage-shaped trees
     Hot inner stages run once per BFS node; a naive tracer would emit
@@ -21,20 +21,24 @@ stage-shaped trees
 
 The finished tree is surfaced as a :class:`RewriteTrace` on
 :class:`repro.core.rewriter.RewriteResult` and printed by
-``repro explain --trace`` / ``repro rewrite --trace``.
+``repro explain --trace`` / ``repro rewrite --trace``. Its counters are
+the planner's per-search deltas, folded once per search together with
+the ``repro_planner_*`` metrics (:mod:`repro.core.planner`).
 
-The active tracer is thread-local: the rewrite path is synchronous
-within one thread, and the batch service (:mod:`repro.service`) runs one
-engine per worker thread, so traces from concurrent requests never
-interleave. :func:`merge_spans` stitches finished per-request trees into
-one batch-level tree.
+The active tracer is thread-local, on the same thread-local as the
+active metrics registry (:class:`repro.obs.metrics.collecting`): the
+rewrite path is synchronous within one thread, and the batch service
+(:mod:`repro.service`) runs one engine per worker thread, so traces
+from concurrent requests never interleave. :func:`merge_spans` stitches
+finished per-request trees into one batch-level tree.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Iterable, Optional
+
+from .metrics import _ACTIVE, collecting
 
 
 class Span:
@@ -74,7 +78,7 @@ class Span:
 
 
 class _SpanContext:
-    """The context manager returned by an *active* tracer's span()."""
+    """The context manager :func:`span` returns while a tracer is active."""
 
     __slots__ = ("tracer", "name", "started", "span")
 
@@ -109,7 +113,6 @@ class _NullContext:
 
 
 _NULL_CONTEXT = _NullContext()
-_STATE = threading.local()
 
 
 class Tracer:
@@ -120,9 +123,6 @@ class Tracer:
         self._stack: list[Span] = [self.root]
         self.counters: dict[str, int] = {}
         self._started = time.perf_counter()
-
-    def span(self, name: str) -> _SpanContext:
-        return _SpanContext(self, name)
 
     def add(self, name: str, n: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + n
@@ -135,41 +135,18 @@ class Tracer:
         return self.root
 
 
-class tracing:
-    """Activate ``tracer`` for the dynamic extent of a ``with`` block."""
-
-    __slots__ = ("tracer", "_previous")
-
-    def __init__(self, tracer: Tracer):
-        self.tracer = tracer
-
-    def __enter__(self) -> Tracer:
-        self._previous = getattr(_STATE, "tracer", None)
-        _STATE.tracer = self.tracer
-        return self.tracer
-
-    def __exit__(self, *exc) -> bool:
-        _STATE.tracer = self._previous
-        return False
-
-
-def current_tracer() -> Optional[Tracer]:
-    return getattr(_STATE, "tracer", None)
+def tracing(tracer: Optional[Tracer]) -> collecting:
+    """Activate ``tracer`` for the dynamic extent of a ``with`` block
+    (``None`` leaves the active tracer in place)."""
+    return collecting(tracer=tracer)
 
 
 def span(name: str):
     """A span context for ``name`` — the shared no-op when tracing is off."""
-    tracer = getattr(_STATE, "tracer", None)
+    tracer = _ACTIVE.tracer
     if tracer is None:
         return _NULL_CONTEXT
-    return tracer.span(name)
-
-
-def add_counter(name: str, n: int = 1) -> None:
-    """Bump a flat counter on the active tracer (no-op when disabled)."""
-    tracer = getattr(_STATE, "tracer", None)
-    if tracer is not None:
-        tracer.add(name, n)
+    return _SpanContext(tracer, name)
 
 
 def merge_spans(
@@ -201,7 +178,7 @@ class RewriteTrace:
     """The observable outcome of one instrumented rewrite call.
 
     ``root`` is the merged span tree; ``counters`` are flat search
-    counters (planner stats deltas plus budget consumption); ``budget``
+    counters (the planner's PlannerStats deltas); ``budget``
     is the meter snapshot when a budget was supplied.
     """
 

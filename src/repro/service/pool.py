@@ -169,8 +169,6 @@ def _run_chunk_collected(
     active, so chunk work lands in the batch aggregate only — the
     parent sees it once, when ``submit`` merges the aggregate back.
     """
-    if batch_reg is None:
-        return _execute_chunk(*args)
     with collecting(batch_reg):
         return _execute_chunk(*args)
 

@@ -64,8 +64,8 @@ from ..errors import UnsupportedSQLError
 from ..maintenance import MaintainedView, apply_change, register_delta_listener
 from ..obs.metrics import (
     MetricsRegistry,
+    collecting,
     counter,
-    current_metrics,
     emit_frame,
     histogram,
 )
@@ -309,7 +309,7 @@ class RewriteDaemon:
                     continue  # numbered, as repro batch numbers it
                 steps = self._respond(line, line_no)
                 try:
-                    pool, call = next(steps)
+                    pool, call = self._step(steps)
                 except StopIteration as answered:
                     await _write(writer, answered.value)
                     continue
@@ -342,7 +342,7 @@ class RewriteDaemon:
                 done = asyncio.get_running_loop().run_in_executor(pool, call)
                 with contextlib.suppress(Exception):  # raised in the core
                     await done
-            steps.send(done.result)
+            self._step(steps, done.result)
         except StopIteration as answered:
             await _write(writer, answered.value)
         finally:
@@ -358,11 +358,27 @@ class RewriteDaemon:
         answers as a serving one does; :meth:`close` it after."""
         steps = self._respond(line, line_no)
         try:
-            pool, call = next(steps)
-            steps.send(call if pool is None else pool.submit(call).result)
+            pool, call = self._step(steps)
+            self._step(
+                steps, call if pool is None else pool.submit(call).result
+            )
         except StopIteration as answered:
             return answered.value
         raise RuntimeError("a request line has at most one hand-off")
+
+    def _step(self, steps, outcome=None):
+        """Advance :meth:`_respond`'s generator ``steps`` by one step on
+        this thread, recording into the daemon's registry (when it has
+        one): the hand-off it yields, or ``StopIteration`` with the
+        response line."""
+        with collecting(self.metrics):
+            return steps.send(outcome)
+
+    def _search(self, request):
+        """:meth:`PlannerCache.run` on the worker thread, recording into
+        the daemon's registry (when it has one)."""
+        with collecting(self.metrics):
+            return self._planner_cache.run(request)
 
     def _respond(self, line: Optional[str], line_no: int):
         """One request line, as a generator shared by :meth:`handle` and
@@ -439,9 +455,7 @@ class RewriteDaemon:
             export = None
             if response is None:
                 ran = yield self._pool, functools.partial(
-                    run_in_worker
-                    if self.workers > 0
-                    else self._planner_cache.run,
+                    run_in_worker if self.workers > 0 else self._search,
                     request,
                 )
                 response, key, view_names, export, _path = ran()
@@ -465,44 +479,42 @@ class RewriteDaemon:
         self, tenant: str, outcome: str, seconds: Optional[float] = None,
         publish: Optional[str] = None,
     ) -> None:
-        """Record one request into the daemon's registry, else the
-        active one."""
-        metrics = self.metrics or current_metrics()
-        if metrics is None:
-            return
-        metrics.family(REQUESTS).labels(tenant, outcome).inc()
+        """Record one request into the active registry."""
+        REQUESTS.labels(tenant, outcome).inc()
         if seconds is not None:
-            metrics.family(REQUEST_SECONDS).labels(tenant).observe(seconds)
+            REQUEST_SECONDS.labels(tenant).observe(seconds)
         if publish is not None:
-            metrics.family(MEMO_PUBLISHES).labels(publish).inc()
+            MEMO_PUBLISHES.labels(publish).inc()
 
     def apply_update(self, table: str, inserts=(), deletes=()) -> dict:
         """One base-table change: maintain views, refresh stats. Rows may
         come as any iterables; each is read once.
 
         Invalidation itself happens in the delta listener, so it also
-        covers maintenance driven from outside this method.
+        covers maintenance driven from outside this method. Records into
+        the daemon's registry when it has one.
         """
         inserts, deletes = list(inserts), list(deletes)
         epoch_before = self.memo.epoch()
-        maintainers = self._maintainers_reading(table)
-        apply_change(
-            list(maintainers.values()),
-            table,
-            inserts,
-            deletes,
-            database=self.database,
-        )
-        unmaintained = [
-            name
-            for name, view in self.catalog.views.items()
-            if name not in maintainers
-            and any(rel.name == table for rel in view.block.from_)
-        ]
-        if unmaintained:
-            # No maintainer to observe the delta -> no listener fired;
-            # still stale, so invalidate them here.
-            self.memo.invalidate_views(unmaintained)
+        with collecting(self.metrics):
+            maintainers = self._maintainers_reading(table)
+            apply_change(
+                list(maintainers.values()),
+                table,
+                inserts,
+                deletes,
+                database=self.database,
+            )
+            unmaintained = [
+                name
+                for name, view in self.catalog.views.items()
+                if name not in maintainers
+                and any(rel.name == table for rel in view.block.from_)
+            ]
+            if unmaintained:
+                # No maintainer to observe the delta -> no listener fired;
+                # still stale, so invalidate them here.
+                self.memo.invalidate_views(unmaintained)
         return {
             "table": table,
             "inserted": len(inserts),

@@ -62,7 +62,6 @@ they neither use nor displace a cached planner: they report ``cold``.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -71,7 +70,7 @@ from ..core.planner import RewritePlanner
 from ..core.rewriter import rank
 from ..memo import MISSING, Memo
 from ..obs.metrics import counter
-from ..obs.trace import RewriteTrace, Tracer
+from ..obs.trace import RewriteTrace, Tracer, span, tracing
 from ..service.executor import execute_request
 from ..service.requests import RewriteRequest, RewriteResponse
 from .memo import MEMO_EXPORT_MAX, SharedMemoTier
@@ -308,11 +307,11 @@ class PlannerCache:
         memo_key = _memo_key(request, definitions)
         started = time.perf_counter()
         tracer = Tracer() if request.trace else None
-        with tracer.span("response_memo") if tracer else nullcontext():
+        with tracing(tracer), span("response_memo"):
             stored = self._responses.get(memo_key)
             if isinstance(stored, _Stored):
                 response = self._current(
-                    memo_key, stored, request.catalog, counts, tracer
+                    memo_key, stored, request.catalog, counts
                 )
         if isinstance(stored, _Stored):
             RESPONSE_MEMO.labels("hit").inc()
@@ -336,14 +335,14 @@ class PlannerCache:
         return response
 
     def _current(
-        self, memo_key, stored: _Stored, catalog, counts: tuple, tracer
+        self, memo_key, stored: _Stored, catalog, counts: tuple
     ) -> RewriteResponse:
         """``stored``'s response under the catalog's counts now: as
         stored when its stamp matches, else ranked again and stored."""
         stamp = stored.stamp_now(catalog, counts)
         if stamp == stored.stamp:
             return stored.response
-        with tracer.span("rank") if tracer else nullcontext():
+        with span("rank"):
             response = replace(
                 stored.response,
                 ranked=tuple(rank(stored.response.rewritings, catalog)),

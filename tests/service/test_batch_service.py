@@ -485,7 +485,9 @@ class TestMetricsAcrossModes:
             )
             == 1
         )
-        hist = parent.histogram("repro_service_request_seconds").labels()
+        from repro.service.executor import REQUEST_SECONDS
+
+        hist = parent.family(REQUEST_SECONDS).labels()
         assert hist.count == 4
 
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])

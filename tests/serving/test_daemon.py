@@ -415,6 +415,65 @@ def test_serving_metrics_recorded(scenario):
     assert latency[0][1]["count"] == 3
 
 
+LIBRARY_FAMILIES = (
+    "repro_serving_planner_path_total",
+    "repro_serving_response_memo_total",
+    "repro_planner_searches_total",
+)
+
+
+def library_daemon_counts(served: bool, global_registry: bool) -> dict:
+    """``LIBRARY_FAMILIES`` in the registry a daemon was given, after a
+    miss, a store and a hit, with or without that registry also
+    installed as the process global."""
+    clear_shared()
+    sc, db = loaded_scenario()
+    registry = MetricsRegistry()
+    lines = [
+        json.dumps({"sql": block_to_sql(sc.query), "id": i}) for i in range(3)
+    ]
+    previous = set_global_metrics(registry if global_registry else None)
+    try:
+        if served:
+            with running_daemon(
+                sc.catalog, database=db, metrics=registry
+            ) as daemon:
+                with connect(daemon) as client:
+                    for line in lines:
+                        client._sock.sendall((line + "\n").encode())
+                        client._reader.readline()
+        else:
+            daemon = RewriteDaemon(sc.catalog, database=db, metrics=registry)
+            try:
+                for line_no, line in enumerate(lines, 1):
+                    daemon.handle(line, line_no)
+            finally:
+                daemon.close()
+    finally:
+        set_global_metrics(previous)
+    families = registry.snapshot().families
+    return {
+        name: {
+            tuple(labels): value
+            for labels, value in families.get(name, {}).get("samples", ())
+        }
+        for name in LIBRARY_FAMILIES
+    }
+
+
+@pytest.mark.parametrize("served", [False, True], ids=["handle", "served"])
+def test_a_library_daemon_records_every_family_into_its_registry(served):
+    """``RewriteDaemon(catalog, metrics=reg)`` with no global registry:
+    the planner, path and response-memo families its ops touch, on the
+    loop and on the executor thread, land in ``reg``."""
+    alone = library_daemon_counts(served, global_registry=False)
+    assert alone == library_daemon_counts(served, global_registry=True)
+    assert all(alone.values()), alone
+    assert alone["repro_serving_response_memo_total"] == {
+        ("miss",): 2, ("hit",): 1,
+    }
+
+
 # ----------------------------------------------------------------------
 # Request lines of any realistic size
 
@@ -572,14 +631,12 @@ def serving_counts(registry) -> dict:
 def replayed_counts(stream, quotas) -> dict:
     """The counters of ``stream`` answered by the synchronous core of a
     daemon that never serves, on a fresh copy of the scenario."""
-    replay, _sc = never_started(tenant_quotas=quotas)
     registry = MetricsRegistry()
-    previous = set_global_metrics(registry)  # seen by the worker thread
+    replay, _sc = never_started(tenant_quotas=quotas, metrics=registry)
     try:
         for line_no, (rid, obj) in enumerate(stream, 1):
             replay.handle(json.dumps({**obj, "id": rid}), line_no)
     finally:
-        set_global_metrics(previous)
         replay.close()
     return serving_counts(registry)
 
@@ -616,17 +673,11 @@ def test_only_unchanged_stored_responses_skip_the_executor(
         ("hit_after_update", {"sql": sql}),
     ]
     registry = MetricsRegistry()
-    previous = set_global_metrics(registry)
-    try:
-        with running_daemon(
-            sc.catalog, database=db, tenant_quotas=quotas
-        ) as daemon:
-            with connect(daemon) as client:
-                docs = [
-                    client.request({**obj, "id": rid}) for rid, obj in stream
-                ]
-    finally:
-        set_global_metrics(previous)
+    with running_daemon(
+        sc.catalog, database=db, tenant_quotas=quotas, metrics=registry
+    ) as daemon:
+        with connect(daemon) as client:
+            docs = [client.request({**obj, "id": rid}) for rid, obj in stream]
     assert all(doc["ok"] for doc in docs), docs
     assert executor_ids == [
         "miss", "store", "traced", "capped", "collect_metrics",
@@ -974,19 +1025,15 @@ def served_one_at_a_time(lines) -> tuple[list, dict]:
     clear_shared()  # the process-wide planner memos start empty
     sc, db = loaded_scenario()
     registry = MetricsRegistry()
-    previous = set_global_metrics(registry)  # seen by the worker thread
-    try:
-        with running_daemon(
-            sc.catalog, database=db, tenant_quotas=PARITY_QUOTAS,
-            metrics=registry,
-        ) as daemon:
-            with connect(daemon) as client:
-                replies = []
-                for line in lines:
-                    client._sock.sendall((line + "\n").encode())
-                    replies.append(client._reader.readline().encode())
-    finally:
-        set_global_metrics(previous)
+    with running_daemon(
+        sc.catalog, database=db, tenant_quotas=PARITY_QUOTAS,
+        metrics=registry,
+    ) as daemon:
+        with connect(daemon) as client:
+            replies = []
+            for line in lines:
+                client._sock.sendall((line + "\n").encode())
+                replies.append(client._reader.readline().encode())
     return replies, serving_counters(registry)
 
 
@@ -994,14 +1041,12 @@ def handled_by_a_twin(lines) -> tuple[list, dict]:
     clear_shared()
     registry = MetricsRegistry()
     daemon, _sc = never_started(tenant_quotas=PARITY_QUOTAS, metrics=registry)
-    previous = set_global_metrics(registry)
     try:
         replies = [
             daemon.handle(line, line_no)
             for line_no, line in enumerate(lines, 1)
         ]
     finally:
-        set_global_metrics(previous)
         daemon.close()
     return replies, serving_counters(registry)
 

@@ -28,7 +28,7 @@ from repro.obs import (
     span,
     tracing,
 )
-from repro.obs.trace import _NULL_CONTEXT, add_counter, current_tracer
+from repro.obs.trace import _NULL_CONTEXT
 
 
 @pytest.fixture
@@ -126,13 +126,8 @@ class TestBudgetMeter:
 
 class TestTracingDisabled:
     def test_span_returns_the_shared_null_context(self):
-        assert current_tracer() is None
         assert span("anything") is _NULL_CONTEXT
         assert span("something_else") is _NULL_CONTEXT
-
-    def test_add_counter_is_a_no_op(self):
-        add_counter("nodes", 5)  # must not raise, must not allocate state
-        assert current_tracer() is None
 
     def test_untraced_rewrite_has_no_trace(self, example_4_1):
         catalog, query, _view = example_4_1
@@ -142,11 +137,29 @@ class TestTracingDisabled:
     def test_tracing_scope_restores_previous(self):
         outer, inner = Tracer(), Tracer()
         with tracing(outer):
-            assert current_tracer() is outer
-            with tracing(inner):
-                assert current_tracer() is inner
-            assert current_tracer() is outer
-        assert current_tracer() is None
+            with span("before"):
+                pass
+            with tracing(inner), span("nested"):
+                pass
+            with tracing(None), span("after"):  # None keeps the active one
+                pass
+        assert span("outside") is _NULL_CONTEXT
+        assert list(outer.root.children) == ["before", "after"]
+        assert list(inner.root.children) == ["nested"]
+
+    def test_tracer_and_registry_share_one_scope(self, example_4_1):
+        from repro.obs.metrics import MetricsRegistry, collecting
+
+        catalog, query, view = example_4_1
+        tracer, registry = Tracer(), MetricsRegistry()
+        with collecting(registry, tracer) as bound:
+            RewritePlanner([view], catalog).all_rewritings(query)
+        assert bound is registry
+        assert "signature_probe" in tracer.root.children
+        assert tracer.counters["searches"] == 1
+        assert registry.snapshot().counter_value(
+            "repro_planner_searches_total"
+        ) == 1
 
 
 class TestSpanTree:

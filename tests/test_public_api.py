@@ -8,6 +8,7 @@ import repro
 
 SUBPACKAGES = [
     "repro.advisor",
+    "repro.api",
     "repro.bench",
     "repro.blocks",
     "repro.cache",
@@ -15,11 +16,19 @@ SUBPACKAGES = [
     "repro.cli",
     "repro.constraints",
     "repro.core",
+    "repro.dialects",
     "repro.engine",
     "repro.equivalence",
+    "repro.federation",
+    "repro.fuzz",
     "repro.maintenance",
     "repro.mappings",
+    "repro.obs",
+    "repro.oracle",
+    "repro.service",
+    "repro.serving",
     "repro.sqlparser",
+    "repro.strategies",
     "repro.workloads",
 ]
 
