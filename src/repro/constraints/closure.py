@@ -463,10 +463,17 @@ class Closure:
         This is the closure restricted to a term vocabulary — the candidate
         ``Conds'`` of condition C3 (see :mod:`repro.constraints.residual`).
         Redundant weaker atoms (``<=`` when ``<`` holds, ``<>`` when ``<``
-        holds) are skipped.
+        holds) are skipped. A satisfiable closure entails nothing of a
+        term it never saw (only the reflexive facts, and the items are
+        distinct), so only constants and its own terms are paired.
         """
         out: list[Comparison] = []
         items = list(dict.fromkeys(allowed))
+        if self.satisfiable:
+            known = self._parent
+            items = [
+                t for t in items if t in known or isinstance(t, Constant)
+            ]
         for i, a in enumerate(items):
             for b in items[i + 1 :]:
                 if isinstance(a, Constant) and isinstance(b, Constant):

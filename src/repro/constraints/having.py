@@ -45,7 +45,8 @@ def _movable_extremum(atom: Comparison, query: QueryBlock):
 
     The atom must be ``AGG(B) op c`` with AGG/op in {MAX with >, >=} or
     {MIN with <, <=}, ``B`` a column, ``c`` a constant, and ``AGG(B)`` the
-    only aggregate expression anywhere in the query.
+    only aggregate expression anywhere in ``query`` once the atom has left
+    its HAVING clause.
     """
     left, op, right = atom.left, atom.op, atom.right
     if isinstance(right, Aggregate) and isinstance(left, Constant):
@@ -59,7 +60,8 @@ def _movable_extremum(atom: Comparison, query: QueryBlock):
     )
     if not movable:
         return None
-    if any(agg != left for agg in query.all_aggregates()):
+    rest = query.with_(having=tuple(a for a in query.having if a is not atom))
+    if any(agg != left for agg in rest.all_aggregates()):
         return None
     return Comparison(left.arg, op, right)
 
@@ -82,10 +84,7 @@ def normalize_having(query: QueryBlock) -> QueryBlock:
             if _is_where_ready(atom, group_cols):
                 moved = Comparison(atom.left, atom.op, atom.right)
             else:
-                trial = block.with_(
-                    having=tuple(a for a in block.having if a is not atom)
-                )
-                moved = _movable_extremum(atom, trial)
+                moved = _movable_extremum(atom, block)
             if moved is not None:
                 block = block.with_(
                     where=block.where + (moved,),

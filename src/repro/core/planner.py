@@ -14,6 +14,17 @@ view-signature index
     semantics, Section 5.2) need only set containment — so views failing
     the containment test are skipped before any backtracking happens.
 
+coverage prefilter
+    Where a view's table names occur once in it and once in the node,
+    the only mapping is fixed by the names, and parts of C2/C2', C3/C3'
+    and C4/C4' read nothing but (table, column position) sets: what the
+    view exports (:class:`ViewCoverage`, built with the signature) and
+    what the node needs (:class:`QueryCoverage`, built once per node).
+    A view that misses one of those keys is rejected before mapping
+    enumeration, and the pair is memoized as ``[]`` — what the full
+    check would have stored. DESIGN.md lists the keys and where each
+    one admits.
+
 memoization
     Canonical keys are interned (:mod:`repro.core.canonical`) and
     predicate closures are shared (:func:`repro.constraints.closure
@@ -39,17 +50,22 @@ Result-set parity between the two paths is asserted by
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Union
 
+from ..blocks.exprs import AggFunc, Aggregate, aggregates_in
 from ..blocks.query_block import QueryBlock, ViewDef
+from ..blocks.terms import Column, Op
 from ..catalog.schema import Catalog
+from ..constraints.closure import Closure, closure_of
+from ..constraints.having import normalize_having
 from ..memo import MISSING, Memo, disabled, shared_memos
 from ..obs.budget import BudgetMeter, SearchBudget, ensure_meter
 from ..obs.metrics import _ACTIVE, counter, current_metrics
 from ..obs.trace import span
 from .canonical import BlockSet
+from .common import view_is_rewritable
 from .result import Rewriting
 
 SEARCHES = counter(
@@ -102,6 +118,90 @@ def _resolve_merge():
     return _MERGE
 
 
+#: A base-table column by name and position: under the one mapping a
+#: view with distinct table names has, a view column and its image
+#: share it.
+Position = tuple[str, int]
+
+
+class ViewCoverage:
+    """The view side of the coverage prefilter: what a view exports, by
+    :data:`Position`.
+
+    Built only for a view in the rewriting class whose table names are
+    distinct (:meth:`of` returns ``None`` otherwise). ``exported`` is
+    ColSel(V); ``sources[func]`` the positions C4' part 1 can compute
+    ``func`` of a covered column from; ``constrained`` the columns
+    Conds(V) mentions; ``opaque`` the view's columns that are neither,
+    which a residual can never read. Conds(V) is the HAVING-normalized
+    WHERE the checks read.
+    """
+
+    __slots__ = (
+        "aggregation", "tables", "exported", "counted", "sources",
+        "constrained", "opaque", "_where", "_satisfiable",
+    )
+
+    @classmethod
+    def of(cls, view: ViewDef) -> Optional["ViewCoverage"]:
+        names = [rel.name for rel in view.block.from_]
+        if len(set(names)) != len(names) or not view_is_rewritable(view):
+            return None
+        return cls(view)
+
+    def __init__(self, view: ViewDef):
+        block = view.block
+        self.aggregation = block.is_aggregation
+        if block.having:
+            block = normalize_having(block)
+        position = _positions(block)
+        columns: set = set()
+        outputs: dict = {}
+        for item in block.select:
+            expr = item.expr
+            if type(expr) is Column:
+                columns.add(position[expr])
+            else:  # AGG(column): view_is_rewritable admits nothing else
+                outputs.setdefault(expr.func, set()).add(position[expr.arg])
+        get = outputs.get
+        sums, avgs = get(AggFunc.SUM, ()), get(AggFunc.AVG, ())
+        self.tables = frozenset(rel.name for rel in block.from_)
+        self.exported = frozenset(columns)
+        self.counted = AggFunc.COUNT in outputs
+        # Step S4': MIN/MAX of the column or of that function's output;
+        # SUM of a SUM output, or N-weighted of the column or an AVG
+        # output; AVG (which needs N anyway) of any of the three.
+        self.sources = {
+            AggFunc.MIN: columns.union(get(AggFunc.MIN, ())),
+            AggFunc.MAX: columns.union(get(AggFunc.MAX, ())),
+            AggFunc.SUM: (
+                columns.union(sums, avgs) if self.counted else set(sums)
+            ),
+            AggFunc.AVG: columns.union(sums, avgs),
+        }
+        self.constrained = {
+            position[side]
+            for atom in block.where
+            for side in (atom.left, atom.right)
+            if type(side) is Column
+        }
+        self.opaque = set(position.values())
+        self.opaque -= columns
+        self.opaque -= self.constrained
+        self._where = block.where
+        self._satisfiable = None
+
+    def satisfiable(self) -> bool:
+        """Is Conds(V) satisfiable? Read through the closure memo, on a
+        rejection only: an unsatisfiable Conds(V) makes every view
+        column equal, which the C4' keys do not model."""
+        if self._satisfiable is None:
+            self._satisfiable = (
+                not self._where or closure_of(self._where).satisfiable
+            )
+        return self._satisfiable
+
+
 @dataclass(frozen=True)
 class ViewSignature:
     """What a view needs from a query's FROM clause to be applicable.
@@ -109,10 +209,13 @@ class ViewSignature:
     ``relations`` lists ``((name, arity), count)`` sorted by name; the
     class flag mirrors which rewriting path (Section 3 vs Section 4)
     the view takes, for diagnostics and the benchmark report.
+    ``coverage`` is the view's side of the coverage prefilter, ``None``
+    where it has none.
     """
 
     relations: tuple[tuple[tuple[str, int], int], ...]
     is_conjunctive: bool
+    coverage: Optional[ViewCoverage] = field(default=None, compare=False)
 
     @classmethod
     def of(cls, view: ViewDef) -> "ViewSignature":
@@ -120,6 +223,7 @@ class ViewSignature:
         return cls(
             relations=tuple(sorted(counts.items())),
             is_conjunctive=view.block.is_conjunctive,
+            coverage=ViewCoverage.of(view),
         )
 
     def admits(self, query_counts: Counter, many_to_one: bool) -> bool:
@@ -134,6 +238,205 @@ class ViewSignature:
             if not many_to_one and available < count:
                 return False
         return True
+
+
+def _positions(block: QueryBlock) -> dict[Column, Position]:
+    return {
+        column: (rel.name, index)
+        for rel in block.from_
+        for index, column in enumerate(rel.columns)
+    }
+
+
+class QueryCoverage:
+    """The node side of the coverage prefilter: what any view must
+    export to answer one query block (built once per BFS node).
+
+    ``grouped`` lists the grouping and ColSel columns, ``aggregates``
+    the ``(func, column)`` of each ``AGG(column)``, and ``constrained``
+    the positions Conds(Q) constrains. A column is served by a view
+    output at its own position or at one Conds(Q) equates it to. Those
+    classes and the satisfiability of Conds(Q) come from its closure,
+    read through ``closure_of`` (the memo the checks read next) only
+    when a column is not served at its own position, or before a
+    rejection. An unsatisfiable Conds(Q) admits everything.
+    """
+
+    __slots__ = (
+        "query", "keyed", "aggregation", "repeated", "position",
+        "grouped", "constrained", "aggregates", "compound", "_classes",
+        "_closure_q",
+    )
+
+    def __init__(self, block: QueryBlock):
+        query = self.query = normalize_having(block)
+        self._classes: dict = {}
+        self._closure_q: Optional[Closure] = None
+        # One pass over SELECT. In scope only when every item is a
+        # column or a single aggregate (``select_is_plain``).
+        columns, aggregates = [], []
+        for item in query.select:
+            expr = item.expr
+            if isinstance(expr, Column):
+                columns.append(expr)
+            elif isinstance(expr, Aggregate):
+                aggregates.append(expr)
+            else:
+                self.keyed = False
+                return
+        self.keyed = True
+        self.aggregation = bool(aggregates or query.group_by or query.having)
+        for atom in query.having:
+            aggregates.extend(aggregates_in(atom.left))
+            aggregates.extend(aggregates_in(atom.right))
+        names: set = set()
+        repeated = self.repeated = set()
+        for rel in query.from_:
+            (repeated if rel.name in names else names).add(rel.name)
+        position = self.position = _positions(query)
+        self.grouped = tuple(dict.fromkeys(query.group_by + tuple(columns)))
+        # Columns in an atom whose sides differ (``A = A`` constrains
+        # nothing).
+        constrained = self.constrained = set()
+        for atom in query.where:
+            left, right = atom.left, atom.right
+            if type(left) is Column:
+                if type(right) is Column:
+                    if left.name == right.name:
+                        continue
+                    constrained.add(position[right])
+                constrained.add(position[left])
+            elif type(right) is Column:
+                constrained.add(position[right])
+        self.compound = any(type(agg.arg) is not Column for agg in aggregates)
+        self.aggregates = [
+            (agg.func, agg.arg) for agg in aggregates if not self.compound
+        ]
+
+    def _closure(self) -> Closure:
+        if self._closure_q is None:
+            self._closure_q = closure_of(self.query.where)
+        return self._closure_q
+
+    def satisfiable(self) -> bool:
+        return self._closure().satisfiable
+
+    def equated(self, column: Column) -> frozenset:
+        """The positions of the columns Conds(Q) equates ``column`` to
+        (every position when Conds(Q) is unsatisfiable)."""
+        found = self._classes.get(column)
+        if found is None:
+            closure = self._closure()
+            if closure.satisfiable:
+                found = frozenset(
+                    self.position[term]
+                    for term in closure.equality_class(column)
+                    if type(term) is Column
+                )
+            else:
+                found = frozenset(self.position.values())
+            self._classes[column] = found
+        return found
+
+    def _served(self, column: Column, sources) -> bool:
+        """Is ``column``, or a column Conds(Q) equates it to, at one of
+        ``sources``? An ``=`` atom to a column there answers before the
+        closure is read."""
+        position = self.position
+        if position[column] in sources:
+            return True
+        for atom in self.query.where:
+            if atom.op is Op.EQ:
+                if atom.left == column:
+                    other = atom.right
+                elif atom.right == column:
+                    other = atom.left
+                else:
+                    continue
+                if type(other) is Column and position[other] in sources:
+                    return True
+        return not self.equated(column).isdisjoint(sources)
+
+    def missed_by(self, view: ViewCoverage) -> Optional[str]:
+        """The condition (``"C2"``..``"C4'"``, as the rewriter's reports
+        name it) whose key ``view`` misses, or ``None`` to admit it.
+
+        Admits wherever the checks stop before C2-C4 (scope, Section
+        4.5, an unsatisfiable Conds(Q)) and wherever the mapping is not
+        fixed by names (a view table repeated in the node).
+        """
+        if not self.keyed or not view.tables.isdisjoint(self.repeated):
+            return None
+        if view.aggregation:
+            if not self.aggregation:
+                return None  # Section 4.5 refuses before C2'
+            missed = self._missed_aggregation(view)
+        else:
+            missed = self._missed_conjunctive(view)
+        if missed is None or not self.satisfiable():
+            return None
+        return missed
+
+    def _missed_common(self, view: ViewCoverage, prime: str) -> Optional[str]:
+        tables, exported, position = view.tables, view.exported, self.position
+        for column in self.grouped:
+            # C2/C2': a covered grouping or ColSel column needs an
+            # exported column Conds(Q) equates it to.
+            if position[column][0] in tables and not self._served(
+                column, exported
+            ):
+                return "C2" + prime
+        # C3/C3': the residual reads only exported columns and φ(Conds(V))
+        # only the columns Conds(V) mentions; a constraint on any other
+        # covered column cannot be entailed.
+        if not view.opaque.isdisjoint(self.constrained):
+            return "C3" + prime
+        return None
+
+    def _missed_conjunctive(self, view: ViewCoverage) -> Optional[str]:
+        if self.compound:
+            return "C4"  # refused at the first compound argument
+        missed = self._missed_common(view, "")
+        if missed is not None:
+            return missed
+        for func, column in self.aggregates:
+            # C4 part 1: COUNT can count any output; the rest need the
+            # aggregated column to survive.
+            if (
+                func is not AggFunc.COUNT
+                and self.position[column][0] in view.tables
+                and not self._served(column, view.exported)
+            ):
+                return "C4"
+        return None
+
+    def _missed_aggregation(self, view: ViewCoverage) -> Optional[str]:
+        if self.compound:
+            return "C4'"
+        missed = self._missed_common(view, "'")
+        if missed is not None:
+            return missed
+        for func, column in self.aggregates:
+            covered = self.position[column][0] in view.tables
+            # COUNT, AVG and C4' part 2 (SUM over an uncovered column)
+            # read the multiplicities off the view's COUNT output.
+            if not view.counted and (
+                func is AggFunc.COUNT
+                or func is AggFunc.AVG
+                or (func is AggFunc.SUM and not covered)
+            ):
+                return "C4'"
+            if not covered or func is AggFunc.COUNT:
+                continue
+            # C4' part 1 reads Conds(V) equalities: admit when Conds(V)
+            # mentions a preimage, or cannot be satisfied.
+            if (
+                not self._served(column, view.sources[func])
+                and self.equated(column).isdisjoint(view.constrained)
+                and view.satisfiable()
+            ):
+                return "C4'"
+        return None
 
 
 @dataclass
@@ -343,18 +646,34 @@ class RewritePlanner:
     # ------------------------------------------------------------------
 
     def candidate_views(self, block: QueryBlock) -> list[ViewDef]:
-        """The views whose signature is contained in ``block``'s FROM."""
+        """The views worth a substitution attempt at ``block`` (see
+        :meth:`_candidate_indices`)."""
         return [self.views[i] for i in self._candidate_indices(block)]
 
     def _candidate_indices(self, block: QueryBlock) -> list[int]:
+        """The views worth a substitution attempt at ``block``: those
+        the FROM signature admits whose pair is memoized or passes the
+        coverage prefilter. A pair the prefilter rejects is memoized as
+        ``[]``, as the full check would; both rejections count in
+        ``views_pruned``."""
         counts = _from_counts(block)
+        memo = self.memos["substitution"]
+        coverage: Optional[QueryCoverage] = None
         out = []
         for index, signature in enumerate(self.signatures):
             self.stats.views_considered += 1
             if signature.admits(counts, self.use_set_semantics):
-                out.append(index)
-            else:
-                self.stats.views_pruned += 1
+                view = signature.coverage
+                if view is None or (block, index) in memo:
+                    out.append(index)
+                    continue
+                if coverage is None:
+                    coverage = QueryCoverage(block)
+                if coverage.missed_by(view) is None:
+                    out.append(index)
+                    continue
+                memo.put((block, index), [])
+            self.stats.views_pruned += 1
         return out
 
     def _merge_options(

@@ -30,12 +30,19 @@ epoch stamping
 
 record framing
     the payload is a sequence of length-prefixed records, one per
-    fingerprint: ``(key_len, entry_len)`` then the pickled key and the
-    pickled :class:`MemoEntry`. An entry is pickled once, when it is
-    published; the writer keeps the records and a running byte total, so
-    capacity accounting, eviction and invalidation never re-pickle, and
-    framing the segment is a join of stored bytes. A reader's lookup
-    unpickles the keys and only the one entry it asked for.
+    fingerprint: ``(key_len, entry_len)``, the pickled key, then the
+    entry as length-prefixed pickles: a head ``(epoch, view_names)``
+    and the memo *chunks*, each a pickled list of memo entries. A
+    fingerprint's chunks are append-only: a publish pickles only the
+    entries its record does not hold yet, as one new chunk (so a query
+    block the new entries share is pickled once), and rebuilds the
+    record as one chunk only when the export dropped entries the record
+    holds (a memo past its cap). The writer keeps the records and a
+    running byte total, so capacity accounting, eviction and
+    invalidation never re-pickle, and framing the segment is a join of
+    stored bytes; the chunks leave with their record. A reader's lookup
+    unpickles the keys and only the one entry it asked for, its memo
+    being the chunks concatenated.
 
 Capacity overflow evicts oldest-published entries first. The daemon
 publishes a fingerprint only when a planner for it gained a memo entry
@@ -71,8 +78,10 @@ _MAGIC = 0x5250_4D31  # "RPM1"
 #: the random workloads); 4 MiB holds thousands.
 DEFAULT_CAPACITY = 4 * 1024 * 1024
 
-#: Record prefix: pickled-key byte length, pickled-entry byte length.
+#: Record prefix: pickled-key byte length, entry byte length.
 _RECORD = struct.Struct("<II")
+#: Prefix of each pickle inside an entry: its byte length.
+_PIECE = struct.Struct("<I")
 
 #: Cap on memo entries exported per memo family and fingerprint,
 #: mirroring the batch service's MEMO_EXPORT_MAX discipline. Applied by
@@ -114,6 +123,58 @@ EPOCH = gauge(
 )
 
 
+def _piece(obj) -> bytes:
+    """``obj`` pickled, behind its length prefix."""
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    return _PIECE.pack(len(data)) + data
+
+
+def _entry_id(item):
+    """What identifies a memo entry across exports: the ``(family,
+    key)`` of an ``export_memos`` triple. An export lists each once."""
+    return item[:2] if isinstance(item, tuple) else item
+
+
+class _Record:
+    """One fingerprint's framed record, as pickled pieces: the key, the
+    entry head, then the memo chunks. ``len()`` is its framed size."""
+
+    __slots__ = ("key", "head", "chunks", "size")
+
+    def __init__(self, key: bytes, head: bytes, chunks: tuple[bytes, ...]):
+        self.key = key
+        self.head = head
+        self.chunks = chunks
+        self.size = (
+            _RECORD.size + len(key) + len(head) + sum(map(len, chunks))
+        )
+
+    def __len__(self) -> int:
+        return self.size
+
+    def frame(self) -> Iterator[bytes]:
+        yield _RECORD.pack(
+            len(self.key), self.size - _RECORD.size - len(self.key)
+        )
+        yield self.key
+        yield self.head
+        yield from self.chunks
+
+
+def _load_entry(raw: memoryview) -> MemoEntry:
+    """The :class:`MemoEntry` of a framed entry: its head, and its
+    chunks concatenated."""
+    pieces = []
+    offset = 0
+    while offset < len(raw):
+        (length,) = _PIECE.unpack_from(raw, offset)
+        offset += _PIECE.size
+        pieces.append(pickle.loads(raw[offset:offset + length]))
+        offset += length
+    (epoch, view_names), *chunks = pieces
+    return MemoEntry(epoch, view_names, [e for chunk in chunks for e in chunk])
+
+
 def _iter_records(raw: bytes) -> Iterator[tuple[tuple, memoryview]]:
     """The ``(key, pickled entry)`` pairs of a framed payload.
 
@@ -150,8 +211,8 @@ class LocalMemoTier:
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self.capacity = capacity
         #: fingerprint -> (entry, its framed record), oldest-published
-        #: first. The record is pickled once, at publish.
-        self._entries: OrderedDict[tuple, tuple[MemoEntry, bytes]] = (
+        #: first. Each memo entry is pickled once, into one chunk.
+        self._entries: OrderedDict[tuple, tuple[MemoEntry, _Record]] = (
             OrderedDict()
         )
         #: Running byte total of the records (the framed payload size).
@@ -179,19 +240,31 @@ class LocalMemoTier:
     def publish(
         self, key: tuple, view_names: Sequence[str], memo: Iterable
     ) -> MemoEntry:
-        """Publish ``memo`` (an already-capped ``export_memos`` list)."""
-        entry = MemoEntry(
-            epoch=self._epoch,
-            view_names=tuple(view_names),
-            memo=list(memo),
-        )
-        key_bytes = pickle.dumps(key, pickle.HIGHEST_PROTOCOL)
-        entry_bytes = pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
-        record = b"".join(
-            (_RECORD.pack(len(key_bytes), len(entry_bytes)),
-             key_bytes, entry_bytes)
-        )
+        """Publish ``memo`` (an already-capped ``export_memos`` list).
+
+        The entry's memo is the record's chunks concatenated: the
+        entries already held, then the ones this export added.
+        """
+        memo = list(memo)
+        view_names = tuple(view_names)
         with self._write_lock:
+            found = self._entries.get(key)
+            held = () if found is None else found[0].memo
+            known = {_entry_id(item) for item in held}
+            fresh = [item for item in memo if _entry_id(item) not in known]
+            if found is not None and len(memo) - len(fresh) == len(known):
+                entries = held + fresh
+                chunks = found[1].chunks
+                key_bytes = found[1].key
+            else:  # new, or the export dropped entries: one chunk
+                entries, fresh, chunks = memo, memo, ()
+                key_bytes = pickle.dumps(key, pickle.HIGHEST_PROTOCOL)
+            if fresh:
+                chunks += (_piece(fresh),)
+            entry = MemoEntry(self._epoch, view_names, entries)
+            record = _Record(
+                key_bytes, _piece((entry.epoch, view_names)), chunks
+            )
             self._remove(key)
             self._entries[key] = (entry, record)
             self._bytes += len(record)
@@ -373,7 +446,7 @@ class SharedMemoTier(LocalMemoTier):
         def find(raw: bytes) -> Optional[MemoEntry]:
             for candidate, pickled in _iter_records(raw):
                 if candidate == key:
-                    return pickle.loads(pickled)
+                    return _load_entry(pickled)
             return None
 
         entry = self._read(find)
@@ -396,7 +469,9 @@ class SharedMemoTier(LocalMemoTier):
         if not getattr(self, "_writer", False):
             raise RuntimeError("read-only attachment cannot publish")
         payload = b"".join(
-            record for _entry, record in self._entries.values()
+            piece
+            for _entry, record in self._entries.values()
+            for piece in record.frame()
         )
         # Seqlock: odd generation while the payload is inconsistent.
         self._generation += 1

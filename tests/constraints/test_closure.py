@@ -216,3 +216,70 @@ class TestUnknownTerms:
         assert cl.entails(Comparison(Z, Op.LE, Z))
         assert not cl.entails(Comparison(Z, Op.EQ, A))
         assert not cl.entails(Comparison(Z, Op.LT, Z))
+
+
+def _every_pair(closure, allowed):
+    """``entailed_atoms_over`` as it read before it skipped terms the
+    closure never saw: every pair of allowed terms is tested."""
+    out = []
+    items = list(dict.fromkeys(allowed))
+    for i, a in enumerate(items):
+        for b in items[i + 1:]:
+            if isinstance(a, Constant) and isinstance(b, Constant):
+                continue
+            if closure.entails(Comparison(a, Op.EQ, b)):
+                out.append(Comparison(a, Op.EQ, b))
+                continue
+            if closure.entails(Comparison(a, Op.LT, b)):
+                out.append(Comparison(a, Op.LT, b))
+            elif closure.entails(Comparison(b, Op.LT, a)):
+                out.append(Comparison(b, Op.LT, a))
+            else:
+                for atom in (
+                    Comparison(a, Op.LE, b),
+                    Comparison(b, Op.LE, a),
+                    Comparison(a, Op.NE, b),
+                ):
+                    if closure.entails(atom):
+                        out.append(atom)
+    return out
+
+
+class TestEntailedAtomsOverUnseenTerms:
+    def test_same_atoms_as_every_pair_on_the_differential_closures(self):
+        """The 240 differential scenarios' query and view closures, over
+        the query's columns, the views' columns (mostly unseen by the
+        query closure) and the constants of both plus one fresh one."""
+        from repro.constraints.having import normalize_having
+        from repro.workloads.random_queries import random_scenario
+
+        compared = 0
+        for seed in range(240):
+            scenario = random_scenario(seed)
+            query = normalize_having(scenario.query)
+            blocks = [query] + [view.block for view in scenario.views]
+            vocabulary = [c for block in blocks for c in block.cols()]
+            vocabulary += [
+                side
+                for block in blocks
+                for atom in block.where
+                for side in (atom.left, atom.right)
+                if isinstance(side, Constant)
+            ]
+            vocabulary.append(Constant(99))
+            for block in blocks:
+                closure = Closure(block.where)
+                assert closure.entailed_atoms_over(vocabulary) == (
+                    _every_pair(closure, vocabulary)
+                ), f"seed={seed}: {block.where}"
+                compared += 1
+        assert compared >= 240 * 2
+
+    def test_an_unsatisfiable_closure_keeps_every_term(self):
+        closure = Closure(atoms(("A", "<", "B"), ("B", "<", "A")))
+        Z = Column("Z")
+        assert not closure.satisfiable
+        assert closure.entailed_atoms_over([A, Z]) == (
+            _every_pair(closure, [A, Z])
+        )
+        assert Comparison(A, Op.EQ, Z) in closure.entailed_atoms_over([A, Z])

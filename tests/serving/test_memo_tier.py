@@ -229,6 +229,105 @@ def test_running_byte_total_matches_the_framed_payload(seed):
         writer.unlink()
 
 
+class _PlannerModel:
+    """One fingerprint's planner memo, as the tier sees it: entries
+    ``(family, key, value)`` with unhashable values, an LRU cap (older
+    entries fall out) and a per-family export cap (a touched entry
+    re-enters the exported window and pushes another out)."""
+
+    CAP = 14
+    EXPORT_MAX = 5
+
+    def __init__(self, rng: random.Random, name: int):
+        self.rng = rng
+        self.name = name
+        self.memo: dict = {}
+        self.next = 0
+
+    def step(self) -> list:
+        rng = self.rng
+        for _ in range(rng.randint(0, 3)):
+            family = rng.choice(("substitution", "cohen_nutt"))
+            self.memo[family, ("block", self.name, self.next)] = [self.next]
+            self.next += 1
+        if self.memo and rng.random() < 0.3:
+            touched = rng.choice(list(self.memo))
+            self.memo[touched] = self.memo.pop(touched)
+        while len(self.memo) > self.CAP:
+            del self.memo[next(iter(self.memo))]
+        export = []
+        for family in ("substitution", "cohen_nutt"):
+            items = [(f, k, v) for (f, k), v in self.memo.items() if f == family]
+            export += items[-self.EXPORT_MAX:]
+        return export
+
+
+def _multiset(memo) -> list:
+    return sorted(map(repr, memo))
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_growing_exports_evictions_and_invalidations(seed, shared):
+    """Random sequences of growing exports (appended as chunks, or
+    rebuilt when the export dropped entries), capacity evictions and
+    invalidations. After every step each held fingerprint's lookup is
+    its last export as a multiset, the running byte total is the framed
+    payload, and a reader sees what the writer sees."""
+    rng = random.Random(seed)
+    views = [f"V{i}" for i in range(3)]
+    planners = [_PlannerModel(rng, i) for i in range(5)]
+    last: dict = {}
+    writer = (SharedMemoTier if shared else LocalMemoTier)(capacity=2048)
+    reader = SharedMemoTier.attach(writer.name) if shared else writer
+    try:
+        for _step in range(150):
+            if rng.random() < 0.85:
+                planner = rng.choice(planners)
+                key = ("fp", planner.name)
+                export = planner.step()
+                writer.publish(key, (views[planner.name % 3],), export)
+                last[key] = export
+            else:
+                writer.invalidate_views([rng.choice(views)])
+
+            assert writer._bytes == sum(
+                len(record) for _entry, record in writer._entries.values()
+            )
+            if shared:
+                framed = _HEADER.unpack_from(writer._shm.buf, 0)[3]
+                assert writer._bytes == framed
+            assert writer._bytes <= writer.capacity or len(writer) == 1
+            assert reader.keys() == writer.keys()
+            for key in writer.keys():
+                entry = writer.lookup(key)
+                assert _multiset(entry.memo) == _multiset(last[key])
+                assert reader.lookup(key) == entry
+    finally:
+        if shared:
+            reader.close()
+        writer.close()
+        writer.unlink()
+
+
+def test_a_growing_export_pickles_only_its_new_entries():
+    """A publish that only adds entries appends one chunk and keeps the
+    record's earlier chunks as they were; one that drops an entry
+    rebuilds the record as one chunk."""
+    tier = LocalMemoTier()
+    first = [("substitution", ("b", i), [i]) for i in range(3)]
+    tier.publish(("k",), ("V0",), first)
+    chunks = tier._entries[("k",)][1].chunks
+    grown = first[1:] + [first[0], ("substitution", ("b", 3), [3])]
+    tier.publish(("k",), ("V0",), grown)
+    record = tier._entries[("k",)][1]
+    assert record.chunks[:-1] == chunks and len(record.chunks) == 2
+    assert pickle.loads(record.chunks[-1][4:]) == [grown[-1]]
+    tier.publish(("k",), ("V0",), grown[1:])
+    assert len(tier._entries[("k",)][1].chunks) == 1
+    assert tier.lookup(("k",)).memo == grown[1:]
+
+
 def test_writer_threads_keep_the_byte_total_and_the_frame_consistent():
     """The daemon master publishes on its event-loop thread while an
     update invalidates on an executor thread: both are the one writer,
