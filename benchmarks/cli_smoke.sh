@@ -115,6 +115,27 @@ PY
 echo "ok: trace counters equal the planner metrics"
 run explain explain "${s[@]}" --query "$query" --json --trace
 run batch batch "${s[@]}" "$work/requests.jsonl" --metrics-out "$work/m.prom"
+# The batch report carries throughput and degradation counts only;
+# planner counters live in the repro_planner_* metric families.
+python - "$work/batch.err" <<'PY'
+import json
+import sys
+
+want = {
+    "mode", "workers", "requests", "groups", "chunks", "elapsed",
+    "requests_per_second", "deadline", "exhausted", "degraded", "errors",
+}
+reports = [
+    doc["result"]["batch"]
+    for doc in (
+        json.loads(line) for line in open(sys.argv[1]) if line[:1] == "{"
+    )
+    if doc.get("kind") == "batch-report"
+]
+if len(reports) != 1 or set(reports[0]) != want:
+    sys.exit(f"batch-report keys: {[sorted(r) for r in reports]}")
+PY
+echo "ok: batch-report fields"
 run check check "${s[@]}" --left "SELECT Plan_Id FROM Calls" \
     --right "SELECT Plan_Id FROM Calls" --trials 5
 run advise advise "${s[@]}" --workload "$work/workload.sql" --budget 100

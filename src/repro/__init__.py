@@ -96,7 +96,6 @@ from .api import (
 )
 from .service import (
     BatchResult,
-    BatchRewriteService,
     RewriteRequest,
     RewriteResponse,
 )
@@ -174,6 +173,5 @@ __all__ = [
     "RewriteRequest",
     "RewriteResponse",
     "BatchResult",
-    "BatchRewriteService",
     "__version__",
 ]

@@ -4,9 +4,9 @@
     one query, one response — the stable entry point that the CLI, the
     batch service and the serving daemon all reduce to;
 :func:`rewrite_batch`
-    many requests at once through :class:`repro.service.BatchRewriteService`
-    (grouped by view signature, optionally sharded across workers,
-    bounded by a batch deadline);
+    many requests at once (grouped by view signature, optionally
+    sharded across workers, bounded by a batch deadline); the
+    :func:`repro.service.rewrite_batch` re-exported unchanged;
 :func:`explain`
     per-condition usability diagnoses for every candidate view;
 :func:`rewrite_iterative`
@@ -37,7 +37,7 @@ from .core.explain import UsabilityDiagnosis, explain_usability
 from .core.result import Rewriting
 from .obs.budget import BudgetMeter, SearchBudget
 from .service.executor import execute_request
-from .service.pool import BatchRewriteService
+from .service.pool import rewrite_batch
 from .service.requests import (
     API_SCHEMA,
     BatchResult,
@@ -48,7 +48,6 @@ from .service.requests import (
 __all__ = [
     "API_SCHEMA",
     "BatchResult",
-    "BatchRewriteService",
     "ExplainResponse",
     "RewriteRequest",
     "RewriteResponse",
@@ -176,28 +175,6 @@ def rewrite(
         # it as the execution-time overlay instead.
         return execute_request(request, budget=budget)
     return execute_request(request)
-
-
-def rewrite_batch(
-    requests: Sequence[RewriteRequest],
-    *,
-    mode: str = "auto",
-    workers: Optional[int] = None,
-    deadline: Optional[float] = None,
-    service: Optional[BatchRewriteService] = None,
-) -> BatchResult:
-    """Rewrite a whole batch of requests; N requests in, N responses out.
-
-    Requests with equal (catalog, views, semantics) fingerprints share
-    planner warm-up; ``mode`` picks the backend (``serial`` / ``thread``
-    / ``process``, default ``auto`` by batch size), ``deadline`` bounds
-    the batch wall-clock with graceful degradation. Pass a long-lived
-    ``service`` to keep planner/memo warmth across batches; otherwise a
-    fresh one is built per call.
-    """
-    if service is None:
-        service = BatchRewriteService(mode=mode, workers=workers)
-    return service.submit(requests, deadline=deadline)
 
 
 @dataclass(frozen=True)

@@ -462,26 +462,6 @@ class PlannerStats:
     def substitution_misses(self) -> int:
         return self.substitution.misses
 
-    @property
-    def prune_rate(self) -> float:
-        if not self.views_considered:
-            return 0.0
-        return self.views_pruned / self.views_considered
-
-    def as_dict(self) -> dict:
-        return {
-            "searches": self.searches,
-            "nodes_expanded": self.nodes_expanded,
-            "views_considered": self.views_considered,
-            "views_pruned": self.views_pruned,
-            "prune_rate": round(self.prune_rate, 4),
-            "candidates_generated": self.candidates_generated,
-            "duplicates_skipped": self.duplicates_skipped,
-            "maximality_probes": self.maximality_probes,
-            "substitution_hits": self.substitution_hits,
-            "substitution_misses": self.substitution_misses,
-        }
-
 
 class _Node:
     """One BFS node plus its maximality bookkeeping."""
@@ -558,7 +538,7 @@ class RewritePlanner:
 
     # ------------------------------------------------------------------
     # Memo families, and their export/import: worker warm-start for the
-    # batch service and the serving memo tier.
+    # serving memo tier.
     # ------------------------------------------------------------------
 
     def memo(self, family: str) -> Memo:
@@ -612,8 +592,8 @@ class RewritePlanner:
         key, value)`` entries.
 
         The entries are only meaningful for a planner prepared with an
-        equal (views, catalog, use_set_semantics) triple — the batch
-        service keys its memo store by exactly that fingerprint. Each
+        equal (views, catalog, use_set_semantics) triple — the serving
+        memo tier keys its entries by exactly that fingerprint. Each
         family is LRU-newest last and, with ``max_entries``, individually
         capped at its most recently used entries.
         """

@@ -160,8 +160,9 @@ def evaluate_block(
 
     The core table of the row path comes from the hash-join planner
     (:mod:`repro.engine.planner`); the naive product-then-filter path
-    (:func:`_build_core`) is retained for the delta-maintenance module
-    and as a reference implementation.
+    (:func:`_build_core`) is not on any execution path. It is the
+    reference that ``tests/engine/test_planner.py`` and
+    ``benchmarks/bench_ablations.py`` check the hash-join core against.
     """
     if engine not in ENGINES:
         raise EvaluationError(

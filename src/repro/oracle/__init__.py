@@ -27,7 +27,6 @@ from .crosscheck import (
     Mismatch,
     check_scenario,
 )
-from .sqlite import compile_block
 from .values import normalize_row, normalize_value, rows_multiset_equal
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "available_backends",
     "backend_available",
     "check_scenario",
-    "compile_block",
     "create_backend",
     "normalize_row",
     "normalize_value",

@@ -2,10 +2,9 @@
 
 The public surface is intentionally small: build the immutable request
 objects (:class:`RewriteRequest`), hand a sequence of them to
-:class:`BatchRewriteService.submit`, and read the positionally aligned
-:class:`BatchResult`. Most callers should go through the
-:mod:`repro.api` facade (``repro.api.rewrite_batch``) instead of
-instantiating the service directly.
+:func:`rewrite_batch`, and read the positionally aligned
+:class:`BatchResult`. A batch keeps nothing between calls;
+:mod:`repro.api` re-exports the same ``rewrite_batch``.
 
 Layering, bottom-up:
 
@@ -17,8 +16,8 @@ Layering, bottom-up:
   shares (this is where batch parity is won);
 * :mod:`repro.service.degradation` — batch-deadline overlays and the
   graceful-refusal contract;
-* :mod:`repro.service.pool` — the serial/thread/process backends and
-  memo warm-start plumbing.
+* :mod:`repro.service.pool` — :func:`rewrite_batch` and its
+  serial/thread/process backends.
 """
 
 from .batcher import (
@@ -31,7 +30,7 @@ from .batcher import (
 )
 from .degradation import BATCH_DEADLINE, BatchDeadline, refused_response
 from .executor import execute_request
-from .pool import MODES, BatchRewriteService
+from .pool import MODES, rewrite_batch
 from .requests import (
     API_SCHEMA,
     BatchResult,
@@ -44,7 +43,6 @@ __all__ = [
     "BATCH_DEADLINE",
     "BatchDeadline",
     "BatchResult",
-    "BatchRewriteService",
     "MODES",
     "RequestGroup",
     "RewriteRequest",
@@ -55,5 +53,6 @@ __all__ = [
     "group_requests",
     "refused_response",
     "request_group_key",
+    "rewrite_batch",
     "view_fingerprint",
 ]

@@ -2,8 +2,8 @@
 
 The planner's substitution memo is a pure function of the (views,
 catalog schemas, semantics) fingerprint, and exporting/importing it
-(:meth:`repro.core.planner.RewritePlanner.export_memos`) is how the batch
-service warm-starts workers. The serving daemon keeps those exports
+(:meth:`repro.core.planner.RewritePlanner.export_memos`) lets one
+planner warm-start another. The serving daemon keeps those exports
 *persistent across requests* and *shared across process workers* in one
 ``multiprocessing.shared_memory`` segment:
 
@@ -83,9 +83,8 @@ _RECORD = struct.Struct("<II")
 #: Prefix of each pickle inside an entry: its byte length.
 _PIECE = struct.Struct("<I")
 
-#: Cap on memo entries exported per memo family and fingerprint,
-#: mirroring the batch service's MEMO_EXPORT_MAX discipline. Applied by
-#: the exporter (``RewritePlanner.export_memos``), not by the tier.
+#: Cap on memo entries exported per memo family and fingerprint.
+#: Applied by the exporter (``RewritePlanner.export_memos``), not by the tier.
 MEMO_EXPORT_MAX = 2048
 
 

@@ -21,7 +21,7 @@ import pytest
 from repro import api
 from repro.core.canonical import canonical_key
 from repro.obs import SearchBudget
-from repro.service import BatchRewriteService, RewriteRequest
+from repro.service import RewriteRequest, rewrite_batch
 from repro.workloads.random_queries import random_scenario
 
 #: Scenarios per sweep; matches the soundness harness's acceptance floor.
@@ -100,8 +100,7 @@ def test_batch_equals_per_request_serial(request, mode, budget):
         request_id=r.request_id,
     ) for r in requests]
 
-    service = BatchRewriteService(mode=mode, workers=2)
-    got = service.submit(requests)
+    got = rewrite_batch(requests, mode=mode, workers=2)
     assert len(got) == len(requests)
     context = f"mode={mode}"
     for got_response, want_response in zip(got, want):
@@ -113,16 +112,17 @@ def test_batch_equals_per_request_serial(request, mode, budget):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_warm_batches_keep_parity(request, mode):
-    """Re-submitting on a warm service must not change any result.
+    """A request on its group's warm planner answers as it did cold.
 
-    The second submit hits live planners (serial) or imported memos
-    (thread/process); memoization is pure, so results must be identical.
+    Each scenario appears twice in one batch; the second copy runs on
+    the planner the first one warmed (its group stays one chunk in
+    every mode). Memoization is pure, so results must be identical.
     """
     base = _base_seed(request.config)
     requests = _requests(base, 24)
-    service = BatchRewriteService(mode=mode, workers=2)
-    cold = service.submit(requests)
-    warm = service.submit(requests)
+    got = rewrite_batch(requests + requests, mode=mode, workers=2)
+    assert got.report["chunks"] == got.report["groups"]
+    cold, warm = got[: len(requests)], got[len(requests):]
     for got_response, want_response in zip(warm, cold):
         _assert_equal_responses(
             got_response, want_response, f"warm mode={mode}"
@@ -152,7 +152,7 @@ def test_deadline_budgets_stay_sound_subsets(request, mode):
         )
         for scenario in scenarios
     ]
-    got = BatchRewriteService(mode=mode, workers=2).submit(requests)
+    got = rewrite_batch(requests, mode=mode, workers=2)
     for response in got:
         keys = {canonical_key(r.query) for r in response.rewritings}
         assert keys <= full[int(response.request_id)], (

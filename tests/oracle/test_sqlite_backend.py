@@ -5,7 +5,7 @@ import pytest
 from repro import Catalog, parse_query, parse_view, table
 from repro.engine.database import Database
 from repro.errors import OracleUnsupported
-from repro.oracle import SQLiteBackend, compile_block, rows_multiset_equal
+from repro.oracle import SQLiteBackend, rows_multiset_equal
 from repro.oracle import backends as backends_mod
 
 
@@ -16,13 +16,15 @@ def catalog():
 
 def test_division_compiles_to_real_cast(catalog):
     query = parse_query("SELECT R.a / R.b AS q FROM R", catalog)
-    sql = compile_block(query)
+    with SQLiteBackend() as backend:
+        sql = backend.compile_block(query)
     assert "CAST(" in sql and "AS REAL" in sql, sql
 
 
 def test_identifiers_are_quoted(catalog):
     query = parse_query("SELECT R.a FROM R", catalog)
-    sql = compile_block(query)
+    with SQLiteBackend() as backend:
+        sql = backend.compile_block(query)
     assert '"R"' in sql and '"a"' in sql, sql
 
 

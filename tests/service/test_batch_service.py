@@ -12,7 +12,6 @@ from repro.obs.budget import SearchBudget
 from repro.service import (
     BATCH_DEADLINE,
     BatchDeadline,
-    BatchRewriteService,
     RewriteRequest,
     catalog_fingerprint,
     chunk_groups,
@@ -20,6 +19,7 @@ from repro.service import (
     group_requests,
     refused_response,
     request_group_key,
+    rewrite_batch,
 )
 from repro.workloads.random_queries import random_scenario
 
@@ -170,8 +170,8 @@ class TestModes:
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
     def test_mode_runs_and_agrees_with_serial(self, mode):
         requests = [scenario_request(seed) for seed in range(8)]
-        baseline = BatchRewriteService(mode="serial").submit(requests)
-        result = BatchRewriteService(mode=mode, workers=2).submit(requests)
+        baseline = rewrite_batch(requests, mode="serial")
+        result = rewrite_batch(requests, mode=mode, workers=2)
         assert len(result) == len(requests)
         for got, want in zip(result, baseline):
             assert got.rewritings == want.rewritings
@@ -180,28 +180,41 @@ class TestModes:
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
-            BatchRewriteService(mode="gpu")
+            rewrite_batch([scenario_request(5)], mode="gpu")
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers must be >= 0"):
-            BatchRewriteService(mode="thread", workers=-1)
+            rewrite_batch([scenario_request(5)], mode="thread", workers=-1)
 
     @pytest.mark.parametrize("workers", [0, None])
     def test_zero_or_no_workers_means_cpu_count(self, workers):
-        result = BatchRewriteService(mode="thread", workers=workers).submit(
-            [scenario_request(5)] * 2
+        result = rewrite_batch(
+            [scenario_request(5)] * 2, mode="thread", workers=workers
         )
         assert result.report["workers"] >= 1
 
     def test_plain_strings_rejected(self):
         with pytest.raises(TypeError):
-            BatchRewriteService(mode="serial").submit(["SELECT 1"])
+            rewrite_batch(["SELECT 1"], mode="serial")
 
     def test_auto_small_batch_is_serial(self):
-        result = BatchRewriteService(mode="auto", workers=4).submit(
-            [scenario_request(5)] * 2
+        result = rewrite_batch(
+            [scenario_request(5)] * 2, mode="auto", workers=4
         )
         assert result.report["mode"] == "serial"
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
+        )
+        result = rewrite_batch([scenario_request(5)], mode="thread")
+        assert result.report["workers"] == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        result = rewrite_batch([scenario_request(5)], mode="thread")
+        assert result.report["workers"] == 64
 
 
 class TestBundling:
@@ -211,9 +224,7 @@ class TestBundling:
     def test_many_chunks_ship_as_a_few_bundles(self, monkeypatch):
         payloads, _ = recording_pool(monkeypatch)
         requests = [scenario_request(seed) for seed in range(100)]
-        result = BatchRewriteService(mode="process", workers=2).submit(
-            requests
-        )
+        result = rewrite_batch(requests, mode="process", workers=2)
         assert result.report["chunks"] == 100
         assert 2 <= len(payloads) <= 8
         assert sum(len(p["chunks"]) for p in payloads) == 100
@@ -223,15 +234,41 @@ class TestBundling:
         ] == list(range(100))
         # Balanced by request count: ceil(100 / (2 workers * 4)) each.
         assert max(len(shipped_positions(p)) for p in payloads) == 13
-        baseline = BatchRewriteService(mode="serial").submit(requests)
+        baseline = rewrite_batch(requests, mode="serial")
         assert [r.rewritings for r in result] == [
             r.rewritings for r in baseline
         ]
 
+    def test_chunks_ship_definitions_and_return_results_only(
+        self, monkeypatch
+    ):
+        # No planner memo rides either way: a chunk ships what its
+        # worker needs to plan cold, and returns its responses.
+        from repro.service.pool import _process_bundle
+
+        payloads, _ = recording_pool(monkeypatch)
+        requests = [scenario_request(5)] * 12 + [
+            scenario_request(seed) for seed in range(6, 16)
+        ]
+        result = rewrite_batch(requests, mode="process", workers=2)
+        shipped = [chunk for p in payloads for chunk in p["chunks"]]
+        returned = [
+            chunk for p in payloads for chunk in _process_bundle(p)["chunks"]
+        ]
+        assert len(shipped) == len(returned) == result.report["chunks"]
+        for chunk in shipped:
+            assert set(chunk) == {
+                "catalog", "views", "use_set_semantics", "members",
+            }
+        for chunk in returned:
+            assert set(chunk) == {"results"}
+
     def test_few_chunks_ship_one_per_future(self, monkeypatch):
         payloads, _ = recording_pool(monkeypatch)
-        result = BatchRewriteService(mode="process", workers=2).submit(
-            [scenario_request(seed) for seed in range(3)]
+        result = rewrite_batch(
+            [scenario_request(seed) for seed in range(3)],
+            mode="process",
+            workers=2,
         )
         assert result.report["chunks"] == 3
         assert [len(p["chunks"]) for p in payloads] == [1, 1, 1]
@@ -243,9 +280,7 @@ class TestBundling:
         requests = [scenario_request(seed) for seed in range(40)]
         registry = MetricsRegistry()
         with collecting(registry):
-            result = BatchRewriteService(mode="process", workers=2).submit(
-                requests
-            )
+            result = rewrite_batch(requests, mode="process", workers=2)
         lost = shipped_positions(payloads[1])
         assert len(payloads[1]["chunks"]) > 1
         assert registry.snapshot().counter_value(
@@ -253,7 +288,7 @@ class TestBundling:
         ) == len(payloads[1]["chunks"])
         # The other bundles' responses came from the pool.
         assert sorted(answered + lost) == list(range(40))
-        baseline = BatchRewriteService(mode="serial").submit(requests)
+        baseline = rewrite_batch(requests, mode="serial")
         for got, want in zip(result, baseline):
             assert got.rewritings == want.rewritings
             assert got.exhausted == want.exhausted
@@ -276,8 +311,8 @@ class TestDeadline:
         requests = [scenario_request(seed) for seed in range(20)]
         registry = MetricsRegistry()
         with collecting(registry):
-            result = BatchRewriteService(mode="process", workers=2).submit(
-                requests, deadline=0.05
+            result = rewrite_batch(
+                requests, mode="process", workers=2, deadline=0.05
             )
         assert len(payloads) > 1
         assert sorted(answered) == list(range(20))  # nothing was demoted
@@ -285,16 +320,13 @@ class TestDeadline:
         for response in result:
             assert BATCH_DEADLINE in response.budget["tripped"]
             assert response.error is None
-        assert result.report["planner"]["searches"] == 0
         snapshot = registry.snapshot()
         assert snapshot.counter_value("repro_service_refusals_total") == 20
         assert snapshot.counter_value("repro_planner_searches_total") == 0
 
     def test_spent_deadline_refuses_every_request(self):
         requests = [scenario_request(seed) for seed in range(4)]
-        result = BatchRewriteService(mode="serial").submit(
-            requests, deadline=0.0
-        )
+        result = rewrite_batch(requests, mode="serial", deadline=0.0)
         assert len(result) == 4
         assert result.degraded_count == 4
         assert result.exhausted_count == 4
@@ -304,9 +336,7 @@ class TestDeadline:
 
     def test_generous_deadline_runs_normally(self):
         requests = [scenario_request(seed) for seed in range(4)]
-        result = BatchRewriteService(mode="serial").submit(
-            requests, deadline=60.0
-        )
+        result = rewrite_batch(requests, mode="serial", deadline=60.0)
         assert result.degraded_count == 0
 
     def test_overlay_tightens_never_loosens(self):
@@ -338,121 +368,71 @@ class TestDeadline:
         assert response.budget["mappings_enumerated"] == 0
 
 
+def count_planners(monkeypatch) -> list:
+    """Record every planner ``repro.service.pool`` builds."""
+    from repro.service import pool as pool_module
+
+    built = []
+
+    class CountingPlanner(pool_module.RewritePlanner):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(pool_module, "RewritePlanner", CountingPlanner)
+    return built
+
+
 class TestWarmth:
-    def test_serial_service_reuses_planner_across_batches(self):
-        service = BatchRewriteService(mode="serial")
-        requests = [scenario_request(5)] * 3
-        service.submit(requests)
-        ((_key, planner),) = service._planners.items()
-        hits_before = planner.stats.substitution_hits
-        service.submit(requests)
-        assert service._planners.items() == [(_key, planner)]
-        assert planner.stats.substitution_hits > hits_before
+    """Warmth lives for one call: serial mode keeps one planner per
+    group, every other chunk plans cold, and nothing outlives the call."""
 
-    def test_warm_store_evicts_least_recently_used(self, monkeypatch):
-        # The store evicted first-in-first-out: a fingerprint used in
-        # every batch was the first to go once the store had filled.
-        monkeypatch.setattr(BatchRewriteService, "MEMO_STORE_MAX", 4)
-        service = BatchRewriteService(mode="serial")
-        hot = [scenario_request(5)]
-        others = [[scenario_request(seed)] for seed in (6, 7, 8, 9)]
-        keys = {request_group_key(batch[0]) for batch in [hot] + others}
-        assert len(keys) == 5
-        service.submit(hot)
-        hot_key = request_group_key(hot[0])
-        planner = service._planners.get(hot_key)
-        for batch in others[:3]:  # fill the store to its cap
-            service.submit(batch)
-        service.submit(hot)
-        service.submit(others[3])  # one fingerprint too many
-        assert len(service._planners) == 4
-        assert service._planners.get(hot_key, None) is planner
-
-    def test_process_mode_stores_memo_for_warm_start(self):
-        service = BatchRewriteService(mode="process", workers=2)
-        requests = [scenario_request(5)] * 6
-        service.submit(requests)
-        assert len(service._memo_store) == 1
-        result = service.submit(requests)
-        assert result.report["memo_entries_imported"] > 0
-
-    def test_memo_entries_imported_counts_real_imports(self, monkeypatch):
-        payloads, _ = recording_pool(monkeypatch)
-        service = BatchRewriteService(mode="process", workers=2)
-        requests = [scenario_request(5)] * 12 + [scenario_request(6)] * 2
-        first = service.submit(requests)
-        assert first.report["memo_entries_imported"] == 0
-        # Serial mode runs live planners: the store's contents are not
-        # imports, and reporting must not touch the store.
-        service.mode = "serial"
-        order = [key for key, _ in service._memo_store.items()]
-        stats = service._memo_store.stats()
-        assert service.submit(requests).report["memo_entries_imported"] == 0
-        assert [key for key, _ in service._memo_store.items()] == order
-        assert service._memo_store.stats() == stats
-        service.mode = "process"
-        del payloads[:]
-        shipped = service.submit(requests)
-        attached = sum(
-            len(chunk["memo"] or ())
-            for payload in payloads
-            for chunk in payload["chunks"]
-        )
-        assert attached > 0
-        assert shipped.report["memo_entries_imported"] == attached
-
-    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
-        import os
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False
-        )
-        result = BatchRewriteService(mode="thread").submit(
-            [scenario_request(5)]
-        )
-        assert result.report["workers"] == 3
-        monkeypatch.delattr(os, "sched_getaffinity")
-        result = BatchRewriteService(mode="thread").submit(
-            [scenario_request(5)]
-        )
-        assert result.report["workers"] == 64
+    def test_serial_mode_shares_one_planner_per_group(self, monkeypatch):
+        built = count_planners(monkeypatch)
+        requests = [scenario_request(5)] * 12 + [scenario_request(6)]
+        result = rewrite_batch(requests, mode="serial", workers=2)
+        # Group 5 splits into two chunks that share its planner.
+        assert (result.report["groups"], result.report["chunks"]) == (2, 3)
+        assert len(built) == 2
+        assert built[0].stats.substitution_hits > 0
+        rewrite_batch(requests, mode="serial", workers=2)
+        assert len(built) == 4  # the next call starts cold
 
     def test_warm_results_equal_cold_results(self):
-        service = BatchRewriteService(mode="serial")
-        requests = [scenario_request(5)] * 2
-        cold = service.submit(requests)
-        warm = service.submit(requests)
-        for a, b in zip(cold, warm):
-            assert a.rewritings == b.rewritings
+        # The second copy runs on the planner the first one warmed.
+        request = scenario_request(5)
+        warm = rewrite_batch([request] * 2, mode="serial")
+        cold = rewrite_batch([request], mode="serial")
+        assert warm[0].rewritings == warm[1].rewritings
+        assert warm[1].rewritings == cold[0].rewritings
 
     def test_count_budgets_ignore_group_warmth(self):
         # The determinism rule: a count-budgeted request must report the
         # same trip point alone or after warm-up traffic.
         budget = SearchBudget(max_mappings=2, max_candidates=1)
-        alone = BatchRewriteService(mode="serial").submit(
-            [scenario_request(5, budget=budget)]
+        alone = rewrite_batch(
+            [scenario_request(5, budget=budget)], mode="serial"
         )
-        service = BatchRewriteService(mode="serial")
-        service.submit([scenario_request(5)] * 4)  # warm the group planner
-        after = service.submit([scenario_request(5, budget=budget)])
-        assert alone[0].rewritings == after[0].rewritings
-        assert alone[0].exhausted == after[0].exhausted
-        assert alone[0].budget == after[0].budget
+        # Four requests warm the group planner ahead of the budgeted one.
+        after = rewrite_batch(
+            [scenario_request(5)] * 4 + [scenario_request(5, budget=budget)],
+            mode="serial",
+        )
+        assert alone[0].rewritings == after[4].rewritings
+        assert alone[0].exhausted == after[4].exhausted
+        assert alone[0].budget == after[4].budget
 
 
 class TestTraceStitching:
     def test_batch_trace_merges_traced_requests(self):
         requests = [scenario_request(seed, trace=True) for seed in (3, 4)]
-        result = BatchRewriteService(mode="serial").submit(requests)
+        result = rewrite_batch(requests, mode="serial")
         assert result.trace is not None
         assert result.trace.counters["traced_requests"] == 2
         assert result.trace.root.name == "batch"
 
     def test_untraced_batch_has_no_trace(self):
-        result = BatchRewriteService(mode="serial").submit(
-            [scenario_request(3)]
-        )
+        result = rewrite_batch([scenario_request(3)], mode="serial")
         assert result.trace is None
 
 
@@ -467,9 +447,7 @@ class TestMetricsAcrossModes:
         requests = [scenario_request(seed) for seed in range(4)]
         parent = MetricsRegistry()
         with collecting(parent):
-            result = BatchRewriteService(mode=mode, workers=2).submit(
-                requests
-            )
+            result = rewrite_batch(requests, mode=mode, workers=2)
         snapshot = parent.snapshot()
         assert (
             snapshot.counter_value(
@@ -498,9 +476,7 @@ class TestMetricsAcrossModes:
         requests = [scenario_request(seed) for seed in range(3)]
         parent = MetricsRegistry()
         with collecting(parent):
-            result = BatchRewriteService(mode=mode, workers=2).submit(
-                requests
-            )
+            result = rewrite_batch(requests, mode=mode, workers=2)
         # The batch snapshot and the parent registry saw the same merge
         # stream — identical totals proves each worker folded in once.
         assert result.metrics is not None
@@ -518,9 +494,7 @@ class TestMetricsAcrossModes:
         ]
         parent = MetricsRegistry()
         with collecting(parent):
-            result = BatchRewriteService(mode=mode, workers=2).submit(
-                requests
-            )
+            result = rewrite_batch(requests, mode=mode, workers=2)
         # Only the opted-in request carries a snapshot, scoped to its
         # own work...
         assert [r.metrics is not None for r in result] == [
@@ -538,9 +512,7 @@ class TestMetricsAcrossModes:
         )
 
     def test_metrics_off_means_no_snapshots(self):
-        result = BatchRewriteService(mode="serial").submit(
-            [scenario_request(5)]
-        )
+        result = rewrite_batch([scenario_request(5)], mode="serial")
         assert result.metrics is None
         assert result[0].metrics is None
 
@@ -568,10 +540,8 @@ class TestRobustness:
             pool_module, "ProcessPoolExecutor", ExplodingPool
         )
         requests = [scenario_request(seed) for seed in range(4)]
-        baseline = BatchRewriteService(mode="serial").submit(requests)
-        result = BatchRewriteService(mode="process", workers=2).submit(
-            requests
-        )
+        baseline = rewrite_batch(requests, mode="serial")
+        result = rewrite_batch(requests, mode="process", workers=2)
         assert len(result) == 4
         for got, want in zip(result, baseline):
             assert got.rewritings == want.rewritings
@@ -590,10 +560,11 @@ class TestRobustness:
         self, mode, catalog
     ):
         good = RewriteRequest(self.GOOD, catalog)
-        service = BatchRewriteService(mode=mode, workers=2)
-        clean = service.submit([good, good])
-        result = service.submit(
-            [good, RewriteRequest(self.DEEP, catalog), good]
+        clean = rewrite_batch([good, good], mode=mode, workers=2)
+        result = rewrite_batch(
+            [good, RewriteRequest(self.DEEP, catalog), good],
+            mode=mode,
+            workers=2,
         )
         assert len(result) == 3
         for got, want in zip((result[0], result[2]), clean):

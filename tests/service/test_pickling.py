@@ -25,9 +25,9 @@ from repro.core.rewriter import RankedRewriting
 from repro.obs.budget import SearchBudget
 from repro.service import (
     BatchResult,
-    BatchRewriteService,
     RewriteRequest,
     RewriteResponse,
+    rewrite_batch,
 )
 from repro.workloads.random_queries import random_scenario
 
@@ -126,7 +126,7 @@ def public_instances(scenario):
         budget=SearchBudget(max_mappings=100),
         request_id="r1",
     )
-    batch = BatchRewriteService(mode="serial").submit([request])
+    batch = rewrite_batch([request], mode="serial")
     return [
         ("SearchBudget", SearchBudget(deadline=1.0, max_mappings=5)),
         ("QueryBlock", scenario.query),

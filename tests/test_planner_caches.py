@@ -96,7 +96,7 @@ class TestPlannerSubstitutionMemo:
         planner.all_rewritings(query, include_partial=False)
         assert planner.stats.substitution_misses == misses_after_first
         assert planner.stats.substitution_hits >= misses_after_first
-        assert planner.stats.as_dict()["substitution_hits"] == (
+        assert planner.stats.substitution_hits == (
             planner.memo("substitution").hits
         )
 
