@@ -136,6 +136,48 @@ if len(reports) != 1 or set(reports[0]) != want:
     sys.exit(f"batch-report keys: {[sorted(r) for r in reports]}")
 PY
 echo "ok: batch-report fields"
+# Slices across real processes: 96 requests in serial mode and in process
+# mode with two workers (one runner process plus the calling thread) must
+# answer with the same rewritings, line by line.
+python - "$work/many.jsonl" <<'PY'
+import json
+import sys
+
+templates = [
+    "SELECT Plan_Id, SUM(Charge) FROM Calls WHERE Year = {y} GROUP BY Plan_Id",
+    "SELECT Year, COUNT(Charge) FROM Calls WHERE Plan_Id = {p} GROUP BY Year",
+    "SELECT Plan_Id, MAX(Charge) FROM Calls WHERE Year = {y} GROUP BY Plan_Id",
+]
+with open(sys.argv[1], "w") as out:
+    for i in range(96):
+        sql = templates[i % 3].format(y=1990 + i // 3, p=i // 3)
+        out.write(json.dumps({"id": f"r{i}", "query": sql}) + "\n")
+PY
+run batch-serial batch "${s[@]}" "$work/many.jsonl" --mode serial
+run batch-process batch "${s[@]}" "$work/many.jsonl" --mode process \
+    --workers 2
+python - "$work/batch-serial.out" "$work/batch-process.out" <<'PY'
+import json
+import sys
+
+serial, process = (
+    [json.loads(line)["result"]["rewritings"] for line in open(path)]
+    for path in sys.argv[1:]
+)
+if len(serial) != 96 or serial != process:
+    sys.exit("repro batch: process mode answered differently from serial")
+if not any(serial):
+    sys.exit("repro batch: no request found a rewriting")
+PY
+echo "ok: batch process mode equals serial"
+# Building the parser must not load the fuzz package: every command,
+# `repro serve` included, would pay for the import.
+if ! python -c "import sys, repro.cli; repro.cli.build_parser(); \
+        sys.exit('repro.fuzz' in sys.modules)"; then
+    echo "::error::building the repro parser imports repro.fuzz"
+    exit 1
+fi
+echo "ok: the parser does not import repro.fuzz"
 run check check "${s[@]}" --left "SELECT Plan_Id FROM Calls" \
     --right "SELECT Plan_Id FROM Calls" --trials 5
 run advise advise "${s[@]}" --workload "$work/workload.sql" --budget 100

@@ -575,8 +575,15 @@ def cmd_fuzz(args) -> int:
     import os
     from pathlib import Path
 
-    from .fuzz import FuzzRunner, inject_bug, replay
+    from .fuzz import BUG_NAMES, FuzzRunner, inject_bug, replay
 
+    # Checked here, not by argparse choices, so that building the parser
+    # never imports the fuzz package; argparse's message and exit status.
+    if args.inject_bug is not None and args.inject_bug not in BUG_NAMES:
+        args.usage_error(
+            f"argument --inject-bug: invalid choice: {args.inject_bug!r} "
+            f"(choose from {', '.join(map(repr, BUG_NAMES))})"
+        )
     backends = _fuzz_backends(args)
     # --inject-bug holds during --replay too, so a repro produced by a
     # mutation run can be re-examined under the same injected bug.
@@ -662,10 +669,7 @@ STRATEGIES = ["c1c4", "cohen_nutt", "both"]
 
 def _flag_table() -> dict:
     """Every distinct option spec, once: key -> (option name,
-    add_argument keywords). Built per parser, so ``repro.fuzz`` loads
-    only then."""
-    from .fuzz import BUG_NAMES
-
+    add_argument keywords). Built per parser."""
     def flag(name, help=None, **options):
         return name, dict(options, help=help)
 
@@ -792,7 +796,7 @@ def _flag_table() -> dict:
             "file and exit", metavar="FILE"),
         "inject-bug": flag("--inject-bug", "mutation-test the oracle: patch "
             "a known evaluator bug in and require the fuzzer to catch it",
-            choices=BUG_NAMES),
+            metavar="BUG"),
         "engine-fuzz": flag("--engine", "execution engine per scenario; "
             "'both' cross-checks row vs columnar on every evaluation "
             "(three-way oracle with SQLite). Default: auto for fuzzing, the "
@@ -864,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key in keys.split():
             flag_name, options = flags[key]
             p.add_argument(flag_name, **options)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, usage_error=p.error)
     return parser
 
 

@@ -136,12 +136,9 @@ class SqlRewriter:
         self, sql: Union[str, QueryBlock]
     ) -> SqlRewriteOutcome:
         """Rewrite one SQL statement (or pre-parsed block)."""
-        if isinstance(sql, QueryBlock):
-            query, input_sql = sql, block_to_sql(sql)
-        else:
-            input_sql = sql
-            query = parse_query(sql, self.catalog)
-        result = self.rewrite(query)
+        # Text is parsed (and validated) once, by the search itself.
+        input_sql = block_to_sql(sql) if isinstance(sql, QueryBlock) else sql
+        result = self.rewrite(sql)
         best = result.ranked[0] if result.ranked else None
         rewritten = best is not None and (
             not self.only_improving or best.cost < result.original_cost
@@ -166,7 +163,7 @@ class SqlRewriter:
                 cost_rewritten=best.cost,
                 exhausted=result.exhausted,
             )
-        passthrough = block_to_sql(query, dialect=self.dialect)
+        passthrough = block_to_sql(result.query, dialect=self.dialect)
         return SqlRewriteOutcome(
             input_sql=input_sql,
             dialect=self.dialect.name,

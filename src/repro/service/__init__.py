@@ -11,7 +11,7 @@ Layering, bottom-up:
 * :mod:`repro.service.requests` — frozen wire types and the
   ``repro-api/1`` JSON projection;
 * :mod:`repro.service.batcher` — value-based grouping by planner
-  fingerprint and chunking for dispatch;
+  fingerprint;
 * :mod:`repro.service.executor` — the single-request path every mode
   shares (this is where batch parity is won);
 * :mod:`repro.service.degradation` — batch-deadline overlays and the

@@ -110,12 +110,12 @@ def chunk_groups(
     workers: int,
     min_chunk: int = 4,
 ) -> list[tuple[RequestGroup, list[tuple[int, RewriteRequest]]]]:
-    """Split groups into dispatchable chunks, at most ``workers`` ways.
+    """Split groups into chunks, at most ``workers`` ways.
 
-    A chunk is the unit of dispatch: one worker, one engine, one shared
-    planner. Large groups split so the pool stays busy, but never below
-    ``min_chunk`` requests per chunk — a tiny chunk pays the planner
-    warm-up without amortizing it. Small groups stay whole.
+    Large groups split, but never below ``min_chunk`` requests per
+    chunk; small groups stay whole. No batch mode dispatches by chunk
+    (:mod:`repro.service.pool` cuts a batch into contiguous slices); the
+    benchmark's service probe still reports this count.
     """
     out: list[tuple[RequestGroup, list[tuple[int, RewriteRequest]]]] = []
     for group in groups:

@@ -2,7 +2,7 @@
 
 Every execution mode funnels through :func:`execute_request`: the
 ``repro.api`` facade calls it inline, the serial batch mode loops over
-it, thread/process workers run it once per request in their chunk and
+it, every batch slice runs it once per request and
 the serving daemon's :class:`~repro.serving.worker.PlannerCache` calls
 it with the fingerprint's planner. It resolves the budget, hands the
 request to :func:`repro.core.rewriter.search` — the one body that
@@ -70,8 +70,9 @@ def execute_request(
     """Run one request and shape the outcome into a `RewriteResponse`.
 
     ``planner`` is the caller's warm planner for this request's
-    fingerprint (the chunk's, or the daemon's cached one); omitted, the
-    search builds a cold one — both are equivalent apart from warmth.
+    fingerprint (its batch group's, or the daemon's cached one);
+    omitted, the search builds a cold one — both are equivalent apart
+    from warmth.
     ``budget`` overrides the request's own budget (the
     batch deadline overlay); the default sentinel means "use the
     request's". With ``capture_errors`` an exception becomes an error
@@ -82,7 +83,7 @@ def execute_request(
     ``request.collect_metrics`` runs the request under its own scoped
     registry: the response carries a ``repro-metrics/1`` snapshot of
     exactly this request's work, and the same snapshot is folded once
-    into the enclosing registry (chunk or global) so totals stay
+    into the enclosing registry (slice, batch or global) so totals stay
     complete without double counting.
     """
     if not request.collect_metrics:

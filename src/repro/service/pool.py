@@ -1,29 +1,33 @@
 """The concurrent batch rewriting service.
 
 :func:`rewrite_batch` accepts many ``(query, views, budget)`` requests
-at once, groups them by the planner's view-signature fingerprint
-(:mod:`repro.service.batcher`) so identical view sets share one
-planner and its memo warm-up, and shards the groups across an
-execution backend:
+at once and cuts them into contiguous *slices* in submission order. A
+slice is the unit of work: its runner groups the slice's own members by
+the planner's view-signature fingerprint (:mod:`repro.service.batcher`),
+so identical view sets share one planner and its memo warm-up, and runs
+each group on one cold planner. The calling thread only slices, runs its
+own share and stitches the responses back in order:
 
 ``serial``
-    one in-process loop, one planner per group for the length of the
-    call — the debugging/determinism baseline and the ``auto`` choice
-    for small batches;
+    the caller runs the whole batch as one slice, so every group keeps
+    one planner for the length of the call — the debugging/determinism
+    baseline and the ``auto`` choice for small batches;
 ``thread``
-    a :class:`~concurrent.futures.ThreadPoolExecutor` — cheap dispatch,
-    shared memory; each chunk plans on its own cold planner;
+    the batch is cut into :data:`SLICES_PER_WORKER` slices per worker; a
+    :class:`~concurrent.futures.ThreadPoolExecutor` of ``workers - 1``
+    runners takes all but the caller's share (``len(slices) //
+    workers``), which the calling thread runs itself;
 ``process``
-    a :class:`~concurrent.futures.ProcessPoolExecutor` — true
-    parallelism for large CPU-bound batches. A search is cheap next to
-    an executor round trip, so the unit of dispatch is a *bundle*: the
-    batch's chunks are packed, in order and never split, into at most
-    :data:`BUNDLES_PER_WORKER` bundles per worker of about equal request
-    count, and each bundle is one future. Its payload (per chunk:
-    catalog, views, semantics, requests; per bundle: the deadline
-    expiry) is pickled once; the worker runs the chunks one after
-    another, each on a cold planner, and ships back per-chunk results
-    plus one metrics snapshot.
+    the same split over a
+    :class:`~concurrent.futures.ProcessPoolExecutor` — true parallelism
+    for large CPU-bound batches. A shipped slice's payload (its
+    requests and the batch's deadline expiry) is pickled once, and it
+    returns its responses plus one metrics snapshot; the caller's own
+    slices are never pickled.
+
+A search is cheap next to an executor round trip, so a few slices per
+worker, not one future per group, keep the runners busy. With one
+worker an explicit ``thread`` or ``process`` batch ships every slice.
 
 A batch keeps nothing between calls. A planner memo is a pure function
 of a request's definitions, so warmth carried from one call to the next
@@ -34,9 +38,8 @@ Every mode funnels each request through
 mode-independent (pinned by the batch-parity differential harness). A
 batch deadline degrades gracefully per :mod:`repro.service.degradation`:
 late requests come back ``exhausted=True``, never dropped or raised. A
-worker or pickling failure demotes each chunk of the affected bundle to
-in-process execution — the N-requests-in, N-responses-out contract
-survives backend loss.
+slice whose worker or pickling fails is re-run in-process — the
+N-requests-in, N-responses-out contract survives backend loss.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from ..obs.metrics import (
     histogram,
 )
 from ..obs.trace import RewriteTrace, merge_spans
-from .batcher import RequestGroup, chunk_groups, group_requests
+from .batcher import group_requests
 from .degradation import BatchDeadline, refused_response
 from .executor import execute_request
 from .requests import BatchResult, RewriteRequest, RewriteResponse
@@ -66,13 +69,11 @@ MODES = ("auto", "serial", "thread", "process")
 PROCESS_THRESHOLD = 64
 #: auto mode: batches at most this large stay serial.
 SERIAL_THRESHOLD = 8
-#: process mode: futures per worker. One keeps every worker idle behind
-#: the slowest bundle (a search's p99 is several times its p50); one per
-#: chunk pays an executor round trip per request on a many-fingerprint
-#: batch, which costs more than the searches do.
-BUNDLES_PER_WORKER = 4
-
-Chunk = tuple[RequestGroup, list[tuple[int, RewriteRequest]]]
+#: thread/process mode: slices per worker. One keeps every runner idle
+#: behind the slowest slice (a search's p99 is several times its p50);
+#: one per request pays an executor round trip per request on a
+#: many-fingerprint batch, which costs more than the searches do.
+SLICES_PER_WORKER = 4
 
 REFUSALS = counter(
     "repro_service_refusals_total",
@@ -88,8 +89,7 @@ BATCH_SECONDS = histogram(
 )
 CHUNK_DEMOTIONS = counter(
     "repro_service_chunk_demotions_total",
-    "Chunks demoted to in-process execution after a worker or pickling "
-    "failure.",
+    "Slices re-run in-process after a worker or pickling failure.",
 )
 
 
@@ -102,35 +102,19 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _bundle_chunks(chunks: Sequence[Chunk], workers: int) -> list[list[Chunk]]:
-    """Pack consecutive chunks into at most ``workers *
-    BUNDLES_PER_WORKER`` bundles balanced by request count.
-
-    A chunk is never split, and a batch with no more chunks than that
-    gets one bundle per chunk.
-    """
-    limit = workers * BUNDLES_PER_WORKER
-    if len(chunks) <= limit:
-        return [[chunk] for chunk in chunks]
-    # Every bundle but the last reaches ``target`` requests, so there
-    # are at most ``limit`` of them.
-    target = -(-sum(len(members) for _, members in chunks) // limit)
-    bundles: list[list[Chunk]] = []
-    current: list[Chunk] = []
-    size = 0
-    for chunk in chunks:
-        current.append(chunk)
-        size += len(chunk[1])
-        if size >= target:
-            bundles.append(current)
-            current, size = [], 0
-    if current:
-        bundles.append(current)
-    return bundles
-
-
-def _cold_planner(group: RequestGroup) -> RewritePlanner:
-    return RewritePlanner(group.views, group.catalog, group.use_set_semantics)
+def _slices(n: int, parts: int) -> list[range]:
+    """``range(n)`` cut into at most ``parts`` contiguous runs whose
+    lengths differ by at most one."""
+    parts = min(parts, n)
+    if not parts:
+        return []
+    size, extra = divmod(n, parts)
+    out, start = [], 0
+    for index in range(parts):
+        stop = start + size + (index < extra)
+        out.append(range(start, stop))
+        start = stop
+    return out
 
 
 def _run_chunk(
@@ -139,13 +123,13 @@ def _run_chunk(
     planner: RewritePlanner,
     deadline: BatchDeadline,
 ) -> list[tuple[int, RewriteResponse]]:
-    """Run one chunk's requests in order on the group's planner.
+    """Run one group's requests in order on the group's planner.
 
     Each member is parsed and ranked against its own catalog; the group
     key guarantees those are fingerprint-equal, so one planner serves
     them all. ``collecting`` shadows whatever registry the running
-    thread had active, so chunk work lands in the batch aggregate only —
-    the parent sees it once, when :func:`rewrite_batch` merges the
+    thread had active, so the work lands in the given registry only —
+    the parent sees it once, when :func:`rewrite_batch` merges the batch
     aggregate back.
     """
     out: list[tuple[int, RewriteResponse]] = []
@@ -165,34 +149,46 @@ def _run_chunk(
     return out
 
 
-def _process_bundle(bundle: dict) -> dict:
-    """Top-level process-pool entry point (must be importable to pickle).
+def _run_slice(
+    requests: Sequence[RewriteRequest],
+    deadline: BatchDeadline,
+    registry: Optional[MetricsRegistry],
+) -> tuple[list[RewriteResponse], int]:
+    """Run one slice: group its own members, one cold planner per group.
 
-    Runs the bundle's chunks one after another, each on a cold planner
-    built in the worker. Returns per-chunk results plus the bundle's
-    metrics snapshot for the master to merge.
+    Returns the responses in slice order and the slice's group count.
     """
-    deadline = BatchDeadline.until(bundle["expires_at"])
-    # Worker-local registry: the snapshot ships back for the master to
-    # merge exactly once.
-    registry = MetricsRegistry() if bundle["collect_metrics"] else None
-    outcomes = [
-        {
-            "results": _run_chunk(
-                registry,
-                chunk["members"],
-                RewritePlanner(
-                    chunk["views"],
-                    chunk["catalog"],
-                    chunk["use_set_semantics"],
-                ),
-                deadline,
-            )
-        }
-        for chunk in bundle["chunks"]
-    ]
+    responses: list = [None] * len(requests)
+    groups = group_requests(requests)
+    for group in groups:
+        planner = RewritePlanner(
+            group.views, group.catalog, group.use_set_semantics
+        )
+        for position, response in _run_chunk(
+            registry, group.members, planner, deadline
+        ):
+            responses[position] = response
+    return responses, len(groups)
+
+
+def _ship_slice(payload: dict) -> dict:
+    """Pool entry point for a slice the caller hands off (top-level, so
+    a process pool can pickle it).
+
+    The deadline is rebuilt from the batch's one wall-clock expiry, so a
+    slice taken off the queue after it refuses every member. Metrics go
+    to a registry born empty, whose snapshot ships back for the caller
+    to merge exactly once.
+    """
+    registry = MetricsRegistry() if payload["collect_metrics"] else None
+    responses, groups = _run_slice(
+        payload["requests"],
+        BatchDeadline.until(payload["expires_at"]),
+        registry,
+    )
     return {
-        "chunks": outcomes,
+        "responses": responses,
+        "groups": groups,
         "metrics": (
             registry.snapshot().as_dict() if registry is not None else None
         ),
@@ -218,14 +214,14 @@ def rewrite_batch(
 ) -> BatchResult:
     """Rewrite a whole batch of requests; N requests in, N responses out.
 
-    Requests with equal (catalog, views, semantics) fingerprints share
-    a planner. ``mode`` picks the backend (``serial`` / ``thread`` /
-    ``process``, default ``auto`` by batch size) and ``workers`` its
-    width (0 or None: the usable CPU count). ``deadline`` (seconds)
-    bounds the entire batch wall-clock; see
-    :mod:`repro.service.degradation` for the overflow contract. Plain
-    strings are rejected — requests must be :class:`RewriteRequest`
-    instances so each carries its catalog.
+    Requests of one slice with equal (catalog, views, semantics)
+    fingerprints share a planner. ``mode`` picks the backend
+    (``serial`` / ``thread`` / ``process``, default ``auto`` by batch
+    size) and ``workers`` its width, the calling thread included (0 or
+    None: the usable CPU count). ``deadline`` (seconds) bounds the
+    entire batch wall-clock; see :mod:`repro.service.degradation` for
+    the overflow contract. Plain strings are rejected — requests must
+    be :class:`RewriteRequest` instances so each carries its catalog.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -244,30 +240,24 @@ def rewrite_batch(
             )
     workers = workers or _available_cpus()
     mode = _resolve_mode(mode, len(requests), workers)
-    batch_deadline = BatchDeadline(deadline)
-    groups = group_requests(requests)
-    chunks = chunk_groups(groups, workers)
+    slices = _slices(
+        len(requests), 1 if mode == "serial" else SLICES_PER_WORKER * workers
+    )
 
-    responses: list[Optional[RewriteResponse]] = [None] * len(requests)
-
-    # Batch-scoped metrics: when an enclosing registry is active,
-    # every chunk (serial, thread task, process worker, demoted
-    # re-run) records into a batch-local aggregate which folds into
-    # the parent exactly once below — the no-double-counting
-    # contract for all three modes. With metrics off this is None
-    # and the runners skip all registry work.
+    # Batch-scoped metrics: when an enclosing registry is active, the
+    # caller's slices record into a batch-local aggregate, each shipped
+    # slice's snapshot is merged into it once, and it folds into the
+    # parent exactly once below — the no-double-counting contract for
+    # all three modes. With metrics off this is None and the runners
+    # skip all registry work.
     parent_metrics = current_metrics()
     batch_reg = MetricsRegistry() if parent_metrics is not None else None
+    responses, groups = _run_slices(
+        requests, slices, mode, workers, BatchDeadline(deadline), batch_reg
+    )
 
-    if mode == "serial":
-        _run_serial(chunks, batch_deadline, responses, batch_reg)
-    elif mode == "thread":
-        _run_threaded(chunks, workers, batch_deadline, responses, batch_reg)
-    else:
-        _run_processes(chunks, workers, batch_deadline, responses, batch_reg)
-
-    # The per-mode runners fill every position; a hole here would be
-    # a bug in this module, not in the caller's batch.
+    # The runners fill every position; a hole here would be a bug in
+    # this module, not in the caller's batch.
     final = tuple(
         r if r is not None else RewriteResponse(error="internal: lost")
         for r in responses
@@ -287,13 +277,13 @@ def rewrite_batch(
             "mode": mode,
             "workers": workers if mode != "serial" else 1,
             "requests": len(final),
-            "groups": len(groups),
-            "chunks": len(chunks),
+            "groups": groups,
+            "chunks": len(slices),
             "elapsed": round(elapsed, 6),
             "requests_per_second": (
                 round(len(final) / elapsed, 3) if elapsed > 0 else None
             ),
-            "deadline": batch_deadline.seconds,
+            "deadline": deadline,
             "exhausted": sum(1 for r in final if r.exhausted),
             "degraded": sum(1 for r in final if r.degraded),
             "errors": sum(1 for r in final if r.error is not None),
@@ -302,97 +292,66 @@ def rewrite_batch(
     )
 
 
-def _run_serial(chunks, deadline, responses, batch_reg) -> None:
-    # One planner per group for the call: chunk_groups emits a split
-    # group's chunks back to back, and they share it.
-    group = planner = None
-    for chunk_group, members in chunks:
-        if chunk_group is not group:
-            group, planner = chunk_group, _cold_planner(chunk_group)
-        for position, response in _run_chunk(
-            batch_reg, members, planner, deadline
-        ):
-            responses[position] = response
+def _run_slices(
+    requests, slices, mode, workers, deadline, batch_reg
+) -> tuple[list[Optional[RewriteResponse]], int]:
+    """The batch's responses, position by position, and the group count
+    summed over slices."""
+    responses: list[Optional[RewriteResponse]] = [None] * len(requests)
 
+    def run_here(span: range) -> int:
+        got, groups = _run_slice(
+            requests[span.start:span.stop], deadline, batch_reg
+        )
+        responses[span.start:span.stop] = got
+        return groups
 
-def _run_threaded(chunks, workers, deadline, responses, batch_reg) -> None:
-    def task(group, members):
-        # Entered inside the worker thread: ``collecting`` is
-        # thread-local, so each task must scope its own extent. The
-        # shared batch registry is thread-safe, so tasks record into
-        # it directly — nothing to merge, nothing counted twice.
-        return _run_chunk(batch_reg, members, _cold_planner(group), deadline)
+    def demote(span: range) -> int:
+        if batch_reg is not None:
+            batch_reg.family(CHUNK_DEMOTIONS).inc()
+        return run_here(span)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(task, group, members) for group, members in chunks
-        ]
-        for future in futures:
-            for position, response in future.result():
-                responses[position] = response
-
-
-def _run_processes(chunks, workers, deadline, responses, batch_reg) -> None:
+    if mode == "serial":
+        return responses, sum(run_here(span) for span in slices)
+    own = len(slices) // workers if workers > 1 else 0
+    shipped, local = slices[: len(slices) - own], slices[len(slices) - own:]
+    executor = ThreadPoolExecutor if mode == "thread" else ProcessPoolExecutor
     expires_at = deadline.wall_expiry()
-
-    def demote(bundle):
-        # Failure isolation stays per chunk, whatever was shipped.
-        for group, members in bundle:
-            if batch_reg is not None:
-                batch_reg.family(CHUNK_DEMOTIONS).inc()
-            for position, response in _run_chunk(
-                batch_reg, members, _cold_planner(group), deadline
-            ):
-                responses[position] = response
-
+    groups = 0
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with executor(max_workers=max(1, workers - 1)) as pool:
             pending = []
-            for bundle in _bundle_chunks(chunks, workers):
+            for span in shipped:
                 payload = {
-                    "chunks": [
-                        {
-                            "catalog": group.catalog,
-                            "views": group.views,
-                            "use_set_semantics": group.use_set_semantics,
-                            "members": members,
-                        }
-                        for group, members in bundle
-                    ],
+                    "requests": requests[span.start:span.stop],
                     "expires_at": expires_at,
                     "collect_metrics": batch_reg is not None,
                 }
                 try:
-                    future = pool.submit(_process_bundle, payload)
+                    pending.append((span, pool.submit(_ship_slice, payload)))
                 except Exception:
-                    # Dead or broken pool: run this bundle's chunks
-                    # in-process.
-                    demote(bundle)
-                    continue
-                pending.append((future, bundle))
-            for future, bundle in pending:
+                    # Dead or broken pool: run this slice in-process.
+                    groups += demote(span)
+            for span in local:
+                groups += run_here(span)
+            for span, future in pending:
                 try:
                     outcome = future.result()
                 except Exception:
                     # Unpicklable payload or dead worker.
-                    demote(bundle)
+                    groups += demote(span)
                     continue
-                for done in outcome["chunks"]:
-                    for position, response in done["results"]:
-                        responses[position] = response
+                responses[span.start:span.stop] = outcome["responses"]
+                groups += outcome["groups"]
                 if outcome["metrics"] and batch_reg is not None:
-                    # One merge per worker snapshot: the worker's
-                    # registry was born empty, so these counts exist
-                    # nowhere else.
                     batch_reg.merge(outcome["metrics"])
     except Exception:
-        # Pool construction itself failed (restricted platforms):
-        # run everything in-process rather than failing the batch.
-        demote(
-            chunk
-            for chunk in chunks
-            if any(responses[p] is None for p, _ in chunk[1])
-        )
+        # Pool construction itself failed (restricted platforms): run
+        # what is left in-process rather than failing the batch.
+        for span in slices:
+            if any(responses[p] is None for p in span):
+                groups += demote(span)
+    return responses, groups
 
 
 def _stitch_trace(

@@ -135,6 +135,26 @@ def test_statements_share_one_planner(connection, monkeypatch):
     assert len(built) == 4 and budgeted.planner in built
 
 
+@pytest.mark.parametrize("rewritten", [True, False])
+def test_a_statement_is_validated_once(session, monkeypatch, rewritten):
+    """Text is parsed and validated by the search alone: the block it
+    yields is not validated a second time on the way in."""
+    from repro.blocks.query_block import QueryBlock
+
+    validated = []
+    validate = QueryBlock.validate
+
+    def counting(self, *args, **kwargs):
+        validated.append(self)
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(QueryBlock, "validate", counting)
+    sql = QUERY if rewritten else PASSTHROUGH_QUERY
+    assert session.rewrite_sql(sql).rewritten is rewritten
+    # The first block validated is the input's own.
+    assert sum(1 for block in validated if block is validated[0]) == 1
+
+
 PASSTHROUGH_QUERY = "SELECT id, amount FROM sales WHERE region = 'east'"
 REWRITTEN_SQL = (
     'SELECT "region_totals"."region", SUM("region_totals"."total") AS "s"'

@@ -16,6 +16,8 @@ The base seed shifts from the command line, like the soundness harness::
     PYTHONPATH=src python -m pytest tests/integration/test_batch_parity.py --seed 5000
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import api
@@ -114,19 +116,32 @@ def test_batch_equals_per_request_serial(request, mode, budget):
 def test_warm_batches_keep_parity(request, mode):
     """A request on its group's warm planner answers as it did cold.
 
-    Each scenario appears twice in one batch; the second copy runs on
-    the planner the first one warmed (its group stays one chunk in
-    every mode). Memoization is pure, so results must be identical.
+    Each scenario appears twice in a row, so both copies land in one
+    slice and one group in every mode, and the second copy runs on the
+    planner the first one warmed. Memoization is pure, so results must
+    be identical.
     """
     base = _base_seed(request.config)
-    requests = _requests(base, 24)
-    got = rewrite_batch(requests + requests, mode=mode, workers=2)
-    assert got.report["chunks"] == got.report["groups"]
-    cold, warm = got[: len(requests)], got[len(requests):]
+    requests = [
+        replace(r, trace=True) for r in _requests(base, 24) for _ in (0, 1)
+    ]
+    got = rewrite_batch(requests, mode=mode, workers=2)
+    cold, warm = got[0::2], got[1::2]
+    warm_hits = 0
     for got_response, want_response in zip(warm, cold):
         _assert_equal_responses(
             got_response, want_response, f"warm mode={mode}"
         )
+        # Warm: every substitution the first copy looked up is memoized.
+        first = want_response.trace.counters
+        second = got_response.trace.counters
+        assert second.get("substitution_misses", 0) == 0, second
+        if first.get("substitution_hits", 0) + first.get(
+            "substitution_misses", 0
+        ):
+            assert second.get("substitution_hits", 0) > 0, second
+        warm_hits += second.get("substitution_hits", 0)
+    assert warm_hits > 0
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,17 +38,19 @@ def scenario_request(seed: int, **overrides) -> RewriteRequest:
 
 
 def recording_pool(monkeypatch, *, failing=(), before_first_result=None):
-    """Stand in for ``ProcessPoolExecutor``: record every submitted
-    payload, run a task in this process only when its result is read.
+    """Stand in for ``ProcessPoolExecutor``: round-trip every submitted
+    payload through pickle as a real pool would, record it, and run its
+    task in this process only when its result is read.
 
     Futures whose submit index is in ``failing`` raise from
     ``result()``; ``before_first_result`` runs once, ahead of the first
-    task. Returns ``(payloads, answered)``: what was submitted, and the
-    request positions the pool (not a demotion) answered.
+    task. Returns a namespace with ``payloads`` (what was submitted, as
+    unpickled), ``answered`` (the request ids the pool, not a demotion,
+    answered) and ``running`` (true while a pool task runs).
     """
     from repro.service import pool as pool_module
 
-    payloads, answered = [], []
+    pool = SimpleNamespace(payloads=[], answered=[], running=False)
 
     class LazyFuture:
         def __init__(self, index, task, payload):
@@ -59,12 +63,12 @@ def recording_pool(monkeypatch, *, failing=(), before_first_result=None):
                 before_first_result = None
             if self.index in failing:
                 raise RuntimeError("worker died")
-            outcome = self.task(self.payload)
-            answered.extend(
-                position
-                for chunk in outcome["chunks"]
-                for position, _ in chunk["results"]
-            )
+            pool.running = True
+            try:
+                outcome = pickle.loads(pickle.dumps(self.task(self.payload)))
+            finally:
+                pool.running = False
+            pool.answered.extend(r.request_id for r in outcome["responses"])
             return outcome
 
     class RecordingPool:
@@ -78,19 +82,43 @@ def recording_pool(monkeypatch, *, failing=(), before_first_result=None):
             return False
 
         def submit(self, task, payload):
-            payloads.append(payload)
-            return LazyFuture(len(payloads) - 1, task, payload)
+            pool.payloads.append(pickle.loads(pickle.dumps(payload)))
+            return LazyFuture(len(pool.payloads) - 1, task,
+                              pool.payloads[-1])
 
     monkeypatch.setattr(pool_module, "ProcessPoolExecutor", RecordingPool)
-    return payloads, answered
+    return pool
+
+
+def numbered(seeds) -> list[RewriteRequest]:
+    """One scenario request per seed, its ``request_id`` its position."""
+    return [
+        scenario_request(seed, request_id=str(position))
+        for position, seed in enumerate(seeds)
+    ]
+
+
+def ids(requests) -> list[int]:
+    return [int(request.request_id) for request in requests]
 
 
 def shipped_positions(payload) -> list[int]:
-    return [
-        position
-        for chunk in payload["chunks"]
-        for position, _ in chunk["members"]
-    ]
+    return ids(payload["requests"])
+
+
+def record_slices(monkeypatch, pool) -> list[tuple[bool, list[int]]]:
+    """Record every slice run, as ``(ran in the pool, positions)``."""
+    from repro.service import pool as pool_module
+
+    runs = []
+    real = pool_module._run_slice
+
+    def recording(requests, deadline, registry):
+        runs.append((pool.running, ids(requests)))
+        return real(requests, deadline, registry)
+
+    monkeypatch.setattr(pool_module, "_run_slice", recording)
+    return runs
 
 
 class TestGrouping:
@@ -217,77 +245,127 @@ class TestModes:
         assert result.report["workers"] == 64
 
 
-class TestBundling:
-    """Process mode ships a few bundles of whole chunks, not one future
-    per chunk."""
+class TestSlicing:
+    """Thread and process mode cut the batch into a few contiguous
+    slices; the caller ships all but its share and runs that itself."""
 
-    def test_many_chunks_ship_as_a_few_bundles(self, monkeypatch):
-        payloads, _ = recording_pool(monkeypatch)
-        requests = [scenario_request(seed) for seed in range(100)]
+    def test_slices_tile_the_batch_in_submission_order(self, monkeypatch):
+        pool = recording_pool(monkeypatch)
+        runs = record_slices(monkeypatch, pool)
+        requests = numbered(range(100))
         result = rewrite_batch(requests, mode="process", workers=2)
-        assert result.report["chunks"] == 100
-        assert 2 <= len(payloads) <= 8
-        assert sum(len(p["chunks"]) for p in payloads) == 100
-        # Every request rides in exactly one bundle, in batch order.
+        # 2 workers x 4 slices; the caller keeps 8 // 2 of them.
+        assert result.report["chunks"] == 8
+        shipped = [shipped_positions(p) for p in pool.payloads]
+        own = [positions for in_pool, positions in runs if not in_pool]
+        assert len(shipped) == len(own) == 4
+        assert [positions for in_pool, positions in runs if in_pool] == (
+            shipped
+        )
+        # Contiguous runs that tile the batch in submission order, each
+        # request in exactly one of them.
+        for positions in shipped + own:
+            assert positions == list(range(positions[0], positions[-1] + 1))
         assert [
-            position for p in payloads for position in shipped_positions(p)
+            p for run in sorted(shipped + own) for p in run
         ] == list(range(100))
-        # Balanced by request count: ceil(100 / (2 workers * 4)) each.
-        assert max(len(shipped_positions(p)) for p in payloads) == 13
+        # Balanced by request count: 100 / 8 is 13 or 12 each.
+        assert [len(run) for run in shipped + own] == [13] * 4 + [12] * 4
+        # Only shipped requests crossed pickle, both ways.
+        flat_own = {p for run in own for p in run}
+        assert not flat_own & {p for run in shipped for p in run}
+        assert sorted(map(int, pool.answered)) == sorted(
+            p for run in shipped for p in run
+        )
         baseline = rewrite_batch(requests, mode="serial")
         assert [r.rewritings for r in result] == [
             r.rewritings for r in baseline
         ]
 
-    def test_chunks_ship_definitions_and_return_results_only(
+    def test_caller_fingerprints_only_its_own_share(self, monkeypatch):
+        from repro.service import batcher
+
+        pool = recording_pool(monkeypatch)
+        keyed = []
+        real = batcher.request_group_key
+
+        def counting(request):
+            keyed.append((pool.running, int(request.request_id)))
+            return real(request)
+
+        monkeypatch.setattr(batcher, "request_group_key", counting)
+        rewrite_batch(numbered(range(40)), mode="process", workers=2)
+        shipped = {
+            p for payload in pool.payloads for p in shipped_positions(payload)
+        }
+        by_caller = [p for in_pool, p in keyed if not in_pool]
+        assert shipped and by_caller
+        assert sorted(by_caller) == sorted(set(range(40)) - shipped)
+        assert sorted(p for in_pool, p in keyed if in_pool) == sorted(shipped)
+
+    def test_slices_ship_requests_and_return_responses_only(
         self, monkeypatch
     ):
-        # No planner memo rides either way: a chunk ships what its
-        # worker needs to plan cold, and returns its responses.
-        from repro.service.pool import _process_bundle
+        # No planner state rides either way: a slice ships what its
+        # runner needs to plan cold, and returns its responses.
+        from repro.service.pool import _ship_slice
 
-        payloads, _ = recording_pool(monkeypatch)
+        pool = recording_pool(monkeypatch)
         requests = [scenario_request(5)] * 12 + [
             scenario_request(seed) for seed in range(6, 16)
         ]
         result = rewrite_batch(requests, mode="process", workers=2)
-        shipped = [chunk for p in payloads for chunk in p["chunks"]]
-        returned = [
-            chunk for p in payloads for chunk in _process_bundle(p)["chunks"]
-        ]
-        assert len(shipped) == len(returned) == result.report["chunks"]
-        for chunk in shipped:
-            assert set(chunk) == {
-                "catalog", "views", "use_set_semantics", "members",
+        assert pool.payloads
+        for payload in pool.payloads:
+            assert set(payload) == {
+                "requests", "expires_at", "collect_metrics",
             }
-        for chunk in returned:
-            assert set(chunk) == {"results"}
+            outcome = _ship_slice(payload)
+            assert set(outcome) == {"responses", "groups", "metrics"}
+            assert len(outcome["responses"]) == len(payload["requests"])
+        # Groups are counted per slice: seed 5's twelve copies span four
+        # of the eight slices, beside ten one-request groups.
+        assert result.report["groups"] == 14
 
-    def test_few_chunks_ship_one_per_future(self, monkeypatch):
-        payloads, _ = recording_pool(monkeypatch)
+    def test_small_batch_ships_one_request_per_slice(self, monkeypatch):
+        pool = recording_pool(monkeypatch)
         result = rewrite_batch(
-            [scenario_request(seed) for seed in range(3)],
-            mode="process",
-            workers=2,
+            numbered(range(3)), mode="process", workers=2
         )
-        assert result.report["chunks"] == 3
-        assert [len(p["chunks"]) for p in payloads] == [1, 1, 1]
+        assert (result.report["chunks"], result.report["groups"]) == (3, 3)
+        assert [shipped_positions(p) for p in pool.payloads] == [[0], [1]]
 
-    def test_failed_bundle_demotes_its_chunks_one_by_one(self, monkeypatch):
+    def test_one_worker_ships_every_slice(self, monkeypatch):
+        pool = recording_pool(monkeypatch)
+        runs = record_slices(monkeypatch, pool)
+        result = rewrite_batch(
+            numbered(range(10)), mode="process", workers=1
+        )
+        assert result.report["chunks"] == 4
+        assert [shipped_positions(p) for p in pool.payloads] == [
+            [0, 1, 2], [3, 4, 5], [6, 7], [8, 9],
+        ]
+        assert all(in_pool for in_pool, _ in runs)
+
+    def test_failed_slice_is_rerun_in_process(self, monkeypatch):
         from repro.obs.metrics import MetricsRegistry, collecting
 
-        payloads, answered = recording_pool(monkeypatch, failing={1})
-        requests = [scenario_request(seed) for seed in range(40)]
+        pool = recording_pool(monkeypatch, failing={1})
+        requests = numbered(range(40))
         registry = MetricsRegistry()
         with collecting(registry):
             result = rewrite_batch(requests, mode="process", workers=2)
-        lost = shipped_positions(payloads[1])
-        assert len(payloads[1]["chunks"]) > 1
+        lost = shipped_positions(pool.payloads[1])
+        assert len(lost) == 5
         assert registry.snapshot().counter_value(
             "repro_service_chunk_demotions_total"
-        ) == len(payloads[1]["chunks"])
-        # The other bundles' responses came from the pool.
-        assert sorted(answered + lost) == list(range(40))
+        ) == 1
+        # The other shipped slices' responses came from the pool.
+        shipped = [p for payload in pool.payloads
+                   for p in shipped_positions(payload)]
+        assert sorted(map(int, pool.answered)) == sorted(
+            set(shipped) - set(lost)
+        )
         baseline = rewrite_batch(requests, mode="serial")
         for got, want in zip(result, baseline):
             assert got.rewritings == want.rewritings
@@ -299,30 +377,35 @@ class TestDeadline:
     def test_bundle_dequeued_after_expiry_refuses_every_member(
         self, monkeypatch
     ):
-        # The allowance is one instant for the whole batch: a task that
+        # The allowance is one instant for the whole batch: a slice that
         # waited in the pool's queue past it must not start it afresh.
         import time
 
         from repro.obs.metrics import MetricsRegistry, collecting
 
-        payloads, answered = recording_pool(
+        pool = recording_pool(
             monkeypatch, before_first_result=lambda: time.sleep(0.06)
         )
-        requests = [scenario_request(seed) for seed in range(20)]
         registry = MetricsRegistry()
         with collecting(registry):
             result = rewrite_batch(
-                requests, mode="process", workers=2, deadline=0.05
+                numbered(range(20)), mode="process", workers=2,
+                deadline=0.05,
             )
-        assert len(payloads) > 1
-        assert sorted(answered) == list(range(20))  # nothing was demoted
-        assert result.degraded_count == 20
-        for response in result:
+        shipped = [
+            p for payload in pool.payloads for p in shipped_positions(payload)
+        ]
+        assert len(pool.payloads) > 1
+        # Nothing was demoted, and every shipped member was refused.
+        assert sorted(map(int, pool.answered)) == sorted(shipped)
+        for position in shipped:
+            response = result[position]
+            assert response.degraded
             assert BATCH_DEADLINE in response.budget["tripped"]
             assert response.error is None
-        snapshot = registry.snapshot()
-        assert snapshot.counter_value("repro_service_refusals_total") == 20
-        assert snapshot.counter_value("repro_planner_searches_total") == 0
+        assert registry.snapshot().counter_value(
+            "repro_service_refusals_total"
+        ) == result.degraded_count
 
     def test_spent_deadline_refuses_every_request(self):
         requests = [scenario_request(seed) for seed in range(4)]
@@ -385,14 +468,16 @@ def count_planners(monkeypatch) -> list:
 
 class TestWarmth:
     """Warmth lives for one call: serial mode keeps one planner per
-    group, every other chunk plans cold, and nothing outlives the call."""
+    group, every other slice plans each of its groups cold, and nothing
+    outlives the call."""
 
     def test_serial_mode_shares_one_planner_per_group(self, monkeypatch):
         built = count_planners(monkeypatch)
         requests = [scenario_request(5)] * 12 + [scenario_request(6)]
         result = rewrite_batch(requests, mode="serial", workers=2)
-        # Group 5 splits into two chunks that share its planner.
-        assert (result.report["groups"], result.report["chunks"]) == (2, 3)
+        # The whole batch is one slice: group 5's twelve requests share
+        # its planner.
+        assert (result.report["groups"], result.report["chunks"]) == (2, 1)
         assert len(built) == 2
         assert built[0].stats.substitution_hits > 0
         rewrite_batch(requests, mode="serial", workers=2)

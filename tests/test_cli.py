@@ -408,6 +408,10 @@ class TestParser:
             (option,) = [o for o in golden[command] if o["dest"] == dest]
             assert option["type"] == "int"
             option["type"] = "non_negative_int"
+        # cmd_fuzz checks the bug name, so the parser needs no repro.fuzz.
+        (option,) = [o for o in golden["fuzz"] if o["dest"] == "inject_bug"]
+        assert option["choices"] is not None
+        option["choices"] = None
         assert self.spec(build_parser()) == golden
 
     def test_docstring_lists_the_command_table(self):
@@ -449,3 +453,33 @@ class TestParser:
             build_parser().parse_args(argv + ["--schema", "s.sql"])
         assert exit_info.value.code == 2
         assert "must be >= 0" in capsys.readouterr().err
+
+    def test_unknown_bug_name_is_a_usage_error(self, capsys):
+        from repro.fuzz import BUG_NAMES
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuzz", "--inject-bug", "no-such-bug"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "repro fuzz: error: argument --inject-bug: invalid choice: "
+            "'no-such-bug' (choose from "
+            + ", ".join(repr(name) for name in BUG_NAMES)
+            + ")"
+        )
+
+    def test_building_the_parser_does_not_import_fuzz(self):
+        import os
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.cli; repro.cli.build_parser(); "
+            "print('repro.fuzz' in sys.modules)"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        ).stdout
+        assert out.strip() == "False"
