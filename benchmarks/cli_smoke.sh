@@ -29,7 +29,6 @@ cat > "$work/requests.jsonl" <<JSONL
 {"id": "q1", "query": "$query"}
 "SELECT Plan_Id, SUM(Charge) FROM Calls GROUP BY Plan_Id"
 JSONL
-echo "$query;" > "$work/workload.sql"
 mkdir "$work/data"
 printf 'Call_Id,Plan_Id,Year,Charge\n1,1,1995,10\n2,1,1995,5\n3,2,1996,7\n' \
     > "$work/data/Calls.csv"
@@ -80,6 +79,22 @@ run() {
     fi
     check_output "$name"
     echo "ok: repro $name"
+}
+
+# refuse NAME TEXT ARGS...: `python -m repro ARGS...` must exit 2 (a
+# usage error or a refused input) with TEXT on stderr and no traceback.
+refuse() {
+    local name="$1" text="$2" status=0
+    shift 2
+    python -m repro "$@" > "$work/$name.out" 2> "$work/$name.err" \
+        < /dev/null || status=$?
+    if [ "$status" -ne 2 ] || ! grep -qF -- "$text" "$work/$name.err" \
+            || grep -q "Traceback" "$work/$name.err"; then
+        echo "::error::repro $* should exit 2 with '$text' (exit $status)"
+        cat "$work/$name.err"
+        exit 1
+    fi
+    echo "ok: repro $name refused"
 }
 
 s=(--schema "$work/schema.sql")
@@ -180,8 +195,11 @@ fi
 echo "ok: the parser does not import repro.fuzz"
 run check check "${s[@]}" --left "SELECT Plan_Id FROM Calls" \
     --right "SELECT Plan_Id FROM Calls" --trials 5
-run advise advise "${s[@]}" --workload "$work/workload.sql" --budget 100
+refuse advise "invalid choice: 'advise'" advise "${s[@]}"
 run query query "${s[@]}" --data "$work/data" --query "$query" --use-views
+refuse query-subquery "FROM-clause subqueries (single-block queries only)" \
+    query "${s[@]}" --data "$work/data" \
+    --query "SELECT t.Plan_Id FROM (SELECT Plan_Id FROM Calls) t"
 run emit emit "${s[@]}" --query "$query" --dialect postgres --views --json
 run rewrite-sql rewrite-sql "${s[@]}" --sql "$query" --json
 cat > "$work/serve-sql.in" <<JSONL

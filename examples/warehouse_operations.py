@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Operating a warehouse end to end: choose views, keep them fresh,
-answer queries from them.
+"""Operating a warehouse end to end: materialize summary views, keep
+them fresh, answer queries from them.
 
-Combines the three subsystems the paper's warehouse story needs:
+Combines the two subsystems the paper's warehouse story needs:
 
-1. the **advisor** (Section 7 future work) picks which summary views to
-   materialize for the analyst workload under a storage budget;
-2. the **maintainer** keeps those views fresh as call records stream in
-   ([BLT86, GMS93] substrate);
-3. the **rewriter** (the paper's core) answers each analyst query from
+1. the **maintainer** keeps three hand-written summary views (one per
+   analyst query's grouping) fresh as call records stream in ([BLT86,
+   GMS93] substrate);
+2. the **rewriter** (the paper's core) answers each analyst query from
    the freshest summaries, verified against direct evaluation.
 
 Run:  python examples/warehouse_operations.py
@@ -17,7 +16,7 @@ Run:  python examples/warehouse_operations.py
 import random
 import time
 
-from repro import Database, RewriteEngine, recommend_views
+from repro import Database, RewriteEngine
 from repro.maintenance import MaintainedView, apply_change
 from repro.workloads import telephony
 
@@ -27,25 +26,30 @@ WORKLOAD = [
     "SELECT Year, AVG(Charge) FROM Calls GROUP BY Year",
 ]
 
+#: One summary per query grouping; COUNT(Charge) rides along so that
+#: SUM rolls up and AVG is SUM / COUNT (Section 4's conditions).
+SUMMARIES = [
+    "CREATE VIEW Yearly (Year, Total, N) AS "
+    "SELECT Year, SUM(Charge), COUNT(Charge) FROM Calls GROUP BY Year",
+    "CREATE VIEW Plan_Month (Plan_Id, Month, N) AS "
+    "SELECT Plan_Id, Month, COUNT(Charge) FROM Calls GROUP BY Plan_Id, Month",
+    "CREATE VIEW Plan_Year (Plan_Id, Year, Total, N) AS "
+    "SELECT Plan_Id, Year, SUM(Charge), COUNT(Charge) FROM Calls "
+    "GROUP BY Plan_Id, Year",
+]
+
 
 def main() -> None:
     workload_gen = telephony.generate(n_calls=8_000, seed=31)
     catalog = workload_gen.catalog
 
     # ------------------------------------------------------------------
-    print("1. Advisor: choosing summary views (budget: 2,000 rows)")
-    recommendation = recommend_views(
-        catalog, WORKLOAD, space_budget_rows=2_000
-    )
-    print(recommendation.summary())
-
-    # ------------------------------------------------------------------
-    print("\n2. Materializing and wiring incremental maintenance")
+    print("1. Materializing and wiring incremental maintenance")
     db = Database(catalog, workload_gen.tables)
     engine = RewriteEngine(catalog)
     maintainers = []
-    for view in recommendation.views:
-        engine.add_view(view)
+    for sql in SUMMARIES:
+        view = engine.add_view(sql)
         maintainer = MaintainedView(view, db)
         maintainers.append(maintainer)
         print(
@@ -53,7 +57,7 @@ def main() -> None:
         )
 
     # ------------------------------------------------------------------
-    print("\n3. Streaming 500 new call records through the maintainers")
+    print("\n2. Streaming 500 new call records through the maintainers")
     rng = random.Random(7)
     start = time.perf_counter()
     for i in range(500):
@@ -77,7 +81,7 @@ def main() -> None:
     print("   consistency check against full recompute: OK")
 
     # ------------------------------------------------------------------
-    print("\n4. Answering the workload from the fresh summaries\n")
+    print("\n3. Answering the workload from the fresh summaries\n")
     for sql in WORKLOAD:
         best = engine.rewrite(sql).best()
         assert best is not None

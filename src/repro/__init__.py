@@ -45,12 +45,10 @@ from .blocks import (
     parse_view,
     view_to_sql,
 )
-from .blocks.nested import NestedQuery, nested_to_sql, parse_nested_query
 from .blocks.unfold import unfold_views
 from .cache import CacheStats, QueryCache
 from .catalog import Catalog, TableSchema, fd, table
 from .maintenance import MaintainedView
-from .advisor import Recommendation, recommend_views
 from .constraints import (
     Closure,
     DifferenceClosure,
@@ -118,9 +116,6 @@ __all__ = [
     "parse_view",
     "view_to_sql",
     "unfold_views",
-    "NestedQuery",
-    "nested_to_sql",
-    "parse_nested_query",
     "MaintainedView",
     "QueryCache",
     "CacheStats",
@@ -130,8 +125,6 @@ __all__ = [
     "table",
     "Closure",
     "DifferenceClosure",
-    "Recommendation",
-    "recommend_views",
     "equivalent",
     "implies",
     "normalize_having",

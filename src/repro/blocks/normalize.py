@@ -38,11 +38,6 @@ class _Scope:
         self._by_qualifier: dict[str, Relation] = {}
         namer = FreshNames()
         for ref in stmt.from_tables:
-            if not hasattr(ref, "name"):
-                raise UnsupportedSQLError(
-                    "FROM-clause subqueries need parse_nested_query "
-                    "(repro.blocks.nested), not parse_query"
-                )
             base_names = catalog.columns_of(ref.name)
             relation = Relation(
                 name=ref.name,

@@ -38,15 +38,11 @@ def _unfoldable(view: ViewDef) -> bool:
 
 
 def unfold_once(
-    block: QueryBlock,
-    catalog: "Catalog",
-    only: Optional[set[str]] = None,
+    block: QueryBlock, catalog: "Catalog"
 ) -> Optional[QueryBlock]:
     """Unfold the first unfoldable view occurrence; None when there is
-    none. ``only`` restricts unfolding to the named views."""
+    none."""
     for position, rel in enumerate(block.from_):
-        if only is not None and rel.name not in only:
-            continue
         if not catalog.is_view(rel.name):
             continue
         view = catalog.view(rel.name)
@@ -56,20 +52,15 @@ def unfold_once(
     return None
 
 
-def unfold_views(
-    block: QueryBlock,
-    catalog: "Catalog",
-    only: Optional[set[str]] = None,
-) -> QueryBlock:
+def unfold_views(block: QueryBlock, catalog: "Catalog") -> QueryBlock:
     """Unfold every conjunctive-view occurrence, recursively.
 
     View definitions cannot be cyclic (a catalog only accepts views over
-    already-known names), so this terminates. ``only`` restricts
-    unfolding to the named views (used for query-local derived tables).
+    already-known names), so this terminates.
     """
     current = block
     while True:
-        unfolded = unfold_once(current, catalog, only)
+        unfolded = unfold_once(current, catalog)
         if unfolded is None:
             return current
         current = unfolded

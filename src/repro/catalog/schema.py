@@ -89,7 +89,7 @@ def table(
 
     ``key`` declares a single primary key; ``keys`` declares several
     candidate keys; ``distinct`` maps column names to estimated
-    numbers of distinct values (used by the cost model and advisor).
+    numbers of distinct values (used by the cost model).
     """
     key_sets = [frozenset(k) for k in keys]
     if key is not None:

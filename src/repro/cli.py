@@ -14,8 +14,6 @@ Commands:
 ``check``
     Empirically compare two queries for multiset-equivalence on random
     databases.
-``advise``
-    Recommend summary views for a workload under a storage budget.
 ``query``
     Execute a query over CSV data files, optionally through the cheapest
     view-based rewriting.
@@ -46,8 +44,7 @@ Commands:
     shrunk to replayable JSON repros (``repro fuzz --replay <file>``).
     See ``docs/oracle.md``.
 
-Schema scripts are ';'-separated statements; a workload file is a script
-whose SELECT statements form the workload. Every ``--json`` output is
+Schema scripts are ';'-separated statements. Every ``--json`` output is
 the consolidated ``repro-api/1`` envelope — top-level ``schema`` /
 ``kind`` / ``ok`` and exactly one of ``result`` or ``error`` (see
 ``docs/api.md``).
@@ -138,12 +135,12 @@ def _load(args) -> tuple:
         return load_schema(handle.read())
 
 
-def _schema_and_query(args, parse=parse_query) -> tuple:
-    """(catalog, query): --query read with ``parse``, else the schema
-    script's last SELECT."""
+def _schema_and_query(args) -> tuple:
+    """(catalog, query): --query parsed, else the schema script's last
+    SELECT."""
     catalog, queries = _load(args)
     if args.query:
-        return catalog, parse(args.query, catalog)
+        return catalog, parse_query(args.query, catalog)
     if queries:
         return catalog, queries[-1]
     raise ReproError(
@@ -275,50 +272,19 @@ def cmd_check(args) -> int:
     return 1
 
 
-def cmd_advise(args) -> int:
-    from .advisor import recommend_views
-
-    catalog, queries = _load(args)
-    if args.workload:
-        with open(args.workload) as handle:
-            _catalog, workload = load_schema(handle.read(), catalog)
-    else:
-        workload = queries
-    if not workload:
-        raise ReproError("the workload has no SELECT statements")
-    recommendation = recommend_views(
-        catalog, workload, space_budget_rows=args.budget
-    )
-    print(recommendation.summary())
-    for report in recommendation.per_query:
-        line = f"  {report.speedup:10,.1f}x"
-        line += f"  via {report.view_used}" if report.view_used else "  (direct)"
-        print(line)
-    print()
-    for view in recommendation.views:
-        print(view_to_sql(view) + ";")
-        print()
-    return 0
-
-
 def cmd_query(args) -> int:
-    from .blocks.nested import NestedQuery, parse_nested_query
     from .engine.io import load_database
 
-    catalog, nested = _schema_and_query(args, parse_nested_query)
-    if not isinstance(nested, NestedQuery):
-        nested = NestedQuery(block=nested)
+    catalog, query = _schema_and_query(args)
     db = load_database(catalog, args.data)
 
-    plan = nested.block
-    extra = dict(nested.local_map())
-    used = "direct evaluation"
+    plan, extra, used = query, {}, "direct evaluation"
     if args.use_views:
-        engine = RewriteEngine(catalog)
-        result = engine.rewrite_nested(nested)
-        plan, extra = result.best_plan()
-        if result.used_views:
-            used = "rewritten over " + ", ".join(result.used_views)
+        winner = RewriteEngine(catalog).rewrite(query).winner()
+        if winner is not None:
+            plan, extra = winner.query, winner.extra_views()
+            names = dict.fromkeys(winner.view_names)
+            used = "rewritten over " + ", ".join(names)
     with timed(QUERY_SECONDS) as timer:
         table = db.execute(plan, extra_views=extra, engine=args.engine)
     print(table.to_text(limit=args.limit))
@@ -722,9 +688,6 @@ def _flag_table() -> dict:
         "right": flag("--right", required=True),
         "trials": flag("--trials", type=int, default=50),
         "seed-check": flag("--seed", type=int, default=0),
-        "workload": flag("--workload", "SQL script of SELECTs (defaults to "
-            "SELECTs in --schema)"),
-        "budget-advise": flag("--budget", type=float, default=float("inf")),
         "data": flag("--data", "directory of <table>.csv", required=True),
         "use-views": switch("--use-views", "evaluate through the cheapest "
             "view rewriting when one wins"),
@@ -826,8 +789,6 @@ COMMANDS = {
         "metrics-out"),
     "check": (cmd_check, "empirical equivalence check",
         "schema left right trials seed-check"),
-    "advise": (cmd_advise, "recommend views for a workload",
-        "schema workload budget-advise"),
     "query": (cmd_query, "run a query over CSV data",
         "schema data query-run use-views limit engine-query"),
     "emit": (cmd_emit,

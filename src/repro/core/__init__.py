@@ -26,7 +26,6 @@ from .planner import (
 )
 from .result import Rewriting
 from .rewriter import (
-    NestedRewriteResult,
     RankedRewriting,
     RewriteEngine,
     RewriteResult,
@@ -57,7 +56,6 @@ __all__ = [
     "baseline_mode",
     "cache_stats",
     "Rewriting",
-    "NestedRewriteResult",
     "RankedRewriting",
     "RewriteEngine",
     "RewriteResult",

@@ -84,12 +84,17 @@ class RewriteResult:
         """The cheapest rewriting, or None when no view is usable."""
         return self.ranked[0].rewriting if self.ranked else None
 
-    def best_or_original(self) -> QueryBlock:
-        """The cheapest plan overall: a rewriting or the original query."""
+    def winner(self) -> Optional[Rewriting]:
+        """The cheapest rewriting when it beats direct evaluation."""
         best = self.ranked[0] if self.ranked else None
         if best is not None and best.cost < self.original_cost:
-            return best.rewriting.query
-        return self.query
+            return best.rewriting
+        return None
+
+    def best_or_original(self) -> QueryBlock:
+        """The cheapest plan overall: a rewriting or the original query."""
+        winner = self.winner()
+        return self.query if winner is None else winner.query
 
 
 def merge_strategy_extras(
@@ -231,60 +236,6 @@ def search(
     )
 
 
-def _rename_relation(block: QueryBlock, old: str, new: str) -> QueryBlock:
-    """A copy of ``block`` with FROM occurrences of ``old`` renamed."""
-    from ..blocks.query_block import Relation
-
-    return block.with_(
-        from_=tuple(
-            Relation(new, rel.columns, rel.base_names)
-            if rel.name == old
-            else rel
-            for rel in block.from_
-        )
-    )
-
-
-@dataclass
-class NestedRewriteResult:
-    """Outcome of rewriting a nested query (Section 7 fragment).
-
-    ``locals`` holds the final derived-table definitions — inner
-    rewritings already applied; ``outer`` ranks rewritings of the
-    flattened outer block.
-    """
-
-    original: "NestedQuery"
-    flattened: "NestedQuery"
-    locals: dict[str, ViewDef]
-    inner_rewrites: dict[str, Rewriting]
-    outer: "RewriteResult"
-
-    @property
-    def used_views(self) -> list[str]:
-        """Catalog views consumed, inner rewrites and outer combined."""
-        names: list[str] = []
-        for rewriting in self.inner_rewrites.values():
-            names.extend(rewriting.view_names)
-        best = self.outer.ranked[0] if self.outer.ranked else None
-        if best is not None and best.cost < self.outer.original_cost:
-            names.extend(best.rewriting.view_names)
-        return list(dict.fromkeys(names))
-
-    def best_plan(self) -> tuple[QueryBlock, dict[str, ViewDef]]:
-        """The cheapest executable plan: (block, extra view definitions)."""
-        extra = dict(self.locals)
-        best = self.outer.ranked[0] if self.outer.ranked else None
-        if best is not None and best.cost < self.outer.original_cost:
-            extra.update(best.rewriting.extra_views())
-            return best.rewriting.query, extra
-        return self.flattened.block, extra
-
-    def execute(self, database) -> "Table":
-        block, extra = self.best_plan()
-        return database.execute(block, extra_views=extra)
-
-
 class RewriteEngine:
     """Rewrites SQL queries to use the catalog's materialized views.
 
@@ -397,84 +348,6 @@ class RewriteEngine:
             block, view, self.catalog, self.use_set_semantics
         )
 
-    def rewrite_nested(
-        self,
-        query,
-        max_steps: int = 3,
-        budget: Union[SearchBudget, BudgetMeter, None] = None,
-    ) -> "NestedRewriteResult":
-        """Rewrite a query with FROM-clause subqueries (Section 7).
-
-        Conjunctive derived tables are first flattened into the outer
-        block; each surviving (aggregation) derived table's body is
-        rewritten independently when a registered view makes it cheaper;
-        finally the outer block itself is rewritten as usual.
-
-        One ``budget`` meter covers the whole request — every inner
-        rewrite plus the outer one — so a nested query cannot multiply
-        the deadline by its number of derived tables.
-        """
-        from ..blocks.nested import NestedQuery, parse_nested_query
-
-        meter = ensure_meter(budget if budget is not None else self.budget)
-        if isinstance(query, str):
-            nested = parse_nested_query(query, self.catalog)
-        else:
-            nested = query
-        flat = nested.flatten(self.catalog)
-        working = flat.with_locals_registered(self.catalog)
-
-        final_locals: dict[str, ViewDef] = {}
-        inner_rewrites: dict[str, Rewriting] = {}
-        for view in flat.local_views:
-            if meter is not None and not meter.ok():
-                # Budget spent: serve the derived table directly.
-                final_locals[view.name] = view
-                continue
-            direct_cost = estimate_cost(view.block, working)
-            best: Optional[Rewriting] = None
-            best_cost = direct_cost
-            for candidate in all_rewritings(
-                view.block,
-                self.views,
-                catalog=working,
-                use_set_semantics=self.use_set_semantics,
-                max_steps=max_steps,
-                budget=meter,
-            ):
-                cost = estimate_cost(
-                    candidate.query, working, candidate.aux_views
-                )
-                if cost < best_cost:
-                    best, best_cost = candidate, cost
-            if best is None:
-                final_locals[view.name] = view
-                continue
-            inner_rewrites[view.name] = best
-            # Namespace the rewriting's auxiliary views per local so two
-            # inner rewrites over the same catalog view cannot collide.
-            body = best.query
-            for aux in best.aux_views:
-                fresh = f"{aux.name}__{view.name}"
-                body = _rename_relation(body, aux.name, fresh)
-                final_locals[fresh] = ViewDef(
-                    fresh, aux.block, aux.output_names
-                )
-            final_locals[view.name] = ViewDef(
-                view.name, body, view.output_names
-            )
-
-        outer = self.rewrite(
-            flat.block, max_steps=max_steps, catalog=working, budget=meter
-        )
-        return NestedRewriteResult(
-            original=nested,
-            flattened=flat,
-            locals=final_locals,
-            inner_rewrites=inner_rewrites,
-            outer=outer,
-        )
-
     def answer(self, query: Union[str, QueryBlock], database) -> "Table":
         """Evaluate ``query`` on ``database`` through the cheapest plan.
 
@@ -483,10 +356,9 @@ class RewriteEngine:
         back (Theorems 3.1/4.1).
         """
         result = self.rewrite(query)
-        best = result.ranked[0] if result.ranked else None
-        if best is not None and best.cost < result.original_cost:
-            return database.execute(
-                best.rewriting.query,
-                extra_views=best.rewriting.extra_views(),
-            )
-        return database.execute(result.query)
+        winner = result.winner()
+        if winner is None:
+            return database.execute(result.query)
+        return database.execute(
+            winner.query, extra_views=winner.extra_views()
+        )

@@ -120,33 +120,20 @@ class Database:
 
     def execute(
         self,
-        query: Union[str, QueryBlock, "NestedQuery"],
+        query: Union[str, QueryBlock],
         extra_views: Optional[Mapping[str, ViewDef]] = None,
         engine: Optional[str] = None,
     ) -> Table:
-        """Evaluate SQL text, a block or a nested query.
+        """Evaluate SQL text or a block.
 
         ``extra_views`` supplies query-local view definitions (for example,
         the auxiliary views a rewriting introduces) that are visible only to
-        this evaluation. A :class:`~repro.blocks.nested.NestedQuery`
-        contributes its derived-table definitions the same way. SQL text
-        containing FROM-clause subqueries is normalized via
-        ``parse_nested_query`` automatically. ``engine`` overrides the
-        database's default execution mode for this call only.
+        this evaluation. ``engine`` overrides the database's default
+        execution mode for this call only.
         """
-        from ..blocks.nested import NestedQuery
-
         mode = engine if engine is not None else self.engine
         local = dict(extra_views or {})
-        if isinstance(query, str):
-            from ..blocks.nested import parse_nested_query
-
-            query = parse_nested_query(query, self.catalog)
-        if isinstance(query, NestedQuery):
-            local.update(query.local_map())
-            block = query.block
-        else:
-            block = as_block(query, self.catalog)
+        block = as_block(query, self.catalog)
         resolving: set[str] = set()
 
         def resolve(name: str) -> Table:

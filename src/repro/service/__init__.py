@@ -26,7 +26,6 @@ from .batcher import (
     chunk_groups,
     group_requests,
     request_group_key,
-    view_fingerprint,
 )
 from .degradation import BATCH_DEADLINE, BatchDeadline, refused_response
 from .executor import execute_request
@@ -54,5 +53,4 @@ __all__ = [
     "refused_response",
     "request_group_key",
     "rewrite_batch",
-    "view_fingerprint",
 ]

@@ -9,11 +9,11 @@ substitutions across the whole group (the hot-query amortization that
 motivates the service; cf. Cohen & Nutt's framing of rewriting as
 parallel candidate search over a fixed view set).
 
-Grouping is value-based, not identity-based: the fingerprint hashes the
-catalog's table schemas and each view's canonical key, so equal-but-
-distinct catalog objects (for example, requests deserialized from a
-JSONL file) still coalesce. Canonical keys are strings, which also makes
-fingerprints stable across processes under hash randomization.
+Grouping is value-based, not identity-based: the fingerprint holds the
+catalog's frozen table schemas and view definitions themselves, so
+equal-but-distinct catalog objects (for example, requests deserialized
+from a JSONL file) still coalesce. A key never leaves the runner of its
+slice, so it needs no form that is stable across processes.
 """
 
 from __future__ import annotations
@@ -23,17 +23,11 @@ from typing import Iterable, Optional, Sequence
 
 from ..blocks.query_block import ViewDef
 from ..catalog.schema import Catalog
-from ..core.canonical import canonical_key
 from .requests import RewriteRequest
 
 #: Fingerprint of one group: hashable, equal iff planner state is
 #: interchangeable between the groups' requests.
 GroupKey = tuple
-
-
-def view_fingerprint(view: ViewDef) -> tuple:
-    """A value-identity for one view, stable across processes."""
-    return (view.name, canonical_key(view.block), view.output_names)
 
 
 def catalog_fingerprint(catalog: Optional[Catalog]) -> tuple:
@@ -51,10 +45,7 @@ def catalog_fingerprint(catalog: Optional[Catalog]) -> tuple:
         return ()
     return (
         tuple(sorted(catalog.tables.items())),
-        tuple(
-            view_fingerprint(view)
-            for _, view in sorted(catalog.views.items())
-        ),
+        tuple(sorted(catalog.views.items())),
         tuple(
             sorted(
                 (name, catalog.row_count(name)) for name in catalog.views
@@ -66,7 +57,7 @@ def catalog_fingerprint(catalog: Optional[Catalog]) -> tuple:
 def request_group_key(request: RewriteRequest) -> GroupKey:
     return (
         catalog_fingerprint(request.catalog),
-        tuple(view_fingerprint(v) for v in request.effective_views()),
+        request.effective_views(),
         request.use_set_semantics,
     )
 

@@ -37,10 +37,11 @@ import json
 from typing import Optional
 
 from ..api import to_envelope
+from ..blocks.query_block import ViewDef
 from ..catalog.schema import Catalog
+from ..core.canonical import canonical_key
 from ..errors import ReproError
 from ..obs.budget import SearchBudget
-from ..service.batcher import view_fingerprint
 from ..service.requests import RewriteRequest, RewriteResponse
 from ..strategies import STRATEGY_NAMES, normalize_strategy
 
@@ -214,16 +215,21 @@ def update_from_wire(
 # ----------------------------------------------------------------------
 # Serving fingerprints
 
+def view_fingerprint(view: ViewDef) -> tuple:
+    """A value-identity for one view: its name, the canonical key of its
+    definition and its output names."""
+    return (view.name, canonical_key(view.block), view.output_names)
+
+
 def serving_group_key(request: RewriteRequest) -> tuple:
     """The shared-memo fingerprint of one request.
 
-    A refinement of :func:`repro.service.batcher.request_group_key`
-    built for a *mutating* catalog: only the request's own candidate
+    Built for a *mutating* catalog: only the request's own candidate
     views contribute their cardinality estimates, so a maintenance
     delta on view V changes the keys of exactly the groups that use V —
     groups pinned to other views keep their fingerprints and stay hot.
-    Planner interchangeability still holds (the key only segments the
-    batch-service fingerprint further, never merges across it).
+    Views are keyed by :func:`view_fingerprint`: views equal up to the
+    column renaming and FROM order the canonical key ignores share a key.
     """
     return serving_keys(request)[0]
 

@@ -103,33 +103,11 @@ class TableRef:
 
 
 @dataclass(frozen=True)
-class DerivedTable:
-    """A subquery in the FROM clause: ``(SELECT ...) AS alias``.
-
-    The paper's Section 7 nested-query extension: derived tables become
-    query-local views during normalization; conjunctive ones can then be
-    unfolded back into a single block.
-    """
-
-    select: "SelectStmt"
-    alias: str
-
-    def __str__(self) -> str:
-        from .printer import print_select
-
-        return f"({print_select(self.select)}) AS {self.alias}"
-
-
-@dataclass(frozen=True)
 class SelectStmt:
-    """One SELECT-FROM-WHERE-GROUPBY-HAVING block.
-
-    ``from_tables`` entries are :class:`TableRef` or
-    :class:`DerivedTable`.
-    """
+    """One SELECT-FROM-WHERE-GROUPBY-HAVING block."""
 
     items: tuple[SelectItemSyntax, ...]
-    from_tables: tuple[Union["TableRef", "DerivedTable"], ...]
+    from_tables: tuple[TableRef, ...]
     where: tuple[SqlComparison, ...] = ()
     group_by: tuple[ColumnRef, ...] = ()
     having: tuple[SqlComparison, ...] = ()

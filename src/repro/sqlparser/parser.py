@@ -35,7 +35,6 @@ from .ast import (
     ColumnRef,
     CreateTableStmt,
     CreateViewStmt,
-    DerivedTable,
     FuncCall,
     Literal,
     SelectItemSyntax,
@@ -255,18 +254,14 @@ class _Parser:
         token = self.accept(IDENT)
         return None if token is None else token.value
 
-    def parse_table_ref(self) -> Union[TableRef, DerivedTable]:
-        if self.accept(LPAREN):
-            # A derived table: (SELECT ...) [AS] alias.
-            select = self.parse_select()
-            self.expect(RPAREN)
-            self.keyword("AS")
-            token = self.tokens[self.pos]
-            if not self.accept(IDENT):
-                raise SQLSyntaxError(
-                    "a derived table needs an alias", token.line, token.column
+    def parse_table_ref(self) -> TableRef:
+        if self.check(LPAREN):
+            after = self.tokens[self.pos + 1]
+            if after.type is KEYWORD and after.value == "SELECT":
+                raise UnsupportedSQLError(
+                    "SELECT in FROM is not supported: FROM-clause "
+                    "subqueries (single-block queries only)"
                 )
-            return DerivedTable(select, token.value)
         name = str(self.expect(IDENT).value)
         return TableRef(name, self.parse_alias())
 

@@ -19,7 +19,6 @@ from .ast import (
     BinOp,
     ColumnRef,
     CreateViewStmt,
-    DerivedTable,
     FuncCall,
     Literal,
     SelectStmt,
@@ -64,9 +63,7 @@ def print_comparison(atom: SqlComparison, dialect: Dialect = ANSI) -> str:
     return f"{left} {atom.op} {right}"
 
 
-def print_select(
-    stmt: SelectStmt, indent: str = "", dialect: Dialect = ANSI
-) -> str:
+def print_select(stmt: SelectStmt, dialect: Dialect = ANSI) -> str:
     lines: list[str] = []
     head = "SELECT DISTINCT " if stmt.distinct else "SELECT "
     items = []
@@ -79,10 +76,6 @@ def print_select(
 
     tables = []
     for ref in stmt.from_tables:
-        if isinstance(ref, DerivedTable):
-            inner = print_select(ref.select, indent=indent + "      ", dialect=dialect)
-            tables.append(f"({inner}) AS {dialect.ident(ref.alias)}")
-            continue
         rendered = dialect.ident(ref.name)
         if ref.alias:
             rendered += f" AS {dialect.ident(ref.alias)}"
@@ -103,7 +96,7 @@ def print_select(
             "HAVING "
             + " AND ".join(print_comparison(a, dialect) for a in stmt.having)
         )
-    return ("\n" + indent).join(lines)
+    return "\n".join(lines)
 
 
 def print_create_view(stmt: CreateViewStmt, dialect: Dialect = ANSI) -> str:

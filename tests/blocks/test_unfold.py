@@ -92,6 +92,22 @@ class TestUnfold:
         assert unfold_once(query, catalog) is None
         assert unfold_views(query, catalog) == query
 
+    def test_conjunctive_view_over_aggregation_view(self, catalog):
+        """The conjunctive layer unfolds; the aggregation view under it
+        stays in FROM, and the answers do not change."""
+        catalog.add_view(
+            parse_view(
+                "CREATE VIEW Busy (A, N) AS SELECT A, N FROM AggV "
+                "WHERE N > 1",
+                catalog,
+            )
+        )
+        _query, flat = assert_unfold_equivalent(
+            catalog, "SELECT A, COUNT(N) FROM Busy GROUP BY A"
+        )
+        assert [rel.name for rel in flat.from_] == ["AggV"]
+        assert len(flat.where) == 1
+
     def test_plain_query_untouched(self, catalog):
         query = parse_query("SELECT A FROM R", catalog)
         assert unfold_views(query, catalog) is query

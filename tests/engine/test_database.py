@@ -6,7 +6,7 @@ from repro.blocks.normalize import parse_view
 from repro.catalog.schema import Catalog, table
 from repro.engine.database import Database
 from repro.engine.table import Table
-from repro.errors import SchemaError
+from repro.errors import SchemaError, UnsupportedSQLError
 
 
 @pytest.fixture
@@ -89,6 +89,11 @@ class TestViews:
         assert result.rows == [(2,)]
         with pytest.raises(SchemaError):
             db.execute(q)  # not registered globally
+
+    def test_derived_table_text_refused(self, catalog):
+        db = Database(catalog, {"R": [(1, 2)]})
+        with pytest.raises(UnsupportedSQLError, match="FROM-clause subqueries"):
+            db.execute("SELECT t.A FROM (SELECT A FROM R) t")
 
     def test_view_row_count_recorded(self, catalog):
         view = parse_view(

@@ -147,3 +147,34 @@ class TestCliQuery:
         out = capsys.readouterr().out
         assert code == 0
         assert "rewritten over V" in out
+
+    def test_query_with_from_subquery_refused(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro import cli
+
+        schema = tmp_path / "schema.sql"
+        schema.write_text("CREATE TABLE R (a INT, b INT);\n")
+        data = tmp_path / "data"
+        data.mkdir()
+        write_table_csv(str(data / "R.csv"), Table(("a", "b"), [(1, 10)]))
+        src = str(Path(cli.__file__).parents[1])
+        run = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "query",
+                "--schema", str(schema), "--data", str(data),
+                "--query", "SELECT t.a FROM (SELECT a FROM R) t",
+            ],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert run.returncode != 0
+        assert (
+            "FROM-clause subqueries (single-block queries only)" in run.stderr
+        )
+        assert "Traceback" not in run.stderr
+        assert run.stdout == ""

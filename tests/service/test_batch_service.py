@@ -164,6 +164,29 @@ class TestGrouping:
         assert request_group_key(request) == request_group_key(request)
         {request_group_key(request): 1}  # hashable
 
+    def test_grouping_computes_no_canonical_keys(self):
+        # Keys hold the frozen definitions themselves: grouping an
+        # all-distinct batch must not pay for canonical forms.
+        import sys
+
+        from repro.core import canonical
+
+        code = canonical.canonical_key.__code__
+        calls = []
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(frame)
+
+        requests = numbered(range(5, 25)) + numbered(range(5, 10))
+        sys.setprofile(profile)
+        try:
+            groups = group_requests(requests)
+        finally:
+            sys.setprofile(None)
+        assert len(groups) == 20
+        assert calls == []
+
     def test_positions_preserved_in_batch_order(self):
         requests = [scenario_request(5), scenario_request(6),
                     scenario_request(5)]

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Catalog, table
-from repro.blocks.nested import parse_nested_query
+from repro import Catalog, parse_query, table
 from repro.errors import ReproError
 from repro.sqlparser.parser import parse_script, parse_statement
 
@@ -62,6 +61,6 @@ def test_valid_parse_then_normalize_never_crashes(seed):
     catalog = Catalog([table("R", ["a", "b"]), table("S", ["c"])])
     text = " ".join(rng.choices(TOKENS, k=rng.randint(3, 25)))
     try:
-        parse_nested_query(text, catalog)
+        parse_query(text, catalog)
     except ReproError:
         pass

@@ -142,6 +142,21 @@ class TestUnsupported:
         with pytest.raises(UnsupportedSQLError):
             parse_select(sql)
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT t.a FROM (SELECT a FROM r) t",
+            "SELECT t.a FROM r, (SELECT a FROM s GROUP BY a) AS t",
+        ],
+    )
+    def test_from_subquery_refused_with_named_reason(self, sql):
+        with pytest.raises(UnsupportedSQLError) as refused:
+            parse_select(sql)
+        assert (
+            "FROM-clause subqueries (single-block queries only)"
+            in str(refused.value)
+        )
+
     def test_unknown_function(self):
         with pytest.raises(UnsupportedSQLError):
             parse_select("SELECT UPPER(a) FROM t")

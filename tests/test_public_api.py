@@ -7,7 +7,6 @@ import pytest
 import repro
 
 SUBPACKAGES = [
-    "repro.advisor",
     "repro.api",
     "repro.bench",
     "repro.blocks",
@@ -58,15 +57,29 @@ def test_key_workflow_symbols_present():
         "Database",
         "parse_query",
         "parse_view",
-        "parse_nested_query",
         "assert_equivalent",
         "explain_usability",
-        "recommend_views",
         "MaintainedView",
         "QueryCache",
         "unfold_views",
     ]:
         assert hasattr(repro, name), name
+
+
+def test_single_block_front_end_only():
+    """The view advisor and the FROM-subquery path are gone."""
+    for name in [
+        "NestedQuery",
+        "Recommendation",
+        "nested_to_sql",
+        "parse_nested_query",
+        "recommend_views",
+    ]:
+        assert not hasattr(repro, name), name
+    assert not hasattr(repro.RewriteEngine, "rewrite_nested")
+    for module_name in ["repro.advisor", "repro.blocks.nested"]:
+        with pytest.raises(ImportError):
+            importlib.import_module(module_name)
 
 
 def test_public_items_have_docstrings():

@@ -15,7 +15,6 @@ from repro import (
     assert_equivalent,
     explain_usability,
     parse_query,
-    recommend_views,
     table,
 )
 from repro.maintenance import MaintainedView, apply_change
@@ -125,16 +124,7 @@ def test_section_7_maintenance(engine, catalog, db):
     assert fresh.multiset_equal(db.execute(catalog.view("Region_Month").block))
 
 
-def test_section_8_advisor(catalog):
-    workload = [
-        "SELECT Region, SUM(Amount) FROM Orders GROUP BY Region",
-        "SELECT Month, COUNT(Amount) FROM Orders GROUP BY Month",
-    ]
-    rec = recommend_views(catalog, workload, space_budget_rows=10_000)
-    assert rec.views and rec.workload_speedup > 1
-
-
-def test_section_9_cache(catalog, db):
+def test_section_8_cache(catalog, db):
     cache = QueryCache(catalog, capacity_rows=50_000)
     summary_sql = (
         "SELECT Region, Month, SUM(Amount), COUNT(Amount) "
@@ -148,22 +138,3 @@ def test_section_9_cache(catalog, db):
     assert hit.multiset_equal(
         db.execute("SELECT Region, SUM(Amount) FROM Orders GROUP BY Region")
     )
-
-
-def test_section_10_nested(engine, db):
-    result = engine.rewrite_nested(
-        """
-        SELECT t.Region, SUM(t.Rev)
-        FROM (SELECT Region, Month, SUM(Amount) AS Rev
-              FROM Orders WHERE Month >= 6 GROUP BY Region, Month) t
-        GROUP BY t.Region
-        """
-    )
-    assert "Region_Month" in result.used_views
-    answer = result.execute(db)
-    direct = db.execute(
-        "SELECT t.Region, SUM(t.Rev) FROM "
-        "(SELECT Region, Month, SUM(Amount) AS Rev FROM Orders "
-        "WHERE Month >= 6 GROUP BY Region, Month) t GROUP BY t.Region"
-    )
-    assert answer.multiset_equal(direct)
