@@ -224,6 +224,14 @@ PY
 run metrics metrics "${s[@]}" --query "$query"
 run fuzz fuzz --max-scenarios 5 --seed 1 --json --out-dir "$work/fuzz"
 
+# Flag values that would break the daemon are usage errors, and the
+# daemon serves from one process: --workers is gone.
+refuse serve-workers "unrecognized arguments: --workers 1" \
+    serve "${s[@]}" --workers 1
+refuse serve-port "argument --port: must be in 0..65535" \
+    serve "${s[@]}" --port 70000
+refuse serve-queue-limit "argument --queue-limit: must be >= 0" \
+    serve "${s[@]}" --queue-limit -1
 python -m repro serve "${s[@]}" --port 0 \
     > "$work/serve.out" 2> "$work/serve.err" &
 serve_pid=$!

@@ -33,8 +33,9 @@ Commands:
 ``serve``
     The always-on rewriting daemon: ``repro-api/1`` JSONL over TCP
     and/or a Unix socket, with admission control, per-tenant quotas and
-    a cross-worker shared memo tier. Talk to it with
-    ``repro.api.connect()``. See ``docs/serving.md``.
+    a memo tier that keeps planner memos across requests, in one
+    process. Talk to it with ``repro.api.connect()``. See
+    ``docs/serving.md``.
 ``metrics``
     Run one rewrite search with metrics enabled and print the registry
     as Prometheus text exposition. See ``docs/observability.md``.
@@ -447,25 +448,6 @@ def cmd_serve_sql(args) -> int:
     return 0
 
 
-def _tenant_quotas_from(args) -> dict:
-    """--tenant NAME=MAX_INFLIGHT[:DEADLINE_MS] (repeatable) -> quotas."""
-    from .serving import TenantQuota
-
-    quotas = {}
-    for entry, name, spec in _pairs(
-        args.tenant, "--tenant", "NAME=MAX_INFLIGHT[:DEADLINE_MS]"
-    ):
-        inflight, _sep, deadline = spec.partition(":")
-        try:
-            quotas[name] = TenantQuota(
-                max_inflight=int(inflight),
-                deadline_ms_cap=float(deadline) if deadline else None,
-            )
-        except ValueError as error:
-            raise ReproError(f"--tenant {entry!r}: {error}") from error
-    return quotas
-
-
 def cmd_serve(args) -> int:
     import asyncio
 
@@ -480,9 +462,8 @@ def cmd_serve(args) -> int:
         daemon = RewriteDaemon(
             catalog,
             database=Database(catalog),
-            workers=args.workers,
             queue_limit=args.queue_limit,
-            tenant_quotas=_tenant_quotas_from(args),
+            tenant_quotas=dict(args.tenant or ()),
             memo_capacity=args.memo_capacity,
             metrics=registry,
             metrics_interval=args.metrics_interval,
@@ -496,9 +477,7 @@ def cmd_serve(args) -> int:
             # bound addresses (TCP port 0 picks a free one).
             ready = {
                 "addresses": [list(a) for a in daemon.addresses],
-                "workers": daemon.workers,
                 "queue_limit": daemon.admission.queue_limit,
-                "shared_memo": daemon.memo.name is not None,
             }
             _print_envelope(ready, kind="serve-ready", indent=None)
             await daemon.serve_forever()
@@ -629,6 +608,34 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def port_number(text: str) -> int:
+    """argparse type: a TCP port, 0 (pick a free one) to 65535."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be in 0..65535, got {value}"
+        )
+    return value
+
+
+def tenant_quota(text: str) -> tuple:
+    """argparse type: ``NAME=MAX_INFLIGHT[:DEADLINE_MS]`` -> ``(name,
+    TenantQuota)``; neither number may be negative."""
+    from .serving import TenantQuota
+
+    name, sep, spec = text.partition("=")
+    inflight, _sep, deadline = spec.partition(":")
+    try:
+        if not sep or not name.strip():
+            raise ValueError("expected NAME=MAX_INFLIGHT[:DEADLINE_MS]")
+        cap = float(deadline) if deadline.strip() else None
+        if cap is not None and not cap >= 0:  # NaN included
+            raise ValueError(f"DEADLINE_MS must be >= 0, got {cap}")
+        return name.strip(), TenantQuota(non_negative_int(inflight), cap)
+    except (ValueError, argparse.ArgumentTypeError) as error:
+        raise argparse.ArgumentTypeError(f"{text!r}: {error}") from error
+
+
 SCHEMA_HELP = "SQL script with CREATE TABLE / CREATE VIEW statements"
 STRATEGIES = ["c1c4", "cohen_nutt", "both"]
 
@@ -721,20 +728,19 @@ def _flag_table() -> dict:
         "host": flag("--host", "TCP bind address (default: 127.0.0.1 unless "
             "--socket only)"),
         "port": flag("--port", "TCP port; 0 picks a free one, reported on "
-            "the serve-ready line (default: 0)", type=int, default=0),
+            "the serve-ready line (default: 0)", type=port_number,
+            default=0),
         "socket": flag("--socket", "also (or only) listen on a Unix-domain "
             "socket at PATH", metavar="PATH"),
-        "workers-serve": flag("--workers", "process workers sharing the "
-            "memo tier; 0 = serial in-process execution (default: 0)",
-            type=int, default=0),
         "queue-limit": flag("--queue-limit", "daemon-wide bound on "
             "admitted-but-unfinished requests; overload refuses in-band, "
-            "never drops connections (default: 64)", type=int, default=64),
+            "never drops connections (default: 64)", type=non_negative_int,
+            default=64),
         "tenant": flag("--tenant", "per-tenant quota: in-flight cap and "
             "optional search deadline ceiling (repeatable)", action="append",
-            metavar="NAME=MAX_INFLIGHT[:DEADLINE_MS]"),
-        "memo-capacity": flag("--memo-capacity", "shared memo segment "
-            "capacity (default: 4 MiB)", type=non_negative_int,
+            type=tenant_quota, metavar="NAME=MAX_INFLIGHT[:DEADLINE_MS]"),
+        "memo-capacity": flag("--memo-capacity", "memo tier capacity "
+            "(default: 4 MiB)", type=non_negative_int,
             default=4 * 1024 * 1024, metavar="BYTES"),
         "metrics-interval-serve": flag("--metrics-interval", "emit a "
             "repro-metrics/1 frame on stdout this often; 0 disables "
@@ -801,7 +807,7 @@ COMMANDS = {
         "federation middleware as a JSON-lines loop on stdin/stdout",
         f"{FEDERATION} metrics-interval-sql metrics-out"),
     "serve": (cmd_serve, "always-on rewriting daemon over TCP / Unix sockets "
-        "(repro-api/1 JSONL)", "schema host port socket workers-serve "
+        "(repro-api/1 JSONL)", "schema host port socket "
         "queue-limit tenant memo-capacity metrics-interval-serve metrics-out"),
     "metrics": (cmd_metrics,
         "run one rewrite with metrics on and print Prometheus text",

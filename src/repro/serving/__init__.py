@@ -4,8 +4,7 @@ Layers, bottom up:
 
 :mod:`repro.serving.memo`
     the persistent cross-request memo tier — epoch-stamped planner
-    substitution memos in a ``multiprocessing.shared_memory`` segment
-    (single writer, seqlock-framed readers), with a plain-dict fallback;
+    substitution memos, held as framed records in process memory;
 :mod:`repro.serving.admission`
     bounded request queue and per-tenant quotas; overload refuses
     in-band, never drops a connection;
@@ -13,12 +12,12 @@ Layers, bottom up:
     the ``repro-api/1`` JSONL wire format: the one line parser shared
     with ``repro batch``, and the serving fingerprint;
 :mod:`repro.serving.worker`
-    request execution with shared-memo warm start (the epoch protocol's
+    request execution with memo-tier warm start (the epoch protocol's
     reader side) and a memo of finished responses that an update
     re-ranks instead of discarding;
 :mod:`repro.serving.daemon`
-    the asyncio TCP/Unix server tying it together, including
-    maintenance-delta cache invalidation;
+    the asyncio TCP/Unix server tying it together in one process,
+    including maintenance-delta cache invalidation;
 :mod:`repro.serving.client`
     the blocking JSONL client behind :func:`repro.api.connect`.
 
@@ -34,13 +33,11 @@ from .admission import (
 )
 from .client import ServingClient, ServingClientError, parse_address
 from .daemon import RewriteDaemon
-from .memo import (
-    DEFAULT_CAPACITY,
-    LocalMemoTier,
-    MemoEntry,
-    SharedMemoTier,
-    create_memo_tier,
-)
+from .memo import DEFAULT_CAPACITY, LocalMemoTier, MemoEntry
+
+# Not public: importable here only because the end-to-end benchmark's
+# in-process replay (benchmarks/e2e/layers.py) imports it from the package.
+from .memo import create_memo_tier  # noqa: F401
 from .protocol import (
     DEFAULT_STRATEGY,
     OPS,
@@ -68,12 +65,10 @@ __all__ = [
     "RewriteDaemon",
     "ServingClient",
     "ServingClientError",
-    "SharedMemoTier",
     "TENANT_QUOTA",
     "TenantQuota",
     "WARM_LOCAL",
     "WARM_SHARED",
-    "create_memo_tier",
     "parse_address",
     "parse_line",
     "request_from_wire",

@@ -11,9 +11,9 @@ every op on the calling thread, with no event loop; a rewrite::
 
 The server only reads lines (numbered as ``repro batch`` numbers them),
 awaits the executor for a rewrite miss or an update, and writes the
-line the core returns. So an unchanged stored response (serial mode) is
-answered on the event loop, never queued behind another search. A line
-over :data:`MAX_LINE_BYTES` is answered in-band and skipped.
+line the core returns. So an unchanged stored response is answered on
+the event loop, never queued behind another search. A line over
+:data:`MAX_LINE_BYTES` is answered in-band and skipped.
 
 Admission happens synchronously on the event loop when a line arrives,
 so overload never buffers unboundedly: past the queue limit (or a
@@ -22,23 +22,18 @@ tenant's quota) the client gets an immediate in-band *refused* response
 path, trip-labelled ``queue_full`` / ``tenant_quota``. Connections are
 never dropped on overload.
 
-Execution backends:
-
-``workers=0`` (serial)
-    one worker thread; planners and the memo tier live in-process (no
-    shared-memory segment: nothing could attach to it). The
-    determinism/debugging baseline.
-``workers=N``
-    a ``ProcessPoolExecutor``; workers attach the shared-memory memo
-    tier read-only and warm-start planners from it. The master is the
-    tier's single writer: a memo export rides back with a response only
-    when the worker's planner gained an entry, and is published here.
+One process serves: one worker thread runs the searches strictly
+serially (the planner-sharing determinism baseline) while the event
+loop keeps accepting, refusing and answering pings. Planners and the
+memo tier, a :class:`~repro.serving.memo.LocalMemoTier`, live in this
+process; a memo export comes back with a response only when the
+planner gained an entry, and is published into the tier.
 
 The ``update`` op mutates base tables through :mod:`repro.maintenance`.
 A registered delta listener — not the op handler — performs the cache
 invalidation, so *any* maintenance activity against the daemon's
 database (including direct ``apply_change`` calls in embedding code)
-bumps the shared tier's epoch and evicts the affected fingerprints.
+bumps the memo tier's epoch and evicts the affected fingerprints.
 Affected views also get their catalog cardinality refreshed from the
 maintained materialization (counted, not built), so post-update
 responses re-rank with live statistics — without a restart and without
@@ -53,7 +48,7 @@ import functools
 import itertools
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Optional
 
@@ -71,7 +66,7 @@ from ..obs.metrics import (
 )
 from ..service.degradation import refused_response
 from .admission import DEFAULT_TENANT, AdmissionController, TenantQuota
-from .memo import DEFAULT_CAPACITY, create_memo_tier
+from .memo import DEFAULT_CAPACITY, LocalMemoTier
 from .protocol import (
     ProtocolError,
     encoded_line,
@@ -80,7 +75,7 @@ from .protocol import (
     strategy_names,
     update_from_wire,
 )
-from .worker import PlannerCache, init_worker, run_in_worker
+from .worker import PlannerCache
 
 
 REQUESTS = counter(
@@ -96,7 +91,7 @@ REQUEST_SECONDS = histogram(
 MEMO_PUBLISHES = counter(
     "repro_serving_shared_memo_publishes_total",
     "Served responses by whether their memo export was "
-    "published into the shared memo tier or skipped "
+    "published into the memo tier or skipped "
     "(planner unchanged since its last export).",
     ("outcome",),
 )
@@ -145,14 +140,13 @@ async def _write(writer, line: bytes) -> None:
 
 
 class RewriteDaemon:
-    """One catalog, one shared memo tier, many concurrent clients."""
+    """One catalog, one memo tier, many concurrent clients."""
 
     def __init__(
         self,
         catalog: Catalog,
         *,
         database: Optional[Database] = None,
-        workers: int = 0,
         queue_limit: int = 64,
         default_quota: Optional[TenantQuota] = None,
         tenant_quotas: Optional[dict[str, TenantQuota]] = None,
@@ -163,7 +157,6 @@ class RewriteDaemon:
     ):
         self.catalog = catalog
         self.database = database or Database(catalog)
-        self.workers = max(0, workers)
         self.admission = AdmissionController(
             queue_limit=queue_limit,
             default_quota=default_quota,
@@ -171,30 +164,17 @@ class RewriteDaemon:
         )
         self.metrics = metrics
         self.metrics_interval = metrics_interval
-        # Process workers attach to a real shared segment; in serial
-        # mode nothing can attach, so none is allocated or written. An
-        # explicit tier wins (tested against None: an empty tier is falsy).
+        # An explicit tier wins (tested against None: an empty tier is
+        # falsy).
         self.memo = (
             memo_tier
             if memo_tier is not None
-            else create_memo_tier(
-                capacity=memo_capacity, shared=self.workers > 0
-            )
+            else LocalMemoTier(capacity=memo_capacity)
         )
         self._planner_cache = PlannerCache(self.memo)
-        if self.workers > 0:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=init_worker,
-                initargs=(self.memo.name,),
-            )
-        else:
-            # One worker thread: requests run strictly serially (the
-            # planner-sharing determinism baseline) while the event loop
-            # keeps accepting, refusing and answering pings.
-            self._pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-serve"
-            )
+        self._pool = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-serve"
+        )
         #: view name -> maintainer, built lazily on the first update of a
         #: table the view reads. Unmaintainable views (DISTINCT, views
         #: over views) stay out and are handled by invalidation alone.
@@ -277,13 +257,12 @@ class RewriteDaemon:
         self.close()
 
     def close(self) -> None:
-        """Release the delta listener, the executor and the memo tier.
-        Serving calls it on the way out; a daemon that never started
-        must call it itself."""
+        """Release the delta listener and the executor. Serving calls it
+        on the way out; a daemon that never started must call it
+        itself. The memo tier is process memory and holds nothing to
+        release."""
         self._unsubscribe()
         self._pool.shutdown(wait=True, cancel_futures=True)
-        self.memo.close()
-        self.memo.unlink()
 
     async def _emit_frames(self) -> None:
         """Periodic ``repro-metrics/1`` frames on stdout (serve-sql's
@@ -446,23 +425,15 @@ class RewriteDaemon:
                 budget = request.budget
                 budget = cap if budget is None else budget.merged_with(cap)
                 request = replace(request, budget=budget)
-            # Process workers keep the responses: the master has none.
-            response = (
-                self._planner_cache.stored_response(request)
-                if self.workers == 0
-                else None
-            )
+            response = self._planner_cache.stored_response(request)
             export = None
             if response is None:
                 ran = yield self._pool, functools.partial(
-                    run_in_worker if self.workers > 0 else self._search,
-                    request,
+                    self._search, request
                 )
                 response, key, view_names, export, _path = ran()
                 if export:
-                    # Single-writer discipline: only this (master)
-                    # process publishes into the shared tier. An empty
-                    # export means the planner learned nothing.
+                    # An empty export means the planner learned nothing.
                     self.memo.publish(key, view_names, export)
             outcome = "error" if response.error is not None else (
                 "exhausted" if response.exhausted else "ok"

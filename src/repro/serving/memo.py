@@ -1,59 +1,45 @@
-"""The cross-worker shared memo tier of the serving daemon.
+"""The serving daemon's memo tier: planner memos kept across requests.
 
 The planner's substitution memo is a pure function of the (views,
 catalog schemas, semantics) fingerprint, and exporting/importing it
 (:meth:`repro.core.planner.RewritePlanner.export_memos`) lets one
-planner warm-start another. The serving daemon keeps those exports
-*persistent across requests* and *shared across process workers* in one
-``multiprocessing.shared_memory`` segment:
-
-single writer
-    only the daemon master publishes; workers never write. This removes
-    every write/write race by construction.
-
-seqlock framing
-    the segment starts with a fixed header ``(magic, generation, epoch,
-    payload_len)``. The writer increments ``generation`` to an odd value
-    before touching the payload and to the next even value after; a
-    reader retries whenever it sees an odd generation or the generation
-    changed under it. Readers therefore never observe a torn payload,
-    and the common case (no concurrent publish) costs one extra header
-    read.
+planner warm-start another. The daemon keeps those exports *persistent
+across requests* in a :class:`LocalMemoTier`, so a planner that was
+evicted from :class:`repro.serving.worker.PlannerCache` or dropped by
+an invalidation is rebuilt warm:
 
 epoch stamping
-    ``epoch`` increments on every invalidation. Workers cache planners
-    locally keyed by fingerprint and remember the epoch they validated
-    against; a cheap header read tells them whether revalidation (a full
-    payload lookup) is needed. An entry evicted by invalidation simply
-    stops being found — the reader falls back to cold planning, never to
-    a stale memo.
+    ``epoch`` increments on every invalidation. The planner cache keeps
+    planners keyed by fingerprint and remembers the epoch they were
+    validated against; an unchanged epoch means no lookup is needed. An
+    entry evicted by invalidation simply stops being found — the cache
+    falls back to cold planning, never to a stale memo.
 
 record framing
-    the payload is a sequence of length-prefixed records, one per
-    fingerprint: ``(key_len, entry_len)``, the pickled key, then the
-    entry as length-prefixed pickles: a head ``(epoch, view_names)``
-    and the memo *chunks*, each a pickled list of memo entries. A
+    each fingerprint's entry is held as a framed record:
+    ``(key_len, entry_len)``, the pickled key, then the entry as
+    length-prefixed pickles: a head ``(epoch, view_names)`` and the
+    memo *chunks*, each a pickled list of memo entries. A
     fingerprint's chunks are append-only: a publish pickles only the
     entries its record does not hold yet, as one new chunk (so a query
     block the new entries share is pickled once), and rebuilds the
     record as one chunk only when the export dropped entries the record
-    holds (a memo past its cap). The writer keeps the records and a
-    running byte total, so capacity accounting, eviction and
-    invalidation never re-pickle, and framing the segment is a join of
-    stored bytes; the chunks leave with their record. A reader's lookup
-    unpickles the keys and only the one entry it asked for, its memo
-    being the chunks concatenated.
+    holds (a memo past its cap). The tier keeps a running byte total of
+    the records, so capacity accounting, eviction and invalidation
+    never re-pickle.
 
 Capacity overflow evicts oldest-published entries first. The daemon
 publishes a fingerprint only when a planner for it gained a memo entry
 (:class:`repro.serving.worker.PlannerCache` returns an empty export
 otherwise), so an entry evicted by capacity stays out until some planner
 for that fingerprint is rebuilt or learns something new; until then
-readers of it plan cold. When ``multiprocessing.shared_memory`` is
-unavailable (or creation fails, e.g. no ``/dev/shm``) or nothing could
-attach, :class:`LocalMemoTier` provides the same interface over a
-process-local dict so serial serving and the test-suite keep working
-everywhere.
+that fingerprint plans cold.
+
+:class:`SharedMemoTier` writes the same records into one
+``multiprocessing.shared_memory`` segment behind a seqlock header
+``(magic, generation, epoch, payload_len)``: ``generation`` is odd
+while the payload is being rewritten. The daemon does not use it; the
+end-to-end benchmark's in-process replay (``benchmarks/e2e``) does.
 """
 
 from __future__ import annotations
@@ -63,18 +49,17 @@ import struct
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..obs.metrics import counter, gauge
 
-_T = TypeVar("_T")
 
 #: Header: magic, generation (odd = publish in progress), epoch,
 #: payload byte length.
 _HEADER = struct.Struct("<QQQQ")
 _MAGIC = 0x5250_4D31  # "RPM1"
 
-#: Default segment capacity. Memo entries are small (a few KB each for
+#: Default tier capacity in bytes. Memo entries are small (a few KB each for
 #: the random workloads); 4 MiB holds thousands.
 DEFAULT_CAPACITY = 4 * 1024 * 1024
 
@@ -104,21 +89,21 @@ class MemoEntry:
 
 LOOKUPS = counter(
     "repro_serving_shared_memo_lookups_total",
-    "Shared memo tier lookups, by outcome.",
+    "Memo tier lookups, by outcome.",
     ("outcome",),
 )
 EVICTIONS = counter(
     "repro_serving_shared_memo_evictions_total",
-    "Entries evicted from the shared memo tier, by reason.",
+    "Entries evicted from the memo tier, by reason.",
     ("reason",),
 )
 ENTRIES = gauge(
     "repro_serving_shared_memo_entries",
-    "Entries currently published in the shared memo tier.",
+    "Entries currently published in the memo tier.",
 )
 EPOCH = gauge(
     "repro_serving_epoch",
-    "Current invalidation epoch of the shared memo tier.",
+    "Current invalidation epoch of the memo tier.",
 )
 
 
@@ -160,47 +145,11 @@ class _Record:
         yield from self.chunks
 
 
-def _load_entry(raw: memoryview) -> MemoEntry:
-    """The :class:`MemoEntry` of a framed entry: its head, and its
-    chunks concatenated."""
-    pieces = []
-    offset = 0
-    while offset < len(raw):
-        (length,) = _PIECE.unpack_from(raw, offset)
-        offset += _PIECE.size
-        pieces.append(pickle.loads(raw[offset:offset + length]))
-        offset += length
-    (epoch, view_names), *chunks = pieces
-    return MemoEntry(epoch, view_names, [e for chunk in chunks for e in chunk])
-
-
-def _iter_records(raw: bytes) -> Iterator[tuple[tuple, memoryview]]:
-    """The ``(key, pickled entry)`` pairs of a framed payload.
-
-    Keys are unpickled; entries stay raw for the caller that wants one.
-    """
-    view = memoryview(raw)
-    offset = 0
-    while offset < len(raw):
-        key_len, entry_len = _RECORD.unpack_from(raw, offset)
-        offset += _RECORD.size
-        key = pickle.loads(view[offset:offset + key_len])
-        offset += key_len
-        yield key, view[offset:offset + entry_len]
-        offset += entry_len
-
-
 class LocalMemoTier:
-    """The memo tier without shared memory: one process, same protocol.
+    """The memo tier of one process: ``epoch()``, ``lookup()``,
+    ``publish()`` and ``invalidate_views()``, and the framed records."""
 
-    Serial daemons (``workers=0``) and tests use this; the interface —
-    ``epoch()``, ``lookup()``, ``publish()``, ``invalidate_views()`` —
-    is identical to :class:`SharedMemoTier`, so the worker-side planner
-    cache logic is tier-agnostic.
-    """
-
-    #: Shared-memory tiers have a name workers attach by; local ones
-    #: don't, and the daemon skips shipping one to workers.
+    #: Only a shared-memory tier has a segment name.
     name: Optional[str] = None
 
     #: Capacity eviction stops here: a process-local dict has no hard
@@ -276,10 +225,10 @@ class LocalMemoTier:
     def invalidate_views(self, names: Iterable[str]) -> int:
         """Evict every entry touching ``names``; always bump the epoch.
 
-        The epoch bumps even when nothing was evicted: readers with
-        locally cached planners for a key published under the old epoch
-        must revalidate regardless (their entry may have been evicted by
-        an earlier invalidation they never observed).
+        The epoch bumps even when nothing was evicted: a planner cached
+        for a key published under the old epoch must be revalidated
+        regardless (its entry may have been evicted by an earlier
+        invalidation).
         """
         targets = set(names)
         with self._write_lock:
@@ -305,7 +254,7 @@ class LocalMemoTier:
             self._epoch += 1
             self._flush()
 
-    def close(self) -> None:  # interface parity with SharedMemoTier
+    def close(self) -> None:  # a shared-memory tier releases its segment
         pass
 
     def unlink(self) -> None:
@@ -335,13 +284,10 @@ class LocalMemoTier:
 
 
 class SharedMemoTier(LocalMemoTier):
-    """The memo tier over one ``multiprocessing.shared_memory`` segment.
-
-    Construct with ``create=True`` in the daemon master (the single
-    writer); workers attach read-only via :meth:`attach`. The writer
-    keeps the authoritative records in process memory, so publishes are
-    a frame of known bytes, never a read-modify-write of the segment.
-    """
+    """The memo tier, framed into one ``multiprocessing.shared_memory``
+    segment on every change. The records stay in process memory, so a
+    publish is a frame of known bytes, never a read-modify-write of the
+    segment."""
 
     #: The segment's size is a hard limit: an entry that is oversized on
     #: its own is dropped too, an empty tier being valid.
@@ -360,7 +306,6 @@ class SharedMemoTier(LocalMemoTier):
         )
         self.name = self._shm.name
         self._generation = 0
-        self._writer = True
         try:
             self._flush()
         except BaseException:
@@ -371,102 +316,7 @@ class SharedMemoTier(LocalMemoTier):
             self.unlink()
             raise
 
-    @classmethod
-    def attach(cls, name: str) -> "SharedMemoTier":
-        """A read-only view of an existing segment (worker side)."""
-        from multiprocessing import shared_memory
-
-        tier = cls.__new__(cls)
-        LocalMemoTier.__init__(tier)
-        try:
-            # track=False (3.13+) keeps the worker's resource tracker
-            # from unlinking the master's segment at worker exit.
-            shm = shared_memory.SharedMemory(name=name, track=False)
-        except TypeError:
-            import multiprocessing
-
-            shm = shared_memory.SharedMemory(name=name)
-            # Pre-3.13 there is no track=False. Under the spawn start
-            # method each worker runs its own resource tracker, which
-            # would unlink the master's live segment at worker exit —
-            # unregister to stop that. Under fork(server) the tracker
-            # process is shared and its cache is a set: the attach
-            # register above was a no-op, and unregistering here would
-            # strip the *master's* registration (tracker KeyError noise
-            # at exit), so leave it alone.
-            if multiprocessing.get_start_method(allow_none=True) == "spawn":
-                try:
-                    from multiprocessing import resource_tracker
-
-                    resource_tracker.unregister(
-                        getattr(shm, "_name", "/" + name), "shared_memory"
-                    )
-                except Exception:
-                    pass
-        tier._shm = shm
-        tier.name = name
-        tier._generation = 0
-        tier._writer = False
-        tier.capacity = shm.size - _HEADER.size
-        return tier
-
-    # Reader protocol ---------------------------------------------------
-
-    def _read_header(self) -> tuple[int, int, int, int]:
-        return _HEADER.unpack_from(self._shm.buf, 0)
-
-    def epoch(self) -> int:
-        if self._writer:
-            return self._epoch
-        magic, _gen, epoch, _length = self._read_header()
-        return epoch if magic == _MAGIC else 0
-
-    def _read(self, parse: Callable[[bytes], _T]) -> _T:
-        """``parse`` of a consistent payload snapshot, via the seqlock."""
-        for _attempt in range(1000):
-            magic, gen1, _epoch, length = self._read_header()
-            if magic != _MAGIC or gen1 % 2 == 1:
-                continue
-            raw = bytes(
-                self._shm.buf[_HEADER.size:_HEADER.size + length]
-            )
-            _magic, gen2, _epoch, _length = self._read_header()
-            if gen1 == gen2:
-                try:
-                    return parse(raw)
-                except Exception:
-                    continue  # torn write slipped through; retry
-        return parse(b"")  # writer wedged mid-publish: act cold
-
-    def lookup(self, key: tuple) -> Optional[MemoEntry]:
-        if self._writer:
-            return super().lookup(key)
-
-        def find(raw: bytes) -> Optional[MemoEntry]:
-            for candidate, pickled in _iter_records(raw):
-                if candidate == key:
-                    return _load_entry(pickled)
-            return None
-
-        entry = self._read(find)
-        LOOKUPS.labels("miss" if entry is None else "hit").inc()
-        return entry
-
-    def __len__(self) -> int:
-        return len(self.keys())
-
-    def keys(self):
-        if self._writer:
-            return super().keys()
-        return self._read(
-            lambda raw: [key for key, _pickled in _iter_records(raw)]
-        )
-
-    # Writer protocol ---------------------------------------------------
-
     def _flush(self) -> None:
-        if not getattr(self, "_writer", False):
-            raise RuntimeError("read-only attachment cannot publish")
         payload = b"".join(
             piece
             for _entry, record in self._entries.values()
@@ -485,8 +335,6 @@ class SharedMemoTier(LocalMemoTier):
             _MAGIC, self._generation, self._epoch, len(payload),
         )
 
-    # Lifecycle ---------------------------------------------------------
-
     def close(self) -> None:
         try:
             self._shm.close()
@@ -494,11 +342,10 @@ class SharedMemoTier(LocalMemoTier):
             pass
 
     def unlink(self) -> None:
-        if self._writer:
-            try:
-                self._shm.unlink()
-            except Exception:
-                pass
+        try:
+            self._shm.unlink()
+        except Exception:
+            pass
 
 
 def create_memo_tier(

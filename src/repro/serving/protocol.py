@@ -222,7 +222,7 @@ def view_fingerprint(view: ViewDef) -> tuple:
 
 
 def serving_group_key(request: RewriteRequest) -> tuple:
-    """The shared-memo fingerprint of one request.
+    """The memo-tier fingerprint of one request.
 
     Built for a *mutating* catalog: only the request's own candidate
     views contribute their cardinality estimates, so a maintenance

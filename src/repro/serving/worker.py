@@ -1,17 +1,15 @@
-"""Request execution with shared-memo warm start.
+"""Request execution with memo-tier warm start.
 
-One :class:`PlannerCache` lives in every execution context — the daemon
-master (serial mode) and each process worker — and implements the
-reader side of the epoch protocol:
+The daemon's one :class:`PlannerCache` implements the reader side of
+the memo tier's epoch protocol:
 
 1. compute the request's serving fingerprint;
 2. if a locally cached planner exists for that fingerprint *and* the
-   tier's epoch (one cheap shared-memory header read) is unchanged since
-   it was validated, reuse it — the hot path costs no payload read;
-3. otherwise look the fingerprint up in the shared tier: present means
-   build a planner and warm it with :meth:`import_memos` (the entry
-   cannot be stale — invalidation removes entries, it never leaves old
-   bytes findable); absent means plan cold;
+   tier's epoch is unchanged since it was validated, reuse it;
+3. otherwise look the fingerprint up in the tier: present means build
+   a planner and warm it with :meth:`import_memos` (the entry cannot be
+   stale — invalidation removes entries, it never leaves old bytes
+   findable); absent means plan cold;
 4. answer a byte-identical repeat from the cache's response memo
    (below); otherwise hand the request and the planner to the shared
    :func:`repro.service.executor.execute_request` — the same call the
@@ -19,8 +17,8 @@ reader side of the epoch protocol:
 5. hand the planner's memo export back to the caller, but only when
    the planner's memo version moved since this cache last exported it
    (a new planner always exports once); otherwise the export is empty
-   and nothing is published. Workers never write the tier: the daemon
-   master is the single writer and publishes the non-empty exports.
+   and nothing is published. The cache never writes the tier: the
+   daemon publishes the non-empty exports.
 
 Requests that pin an explicit view subset get a planner of their own
 (the fingerprint covers only the pinned views) and are parsed and ranked
@@ -52,8 +50,8 @@ Response memo
     already exported, its stamp equal to the counts now — is answered by
     :meth:`PlannerCache.stored_response`, which neither ranks nor
     searches. :meth:`PlannerCache.run` answers those hits through it, and
-    the serial daemon calls it on its event loop, before the hand-off to
-    the worker thread.
+    the daemon calls it on its event loop, before the hand-off to the
+    worker thread.
 
 Count-budgeted requests plan cold (the executor's determinism rule), so
 they neither use nor displace a cached planner: they report ``cold``.
@@ -73,7 +71,7 @@ from ..obs.metrics import counter
 from ..obs.trace import RewriteTrace, Tracer, span, tracing
 from ..service.executor import execute_request
 from ..service.requests import RewriteRequest, RewriteResponse
-from .memo import MEMO_EXPORT_MAX, SharedMemoTier
+from .memo import MEMO_EXPORT_MAX
 from .protocol import line_template, resolve_strategy, serving_keys
 
 #: Planner paths, as reported by repro_serving_planner_path_total.
@@ -85,7 +83,7 @@ COLD = "cold"
 PLANNER_PATHS = counter(
     "repro_serving_planner_path_total",
     "How requests obtained their planner: locally cached, "
-    "warm-started from the shared memo tier, or cold.",
+    "warm-started from the memo tier, or cold.",
     ("path",),
 )
 RESPONSE_MEMO = counter(
@@ -174,9 +172,9 @@ def _stamped(
 
 
 class PlannerCache:
-    """Per-process planners, validated against the memo tier's epoch."""
+    """The daemon's planners, validated against the memo tier's epoch."""
 
-    #: Distinct fingerprints kept warm per process.
+    #: Distinct fingerprints kept warm.
     MAX_PLANNERS = 8
     #: Finished responses kept per planner slot: the response memo holds
     #: up to ``MAX_PLANNERS * MAX_RESPONSES``.
@@ -198,10 +196,10 @@ class PlannerCache:
         ``(response, fingerprint, view_names, memo_export, path)``.
 
         ``memo_export`` is the planner's post-request memo for the
-        daemon master to publish (single-writer discipline) — empty when
-        the planner gained no entry since its last export, so the master
-        has nothing to publish; ``path`` reports how the planner was
-        obtained (``cold`` for a count-budgeted request, which plans
+        caller to publish into the tier — empty when the planner gained
+        no entry since its last export, so there is nothing to publish;
+        ``path`` reports how the planner was obtained (``cold`` for a
+        count-budgeted request, which plans
         cold without touching the cache, so its export is always
         empty). ``strategy`` is a wire strategy name for callers that
         hold one beside the request; a pinning name overrides
@@ -254,7 +252,7 @@ class PlannerCache:
         carries this request's ``request_id`` and ``elapsed``, and is
         counted and touched as :meth:`run` counts and touches a hit; on
         ``None`` nothing is counted or touched. It never ranks or
-        searches, so the serial daemon calls it on its event loop.
+        searches, so the daemon calls it on its event loop.
         """
         if request.trace or not _memoizable(request):
             return None
@@ -378,34 +376,3 @@ class PlannerCache:
         PLANNER_EVICTIONS.inc(self._planners.evictions - evictions)
         return cached, path
 
-
-# ----------------------------------------------------------------------
-# Process-pool entry points (module-level, picklable by reference)
-
-_WORKER_TIER = None
-_WORKER_CACHE: Optional[PlannerCache] = None
-
-
-def init_worker(memo_name: Optional[str]) -> None:
-    """ProcessPoolExecutor initializer: attach the shared tier once."""
-    global _WORKER_TIER, _WORKER_CACHE
-    if memo_name is not None:
-        _WORKER_TIER = SharedMemoTier.attach(memo_name)
-    else:
-        from .memo import LocalMemoTier
-
-        # No shared segment (local-tier daemon): workers plan cold but
-        # stay correct — every epoch read is 0 and every lookup misses.
-        _WORKER_TIER = LocalMemoTier()
-    _WORKER_CACHE = PlannerCache(_WORKER_TIER)
-
-
-def run_in_worker(request: RewriteRequest):
-    """One request in a pool worker; returns the PlannerCache.run tuple.
-
-    The response, fingerprint, view names, memo export and planner path
-    travel back pickled; the master publishes the export into the
-    shared tier.
-    """
-    assert _WORKER_CACHE is not None, "init_worker did not run"
-    return _WORKER_CACHE.run(request)

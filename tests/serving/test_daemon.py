@@ -9,6 +9,7 @@ import random
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +22,9 @@ from repro.engine.database import Database
 from repro.memo import clear_shared
 from repro.obs.metrics import MetricsRegistry, set_global_metrics
 from repro.serving import RewriteDaemon, ServingClient, TenantQuota
-from repro.serving.memo import LocalMemoTier, SharedMemoTier
+from repro.serving.memo import LocalMemoTier
 from repro.serving.protocol import request_from_wire, serving_keys
-from repro.serving.worker import COLD, WARM_LOCAL, WARM_SHARED, run_in_worker
+from repro.serving.worker import COLD, WARM_LOCAL, WARM_SHARED
 from repro.service.executor import execute_request
 from repro.service.requests import RewriteRequest
 
@@ -262,48 +263,6 @@ def test_update_refreshes_view_statistics(scenario):
                 )
 
 
-def test_process_workers_share_the_memo_tier(scenario):
-    sc, db = scenario
-    sql = block_to_sql(sc.query)
-    with running_daemon(sc.catalog, database=db, workers=2) as daemon:
-        with connect(daemon) as client:
-            first = client.rewrite(sql, id="w1")
-            second = client.rewrite(sql, id="w2")
-            assert first["ok"] and second["ok"]
-            assert (
-                first["result"]["rewritings"]
-                == second["result"]["rewritings"]
-            )
-            # The master published the workers' memo exports.
-            assert len(daemon.memo) >= 1
-
-
-def test_second_worker_warm_starts_from_the_first_workers_publish(
-    scenario,
-):
-    sc, db = scenario
-    sql = block_to_sql(sc.query)
-    request = RewriteRequest(query=sc.query, catalog=sc.catalog)
-    with running_daemon(sc.catalog, database=db, workers=2) as daemon:
-        with connect(daemon) as client:
-            # Some worker plans cold; the master publishes its export.
-            assert client.rewrite(sql)["ok"]
-            assert len(daemon.memo) == 1
-        # Straight into the pool to see each run's planner path. While
-        # one worker sleeps the other must take the request, so within a
-        # few rounds the worker that has not seen the fingerprint serves
-        # it — from the tier, not cold.
-        paths = []
-        for _round in range(60):
-            nap = daemon._pool.submit(time.sleep, 0.02)
-            run = daemon._pool.submit(run_in_worker, request)
-            paths.append(run.result(timeout=30)[4])
-            nap.result(timeout=30)
-            if paths[-1] == WARM_SHARED:
-                break
-        assert WARM_SHARED in paths, paths
-
-
 class CountingTier(LocalMemoTier):
     """A tier that counts the publishes the daemon asks of it."""
 
@@ -351,13 +310,30 @@ def test_hot_requests_publish_exactly_once(scenario, monkeypatch):
     assert snapshot.counter_value(family, outcome="skipped") == hot - 1
 
 
-def test_serial_daemon_allocates_no_shared_segment(scenario):
+def shm_segments() -> set:
+    """Names under /dev/shm (empty where the platform has none)."""
+    try:
+        return {path.name for path in Path("/dev/shm").iterdir()}
+    except OSError:
+        return set()
+
+
+def test_a_started_daemon_keeps_its_memo_tier_in_process(scenario):
     sc, db = scenario
+    sql = block_to_sql(sc.query)
+    before = shm_segments()
     with running_daemon(sc.catalog, database=db) as daemon:
-        assert daemon.memo.name is None
-        assert not isinstance(daemon.memo, SharedMemoTier)
-    with running_daemon(sc.catalog, database=db, workers=1) as daemon:
-        assert daemon.memo.name is not None
+        assert type(daemon.memo) is LocalMemoTier
+        with connect(daemon) as client:
+            assert client.rewrite(sql)["ok"]
+        assert len(daemon.memo) == 1  # the planner's export, published
+        assert shm_segments() - before == set()
+
+
+def test_the_daemon_takes_no_workers_argument(scenario):
+    sc, db = scenario
+    with pytest.raises(TypeError):
+        RewriteDaemon(sc.catalog, database=db, workers=1)
 
 
 def test_metrics_interval_emits_frames(scenario, capsys):
@@ -602,14 +578,13 @@ def traced_from_wire(obj, catalog, line_no=0):
 def executor_ids(monkeypatch):
     """The ids of the rewrites a daemon hands to its executor."""
     sent = []
-    for name in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
 
-        class Counting(getattr(serving_daemon, name)):
-            def submit(self, fn, /, *args, **kwargs):
-                sent.append(fn.args[0].request_id)
-                return super().submit(fn, *args, **kwargs)
+    class Counting(serving_daemon.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            sent.append(fn.args[0].request_id)
+            return super().submit(fn, *args, **kwargs)
 
-        monkeypatch.setattr(serving_daemon, name, Counting)
+    monkeypatch.setattr(serving_daemon, "ThreadPoolExecutor", Counting)
     return sent
 
 
@@ -686,18 +661,6 @@ def test_only_unchanged_stored_responses_skip_the_executor(
     served = serving_counts(registry)
     assert (served["hit"], served["miss"], served["bypass"]) == (5, 2, 3)
     assert served == replayed_counts(stream, quotas)
-
-
-def test_process_workers_take_every_rewrite(scenario, executor_ids):
-    """With --workers N the master holds no responses: every repeat of a
-    stored text still goes to the pool."""
-    sc, db = scenario
-    sql = block_to_sql(sc.query)
-    with running_daemon(sc.catalog, database=db, workers=1) as daemon:
-        with connect(daemon) as client:
-            docs = [client.rewrite(sql, id=f"h{i}") for i in range(4)]
-    assert all(doc["ok"] for doc in docs)
-    assert executor_ids == ["h0", "h1", "h2", "h3"]
 
 
 # ----------------------------------------------------------------------
@@ -816,16 +779,6 @@ def test_only_untraced_hits_with_an_id_are_spliced(monkeypatch):
         doc.pop("id", None)
         del doc["result"]["request_id"], doc["result"]["elapsed"]
     assert spliced == idless
-
-
-def test_process_workers_answer_with_the_id_as_sent(scenario):
-    sc, db = scenario
-    sql = block_to_sql(sc.query)
-    with running_daemon(sc.catalog, database=db, workers=1) as daemon:
-        with connect(daemon) as client:
-            docs = [client.rewrite(sql, id=i) for i in range(3)]
-    assert [doc["id"] for doc in docs] == [0, 1, 2]
-    assert all(doc["ok"] and doc["result"]["rewritings"] for doc in docs)
 
 
 # ----------------------------------------------------------------------

@@ -379,12 +379,20 @@ class TestParser:
             golden[command] = [
                 o for o in golden[command] if o["dest"] != "trace"
             ]
-        for command, dest in [
-            ("batch", "workers"), ("serve", "memo_capacity"),
+        # The daemon serves from one process: no --workers.
+        golden["serve"] = [
+            o for o in golden["serve"] if o["dest"] != "workers"
+        ]
+        for command, dest, old, new in [
+            ("batch", "workers", "int", "non_negative_int"),
+            ("serve", "memo_capacity", "int", "non_negative_int"),
+            ("serve", "queue_limit", "int", "non_negative_int"),
+            ("serve", "port", "int", "port_number"),
+            ("serve", "tenant", None, "tenant_quota"),
         ]:
             (option,) = [o for o in golden[command] if o["dest"] == dest]
-            assert option["type"] == "int"
-            option["type"] = "non_negative_int"
+            assert option["type"] == old
+            option["type"] = new
         # cmd_fuzz checks the bug name, so the parser needs no repro.fuzz.
         (option,) = [o for o in golden["fuzz"] if o["dest"] == "inject_bug"]
         assert option["choices"] is not None
@@ -431,6 +439,36 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--port", "-1"], "argument --port: must be in 0..65535"),
+            (["--port", "70000"], "argument --port: must be in 0..65535"),
+            (["--queue-limit", "-3"], "argument --queue-limit: must be >= 0"),
+            (["--tenant", "x=-1"], "argument --tenant: 'x=-1': must be >= 0"),
+            (["--tenant", "x=2:-5"], "DEADLINE_MS must be >= 0"),
+            (["--workers", "1"], "unrecognized arguments: --workers 1"),
+        ],
+    )
+    def test_serve_refuses_values_that_break_it(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--schema", "s.sql", *argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_tenant_flags_parse_into_quotas(self):
+        from repro.serving import TenantQuota
+
+        args = build_parser().parse_args(
+            ["serve", "--schema", "s.sql",
+             "--tenant", "dash=8:250", "--tenant", " batch = 0 "]
+        )
+        assert args.tenant == [
+            ("dash", TenantQuota(max_inflight=8, deadline_ms_cap=250.0)),
+            ("batch", TenantQuota(max_inflight=0)),
+        ]
+
     def test_unknown_bug_name_is_a_usage_error(self, capsys):
         from repro.fuzz import BUG_NAMES
 
@@ -460,3 +498,25 @@ class TestParser:
             env=dict(os.environ, PYTHONPATH=src),
         ).stdout
         assert out.strip() == "False"
+
+
+class TestServe:
+    def test_the_ready_line_holds_the_addresses_and_the_queue_limit(
+        self, schema_file, capsys, monkeypatch
+    ):
+        from repro.serving import RewriteDaemon
+
+        serve_forever = RewriteDaemon.serve_forever
+
+        async def stop_at_once(daemon):
+            daemon.stop()
+            await serve_forever(daemon)
+
+        monkeypatch.setattr(RewriteDaemon, "serve_forever", stop_at_once)
+        assert main(["serve", "--schema", schema_file, "--port", "0"]) == 0
+        ready = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert ready["kind"] == "serve-ready"
+        assert set(ready["result"]) == {"addresses", "queue_limit"}
+        ((kind, host, port),) = ready["result"]["addresses"]
+        assert (kind, host) == ("tcp", "127.0.0.1") and port > 0
+        assert ready["result"]["queue_limit"] == 64
