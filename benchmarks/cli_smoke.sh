@@ -99,6 +99,9 @@ refuse() {
 
 s=(--schema "$work/schema.sql")
 run rewrite rewrite "${s[@]}" --query "$query" --json
+# "both" was an alias of cohen_nutt and is gone.
+refuse rewrite-both "argument --strategy: invalid choice: 'both'" \
+    rewrite "${s[@]}" --query "$query" --strategy both
 run rewrite-traced rewrite "${s[@]}" --query "$query" --json --trace \
     --metrics-out "$work/traced.prom"
 # The trace counters and the planner metrics come from one fold per
@@ -195,8 +198,14 @@ fi
 echo "ok: the parser does not import repro.fuzz"
 run check check "${s[@]}" --left "SELECT Plan_Id FROM Calls" \
     --right "SELECT Plan_Id FROM Calls" --trials 5
+# Zero databases compared is no verdict; a negative limit is no row count.
+refuse check-trials "argument --trials: must be >= 1" check "${s[@]}" \
+    --left "SELECT Plan_Id FROM Calls" --right "SELECT Plan_Id FROM Calls" \
+    --trials 0
 refuse advise "invalid choice: 'advise'" advise "${s[@]}"
 run query query "${s[@]}" --data "$work/data" --query "$query" --use-views
+refuse query-limit "argument --limit: must be >= 0" query "${s[@]}" \
+    --data "$work/data" --query "$query" --limit -1
 refuse query-subquery "FROM-clause subqueries (single-block queries only)" \
     query "${s[@]}" --data "$work/data" \
     --query "SELECT t.Plan_Id FROM (SELECT Plan_Id FROM Calls) t"

@@ -51,7 +51,6 @@ from .catalog import Catalog, TableSchema, fd, table
 from .maintenance import MaintainedView
 from .constraints import (
     Closure,
-    DifferenceClosure,
     equivalent,
     implies,
     normalize_having,
@@ -124,7 +123,6 @@ __all__ = [
     "fd",
     "table",
     "Closure",
-    "DifferenceClosure",
     "equivalent",
     "implies",
     "normalize_having",

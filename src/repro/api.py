@@ -149,7 +149,7 @@ def rewrite(
     (to span several calls with one budget). ``collect_metrics=True``
     attaches a ``repro-metrics/1`` snapshot of exactly this request's
     counters to ``response.metrics``. ``strategy`` picks the planner
-    strategy (``c1c4`` default, ``cohen_nutt``, ``both`` — see
+    strategy (``c1c4`` default or ``cohen_nutt`` — see
     :mod:`repro.strategies` and ``docs/strategies.md``). Errors raise
     :class:`~repro.errors.ReproError`; the batch path instead captures
     them per request.

@@ -48,7 +48,7 @@ def unfold_once(
         view = catalog.view(rel.name)
         if not _unfoldable(view):
             continue
-        return _unfold_at(block, position, view)
+        return unfold_occurrence(block, position, view)
     return None
 
 
@@ -66,9 +66,15 @@ def unfold_views(block: QueryBlock, catalog: "Catalog") -> QueryBlock:
         current = unfolded
 
 
-def _unfold_at(
+def unfold_occurrence(
     block: QueryBlock, position: int, view: ViewDef
 ) -> QueryBlock:
+    """Replace ``block.from_[position]``, an occurrence of the
+    conjunctive ``view``, by a fresh copy of the view's body.
+
+    The view need not be registered in any catalog; the result is
+    multiset-equivalent to ``block``.
+    """
     rel = block.from_[position]
     namer = FreshNames(c.name for c in block.cols())
 

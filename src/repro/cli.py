@@ -608,6 +608,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def port_number(text: str) -> int:
     """argparse type: a TCP port, 0 (pick a free one) to 65535."""
     value = int(text)
@@ -637,7 +645,7 @@ def tenant_quota(text: str) -> tuple:
 
 
 SCHEMA_HELP = "SQL script with CREATE TABLE / CREATE VIEW statements"
-STRATEGIES = ["c1c4", "cohen_nutt", "both"]
+STRATEGIES = ["c1c4", "cohen_nutt"]
 
 
 def _flag_table() -> dict:
@@ -665,7 +673,7 @@ def _flag_table() -> dict:
             "exit", metavar="FILE"),
         "strategy": flag("--strategy", "planner strategy: the C1-C4 "
             "usability conditions (default), or add Cohen-Nutt "
-            "complete-rewriting extras (cohen_nutt/both)",
+            "complete-rewriting extras (cohen_nutt)",
             choices=STRATEGIES, default="c1c4"),
         "trace": switch("--trace", "print per-stage timings and search "
             "counters"),
@@ -693,12 +701,12 @@ def _flag_table() -> dict:
             "gracefully", type=float),
         "left": flag("--left", required=True),
         "right": flag("--right", required=True),
-        "trials": flag("--trials", type=int, default=50),
+        "trials": flag("--trials", type=positive_int, default=50),
         "seed-check": flag("--seed", type=int, default=0),
         "data": flag("--data", "directory of <table>.csv", required=True),
         "use-views": switch("--use-views", "evaluate through the cheapest "
             "view rewriting when one wins"),
-        "limit": flag("--limit", type=int, default=20),
+        "limit": flag("--limit", type=non_negative_int, default=20),
         "engine-query": flag("--engine", "execution engine (default: auto — "
             "columnar for large inputs)", default="auto",
             choices=["row", "columnar", "auto"]),
@@ -772,8 +780,8 @@ def _flag_table() -> dict:
             "recorded mode for --replay",
             choices=["row", "columnar", "both", "auto"]),
         "strategy-fuzz": flag("--strategy", "planner strategy the oracle "
-            "searches with; 'both' runs the cross-planner differential mode "
-            "(oracle soundness plus C1-C4 <= Cohen-Nutt dominance per "
+            "searches with; 'cohen_nutt' runs the cross-planner differential "
+            "mode (oracle soundness plus C1-C4 <= Cohen-Nutt dominance per "
             "scenario). Default: c1c4 for fuzzing, the recorded strategy "
             "for --replay", choices=STRATEGIES),
     }

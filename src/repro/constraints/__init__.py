@@ -1,7 +1,6 @@
 """Predicate reasoning: closures, implication, residuals, HAVING motion."""
 
 from .closure import Closure
-from .difference import DiffAtom, DifferenceClosure, implies_difference
 from .having import normalize_having
 from .implication import equivalent, implies, minimize, satisfiable
 from .residual import (
@@ -13,9 +12,6 @@ from .residual import (
 
 __all__ = [
     "Closure",
-    "DiffAtom",
-    "DifferenceClosure",
-    "implies_difference",
     "normalize_having",
     "equivalent",
     "implies",

@@ -21,7 +21,6 @@ from .planner import (
     PlannerStats,
     RewritePlanner,
     ViewSignature,
-    baseline_mode,
     cache_stats,
 )
 from .result import Rewriting
@@ -53,7 +52,6 @@ __all__ = [
     "PlannerStats",
     "RewritePlanner",
     "ViewSignature",
-    "baseline_mode",
     "cache_stats",
     "Rewriting",
     "RankedRewriting",

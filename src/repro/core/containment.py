@@ -7,6 +7,8 @@ connection "does not carry over" — multiset equivalence of conjunctive
 queries requires an *isomorphism* ([CV93], the paper's basis for
 condition C1). This module makes both notions executable:
 
+* :func:`homomorphisms` — the containment-mapping search itself, with
+  explicit pins (the Cohen–Nutt MIN/MAX check runs on it too);
 * :func:`contained_in` — set-semantics containment via containment
   mappings (sound and complete for equality-only predicates; sound for
   the full comparison language);
@@ -20,15 +22,16 @@ multiset-equivalent.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator, Optional
 
 from ..blocks.query_block import QueryBlock
 from ..blocks.terms import Column
-from ..constraints.closure import Closure
+from ..constraints.closure import Closure, closure_of
 from ..constraints.implication import equivalent
 from ..errors import UnsupportedSQLError
 from ..mappings.column_mapping import ColumnMapping
 from ..mappings.enumerate_mappings import enumerate_mappings
+from ..obs.budget import BudgetMeter
 
 
 def _require_conjunctive(block: QueryBlock, role: str) -> None:
@@ -43,6 +46,32 @@ def _require_conjunctive(block: QueryBlock, role: str) -> None:
             )
 
 
+def homomorphisms(
+    source: QueryBlock,
+    target: QueryBlock,
+    pins: Iterable[tuple[Column, Column]] = (),
+    meter: Optional[BudgetMeter] = None,
+) -> Iterator[ColumnMapping]:
+    """Homomorphisms from ``source``'s core into ``target``'s.
+
+    The classical containment test, modulo the constraint closure: a
+    many-to-1 occurrence assignment under which every source atom is
+    entailed by the target's closure and every pinned source column
+    lands on (a closure-equal of) its paired target column. Existence
+    proves answers(target) ⊆ answers(source) on the pinned columns,
+    under set semantics. ``meter`` bounds the enumeration.
+    """
+    pins = tuple(pins)
+    closure = closure_of(target.where)
+    for mapping in enumerate_mappings(
+        source, target, many_to_one=True, meter=meter
+    ):
+        if not closure.entails_all(mapping.apply_atoms(source.where)):
+            continue
+        if all(closure.equal(mapping.apply(s), t) for s, t in pins):
+            yield mapping
+
+
 def containment_mappings(
     container: QueryBlock, contained: QueryBlock
 ) -> Iterator[ColumnMapping]:
@@ -50,25 +79,21 @@ def containment_mappings(
 
     A containment mapping sends ``container``'s columns into
     ``contained``'s such that the mapped conditions are entailed and the
-    mapped SELECT list matches position-wise (up to entailed equality).
-    Many-to-1 is allowed, as in the classical set-semantics theory.
+    mapped SELECT list matches position-wise (up to entailed equality):
+    a :func:`homomorphisms` witness with the SELECT pairs as pins.
     """
     _require_conjunctive(container, "container")
     _require_conjunctive(contained, "contained")
     if len(container.select) != len(contained.select):
         return
-    closure = Closure(contained.where)
-    for mapping in enumerate_mappings(container, contained, many_to_one=True):
-        if not closure.entails_all(mapping.apply_atoms(container.where)):
-            continue
-        heads_match = all(
-            closure.equal(
-                mapping.apply(c_item.expr), q_item.expr
-            )
+    yield from homomorphisms(
+        container,
+        contained,
+        pins=[
+            (c_item.expr, q_item.expr)
             for c_item, q_item in zip(container.select, contained.select)
-        )
-        if heads_match:
-            yield mapping
+        ],
+    )
 
 
 def contained_in(left: QueryBlock, right: QueryBlock) -> bool:

@@ -41,8 +41,8 @@ incremental maximality bookkeeping
     lazily.
 
 The naive path stays callable (``all_rewritings(use_planner=False)``)
-and :func:`baseline_mode` additionally switches the memoization caches
-off, so A/B benchmarks can reproduce the pre-planner behavior exactly.
+and :func:`repro.memo.disabled` additionally switches the memoization
+caches off, so A/B benchmarks can reproduce the pre-planner behavior exactly.
 Result-set parity between the two paths is asserted by
 ``tests/core/test_planner_parity.py``.
 """
@@ -60,7 +60,7 @@ from ..blocks.terms import Column, Op
 from ..catalog.schema import Catalog
 from ..constraints.closure import Closure, closure_of
 from ..constraints.having import normalize_having
-from ..memo import MISSING, Memo, disabled, shared_memos
+from ..memo import MISSING, Memo, shared_memos
 from ..obs.budget import BudgetMeter, SearchBudget, ensure_meter
 from ..obs.metrics import _ACTIVE, counter, current_metrics
 from ..obs.trace import span
@@ -873,11 +873,3 @@ def _record_search(
         MEMO_LOOKUPS.labels(family, "hit").inc(hits)
         MEMO_LOOKUPS.labels(family, "miss").inc(misses)
 
-
-def baseline_mode():
-    """Disable every search-core memo — the seed behavior, for A/B runs.
-
-    Combine with ``all_rewritings(..., use_planner=False)`` to time the
-    exact pre-planner code path.
-    """
-    return disabled()

@@ -122,7 +122,7 @@ def strategy_rewritings(
     order — the one place a strategy name is interpreted.
 
     The C1–C4 search always runs (``search`` goes to
-    :func:`all_rewritings`); ``"cohen_nutt"`` / ``"both"`` add the
+    :func:`all_rewritings`); ``"cohen_nutt"`` adds the
     Cohen–Nutt extras through :func:`merge_strategy_extras`, memoized
     on the same ``planner`` and charged to the same ``budget``.
     """
@@ -314,9 +314,8 @@ class RewriteEngine:
 
         ``strategy`` selects the search regime (see
         :mod:`repro.strategies`): ``"c1c4"`` is the paper's search;
-        ``"cohen_nutt"`` / ``"both"`` add the Cohen–Nutt complete-
-        rewriting extras to the candidate set, deduplicated by
-        canonical key.
+        ``"cohen_nutt"`` adds the Cohen–Nutt complete-rewriting extras
+        to the candidate set, deduplicated by canonical key.
         """
         catalog = catalog if catalog is not None else self.catalog
         return search(

@@ -94,8 +94,11 @@ def check_equivalent(
     ``right`` may be a :class:`Rewriting`, whose auxiliary views are then
     supplied to the engine. ``compare`` is ``"multiset"`` (the paper's
     equivalence notion) or ``"set"`` (Section 5 comparisons).
-    Returns ``None`` on agreement, else the first counterexample.
+    Returns ``None`` on agreement, else the first counterexample; raises
+    ``ValueError`` for ``trials < 1``, where no database was compared.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
     extra: Mapping[str, ViewDef] = {}
     right_query: Union[str, QueryBlock]

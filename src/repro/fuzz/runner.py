@@ -123,8 +123,8 @@ class FuzzRunner:
         #: Live backend names every scenario executes on (the N-way
         #: oracle: row = columnar = SQLite = DuckDB = ...).
         self.backends = tuple(backends)
-        #: Planner strategy the oracle searches with; ``"both"`` runs the
-        #: cross-planner differential mode (oracle soundness of the
+        #: Planner strategy the oracle searches with; ``"cohen_nutt"``
+        #: runs the cross-planner differential mode (oracle soundness of the
         #: union plus C1–C4 ⊆ Cohen–Nutt dominance per scenario) and
         #: records per-strategy found/missed tallies per profile.
         self.strategy = strategy

@@ -161,11 +161,11 @@ class CrossChecker:
         self.backends = tuple(backends)
         from ..strategies import normalize_strategy
 
-        #: Planner strategy for the checker's own search. ``"both"`` is
-        #: the cross-planner differential mode: the C1–C4 and Cohen–Nutt
-        #: searches run independently, the union is oracle-checked, and
-        #: every C1–C4 rewriting must be found-or-subsumed by the
-        #: Cohen–Nutt set (a ``dominance`` mismatch otherwise).
+        #: Planner strategy for the checker's own search. Under
+        #: ``"cohen_nutt"`` the C1–C4 and Cohen–Nutt searches run
+        #: independently, the union is oracle-checked, and every C1–C4
+        #: rewriting must be found-or-subsumed by the Cohen–Nutt set (a
+        #: ``dominance`` mismatch otherwise).
         self.strategy = normalize_strategy(strategy)
 
     def _engine_rows(
@@ -276,30 +276,28 @@ class CrossChecker:
             ),
         )
         report.strategy_counts["cohen_nutt"] = len(union)
-        if self.strategy == "both":
-            # Completeness dominance: find-or-subsume every C1–C4
-            # rewriting. By construction the union contains the base
-            # set, so a violation is a structural regression in the
-            # merge — checked anyway, exactly because it must never
-            # fire.
-            report.checks += 1
-            union_keys = {canonical_key(rw.query) for rw in union}
-            for rw in base:
-                if canonical_key(rw.query) not in union_keys:
-                    report.mismatches.append(
-                        Mismatch(
-                            "dominance",
-                            "c1c4",
-                            "cohen_nutt",
-                            [],
-                            [],
-                            sql=rw.sql(),
-                            note=(
-                                "C1-C4 rewriting missing from the "
-                                "Cohen-Nutt result set"
-                            ),
-                        )
+        # Completeness dominance: find-or-subsume every C1–C4 rewriting.
+        # By construction the union contains the base set, so a
+        # violation is a structural regression in the merge — checked
+        # anyway, exactly because it must never fire.
+        report.checks += 1
+        union_keys = {canonical_key(rw.query) for rw in union}
+        for rw in base:
+            if canonical_key(rw.query) not in union_keys:
+                report.mismatches.append(
+                    Mismatch(
+                        "dominance",
+                        "c1c4",
+                        "cohen_nutt",
+                        [],
+                        [],
+                        sql=rw.sql(),
+                        note=(
+                            "C1-C4 rewriting missing from the "
+                            "Cohen-Nutt result set"
+                        ),
                     )
+                )
         return union
 
     def _check_view(self, report, db, backends, view) -> None:

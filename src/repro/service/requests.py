@@ -53,7 +53,7 @@ class RewriteRequest:
     collect_metrics: bool = False
     request_id: Optional[str] = None
     #: Planner strategy (see :mod:`repro.strategies`): ``"c1c4"`` (the
-    #: paper's search, the default), ``"cohen_nutt"`` or ``"both"``.
+    #: paper's search, the default) or ``"cohen_nutt"``.
     strategy: str = "c1c4"
 
     def effective_views(self) -> tuple[ViewDef, ...]:

@@ -23,12 +23,11 @@ replays against a daemon verbatim and both refuse a malformed line with
 the same message.
 
 The ``strategy`` field is a name, validated here and carried in
-``RewriteRequest.strategy``: ``"c1c4"``, ``"cohen_nutt"`` and
-``"both"`` are the strategies of :mod:`repro.strategies` —
-``cohen_nutt``/``both`` add the Cohen–Nutt complete-rewriting extras to
-the C1–C4 result set — and ``"default"`` (or absent) means ``c1c4``,
-the paper's search. Unknown names refuse in-band with the known names
-listed.
+``RewriteRequest.strategy``: ``"c1c4"`` and ``"cohen_nutt"`` are the
+strategies of :mod:`repro.strategies` — ``cohen_nutt`` adds the
+Cohen–Nutt complete-rewriting extras to the C1–C4 result set — and
+``"default"`` (or absent) means ``c1c4``, the paper's search. Unknown
+names refuse in-band with the known names listed.
 """
 
 from __future__ import annotations

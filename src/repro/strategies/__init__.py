@@ -12,14 +12,8 @@ the alternatives:
     extras of :mod:`repro.strategies.cohen_nutt` (unfolding candidate
     views into the query body and deciding equivalence under aggregation
     semantics). Every C1–C4 rewriting is found or subsumed by
-    construction — the union is deduplicated by canonical key.
-``both``
-    the same result set as ``cohen_nutt``, but callers that know about
-    strategies (the fuzzer, the differential oracle, the benchmark
-    collectors) additionally run the two searches independently and
-    cross-check them: every Cohen–Nutt rewriting must pass the multiset
-    oracle, and the C1–C4 set must be dominated (find-or-subsume) by the
-    Cohen–Nutt set.
+    construction — the union is deduplicated by canonical key, and
+    the differential oracle re-asserts that dominance per scenario.
 
 The strategy name travels end to end: ``repro.api.rewrite(strategy=...)``,
 ``--strategy`` on the ``rewrite`` / ``batch`` / ``fuzz`` CLI commands,
@@ -34,7 +28,7 @@ from ..errors import ReproError
 
 #: Engine-level strategy names, in documentation order. The wire
 #: protocol additionally accepts ``default``, meaning ``c1c4``.
-STRATEGY_NAMES = ("c1c4", "cohen_nutt", "both")
+STRATEGY_NAMES = ("c1c4", "cohen_nutt")
 
 #: What unannotated requests (and pre-strategy repro-fuzz/1 files) mean.
 DEFAULT_STRATEGY = "c1c4"
@@ -50,11 +44,6 @@ def normalize_strategy(name) -> str:
     return name
 
 
-def uses_cohen_nutt(name: str) -> bool:
-    """True when the strategy's result set includes the Cohen–Nutt extras."""
-    return name in ("cohen_nutt", "both")
-
-
 from .cohen_nutt import cohen_nutt_rewritings  # noqa: E402
 
 __all__ = [
@@ -62,5 +51,4 @@ __all__ = [
     "STRATEGY_NAMES",
     "cohen_nutt_rewritings",
     "normalize_strategy",
-    "uses_cohen_nutt",
 ]

@@ -53,9 +53,9 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..blocks.exprs import Aggregate, AggFunc, columns_in
-from ..blocks.naming import FreshNames
 from ..blocks.query_block import QueryBlock, Relation, SelectItem, ViewDef
 from ..blocks.terms import Column, Comparison, Constant, Op
+from ..blocks.unfold import unfold_occurrence
 from ..constraints.closure import Closure, closure_of
 from ..constraints.residual import find_residual
 from ..errors import NormalizationError
@@ -64,6 +64,7 @@ from ..memo import MISSING
 from ..obs.budget import BudgetMeter, ensure_meter
 from ..core.canonical import BlockSet
 from ..core.common import ViewOccurrence, make_view_occurrence, query_namer
+from ..core.containment import homomorphisms
 from ..core.result import Rewriting
 
 #: Provenance tags carried in ``Rewriting.strategy``.
@@ -405,13 +406,14 @@ def _maxmin_from_mapping(
     # tables and require two-way set equivalence with Q. MIN and MAX are
     # duplicate-insensitive, so set equivalence of the distinguished
     # tuples is exactly aggregate equivalence.
-    unfolded = _unfold_occurrence(candidate, view, occurrence.relation)
+    unfolded = unfold_occurrence(
+        candidate, candidate.from_.index(occurrence.relation), view
+    )
     pins = _distinguished_pairs(query, unfolded)
-    if not _hom_exists(query, unfolded, pins, meter):
+    if next(homomorphisms(query, unfolded, pins, meter), None) is None:
         return None
-    if not _hom_exists(
-        unfolded, query, [(u, q) for q, u in pins], meter
-    ):
+    back = [(u, q) for q, u in pins]
+    if next(homomorphisms(unfolded, query, back, meter), None) is None:
         return None
     return Rewriting(
         query=candidate,
@@ -422,54 +424,6 @@ def _maxmin_from_mapping(
             "set-equivalent unfolding, duplicate-insensitive "
             "aggregates (Cohen–Nutt)",
         ),
-    )
-
-
-def _unfold_occurrence(
-    block: QueryBlock, view: ViewDef, occurrence: Relation
-) -> QueryBlock:
-    """Replace one view occurrence by a fresh copy of the view's body.
-
-    A catalog-free sibling of :func:`repro.blocks.unfold.unfold_views`
-    for the verification step — the view need not be registered
-    anywhere, and exactly one known occurrence is expanded.
-    """
-    namer = FreshNames(
-        [c.name for c in block.cols()]
-        + [c.name for c in view.block.cols()]
-    )
-    theta = {
-        col: namer.column(col.name)
-        for relation in view.block.from_
-        for col in relation.columns
-    }
-    body_from = tuple(
-        Relation(
-            relation.name,
-            tuple(theta[c] for c in relation.columns),
-            relation.base_names,
-        )
-        for relation in view.block.from_
-    )
-    body_where = tuple(a.substitute(theta) for a in view.block.where)
-    sigma = {
-        occ_col: theta[item.expr]
-        for occ_col, item in zip(occurrence.columns, view.block.select)
-    }
-    from_: list[Relation] = []
-    for relation in block.from_:
-        if relation is occurrence or (
-            relation.name == occurrence.name
-            and relation.columns == occurrence.columns
-        ):
-            from_.extend(body_from)
-        else:
-            from_.append(relation)
-    return block.substitute(sigma).with_(
-        from_=tuple(from_),
-        where=tuple(
-            a.substitute(sigma) for a in block.where
-        ) + body_where,
     )
 
 
@@ -495,33 +449,3 @@ def _distinguished_pairs(
         )
     return pairs
 
-
-def _hom_exists(
-    source: QueryBlock,
-    target: QueryBlock,
-    pins: list[tuple[Column, Column]],
-    meter: Optional[BudgetMeter],
-) -> bool:
-    """Is there a homomorphism from ``source``'s core into ``target``'s?
-
-    The classic containment test, modulo the constraint closure: an
-    occurrence assignment under which every source atom is entailed by
-    the target's closure and every pinned source column lands on (a
-    closure-equal of) its paired target column. Existence proves
-    answers(target) ⊆ answers(source) on the distinguished columns,
-    under set semantics.
-    """
-    closure_t = closure_of(target.where)
-    for assignment in enumerate_mappings(
-        source, target, many_to_one=True, meter=meter
-    ):
-        if not all(
-            closure_t.entails(atom)
-            for atom in assignment.apply_atoms(source.where)
-        ):
-            continue
-        if all(
-            closure_t.equal(assignment.apply(s), t) for s, t in pins
-        ):
-            return True
-    return False

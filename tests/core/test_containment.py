@@ -11,6 +11,7 @@ import pytest
 from repro import Catalog, Database, parse_query, table
 from repro.core.containment import (
     contained_in,
+    homomorphisms,
     multiset_equivalent,
     set_equivalent,
 )
@@ -20,6 +21,25 @@ from repro.errors import UnsupportedSQLError
 @pytest.fixture
 def catalog():
     return Catalog([table("R", ["A", "B"]), table("S", ["C", "D"])])
+
+
+class TestHomomorphisms:
+    def test_pins_block_a_mapping_that_exists_without_them(self, catalog):
+        source = parse_query("SELECT A FROM R", catalog)
+        target = parse_query("SELECT A FROM R WHERE B = 1", catalog)
+        (a, b) = target.from_[0].columns
+        head = source.select[0].expr
+        assert next(homomorphisms(source, target), None) is not None
+        assert next(homomorphisms(source, target, [(head, a)]), None)
+        # The only occurrence assignment sends A to A, never to B.
+        assert next(homomorphisms(source, target, [(head, b)]), None) is None
+
+    def test_pins_hold_up_to_the_targets_closure(self, catalog):
+        source = parse_query("SELECT A FROM R", catalog)
+        target = parse_query("SELECT A FROM R WHERE A = B", catalog)
+        (_, b) = target.from_[0].columns
+        head = source.select[0].expr
+        assert next(homomorphisms(source, target, [(head, b)]), None)
 
 
 class TestContainment:

@@ -20,7 +20,8 @@ from repro.core.multiview import (
     all_rewritings_naive,
     rewrite_iteratively,
 )
-from repro.core.planner import RewritePlanner, ViewSignature, baseline_mode
+from repro.core.planner import RewritePlanner, ViewSignature
+from repro.memo import disabled
 from repro.workloads import star, telephony
 from repro.workloads.random_queries import (
     random_catalog,
@@ -104,7 +105,7 @@ class TestWorkloads:
         """Parity must hold with every cache disabled, too."""
         wl = star.generate(n_sales=200)
         views = list(wl.views.values())
-        with baseline_mode():
+        with disabled():
             for query in wl.queries.values():
                 assert_parity(query, views, wl.catalog)
 

@@ -146,8 +146,8 @@ def test_repro_strategy_round_trip(tmp_path):
     from repro.fuzz.serialize import scenario_to_json
 
     scenario = fuzz_scenario(0)
-    doc = scenario_to_json(scenario, strategy="both")
-    assert doc["strategy"] == "both"
+    doc = scenario_to_json(scenario, strategy="cohen_nutt")
+    assert doc["strategy"] == "cohen_nutt"
     path = tmp_path / "repro.json"
     path.write_text(_json.dumps(doc))
     report = replay(path)
@@ -163,28 +163,28 @@ def test_repro_strategy_round_trip(tmp_path):
     assert set(report.strategy_counts) == {"c1c4"}
 
     # An explicit argument overrides the recorded strategy.
-    report = replay(path, strategy="both")
+    report = replay(path, strategy="cohen_nutt")
     assert set(report.strategy_counts) == {"c1c4", "cohen_nutt"}
 
 
 def test_runner_records_strategy_in_repro(tmp_path):
-    """Failures found by a dual-strategy sweep persist strategy='both'
+    """Failures found by a dual-strategy sweep persist strategy='cohen_nutt'
     so the repro replays through the same cross-planner oracle."""
     import json as _json
 
     with inject_bug("min-as-max"):
-        stats = FuzzRunner(out_dir=tmp_path, strategy="both").run(
+        stats = FuzzRunner(out_dir=tmp_path, strategy="cohen_nutt").run(
             budget_seconds=None, max_scenarios=400, max_failures=1
         )
         assert stats.failures >= 1
     doc = _json.loads(stats.failure_files[0].read_text())
-    assert doc["strategy"] == "both"
+    assert doc["strategy"] == "cohen_nutt"
 
 
 def test_strategy_tallies_per_profile(tmp_path):
     """Dual-strategy runs tally per-strategy found/missed per profile;
     the complete strategy never scores below C1-C4."""
-    stats = FuzzRunner(out_dir=tmp_path, strategy="both").run(
+    stats = FuzzRunner(out_dir=tmp_path, strategy="cohen_nutt").run(
         budget_seconds=None, max_scenarios=60
     )
     assert stats.failures == 0, stats.as_dict()

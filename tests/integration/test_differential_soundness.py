@@ -160,7 +160,7 @@ def test_cohen_nutt_soundness_and_dominance(diff_seed):
     Both properties are Mismatch kinds inside ``report.ok``."""
     scenario = random_scenario(diff_seed)
     try:
-        report = check_scenario(scenario, strategy="both")
+        report = check_scenario(scenario, strategy="cohen_nutt")
     except OracleUnsupported as reason:
         pytest.skip(f"sqlite backend cannot run this scenario: {reason}")
     assert report.ok, f"seed={diff_seed}\n{report.describe()}"

@@ -96,3 +96,23 @@ def test_mismatch_describe_mentions_sql(scenario):
     report = check_scenario(scenario, rewritings=[wrong])
     text = report.describe()
     assert "MISMATCH" in text and "SELECT" in text
+
+
+def test_cohen_nutt_strategy_counts_the_dominance_check():
+    """Under ``cohen_nutt`` the checker re-asserts C1-C4 dominance: one
+    comparison more than the same search under ``c1c4``, even when
+    neither strategy finds a rewriting."""
+    catalog = Catalog([table("R", ["a", "b"])])
+    query = parse_query(
+        "SELECT R.a, SUM(R.b) AS s FROM R GROUP BY R.a", catalog
+    )
+    scenario = Scenario(
+        seed=0, catalog=catalog, query=query, views=[],
+        instance={"R": [(1, 10), (2, 30)]},
+    )
+    base = CrossChecker(strategy="c1c4").check(scenario)
+    union = CrossChecker(strategy="cohen_nutt").check(scenario)
+    assert base.ok and union.ok, union.describe()
+    assert base.rewritings == union.rewritings == 0
+    assert union.strategy_counts == {"c1c4": 0, "cohen_nutt": 0}
+    assert union.checks == base.checks + 1

@@ -133,7 +133,7 @@ class TestStrategies:
         assert resolve_strategy(None) is resolve_strategy("default") is None
 
     def test_engine_strategies_registered(self):
-        for name in ("c1c4", "cohen_nutt", "both"):
+        for name in ("c1c4", "cohen_nutt"):
             assert name in strategy_names()
             assert resolve_strategy(name) == name
 
@@ -144,10 +144,10 @@ class TestStrategies:
     def test_wire_strategy_rides_in_request(self):
         sc = random_scenario(3)
         request = request_from_wire(
-            {"op": "rewrite", "sql": "SELECT 1", "strategy": "both"},
+            {"op": "rewrite", "sql": "SELECT 1", "strategy": "cohen_nutt"},
             sc.catalog,
         )
-        assert request.strategy == "both"
+        assert request.strategy == "cohen_nutt"
         # "default" leaves the request's own strategy at the default.
         request = request_from_wire(
             {"op": "rewrite", "sql": "SELECT 1", "strategy": "default"},
@@ -160,7 +160,7 @@ class TestStrategies:
         strategy to pin, or to None for the default."""
         from repro.strategies import STRATEGY_NAMES
 
-        assert strategy_names() == ("both", "c1c4", "cohen_nutt", "default")
+        assert strategy_names() == ("c1c4", "cohen_nutt", "default")
         for name in strategy_names():
             resolved = resolve_strategy(name)
             assert resolved == (None if name == "default" else name)

@@ -21,7 +21,6 @@ from repro.strategies import (
     STRATEGY_NAMES,
     cohen_nutt_rewritings,
     normalize_strategy,
-    uses_cohen_nutt,
 )
 from repro.workloads.random_queries import random_scenario
 
@@ -35,13 +34,10 @@ class TestNames:
             assert normalize_strategy(name) == name
 
     def test_unknown_refused(self):
-        with pytest.raises(ReproError, match="unknown strategy"):
-            normalize_strategy("no-such-strategy")
-
-    def test_uses_cohen_nutt(self):
-        assert not uses_cohen_nutt("c1c4")
-        assert uses_cohen_nutt("cohen_nutt")
-        assert uses_cohen_nutt("both")
+        # "both" was an alias of cohen_nutt; it is refused like any other.
+        for name in ("no-such-strategy", "both"):
+            with pytest.raises(ReproError, match="unknown strategy"):
+                normalize_strategy(name)
 
 
 class TestApi:
@@ -55,25 +51,11 @@ class TestApi:
         )
         assert extra.rewritings
 
-    def test_both_equals_cohen_nutt_result_set(self):
-        case = CASES[0]
-        catalog = case.catalog()
-        left = api.rewrite(case.query, catalog=catalog, strategy="both")
-        right = api.rewrite(
-            case.query, catalog=catalog, strategy="cohen_nutt"
-        )
-        assert [r.sql() for r in left.rewritings] == [
-            r.sql() for r in right.rewritings
-        ]
-
     def test_unknown_strategy_refused(self):
         case = CASES[0]
-        with pytest.raises(ReproError, match="unknown strategy"):
-            api.rewrite(
-                case.query,
-                catalog=case.catalog(),
-                strategy="no-such-strategy",
-            )
+        for name in ("no-such-strategy", "both"):
+            with pytest.raises(ReproError, match=f"unknown strategy '{name}'"):
+                api.rewrite(case.query, catalog=case.catalog(), strategy=name)
 
 
 class TestDominance:
@@ -114,7 +96,7 @@ class TestDominance:
             "repro.core.rewriter.merge_strategy_extras",
             lambda candidates, extras: [],
         )
-        report = check_scenario(scenario, strategy="both")
+        report = check_scenario(scenario, strategy="cohen_nutt")
         assert not report.ok
         assert any(m.context == "dominance" for m in report.mismatches)
 

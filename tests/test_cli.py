@@ -236,6 +236,18 @@ class TestFuzz:
         )
         assert "MISMATCH" in capsys.readouterr().out
 
+    def test_replay_refuses_the_removed_both_strategy(
+        self, tmp_path, capsys
+    ):
+        from repro.fuzz.generate import fuzz_scenario
+        from repro.fuzz.serialize import scenario_to_json
+
+        path = tmp_path / "repro.json"
+        doc = scenario_to_json(fuzz_scenario(0), strategy="both")
+        path.write_text(json.dumps(doc))
+        assert main(["fuzz", "--replay", str(path)]) == 2
+        assert "unknown strategy 'both'" in capsys.readouterr().err
+
     def test_json_stats_document(self, tmp_path, capsys):
         import json as jsonlib
 
@@ -328,7 +340,7 @@ class TestBatchLines:
                 "sql": QUERY,
                 "id": "wired",
                 "views": ["Monthly"],
-                "strategy": "both",
+                "strategy": "cohen_nutt",
                 "collect_metrics": True,
                 "max_steps": 2,
             },
@@ -389,6 +401,8 @@ class TestParser:
             ("serve", "queue_limit", "int", "non_negative_int"),
             ("serve", "port", "int", "port_number"),
             ("serve", "tenant", None, "tenant_quota"),
+            ("check", "trials", "int", "positive_int"),
+            ("query", "limit", "int", "non_negative_int"),
         ]:
             (option,) = [o for o in golden[command] if o["dest"] == dest]
             assert option["type"] == old
@@ -397,6 +411,13 @@ class TestParser:
         (option,) = [o for o in golden["fuzz"] if o["dest"] == "inject_bug"]
         assert option["choices"] is not None
         option["choices"] = None
+        # The "both" strategy, an alias of cohen_nutt, was removed.
+        for command in ("rewrite", "batch", "fuzz"):
+            (option,) = [
+                o for o in golden[command] if o["dest"] == "strategy"
+            ]
+            assert option["choices"] == ["c1c4", "cohen_nutt", "both"]
+            option["choices"] = ["c1c4", "cohen_nutt"]
         assert self.spec(build_parser()) == golden
 
     def test_docstring_lists_the_command_table(self):
@@ -431,6 +452,7 @@ class TestParser:
         [
             ["batch", "requests.jsonl", "--mode", "thread", "--workers", "-1"],
             ["serve", "--memo-capacity", "-5"],
+            ["query", "--data", ".", "--query", QUERY, "--limit", "-1"],
         ],
     )
     def test_negative_counts_are_refused(self, argv, capsys):
@@ -453,6 +475,28 @@ class TestParser:
     def test_serve_refuses_values_that_break_it(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["serve", "--schema", "s.sql", *argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["rewrite", "--query", QUERY, "--strategy", "both"],
+             "argument --strategy: invalid choice: 'both'"),
+            (["batch", "requests.jsonl", "--strategy", "both"],
+             "argument --strategy: invalid choice: 'both'"),
+            (["check", "--left", QUERY, "--right", QUERY, "--trials", "0"],
+             "argument --trials: must be >= 1, got 0"),
+            (["check", "--left", QUERY, "--right", QUERY, "--trials", "-3"],
+             "argument --trials: must be >= 1, got -3"),
+        ],
+    )
+    def test_values_with_no_meaning_are_refused(self, argv, message, capsys):
+        """A check over zero databases is no verdict, and ``both`` is
+        not a strategy."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--schema", "s.sql"])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err

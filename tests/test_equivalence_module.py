@@ -88,6 +88,17 @@ class TestCheckEquivalent:
         if first is not None:
             assert first.tables == second.tables
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_is_no_verdict(self, catalog, trials):
+        """Zero databases compared is not agreement."""
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            check_equivalent(
+                catalog,
+                "SELECT x FROM M",
+                "SELECT DISTINCT x FROM M",
+                trials=trials,
+            )
+
     def test_assert_raises_with_counterexample(self, catalog):
         with pytest.raises(AssertionError) as excinfo:
             assert_equivalent(

@@ -17,8 +17,8 @@ from repro.cache import QueryCache
 from repro.constraints.closure import closure_of
 from repro.constraints.residual import find_residual
 from repro.core.canonical import canonical_key
-from repro.core.planner import RewritePlanner, baseline_mode, cache_stats
-from repro.memo import clear_shared
+from repro.core.planner import RewritePlanner, cache_stats
+from repro.memo import clear_shared, disabled
 from repro.workloads import star
 
 
@@ -45,7 +45,7 @@ class TestClosureMemo:
 
     def test_baseline_mode_returns_distinct_instances(self):
         conj = atoms(2)
-        with baseline_mode():
+        with disabled():
             assert closure_of(conj) is not closure_of(conj)
         assert cache_stats()["closure"]["bypasses"] == 2
         assert counts("closure") == (0, 0)
@@ -69,7 +69,7 @@ class TestCanonicalMemo:
             "SELECT A, SUM(B) FROM R WHERE A > 0 GROUP BY A", catalog
         )
         warm = canonical_key(block)
-        with baseline_mode():
+        with disabled():
             cold = canonical_key(block)
         assert warm == cold
 
@@ -104,7 +104,7 @@ class TestPlannerSubstitutionMemo:
         wl = star.generate(n_sales=100)
         planner = RewritePlanner(list(wl.views.values()), wl.catalog)
         query = wl.queries["category_revenue"]
-        with baseline_mode():
+        with disabled():
             planner.all_rewritings(query)
             planner.all_rewritings(query)
         assert planner.stats.substitution_hits == 0
